@@ -21,7 +21,6 @@ from .asymptotics import (
     selberg_mc_check,
 )
 from .energy import (
-    DEFAULT_FLOOR,
     EnergyComponents,
     EnergyResult,
     offdiag_energy,
@@ -93,7 +92,6 @@ __all__ = [
     "selberg_log",
     "selberg_mc_check",
     # energy
-    "DEFAULT_FLOOR",
     "EnergyComponents",
     "EnergyResult",
     "offdiag_energy",

@@ -4,13 +4,9 @@ Both engines (1-D panels, 2-D cells) follow the same wave pattern: every
 active region carries a low/high-order Gauss pair whose difference
 estimates its error; each wave splits all regions whose error is within
 a factor of the current worst and evaluates the children in a single
-vectorized call.  Batching matters because the integrands are built on
-measure quantile functions that amortize iterative solves over large
-point arrays.
-
-The 2-D engine can add the diagonally singular factor log|u - v| per
-cell in closed form, so the callable only ever supplies the smooth part
-of a log-interaction kernel.
+vectorized call.  Batching matters because each integrand call is one
+numpy evaluation whose fixed overhead is amortized over large point
+arrays.
 
 Totals are compensated sums over lexicographically sorted regions, so
 repeated runs of the same problem are bit-identical.
@@ -39,9 +35,10 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 class QuadResult:
     """Outcome of an adaptive integration.
 
-    ``status`` is "ok" (error bound met), "not_converged" (region budget
-    exhausted first), or "diverged" (the running total fell through the
-    caller's floor).  ``regions`` counts final panels or cells.
+    ``status`` is "ok" (error bound met) or "not_converged" (region
+    budget exhausted, or a non-finite total, before the bound was met;
+    ``value`` is the best estimate).  ``regions`` counts final panels or
+    cells.
     """
 
     value: float
@@ -126,24 +123,8 @@ def adaptive_quad_1d(f: Callable[[np.ndarray], np.ndarray],
 # 2-D: GL6xGL6 cells with embedded GL3xGL3 error estimate.
 
 
-def _g_antideriv(t: np.ndarray) -> np.ndarray:
-    # double antiderivative of log|t|: g'' = log|t|, g(0) = 0
-    out = np.zeros_like(t)
-    nz = t != 0.0
-    tv = t[nz]
-    out[nz] = 0.25 * tv * tv * (2.0 * np.log(np.abs(tv)) - 3.0)
-    return out
-
-
-def _log_gap_exact(u0, u1, v0, v1):
-    """Closed-form cell integral of log|u - v| over [u0,u1] x [v0,v1]."""
-    return (_g_antideriv(u1 - v0) + _g_antideriv(u0 - v1)
-            - _g_antideriv(u0 - v0) - _g_antideriv(u1 - v1))
-
-
 def _eval_cells(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                u0, u1, v0, v1,
-                add_log_gap: bool) -> tuple[np.ndarray, np.ndarray]:
+                u0, u1, v0, v1) -> tuple[np.ndarray, np.ndarray]:
     x6, w6 = _gl_nodes(6)
     x3, w3 = _gl_nodes(3)
     m = u0.size
@@ -167,10 +148,7 @@ def _eval_cells(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     area = hu * hv
     i6 = area * np.einsum("mij,i,j->m", f6, w6, w6)
     i3 = area * np.einsum("mij,i,j->m", f3, w3, w3)
-    errs = np.abs(i6 - i3)
-    if add_log_gap:
-        i6 = i6 + _log_gap_exact(u0, u1, v0, v1)
-    return i6, errs
+    return i6, np.abs(i6 - i3)
 
 
 def adaptive_quad_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -178,21 +156,13 @@ def adaptive_quad_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                      tol: float,
                      max_cells: int,
                      u_breaks: Iterable[float] = (),
-                     v_breaks: Iterable[float] = (),
-                     add_log_gap: bool = False,
-                     floor: float | None = None) -> QuadResult:
+                     v_breaks: Iterable[float] = ()) -> QuadResult:
     """Integrate f(u, v) over the unit square to absolute error tol.
 
-    With ``add_log_gap`` the cell values additionally carry the exact
-    integral of log|u - v|, so the full integrand is f + log|u - v| while
-    the error estimate (and hence refinement) responds only to f.  The
-    callable receives flat coordinate arrays covering a whole wave of
-    cells at once and is evaluated nowhere on the u = v diagonal edge of
-    the square, though interior tensor nodes of diagonal cells do hit
-    u == v exactly and f must tolerate that.
-
-    ``floor`` aborts with status "diverged" once the running total drops
-    below it.
+    The callable receives flat coordinate arrays covering a whole wave of
+    cells at once.  Interior tensor nodes of diagonal cells hit u == v
+    exactly, so f must tolerate that.  ``u_breaks`` and ``v_breaks``
+    become cell edges from the start.
     """
     ue = _seed_edges(0.0, 1.0, u_breaks, 8)
     ve = _seed_edges(0.0, 1.0, v_breaks, 8)
@@ -200,15 +170,12 @@ def adaptive_quad_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     uu1, vv1 = np.meshgrid(ue[1:], ve[1:], indexing="ij")
     u0, u1 = uu0.ravel().copy(), uu1.ravel().copy()
     v0, v1 = vv0.ravel().copy(), vv1.ravel().copy()
-    vals, errs = _eval_cells(f, u0, u1, v0, v1, add_log_gap)
+    vals, errs = _eval_cells(f, u0, u1, v0, v1)
     status = "not_converged"
     while True:
         order = np.lexsort((v0, u0))
         total = math.fsum(vals[order])
         total_err = float(errs.sum())
-        if floor is not None and total < floor:
-            status = "diverged"
-            break
         if not math.isfinite(total):
             break
         if total_err <= tol:
@@ -228,7 +195,7 @@ def adaptive_quad_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         cu1 = np.concatenate([sum_, su1, sum_, su1])
         cv0 = np.concatenate([sv0, sv0, svm, svm])
         cv1 = np.concatenate([svm, svm, sv1, sv1])
-        cvals, cerrs = _eval_cells(f, cu0, cu1, cv0, cv1, add_log_gap)
+        cvals, cerrs = _eval_cells(f, cu0, cu1, cv0, cv1)
         u0 = np.concatenate([u0[~mark], cu0])
         u1 = np.concatenate([u1[~mark], cu1])
         v0 = np.concatenate([v0[~mark], cv0])

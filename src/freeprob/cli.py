@@ -720,8 +720,8 @@ def run(config: RunConfig) -> int:
         return _fail(1, "usage", str(exc))
     _emit(_render(payload, config, csv_lines), config.out)
     if code == 3:
-        _fail(3, "energy", "an energy quadrature did not converge or "
-                           "diverged; see the report's status fields")
+        _fail(3, "energy", "an energy did not converge or diverged; "
+                           "see the report's status fields")
     return code
 
 

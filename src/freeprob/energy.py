@@ -1,19 +1,17 @@
 """Logarithmic energy integrals of spectral measures.
 
-Two quantities, both in absolute-tolerance quadrature:
-
 * ``offdiag_energy``: E = the double integral of log|y - z| against
   mu x mu with the diagonal removed (only atom self-pairs live there).
+  Exact up to rounding: every diffuse family has a closed-form
+  logarithmic potential and self-energy (Saff & Totik, *Logarithmic
+  Potentials with External Fields*, 1997), so atom x atom, atom x
+  diffuse and diffuse x diffuse terms are all compensated sums of
+  elementary functions.
 * ``regularized_energy``: the full-plane integral of log((y - z)^2 + eps),
-  diagonal included, which is finite for every eps > 0.
-
-Atomic x atomic terms are exact sums; atomic x diffuse terms are 1-D
-adaptive panels in the quantile variable with the log singularity pinned
-to a panel edge; diffuse x diffuse terms integrate over the unit square
-in quantile coordinates, where log|Q(u) - Q(v)| splits into a smooth
-log-ratio plus log|u - v|, and the latter is handled in closed form per
-cell.  Absolute (not relative) tolerances throughout, because energies
-near zero are routine.
+  diagonal included, which is finite for every eps > 0.  Adaptive 1-D
+  panels and 2-D cells on a smooth chart of the diffuse part (its
+  closed-form quantile, or x = c - r cos(pi s) for the semicircle), to
+  an absolute tolerance, because energies near zero are routine.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import QuadResult, adaptive_quad_1d, adaptive_quad_2d
+from ._quad import adaptive_quad_1d, adaptive_quad_2d
 from .measures import DiffusePart, SpectralMeasure
 
 __all__ = [
@@ -32,12 +30,9 @@ __all__ = [
     "EnergyResult",
     "offdiag_energy",
     "regularized_energy",
-    "DEFAULT_FLOOR",
 ]
 
-DEFAULT_FLOOR = -1e6
 _DEFAULT_MAX_CELLS = 40000
-_TINY = 1e-300
 
 
 def _max_cells(explicit: int | None) -> int:
@@ -60,11 +55,10 @@ class EnergyComponents:
 class EnergyResult:
     """An energy value with its accuracy diagnostics.
 
-    ``value`` is the sum of the three components (it is -inf exactly when
-    a component diverged).  ``status`` is "ok", "not_converged" (budget
-    ran out before the tolerance; value is the best estimate), or
-    "diverged" (value fell through the divergence floor, reported as
-    -inf).  When the measure carries truncated atom-family mass,
+    ``value`` is the sum of the three components.  ``status`` is "ok" or
+    "diverged" (two atoms share a location; value is -inf).  The closed
+    forms carry no truncation error, so ``abs_error_estimate`` is 0.
+    When the measure carries truncated atom-family mass,
     ``truncation_bound`` bounds the absolute energy contribution of the
     dropped mass (which is excluded from ``value``) and
     ``truncation_note`` says so in words.
@@ -79,70 +73,71 @@ class EnergyResult:
 
 
 # ---------------------------------------------------------------------------
-# Quantile-space integrands.
+# Closed-form logarithmic potentials of the unit-mass diffuse families.
 
 
-def _log_ratio_evaluator(diffuse: DiffusePart):
-    """log of R(u, v) = |Q(u) - Q(v)| / |u - v| for the unit quantile Q.
+def _g1(t: float) -> float:
+    # antiderivative of log|t|, zero at 0
+    return t * math.log(abs(t)) - t if t else 0.0
 
-    R extends continuously to u = v (it becomes Q'), so log|Q(u) - Q(v)|
-    = log R + log|u - v| splits the diagonal singularity off exactly.
-    """
+
+def _g2(t: float) -> float:
+    # double antiderivative of log|t|, zero at 0
+    return 0.25 * t * t * (2.0 * math.log(abs(t)) - 3.0) if t else 0.0
+
+
+def _segments(diffuse: DiffusePart) -> list[tuple[float, float, float]]:
+    """(mass share, lo, hi) of the constant-density pieces of a uniform
+    or piecewise-linear-CDF part."""
     if diffuse.kind == "uniform":
-        lo, hi = diffuse.interval()
-        const = math.log(hi - lo)
+        return [(1.0, *diffuse.interval())]
+    knots = diffuse.params["knots"]
+    return [((float(c1) - float(c0)) / diffuse.mass, float(x0), float(x1))
+            for (x0, c0), (x1, c1) in zip(knots, knots[1:])]
 
-        def log_ratio(u, v):
-            return np.full(u.shape, const)
 
-        return log_ratio
-
+def _self_energy(diffuse: DiffusePart) -> float:
+    """Double integral of log|y - z| against the unit-mass diffuse part."""
     if diffuse.kind == "arcsine":
         lo, hi = diffuse.interval()
-        width = hi - lo
-
-        def log_ratio(u, v):
-            # Q(u) - Q(v) = width * sin(pi(u+v)/2) * sin(pi(u-v)/2)
-            s = np.sin(0.5 * math.pi * (u + v))
-            r = 0.5 * math.pi * width * s * np.sinc(0.5 * (u - v))
-            return np.log(np.maximum(r, _TINY))
-
-        return log_ratio
-
-    def log_ratio(u, v):
-        d = u - v
-        near = np.abs(d) < 1e-9
-        qu = diffuse.quantile_unit(u)
-        qv = diffuse.quantile_unit(v)
-        r = np.empty_like(d)
-        far = ~near
-        r[far] = (qu[far] - qv[far]) / d[far]
-        if near.any():
-            r[near] = diffuse.quantile_unit_derivative(0.5 * (u + v)[near])
-        return np.log(np.maximum(np.abs(r), _TINY))
-
-    return log_ratio
+        return math.log(0.25 * (hi - lo))
+    if diffuse.kind == "semicircle":
+        return math.log(0.5 * float(diffuse.params["radius"])) - 0.25
+    # Per segment pair, with density m / (b - a) on [a, b]: the integral
+    # of log|y - z| over [a, b] x [c, d] is
+    # g2(b - c) + g2(a - d) - g2(a - c) - g2(b - d).
+    terms = []
+    segments = _segments(diffuse)
+    for m, a, b in segments:
+        for n, c, d in segments:
+            scale = m * n / ((b - a) * (d - c))
+            terms.extend(scale * t for t in (_g2(b - c), _g2(a - d),
+                                             -_g2(a - c), -_g2(b - d)))
+    return math.fsum(terms)
 
 
-def _quantile_level_breaks(measure: SpectralMeasure) -> list[float]:
-    """Interior levels in (0,1) where the unit quantile has kinks."""
-    diffuse = measure.diffuse
-    breaks: list[float] = []
-    if diffuse.kind == "piecewise_linear_cdf" and diffuse.mass > 0:
-        for _, cum in diffuse.params["knots"][1:-1]:
-            breaks.append(float(cum) / diffuse.mass)
-    return breaks
+def _potential(diffuse: DiffusePart, x: float) -> float:
+    """Integral of log|x - y| against the unit-mass diffuse part.
 
-
-def _atom_level(measure: SpectralMeasure, location: float) -> float | None:
-    """Quantile level of an atom location inside the diffuse support."""
-    diffuse = measure.diffuse
-    if diffuse.kind == "empty":
-        return None
-    lo, hi = diffuse.interval()
-    if not lo <= location <= hi:
-        return None
-    return float(diffuse.cdf_mass(location)) / diffuse.mass
+    Valid for every real x, inside the support or outside it.
+    """
+    if diffuse.kind == "semicircle":
+        r = float(diffuse.params["radius"])
+        u = abs(x - float(diffuse.params["center"]))
+        if u <= r:
+            return math.log(0.5 * r) + (u / r) ** 2 - 0.5
+        s = math.sqrt((u - r) * (u + r))
+        # (u^2 - u s) / r^2 = u / (u + s), without the cancellation
+        return math.log(0.5 * (u + s)) + u / (u + s) - 0.5
+    if diffuse.kind == "arcsine":
+        lo, hi = diffuse.interval()
+        rho = 0.5 * (hi - lo)
+        u = abs(x - 0.5 * (lo + hi))
+        if u <= rho:
+            return math.log(0.5 * rho)
+        return math.log(0.5 * (u + math.sqrt((u - rho) * (u + rho))))
+    return math.fsum(m * (_g1(x - a) - _g1(x - b)) / (b - a)
+                     for m, a, b in _segments(diffuse))
 
 
 # ---------------------------------------------------------------------------
@@ -179,33 +174,18 @@ def _truncation_bound(measure: SpectralMeasure) -> tuple[float, str | None]:
 # Off-diagonal energy.
 
 
-def _worst_status(statuses: list[str]) -> str:
-    for bad in ("diverged", "not_converged"):
-        if bad in statuses:
-            return bad
-    return "ok"
-
-
-def offdiag_energy(measure: SpectralMeasure, tol: float = 1e-6, *,
-                   floor: float = DEFAULT_FLOOR,
-                   max_cells: int | None = None) -> EnergyResult:
+def offdiag_energy(measure: SpectralMeasure,
+                   tol: float = 1e-6) -> EnergyResult:
     """E = the integral of log|y - z| d(mu x mu) off the diagonal.
 
-    The error budget is split one quarter to the atomic x diffuse panels
-    and one half to the diffuse x diffuse cells (the atom x atom sum is
-    exact).  A running diffuse total below ``floor`` is reported as
-    divergence: value -inf, status "diverged" (distinct from
-    "not_converged", where the cell budget ran out and the value is the
-    best finite estimate).  ``max_cells`` defaults to the
-    FREEPROB_MAX_CELLS environment variable, else 40000.
+    Every term is closed form, so the value meets any positive ``tol``.
+    Two atoms at one location make E = -inf with status "diverged".
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    cells = _max_cells(max_cells)
     atoms = measure.atoms
     diffuse = measure.diffuse
     c = diffuse.mass
-    statuses: list[str] = []
 
     aa_terms: list[float] = []
     aa_diverged = False
@@ -219,52 +199,18 @@ def offdiag_energy(measure: SpectralMeasure, tol: float = 1e-6, *,
                                 * math.log(gap))
     aa = -math.inf if aa_diverged else math.fsum(aa_terms)
 
-    ad = 0.0
-    ad_err = 0.0
-    if atoms and c > 0.0:
-        budget = 0.25 * tol / len(atoms)
-        level_breaks = _quantile_level_breaks(measure)
-        for atom in atoms:
-            loc = atom.location
-            breaks = list(level_breaks)
-            singular = _atom_level(measure, loc)
-            if singular is not None:
-                breaks.append(singular)
-
-            def integrand(u, _loc=loc):
-                q = diffuse.quantile_unit(u)
-                return np.log(np.maximum(np.abs(_loc - q), _TINY))
-
-            weight = 2.0 * atom.weight * c
-            res = adaptive_quad_1d(integrand, 0.0, 1.0,
-                                   tol=budget / max(weight, 1e-30),
-                                   breakpoints=breaks)
-            ad += weight * res.value
-            ad_err += weight * res.error
-            statuses.append(res.status)
-
-    dd = 0.0
-    dd_err = 0.0
+    ad = dd = 0.0
     if c > 0.0:
-        log_ratio = _log_ratio_evaluator(diffuse)
-        breaks = _quantile_level_breaks(measure)
-        res = adaptive_quad_2d(log_ratio, tol=0.5 * tol / (c * c),
-                               max_cells=cells, u_breaks=breaks,
-                               v_breaks=breaks, add_log_gap=True,
-                               floor=floor / (c * c))
-        dd = c * c * res.value
-        dd_err = c * c * res.error
-        statuses.append(res.status)
+        ad = math.fsum(2.0 * atom.weight * c
+                       * _potential(diffuse, atom.location)
+                       for atom in atoms)
+        dd = c * c * _self_energy(diffuse)
 
-    status = _worst_status(statuses)
-    if aa_diverged or status == "diverged":
-        status = "diverged"
-        value = -math.inf
-    else:
-        value = math.fsum([aa, ad, dd])
+    status = "diverged" if aa_diverged else "ok"
+    value = -math.inf if aa_diverged else math.fsum([aa, ad, dd])
     bound, note = _truncation_bound(measure)
     return EnergyResult(value=value,
-                        abs_error_estimate=ad_err + dd_err,
+                        abs_error_estimate=0.0,
                         components=EnergyComponents(dd, ad, aa),
                         status=status,
                         truncation_bound=bound,
@@ -273,6 +219,64 @@ def offdiag_energy(measure: SpectralMeasure, tol: float = 1e-6, *,
 
 # ---------------------------------------------------------------------------
 # Regularized energy.
+
+
+def _chart(diffuse: DiffusePart):
+    """(x, density): a smooth map of [0, 1] onto the diffuse support.
+
+    Integrals against the unit-mass diffuse part become integrals of
+    f(x(s)) density(s) over s in [0, 1].  The semicircle uses
+    x = c - r cos(pi s) with density 2 sin^2(pi s), which needs no
+    quantile solve; every other kind uses its closed-form quantile with
+    density 1.
+    """
+    if diffuse.kind == "semicircle":
+        c = float(diffuse.params["center"])
+        r = float(diffuse.params["radius"])
+
+        def x(s):
+            return c - r * np.cos(math.pi * s)
+
+        def density(s):
+            return 2.0 * np.sin(math.pi * s) ** 2
+
+        return x, density
+
+    def unit(s):
+        return 1.0
+
+    return diffuse.quantile_unit, unit
+
+
+def _chart_breaks(diffuse: DiffusePart) -> list[float]:
+    """Interior chart parameters in (0, 1) where the chart has kinks."""
+    if diffuse.kind != "piecewise_linear_cdf":
+        return []
+    return [float(cum) / diffuse.mass
+            for _, cum in diffuse.params["knots"][1:-1]]
+
+
+def _chart_preimage(diffuse: DiffusePart, location: float) -> float | None:
+    """Chart parameter of a point of the diffuse support, else None."""
+    lo, hi = diffuse.interval()
+    if not lo <= location <= hi:
+        return None
+    if diffuse.kind == "semicircle":
+        c = float(diffuse.params["center"])
+        r = float(diffuse.params["radius"])
+        return math.acos(min(1.0, max(-1.0, (c - location) / r))) / math.pi
+    return float(diffuse.cdf_mass(location)) / diffuse.mass
+
+
+def _pair_integrand(diffuse: DiffusePart, eps: float):
+    """log((x(u) - x(v))^2 + eps) density(u) density(v) on the chart."""
+    x, density = _chart(diffuse)
+
+    def integrand(u, v):
+        d = x(u) - x(v)
+        return np.log(d * d + eps) * density(u) * density(v)
+
+    return integrand
 
 
 def regularized_energy(measure: SpectralMeasure, eps: float,
@@ -285,7 +289,9 @@ def regularized_energy(measure: SpectralMeasure, eps: float,
     always finite.  Truncated atom-family mass participates as a point
     mass at its accumulation point, which misplaces it by at most the
     tail's spatial spread; with default truncation tolerances this is
-    far below any quadrature tolerance in use.
+    far below any quadrature tolerance in use.  ``max_cells`` caps the
+    2-D cells and defaults to the FREEPROB_MAX_CELLS environment
+    variable, else 40000.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
@@ -306,36 +312,27 @@ def regularized_energy(measure: SpectralMeasure, eps: float,
     aa = math.fsum(aa_terms)
 
     ad = 0.0
-    if point_masses and c > 0.0:
-        budget = 0.25 * tol / len(point_masses)
-        level_breaks = _quantile_level_breaks(measure)
-        for loc, w in point_masses:
-            breaks = list(level_breaks)
-            crossing = _atom_level(measure, loc)
-            if crossing is not None:
-                breaks.append(crossing)
-
-            def integrand(u, _loc=loc):
-                q = diffuse.quantile_unit(u)
-                return np.log((_loc - q) ** 2 + eps)
-
-            weight = 2.0 * w * c
-            res = adaptive_quad_1d(integrand, 0.0, 1.0,
-                                   tol=budget / max(weight, 1e-30),
-                                   breakpoints=breaks)
-            ad += weight * res.value
-
     dd = 0.0
     if c > 0.0:
-        breaks = _quantile_level_breaks(measure)
+        x, density = _chart(diffuse)
+        breaks = _chart_breaks(diffuse)
+        for loc, w in point_masses:
+            crossing = _chart_preimage(diffuse, loc)
 
-        def integrand2(u, v):
-            d = diffuse.quantile_unit(u) - diffuse.quantile_unit(v)
-            return np.log(d * d + eps)
+            def integrand(s, _loc=loc):
+                return np.log((_loc - x(s)) ** 2 + eps) * density(s)
 
-        res = adaptive_quad_2d(integrand2, tol=0.5 * tol / (c * c),
-                               max_cells=cells, u_breaks=breaks,
-                               v_breaks=breaks)
+            weight = 2.0 * w * c
+            budget = 0.25 * tol / len(point_masses)
+            res = adaptive_quad_1d(integrand, 0.0, 1.0,
+                                   tol=budget / max(weight, 1e-30),
+                                   breakpoints=(breaks if crossing is None
+                                                else breaks + [crossing]))
+            ad += weight * res.value
+
+        res = adaptive_quad_2d(_pair_integrand(diffuse, eps),
+                               tol=0.5 * tol / (c * c), max_cells=cells,
+                               u_breaks=breaks, v_breaks=breaks)
         dd = c * c * res.value
 
     return math.fsum([aa, ad, dd])

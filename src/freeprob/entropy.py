@@ -119,9 +119,8 @@ def chi(measure: SpectralMeasure, tol: float = 1e-6) -> float:
 
     Any atomic mass (including a truncated family tail) makes the
     diagonal contribute weight^2 * log 0, so the result is -inf without
-    any quadrature.  Callers who need convergence diagnostics should use
-    offdiag_energy directly; this returns the best estimate even when
-    the quadrature reports non-convergence.
+    computing an energy.  Callers who need the energy's status should
+    use offdiag_energy directly.
     """
     if measure.atoms or measure.truncated_tail > 0.0:
         return -math.inf
@@ -147,7 +146,7 @@ def hausdorff_entropy_bounds(measure: SpectralMeasure, tol: float = 1e-6, *,
                              energy: EnergyResult | None = None) -> EntropyBounds:
     """Sandwich the exponent-alpha free Hausdorff entropy around E.
 
-    Pass a precomputed ``energy`` result to skip the quadrature.
+    Pass a precomputed ``energy`` result to skip recomputing it.
     """
     alpha = free_hausdorff_dimension(measure)
     if energy is None:
@@ -178,7 +177,7 @@ def free_family_bounds(measures: Iterable[SpectralMeasure],
     Freeness is the caller's assertion; the computation only needs the
     marginal measures.  With n = 1 this reproduces
     ``hausdorff_entropy_bounds`` exactly.  Precomputed per-variable
-    ``energies`` (in the same order) skip the quadratures.
+    ``energies`` (in the same order) skip recomputing them.
     """
     measures = list(measures)
     if not measures:

@@ -240,6 +240,8 @@ class DiffusePart:
             else:
                 xs = [float(p[0]) for p in knots]
                 cs = [float(p[1]) for p in knots]
+                if not all(map(math.isfinite, xs + cs)):
+                    problems.append("piecewise knots must be finite")
                 if any(b <= a for a, b in zip(xs, xs[1:])):
                     problems.append("piecewise knot points must be strictly "
                                     "increasing")
@@ -582,7 +584,14 @@ def _spec_get(mapping: dict, key: str, path: str, required: bool = True,
 def _spec_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MeasureSpecError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise MeasureSpecError(path,
+                               f"expected a finite number, got {value!r}")
+    return number
 
 
 def measure_from_dict(spec: dict) -> SpectralMeasure:

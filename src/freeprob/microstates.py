@@ -309,7 +309,7 @@ def offdiag_sum_series(measure: SpectralMeasure, ks: Iterable[int],
     target over the largest quartile of ks; ``extras`` records the same
     gap under the halved (unordered-pair) normalization, so both
     readings of the sum are reported.  Pass a precomputed ``energy``
-    result to skip the internal quadrature.
+    result to skip recomputing it.
     """
     ks = _validated_series_ks(ks, k_cap)
     if energy is None:

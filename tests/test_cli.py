@@ -51,6 +51,19 @@ class TestExitCodes:
         assert res.code == 2
         assert res.stderr.startswith("freeprob: error: measure-spec:")
 
+    @pytest.mark.parametrize("command", ["validate", "energy"])
+    def test_nan_knot_is_two(self, tmp_path, command):
+        bad = tmp_path / "nan_knot.json"
+        bad.write_text(json.dumps({
+            "support": [0.0, 2.0],
+            "diffuse": {"kind": "piecewise_linear_cdf", "mass": 1.0,
+                        "params": {"knots": [[0.0, 0.0], [math.nan, 0.5],
+                                             [2.0, 1.0]]}},
+        }))
+        res = run_cli(command, "--measure", str(bad), "--format", "json")
+        assert res.code == 2
+        assert "diffuse.params.knots[1][0]" in res.stderr
+
     def test_malformed_json_is_two(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{]")

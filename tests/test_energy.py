@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from scipy import integrate
 
 import freeprob as fp
 from conftest import MIXED_ENERGY, atomic_plus_uniform, purely_atomic
+from freeprob import energy
+from freeprob._quad import adaptive_quad_2d
 
 TOL = 1e-6
 
@@ -106,6 +109,155 @@ class TestScipyOracles:
         assert got == pytest.approx(oracle, abs=max(TOL, 10 * err))
 
 
+ORACLE_TOL = 1e-10
+PARAMS = {"semicircle": {"center": 0.5, "radius": 1.5},
+          "arcsine": {"lo": -1.0, "hi": 3.0},
+          "uniform": {"lo": 2.0, "hi": 7.0}}
+UNIT_KNOTS = [[0.0, 0.0], [0.5, 0.1], [1.5, 0.6], [4.0, 1.0]]
+
+
+def _diffuse(kind, mass):
+    if kind == "piecewise_linear_cdf":
+        knots = [[x, mass * c] for x, c in UNIT_KNOTS]
+        return fp.DiffusePart(kind, mass, {"knots": knots})
+    return fp.DiffusePart(kind, mass, PARAMS[kind])
+
+
+def _density(kind):
+    """(unit-mass density as an mpmath function, its breakpoints)."""
+    if kind == "semicircle":
+        c, r = PARAMS[kind]["center"], PARAMS[kind]["radius"]
+        return (lambda y: 2 / (mpmath.pi * r * r)
+                * mpmath.sqrt(r * r - (y - c) ** 2)), [c - r, c + r]
+    if kind == "arcsine":
+        lo, hi = PARAMS[kind]["lo"], PARAMS[kind]["hi"]
+        return (lambda y: 1 / (mpmath.pi * mpmath.sqrt((y - lo) * (hi - y))),
+                [lo, hi])
+    if kind == "uniform":
+        lo, hi = PARAMS[kind]["lo"], PARAMS[kind]["hi"]
+        return (lambda y: mpmath.mpf(1) / (hi - lo)), [lo, hi]
+    segments = _knot_segments(UNIT_KNOTS)
+
+    def rho(y):
+        return next(m / (b - a) for m, a, b in segments if a <= y <= b)
+
+    return rho, [x for x, _ in UNIT_KNOTS]
+
+
+def _knot_segments(knots):
+    return [(c1 - c0, x0, x1) for (x0, c0), (x1, c1) in zip(knots, knots[1:])]
+
+
+def _mp_log_abs(d):
+    # tanh-sinh nodes can round onto the singular point itself
+    return mpmath.log(abs(d)) if d else 0
+
+
+def _difference_energy(segments):
+    """E as the integral of log|t| against the density of y - z, for y and
+    z independent with constant density m / (b - a) on each (m, a, b)."""
+    def h(t):
+        return math.fsum(m * n * max(0.0, min(b, t + d) - max(a, t + c))
+                         / ((b - a) * (d - c))
+                         for m, a, b in segments for n, c, d in segments)
+
+    corners = sorted({0.0} | {t for _, a, b in segments
+                              for _, c, d in segments
+                              for t in (a - d, a - c, b - d, b - c)})
+    value, err = integrate.quad(lambda t: math.log(abs(t)) * h(t),
+                                corners[0], corners[-1], points=corners[1:-1],
+                                epsabs=1e-14, epsrel=1e-14, limit=200)
+    assert err < 1e-12
+    return value
+
+
+def _angle_energy(radius, weight):
+    """E for x = -radius cos(theta) with density weight(theta) on [0, pi],
+    by nested mpmath quadrature split at the inner singularity."""
+    with mpmath.workdps(20):
+        def inner(t):
+            x = mpmath.cos(t)
+            return mpmath.quad(
+                lambda p: _mp_log_abs(radius * (mpmath.cos(p) - x))
+                * weight(p), [0, t, mpmath.pi])
+
+        return float(mpmath.quad(lambda t: inner(t) * weight(t),
+                                 [0, mpmath.pi]))
+
+
+class TestClosedFormOracles:
+    """Every closed form against scipy or mpmath integration of its
+    definition, at 1e-10."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "arcsine", "semicircle",
+                                      "piecewise_linear_cdf"])
+    def test_self_energy(self, kind):
+        lo, hi = _diffuse(kind, 1.0).interval()
+        if kind == "uniform":
+            oracle = _difference_energy([(1.0, lo, hi)])
+        elif kind == "piecewise_linear_cdf":
+            oracle = _difference_energy(_knot_segments(UNIT_KNOTS))
+        elif kind == "arcsine":
+            oracle = _angle_energy(0.5 * (hi - lo), lambda t: 1 / mpmath.pi)
+        else:
+            oracle = _angle_energy(0.5 * (hi - lo),
+                                   lambda t: 2 / mpmath.pi
+                                   * mpmath.sin(t) ** 2)
+        m = fp.SpectralMeasure(support=(lo, hi), diffuse=_diffuse(kind, 1.0))
+        res = fp.offdiag_energy(m, ORACLE_TOL)
+        assert res.status == "ok"
+        assert res.value == pytest.approx(oracle, abs=ORACLE_TOL)
+
+    @pytest.mark.parametrize("kind, location", [
+        ("semicircle", -0.7), ("semicircle", 1.9), ("semicircle", 2.5),
+        ("semicircle", -3.0), ("arcsine", 0.2), ("arcsine", 2.9),
+        ("arcsine", 3.5), ("arcsine", -3.0), ("uniform", 3.0),
+        ("uniform", 1.0), ("uniform", 9.0), ("piecewise_linear_cdf", 0.5),
+        ("piecewise_linear_cdf", 1.0), ("piecewise_linear_cdf", -1.0),
+        ("piecewise_linear_cdf", 6.0),
+    ])
+    def test_atom_potential(self, kind, location):
+        # An atom inside or outside the diffuse support: the atom x
+        # diffuse term is 2 w c times the potential at the atom.
+        rho, breaks = _density(kind)
+        with mpmath.workdps(30):
+            inside = breaks[0] < location < breaks[-1]
+            points = sorted(set(breaks) | ({location} if inside else set()))
+            potential = float(mpmath.quad(
+                lambda y: _mp_log_abs(location - y) * rho(y), points))
+        w, c = 0.25, 0.75
+        m = fp.SpectralMeasure(support=(-4.0, 10.0),
+                               atoms=(fp.Atom(location, w),),
+                               diffuse=_diffuse(kind, c))
+        assert fp.validate(m).ok
+        res = fp.offdiag_energy(m, ORACLE_TOL)
+        assert res.status == "ok"
+        assert res.components.atom_diffuse == pytest.approx(
+            2 * w * c * potential, abs=ORACLE_TOL)
+
+    @pytest.mark.parametrize("eps", [1.0, 0.1])
+    def test_semicircle_regularized_dblquad(self, eps):
+        c, r = PARAMS["semicircle"]["center"], PARAMS["semicircle"]["radius"]
+        x0, w, mass = 1.2, 0.3, 0.7
+
+        def rho(x):
+            return 2 / (math.pi * r * r) * math.sqrt(max(0.0, r * r
+                                                         - (x - c) ** 2))
+
+        ad, err_ad = integrate.quad(
+            lambda y: math.log((x0 - y) ** 2 + eps) * rho(y), c - r, c + r,
+            points=[x0], epsabs=1e-13, epsrel=1e-13)
+        dd, err_dd = integrate.dblquad(
+            lambda y, x: math.log((x - y) ** 2 + eps) * rho(x) * rho(y),
+            c - r, c + r, c - r, c + r, epsabs=1e-12, epsrel=1e-12)
+        assert err_ad + err_dd < 1e-11
+        oracle = w * w * math.log(eps) + 2 * w * mass * ad + mass ** 2 * dd
+        m = fp.SpectralMeasure(support=(c - r, c + r), atoms=(fp.Atom(x0, w),),
+                               diffuse=_diffuse("semicircle", mass))
+        got = fp.regularized_energy(m, eps, ORACLE_TOL)
+        assert got == pytest.approx(oracle, abs=ORACLE_TOL)
+
+
 class TestRegularizedEnergy:
     def test_monotone_in_eps(self, mixed_measure):
         values = [fp.regularized_energy(mixed_measure, e, TOL)
@@ -178,9 +330,17 @@ class TestStatuses:
         assert res.value == -math.inf
 
     def test_starved_quadrature_reports_not_converged(self, semicircle2):
-        res = fp.offdiag_energy(semicircle2, 1e-12, max_cells=8)
+        # offdiag_energy is closed form; the 2-D quadrature left is the
+        # regularized energy's, on the semicircle chart.
+        integrand = energy._pair_integrand(semicircle2.diffuse, 0.01)
+        res = adaptive_quad_2d(integrand, tol=1e-12, max_cells=8)
         assert res.status == "not_converged"
         assert math.isfinite(res.value)
+
+    def test_semicircle_tight_tol_is_ok(self, semicircle2):
+        res = fp.offdiag_energy(semicircle2, 1e-12)
+        assert res.status == "ok"
+        assert res.value == pytest.approx(-0.25, abs=1e-12)
 
     def test_error_estimate_honest(self, uniform01, arcsine2, semicircle2):
         for m, truth in ((uniform01, -1.5), (arcsine2, 0.0),

@@ -50,6 +50,16 @@ class TestValidation:
         by_weight = m.atoms_by_weight()
         assert by_weight[0].weight >= by_weight[-1].weight
 
+    def test_non_finite_knot_reported(self):
+        knots = [[0.0, 0.0], [math.nan, 0.5], [1.0, 1.0]]
+        m = fp.SpectralMeasure(
+            support=(0.0, 1.0),
+            diffuse=fp.DiffusePart("piecewise_linear_cdf", 1.0,
+                                   {"knots": knots}))
+        report = fp.validate(m)
+        assert not report.ok
+        assert any("finite" in p for p in report.problems)
+
     def test_validate_never_raises_on_bad_diffuse(self):
         m = fp.SpectralMeasure(
             support=(0.0, 1.0),
@@ -176,6 +186,13 @@ class TestSerialization:
                                   "diffuse": {"kind": "uniform", "mass": 1.0,
                                               "params": {"lo": 0.0}}})
         assert exc.value.path.startswith("diffuse")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       10 ** 400])
+    def test_non_finite_numbers_rejected(self, value):
+        with pytest.raises(fp.MeasureSpecError) as exc:
+            fp.measure_from_dict({"support": [0.0, value]})
+        assert exc.value.path == "support[1]"
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(fp.MeasureSpecError):
