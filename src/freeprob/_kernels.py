@@ -1,198 +1,107 @@
-"""Hot numeric kernels: compensated pair sums, Monte Carlo moments, and
-the semicircle quantile solver.
+"""Hot numeric kernels: pair log sums, Monte Carlo moments, and the
+semicircle quantile solver.
 
-Every kernel ships in two interchangeable backends: a numba ``@njit``
-version and a pure-numpy blocked version.  The active backend is chosen
-once at import time; set ``FREEPROB_DISABLE_NUMBA=1`` to force the numpy
-path (the same fallback engages automatically when numba is not
-importable).  Both backends are single-threaded and accumulate in a fixed
-order, so results are deterministic run to run and agree with each other
-to ~1e-12.
+All kernels are plain numpy and single-threaded, and accumulate in a
+fixed order, so results are deterministic run to run.
+
+The pair sums run over the spectrum compressed to its distinct values u_a
+with multiplicities c_a.  Microstate spectra repeat each atom value
+floor(c_i k) times, so the U distinct values are often far fewer than
+the k entries, and the cost is O(U^2) instead of O(k^2).  Distinct-value
+pairs are evaluated in square blocks of the U x U log-gap matrix, each
+block is weighted by the counts on both sides, and the block partials
+are summed with ``math.fsum``.  Equal-value pairs are counted, not
+evaluated: there are sum c_a (c_a - 1) / 2 of them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-
-
-def _numba_disabled_by_env() -> bool:
-    flag = os.environ.get("FREEPROB_DISABLE_NUMBA", "")
-    return flag.strip().lower() in {"1", "true", "yes", "on"}
-
-
-_USE_NUMBA = numba is not None and not _numba_disabled_by_env()
+_BLOCK = 256
 
 
 def backend() -> str:
-    """Name of the active kernel backend: ``"numba"`` or ``"numpy"``."""
-    return "numba" if _USE_NUMBA else "numpy"
+    """Name of the kernel backend; numpy is the only one."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# Loop bodies (compiled by numba when active).  Pair sums are Kahan
-# compensated: at k = 5000 there are ~1.25e7 terms and plain accumulation
-# would lose ~1e-10 of absolute accuracy.
-
-def _pair_log_reg_sum_loop(vals, eps):
-    total = 0.0
-    comp = 0.0
-    n = vals.shape[0]
-    for i in range(n):
-        vi = vals[i]
-        for j in range(i + 1, n):
-            d = vi - vals[j]
-            y = math.log(d * d + eps) - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-    return total
+def _as_vector(vals) -> np.ndarray:
+    return np.ascontiguousarray(vals, dtype=np.float64)
 
 
-def _pair_log_sq_skip_loop(vals):
-    total = 0.0
-    comp = 0.0
-    skipped = 0
-    n = vals.shape[0]
-    for i in range(n):
-        vi = vals[i]
-        for j in range(i + 1, n):
-            d = vi - vals[j]
-            if d == 0.0:
-                skipped += 1
-            else:
-                y = math.log(d * d) - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
-    return total, skipped
+def _distinct_pair_log_sum(vals, eps: float) -> tuple[float, int]:
+    """Sum of log((u_a - u_b)^2 + eps) c_a c_b over distinct values a < b.
 
-
-def _vandermonde_sq_moments_loop(t):
-    s1 = 0.0
-    c1 = 0.0
-    s2 = 0.0
-    c2 = 0.0
-    m, k = t.shape
-    for r in range(m):
-        f = 1.0
-        for i in range(k):
-            ti = t[r, i]
-            for j in range(i + 1, k):
-                d = ti - t[r, j]
-                f *= d * d
-        y = f - c1
-        tt = s1 + y
-        c1 = (tt - s1) - y
-        s1 = tt
-        y = f * f - c2
-        tt = s2 + y
-        c2 = (tt - s2) - y
-        s2 = tt
-    return s1, s2
-
-
-def _semicircle_quantile_loop(u):
-    # Solve F(z) = u on [-1, 1] for the unit-radius semicircle CDF
-    # F(z) = 1/2 + (z sqrt(1-z^2) + asin z) / pi.  Newton with a bisection
-    # bracket; the derivative vanishes at the edges, where the bracket
-    # midpoint takes over.
-    out = np.empty_like(u)
-    for idx in range(u.shape[0]):
-        target = u[idx]
-        lo = -1.0
-        hi = 1.0
-        z = 2.0 * target - 1.0
-        for _ in range(80):
-            zz = 1.0 - z * z
-            if zz < 0.0:
-                zz = 0.0
-            s = math.sqrt(zz)
-            fval = 0.5 + (z * s + math.asin(z)) / math.pi - target
-            if fval > 0.0:
-                hi = z
-            else:
-                lo = z
-            df = 2.0 * s / math.pi
-            if df > 1e-12:
-                znew = z - fval / df
-            else:
-                znew = 0.5 * (lo + hi)
-            if not (lo < znew < hi):
-                znew = 0.5 * (lo + hi)
-            if abs(znew - z) <= 1e-17:
-                z = znew
-                break
-            z = znew
-        out[idx] = z
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Pure-numpy backend: blocked broadcasting with fsum over block partials.
-
-_BLOCK = 1024
-
-
-def _pair_log_reg_sum_numpy(vals, eps):
-    n = vals.shape[0]
+    Returns the sum together with the number of equal-value index pairs,
+    sum c_a (c_a - 1) / 2, which the sum leaves out.
+    """
+    values, counts = np.unique(_as_vector(vals), return_counts=True)
+    equal = int(np.sum(counts * (counts - 1) // 2))
+    weights = counts.astype(np.float64)
+    n = values.size
     partials = []
     for i0 in range(0, n, _BLOCK):
-        vi = vals[i0:i0 + _BLOCK]
-        d = vi[:, None] - vi[None, :]
-        iu = np.triu_indices(vi.shape[0], 1)
-        dd = d[iu]
-        partials.append(float(np.log(dd * dd + eps).sum()))
-        for j0 in range(i0 + _BLOCK, n, _BLOCK):
-            d = vi[:, None] - vals[j0:j0 + _BLOCK][None, :]
-            partials.append(float(np.log(d * d + eps).sum()))
-    return math.fsum(partials)
+        vi, ci = values[i0:i0 + _BLOCK], weights[i0:i0 + _BLOCK]
+        for j0 in range(i0, n, _BLOCK):
+            vj, cj = values[j0:j0 + _BLOCK], weights[j0:j0 + _BLOCK]
+            d = np.subtract.outer(vi, vj)
+            np.multiply(d, d, out=d)
+            np.add(d, eps, out=d)
+            if j0 == i0:
+                # Keep only a < b: log(1) = 0 on and below the diagonal.
+                d[np.tril_indices(d.shape[0])] = 1.0
+            np.log(d, out=d)
+            partials.append(float(ci @ (d @ cj)))
+    return math.fsum(partials), equal
 
 
-def _pair_log_sq_skip_numpy(vals):
-    n = vals.shape[0]
-    partials = []
-    skipped = 0
-    for i0 in range(0, n, _BLOCK):
-        vi = vals[i0:i0 + _BLOCK]
-        d = vi[:, None] - vi[None, :]
-        iu = np.triu_indices(vi.shape[0], 1)
-        dd = d[iu]
-        nz = dd != 0.0
-        skipped += int(dd.size - np.count_nonzero(nz))
-        dd = dd[nz]
-        partials.append(float(np.log(dd * dd).sum()))
-        for j0 in range(i0 + _BLOCK, n, _BLOCK):
-            d = (vi[:, None] - vals[j0:j0 + _BLOCK][None, :]).ravel()
-            nz = d != 0.0
-            skipped += int(d.size - np.count_nonzero(nz))
-            d = d[nz]
-            partials.append(float(np.log(d * d).sum()))
-    return math.fsum(partials), skipped
+def pair_log_reg_sum(vals, eps: float) -> float:
+    """Sum of log((v_i - v_j)^2 + eps) over unordered pairs i < j.
+
+    ``eps`` must be positive: each equal-value pair contributes log eps.
+    """
+    eps = float(eps)
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
+    total, equal = _distinct_pair_log_sum(vals, eps)
+    return total + equal * math.log(eps)
 
 
-def _vandermonde_sq_moments_numpy(t):
-    m, k = t.shape
+def pair_log_sq_skip(vals) -> tuple[float, int]:
+    """Sum of log((v_i - v_j)^2) over unordered pairs with v_i != v_j.
+
+    Returns the sum together with the number of equal pairs skipped.
+    """
+    return _distinct_pair_log_sum(vals, 0.0)
+
+
+def vandermonde_sq_moments(t) -> tuple[float, float]:
+    """First two moments of f(rows) = prod_{i<j} (t_i - t_j)^2.
+
+    ``t`` is a (samples, k) block; returns (sum f, sum f^2).
+    """
+    block = np.ascontiguousarray(t, dtype=np.float64)
+    m, k = block.shape
     f = np.ones(m)
     for i in range(k):
-        ti = t[:, i]
+        ti = block[:, i]
         for j in range(i + 1, k):
-            d = ti - t[:, j]
+            d = ti - block[:, j]
             f = f * (d * d)
     return float(f.sum()), float((f * f).sum())
 
 
-def _semicircle_quantile_numpy(u):
-    # 75 bisection steps shrink the bracket to ~5e-23, i.e. below the
-    # resolution of float64 on [-1, 1]; agreement with the Newton path of
-    # the numba backend is then limited only by rounding.
+def semicircle_quantile_unit(u) -> np.ndarray:
+    """Quantile of the unit-radius semicircle law at probabilities ``u``.
+
+    75 bisection steps on F(z) = 1/2 + (z sqrt(1-z^2) + asin z) / pi
+    shrink the bracket to ~5e-23, below the resolution of float64 on
+    [-1, 1].
+    """
+    u = _as_vector(u)
     lo = np.full(u.shape, -1.0)
     hi = np.full(u.shape, 1.0)
     for _ in range(75):
@@ -203,91 +112,3 @@ def _semicircle_quantile_numpy(u):
         lo = np.where(take, mid, lo)
         hi = np.where(take, hi, mid)
     return 0.5 * (lo + hi)
-
-
-# ---------------------------------------------------------------------------
-# Backend selection.
-
-if numba is not None:
-    _jit = numba.njit(cache=True)
-    _pair_log_reg_sum_numba = _jit(_pair_log_reg_sum_loop)
-    _pair_log_sq_skip_numba = _jit(_pair_log_sq_skip_loop)
-    _vandermonde_sq_moments_numba = _jit(_vandermonde_sq_moments_loop)
-    _semicircle_quantile_numba = _jit(_semicircle_quantile_loop)
-
-
-def _as_vector(vals) -> np.ndarray:
-    return np.ascontiguousarray(vals, dtype=np.float64)
-
-
-def pair_log_reg_sum(vals, eps: float) -> float:
-    """Sum of log((v_i - v_j)^2 + eps) over unordered pairs i < j."""
-    v = _as_vector(vals)
-    if _USE_NUMBA:
-        return float(_pair_log_reg_sum_numba(v, float(eps)))
-    return _pair_log_reg_sum_numpy(v, float(eps))
-
-
-def pair_log_sq_skip(vals) -> tuple[float, int]:
-    """Sum of log((v_i - v_j)^2) over unordered pairs with v_i != v_j.
-
-    Returns the sum together with the number of equal pairs skipped.
-    """
-    v = _as_vector(vals)
-    if _USE_NUMBA:
-        total, skipped = _pair_log_sq_skip_numba(v)
-        return float(total), int(skipped)
-    return _pair_log_sq_skip_numpy(v)
-
-
-def vandermonde_sq_moments(t) -> tuple[float, float]:
-    """First two moments of f(rows) = prod_{i<j} (t_i - t_j)^2.
-
-    ``t`` is a (samples, k) block; returns (sum f, sum f^2).
-    """
-    block = np.ascontiguousarray(t, dtype=np.float64)
-    if _USE_NUMBA:
-        s1, s2 = _vandermonde_sq_moments_numba(block)
-        return float(s1), float(s2)
-    return _vandermonde_sq_moments_numpy(block)
-
-
-def semicircle_quantile_unit(u) -> np.ndarray:
-    """Quantile of the unit-radius semicircle law at probabilities ``u``."""
-    v = _as_vector(u)
-    if _USE_NUMBA:
-        return _semicircle_quantile_numba(v)
-    return _semicircle_quantile_numpy(v)
-
-
-def implementations() -> dict:
-    """Both backends of every kernel, keyed by backend name.
-
-    Used by the agreement tests and the benchmark script; the numba entry
-    is present whenever numba is importable, regardless of the env flag.
-    """
-    impls = {
-        "numpy": {
-            "pair_log_reg_sum": _pair_log_reg_sum_numpy,
-            "pair_log_sq_skip": _pair_log_sq_skip_numpy,
-            "vandermonde_sq_moments": _vandermonde_sq_moments_numpy,
-            "semicircle_quantile_unit": _semicircle_quantile_numpy,
-        }
-    }
-    if numba is not None:
-        impls["numba"] = {
-            "pair_log_reg_sum": _pair_log_reg_sum_numba,
-            "pair_log_sq_skip": _pair_log_sq_skip_numba,
-            "vandermonde_sq_moments": _vandermonde_sq_moments_numba,
-            "semicircle_quantile_unit": _semicircle_quantile_numba,
-        }
-    return impls
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of the active backend on tiny inputs."""
-    v = np.array([0.0, 0.5, 1.0])
-    pair_log_reg_sum(v, 0.5)
-    pair_log_sq_skip(np.array([0.0, 0.0, 1.0]))
-    vandermonde_sq_moments(np.array([[0.1, 0.2], [0.3, 0.4]]))
-    semicircle_quantile_unit(np.array([0.25, 0.5, 0.75]))

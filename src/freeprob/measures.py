@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -368,36 +368,19 @@ def cdf(measure: SpectralMeasure, x):
 # Quantiles.
 
 
-def _bisect_rightmost(cdf_fn: Callable[[np.ndarray], np.ndarray],
-                      lo: float, hi: float,
-                      levels: np.ndarray, iters: int = 100) -> np.ndarray:
-    """Largest x in [lo, hi] with cdf(x) <= level, per level (vectorized).
-
-    100 bisection steps shrink the bracket far below the 1e-12 contract.
-    """
-    lo_arr = np.full(levels.shape, float(lo))
-    hi_arr = np.full(levels.shape, float(hi))
-    for _ in range(iters):
-        mid = 0.5 * (lo_arr + hi_arr)
-        take = cdf_fn(mid) <= levels
-        lo_arr = np.where(take, mid, lo_arr)
-        hi_arr = np.where(take, hi_arr, mid)
-    return 0.5 * (lo_arr + hi_arr)
-
-
 def diffuse_quantile_batch(measure: SpectralMeasure, k: int) -> np.ndarray:
     """All diffuse quantiles at levels j/k for j = 1 .. floor(c k).
 
-    Each value is the largest x in [a, b] with nu([a, x]) = j/k.  Found
-    by bisection on the diffuse CDF and snapped to the closed-form
-    inverse when the two agree to 1e-9 (which keeps analytically exact
-    quantiles, like j/k itself for uniform [0, 1], bit-exact).
+    Each value is the largest x in [a, b] with nu([a, x]) = j/k, taken
+    from the diffuse part's quantile function.  Below the top level the
+    preimage is unique, because every diffuse CDF is strictly increasing
+    on its interval (piecewise cumulative masses must strictly increase).
     """
     c = measure.diffuse.mass
     q = _int_part(c * k)
     if q < 1:
         return np.empty(0)
-    a, b = measure.support
+    b = measure.support[1]
     levels = np.arange(1, q + 1, dtype=float) / k
     at_top = levels >= c - 1e-14
     out = np.empty(q)
@@ -405,12 +388,7 @@ def diffuse_quantile_batch(measure: SpectralMeasure, k: int) -> np.ndarray:
     # endpoint to b, and "largest preimage" picks b
     inner = ~at_top
     if inner.any():
-        lv = levels[inner]
-        closed = measure.diffuse.quantile_unit(lv / c)
-        bis = _bisect_rightmost(measure.diffuse.cdf_mass, a, b, lv)
-        scale = max(1.0, abs(a), abs(b))
-        out[inner] = np.where(np.abs(closed - bis) <= 1e-9 * scale,
-                              closed, bis)
+        out[inner] = measure.diffuse.quantile_unit(levels[inner] / c)
     return out
 
 

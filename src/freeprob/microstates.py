@@ -13,12 +13,14 @@ Two explicit diagonal-matrix approximants of a spectral measure:
   so they collide with nothing.  Its distinct-value pair sum drives the
   packing-constant lower-bound machinery.
 
-Pair sums run in O(k^2) with compensated summation; k is capped (default
-5000) to keep desk-scale runtimes.  Sums over the distinct-value pair
-set are taken over ordered pairs (both (i, j) and (j, i)), which is the
-normalization under which k^{-2} times the sum of log(b_i - b_j)^2
-converges to twice the off-diagonal energy; the series reports also
-carry the halved (unordered) gap so both readings are visible.
+Pair sums run over the distinct eigenvalues weighted by their
+multiplicities, in O(U^2) for U distinct values (each atom value counts
+once, however often it repeats); k is capped (default 5000).  Sums over
+the distinct-value pair set are taken over ordered pairs (both (i, j)
+and (j, i)), which is the normalization under which k^{-2} times the
+sum of log(b_i - b_j)^2 converges to twice the off-diagonal energy; the
+series reports also carry the halved (unordered) gap so both readings
+are visible.
 """
 
 from __future__ import annotations
@@ -236,7 +238,8 @@ def pair_partition(microstate: DiagonalMicrostate) -> PairPartition:
 
     For a "lower" microstate, equal values can only occur at atom
     locations (quantiles are strictly increasing, fillers distinct and
-    disjoint from the support); that structural claim is asserted.
+    disjoint from the support); a repeated non-atom value raises
+    ValueError.
     """
     values, counts = np.unique(microstate.eigenvalues, return_counts=True)
     s_count = int(sum(int(c) * (int(c) - 1) // 2 for c in counts))
@@ -244,8 +247,8 @@ def pair_partition(microstate: DiagonalMicrostate) -> PairPartition:
     if microstate.kind == "lower":
         atom_locs = {loc for loc, _ in microstate.atom_multiplicity_map}
         repeated = values[counts > 1]
-        assert all(float(v) in atom_locs for v in repeated), \
-            "separated microstate repeats a non-atom value"
+        if not all(float(v) in atom_locs for v in repeated):
+            raise ValueError("separated microstate repeats a non-atom value")
     return PairPartition(k=k, s_count=s_count,
                          w_count=k * (k - 1) // 2 - s_count)
 
@@ -398,20 +401,19 @@ def packing_constant_log(measure: SpectralMeasure, k: int, *,
     log C_k = log D_k + sum over ordered distinct-value pairs of
     log(b_i - b_j)^2 - log k! + (2 #S_k + k - k^2) log 2 + selberg_log(k),
     with D_k = pi^{k(k-1)/2} / prod_{j<=k} j! (the Mehta density
-    normalizer).  All five summands live in the log domain.
+    normalizer).  All five summands live in the log domain; #S_k is the
+    equal-pair count of the pair kernel.
     """
     if microstate is None:
         microstate = build_lower_microstate(measure, k, k_cap=k_cap)
     k = microstate.k
-    pair_sum, skipped = pair_log_sq_skip(microstate.eigenvalues)
-    part = pair_partition(microstate)
-    assert skipped == part.s_count
+    pair_sum, s_count = pair_log_sq_skip(microstate.eigenvalues)
     log_d = 0.5 * k * (k - 1) * math.log(math.pi) - _sum_log_factorials(k)
     return math.fsum([
         log_d,
         2.0 * pair_sum,
         -log_gamma(k + 1.0),
-        (2 * part.s_count + k - k * k) * math.log(2.0),
+        (2 * s_count + k - k * k) * math.log(2.0),
         selberg_log(k),
     ])
 

@@ -12,14 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 import freeprob as fp
-from freeprob import _kernels
 from freeprob.cli import main as cli_main
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # JIT compile (or no-op on the numpy fallback) before any timed test.
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

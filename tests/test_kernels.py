@@ -1,9 +1,7 @@
-"""Hot-kernel backends: numba and numpy must agree bit-for-nearly-bit."""
+"""Hot kernels against explicit oracles: fsum over index pairs, direct
+Vandermonde products, and the semicircle CDF."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -17,37 +15,19 @@ def sample_values():
     return rng.uniform(-3.0, 3.0, size=400)
 
 
-class TestBackendAgreement:
-    def test_pair_log_reg_sum(self, sample_values):
-        impls = _kernels.implementations()
-        results = {name: fns["pair_log_reg_sum"](sample_values, 0.05)
-                   for name, fns in impls.items()}
-        baseline = results["numpy"]
-        for name, value in results.items():
-            assert value == pytest.approx(baseline, rel=1e-12), name
+def fsum_reg(vals, eps):
+    """Sum of log((v_i - v_j)^2 + eps) over every index pair i < j."""
+    n = len(vals)
+    return math.fsum(math.log((vals[i] - vals[j]) ** 2 + eps)
+                     for i in range(n) for j in range(i + 1, n))
 
-    def test_pair_log_sq_skip(self, sample_values):
-        values = sample_values.copy()
-        values[10] = values[20]  # plant one coincident pair
-        values.sort()
-        impls = _kernels.implementations()
-        results = {name: fns["pair_log_sq_skip"](values)
-                   for name, fns in impls.items()}
-        totals = {name: t for name, (t, _) in results.items()}
-        skips = {name: s for name, (_, s) in results.items()}
-        assert set(skips.values()) == {1}
-        baseline = totals["numpy"]
-        for name, total in totals.items():
-            assert total == pytest.approx(baseline, rel=1e-12), name
 
-    def test_semicircle_quantile(self):
-        impls = _kernels.implementations()
-        ps = np.linspace(0.001, 0.999, 57)
-        results = {name: fns["semicircle_quantile_unit"](ps)
-                   for name, fns in impls.items()}
-        baseline = results["numpy"]
-        for name, arr in results.items():
-            assert np.allclose(arr, baseline, atol=1e-13), name
+def fsum_skip(vals):
+    """(sum of log (v_i - v_j)^2 over pairs with v_i != v_j, equal pairs)."""
+    n = len(vals)
+    pairs = [(vals[i], vals[j]) for i in range(n) for j in range(i + 1, n)]
+    total = math.fsum(math.log((a - b) ** 2) for a, b in pairs if a != b)
+    return total, sum(1 for a, b in pairs if a == b)
 
 
 class TestAgainstFsum:
@@ -82,18 +62,86 @@ class TestAgainstFsum:
         assert got_s2 == pytest.approx(float((prods ** 2).sum()), rel=1e-12)
 
 
-class TestEnvironmentFlag:
-    def test_disable_flag_selects_numpy(self):
-        code = ("import freeprob._kernels as k; "
-                "print(k.backend())")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "FREEPROB_DISABLE_NUMBA": "1"},
-            capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "numpy"
+class TestCompressedPairs:
+    """The kernels sum over (distinct values, counts); the oracles sum
+    over every index pair of the uncompressed input."""
 
+    def test_repeats_across_blocks(self):
+        # 620 distinct values span three 256-wide blocks, and one value in
+        # each block repeats, so weighted pairs meet across block edges.
+        rng = np.random.default_rng(23)
+        distinct = np.sort(rng.uniform(-2.0, 2.0, size=620))
+        vals = np.concatenate([distinct, np.repeat(distinct[[3, 300, 610]],
+                                                   [4, 2, 5])])
+        want_sum, want_skip = fsum_skip(vals.tolist())
+        total, skipped = _kernels.pair_log_sq_skip(vals)
+        assert skipped == want_skip == math.comb(5, 2) + math.comb(3, 2) \
+            + math.comb(6, 2)
+        assert total == pytest.approx(want_sum, rel=1e-13)
+        eps = 0.01
+        assert _kernels.pair_log_reg_sum(vals, eps) == pytest.approx(
+            fsum_reg(vals.tolist(), eps), rel=1e-13)
+
+    def test_all_values_equal(self):
+        k = 37
+        total, skipped = _kernels.pair_log_sq_skip(np.full(k, 0.7))
+        assert total == 0.0
+        assert skipped == math.comb(k, 2)
+
+    def test_equal_pairs_add_log_eps(self):
+        vals = [0.5, -1.0, 0.5, 2.0, -1.0, 0.5]  # four equal pairs
+        n = len(vals)
+        for eps in (0.3, 1.0, 4.0):
+            distinct = math.fsum(
+                math.log((vals[i] - vals[j]) ** 2 + eps)
+                for i in range(n) for j in range(i + 1, n)
+                if vals[i] != vals[j])
+            got = _kernels.pair_log_reg_sum(np.array(vals), eps)
+            assert got == pytest.approx(distinct + 4 * math.log(eps),
+                                        rel=1e-14, abs=1e-14)
+            assert got == pytest.approx(fsum_reg(vals, eps),
+                                        rel=1e-14, abs=1e-14)
+
+    def test_one_and_two_values(self):
+        assert _kernels.pair_log_sq_skip(np.array([1.5])) == (0.0, 0)
+        assert _kernels.pair_log_reg_sum(np.array([1.5]), 0.1) == 0.0
+        total, skipped = _kernels.pair_log_sq_skip(np.array([1.5, -0.5]))
+        assert skipped == 0
+        assert total == pytest.approx(math.log(4.0), rel=1e-15)
+        assert _kernels.pair_log_reg_sum(np.array([1.5, -0.5]), 0.25) == \
+            pytest.approx(math.log(4.25), rel=1e-15)
+        assert _kernels.pair_log_sq_skip(np.array([2.0, 2.0])) == (0.0, 1)
+        assert _kernels.pair_log_reg_sum(np.array([2.0, 2.0]), 0.5) == \
+            pytest.approx(math.log(0.5), rel=1e-15)
+
+    def test_unsorted_input(self):
+        rng = np.random.default_rng(31)
+        vals = rng.choice(rng.uniform(-1.0, 1.0, size=25), size=90)
+        assert np.any(np.diff(vals) < 0)
+        want_sum, want_skip = fsum_skip(vals.tolist())
+        total, skipped = _kernels.pair_log_sq_skip(vals)
+        assert skipped == want_skip > 0
+        assert total == pytest.approx(want_sum, rel=1e-13)
+        assert _kernels.pair_log_reg_sum(vals, 0.05) == pytest.approx(
+            fsum_reg(vals.tolist(), 0.05), rel=1e-13)
+
+    def test_reg_sum_rejects_nonpositive_eps(self):
+        with pytest.raises(ValueError):
+            _kernels.pair_log_reg_sum(np.array([0.0, 1.0]), 0.0)
+
+
+class TestSemicircleQuantile:
+    def test_inverts_cdf(self):
+        ps = np.linspace(0.001, 0.999, 57)
+        z = _kernels.semicircle_quantile_unit(ps)
+        cdf = 0.5 + (z * np.sqrt(1.0 - z * z) + np.arcsin(z)) / math.pi
+        assert np.all(np.diff(z) > 0)
+        assert np.allclose(cdf, ps, rtol=0.0, atol=1e-14)
+
+
+class TestEnvironmentFlag:
     def test_default_backend_reports(self):
-        assert _kernels.backend() in ("numba", "numpy")
+        assert _kernels.backend() == "numpy"
 
     def test_semicircle_quantile_values(self):
         # Unit quantile at p = 1/2 is 0 by symmetry; ends hit +-1.

@@ -105,6 +105,40 @@ class TestQuantiles:
         for j, q in enumerate(qs, start=1):
             assert m.cdf(q) == pytest.approx(j / k, abs=1e-9)
 
+    @pytest.mark.parametrize("k", [7, 100, 5000])
+    def test_cdf_mass_of_quantile_is_level_every_family(self, k):
+        # The quantile function alone must invert the diffuse CDF at
+        # every level j/k below the top: nothing corrects it afterwards.
+        families = [
+            fp.uniform_measure(-1.3, 0.9),
+            fp.arcsine_measure(0.2, 2.3),
+            fp.semicircle_measure(0.7, 1.02),
+            fp.SpectralMeasure(
+                support=(-0.5, 1.5),
+                diffuse=fp.DiffusePart(
+                    "piecewise_linear_cdf", 1.0,
+                    {"knots": [[-0.5, 0.0], [0.1, 0.2], [0.9, 0.85],
+                               [1.5, 1.0]]})),
+            fp.SpectralMeasure(
+                support=(-0.3, 1.7),
+                atoms=(fp.Atom(1.1, 0.3),),
+                diffuse=fp.DiffusePart("semicircle", 0.7,
+                                       {"center": 0.7, "radius": 1.0})),
+            fp.SpectralMeasure(
+                support=(-1.0, 1.0),
+                atoms=(fp.Atom(0.2, 0.4),),
+                diffuse=fp.DiffusePart("uniform", 0.6,
+                                       {"lo": -1.0, "hi": 1.0})),
+        ]
+        for m in families:
+            assert fp.validate(m).ok
+            c = m.diffuse.mass
+            qs = fp.diffuse_quantile_batch(m, k)
+            levels = np.arange(1, qs.size + 1) / k
+            below = levels < c - 1e-14
+            assert np.allclose(m.diffuse.cdf_mass(qs[below]), levels[below],
+                               rtol=0.0, atol=1e-12), m.diffuse.kind
+
     def test_batch_matches_single(self, semicircle2):
         k = 17
         batch = fp.diffuse_quantile_batch(semicircle2, k)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freeprob as fp
+from freeprob import _kernels
 from conftest import atomic_plus_uniform, purely_atomic
 
 TOL = 1e-6
@@ -167,6 +168,26 @@ class TestPairPartition:
         ms = fp.build_upper_microstate(mixed_measure, 16)
         part = fp.pair_partition(ms)
         assert part.s_count + part.w_count == 120
+
+    def test_lower_repeating_non_atom_raises(self):
+        # 1.5 is not an atom location, so a separated microstate may not
+        # repeat it; the check must survive python -O.
+        ms = fp.DiagonalMicrostate(
+            kind="lower", k=5,
+            eigenvalues=np.array([0.0, 0.0, 1.5, 1.5, 4.0]),
+            atom_multiplicity_map=((0.0, 2),), quantile_count=2,
+            filler_count=1, filler_range=(4.0, 4.0))
+        with pytest.raises(ValueError, match="non-atom"):
+            fp.pair_partition(ms)
+
+    def test_kernel_equal_count_is_s_count(self, example42, mixed_measure,
+                                           single_atom):
+        # packing_constant_log takes #S_k from the pair kernel's count.
+        for m in (example42, mixed_measure, single_atom):
+            for k in (100, 256, 1000):
+                ms = fp.build_lower_microstate(m, k)
+                _, equal = _kernels.pair_log_sq_skip(ms.eigenvalues)
+                assert equal == fp.pair_partition(ms).s_count
 
 
 class TestCountingBound:
