@@ -4,10 +4,9 @@ Everything Gamma-laden is evaluated exclusively in log space: the raw
 products (factorial towers, Vandermonde-squared integrals, ball volumes
 in dimension k^2) overflow float64 around k = 20.  The module provides
 
-* ``log_gamma``: Stirling's asymptotic series with upward recurrence,
-  relative error below 1e-13 on (0, inf), no lookup tables;
+* ``log_gamma``: ``math.lgamma`` restricted to x > 0;
 * ``selberg_log``: the closed-form squared-Vandermonde integral over the
-  unit cube, assembled cancellation-free from log-Gamma partial sums;
+  unit cube, assembled cancellation-free as one weighted sum of log i;
 * ``selberg_mc_check``: a seeded, counter-based Monte Carlo cross-check
   of that closed form on small cubes;
 * ``gamma_ratio_limit_series``: the normalized sequence
@@ -39,73 +38,21 @@ __all__ = [
     "mehta_log_density",
 ]
 
-# Bernoulli-number coefficients B_{2n} / (2n (2n-1)) of Stirling's series.
-# Eight terms at the shift threshold x >= 12 leave a remainder below
-# 1e-19 absolute, i.e. ~1e-16 relative for log Gamma(12) and better above.
-_STIRLING_COEFS = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-_STIRLING_SHIFT = 12.0
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
 GAMMA_RATIO_LIMIT = -math.log(4.0)
 
 
 def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0, relative error <= 1e-13.
-
-    Arguments below the Stirling threshold are shifted up with the
-    recurrence log Gamma(x) = log Gamma(x+1) - log x; the series itself
-    is evaluated by Horner's rule in 1/x^2.
-    """
+    """log Gamma(x) for x > 0, by ``math.lgamma``."""
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    shift = 0.0
-    y = x
-    while y < _STIRLING_SHIFT:
-        shift -= math.log(y)
-        y += 1.0
-    w = 1.0 / (y * y)
-    series = 0.0
-    for c in reversed(_STIRLING_COEFS):
-        series = series * w + c
-    series /= y
-    return (y - 0.5) * math.log(y) - y + _HALF_LOG_TWO_PI + series + shift
-
-
-def _log_gamma_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized log_gamma; same algorithm and accuracy as the scalar."""
-    y = np.array(x, dtype=float)
-    if np.any(y <= 0.0):
-        raise ValueError("log_gamma requires x > 0")
-    shift = np.zeros_like(y)
-    while True:
-        low = y < _STIRLING_SHIFT
-        if not low.any():
-            break
-        shift[low] -= np.log(y[low])
-        y[low] += 1.0
-    w = 1.0 / (y * y)
-    series = np.zeros_like(y)
-    for c in reversed(_STIRLING_COEFS):
-        series = series * w + c
-    series /= y
-    return (y - 0.5) * np.log(y) - y + _HALF_LOG_TWO_PI + series + shift
+    return math.lgamma(x)
 
 
 def _sum_log_factorials(k: int) -> float:
-    """sum_{j=1..k} log j!  (= sum log Gamma(j+1)), exactly accumulated."""
-    if k < 1:
-        return 0.0
-    return math.fsum(_log_gamma_array(np.arange(2.0, k + 2.0)))
+    """sum_{j=1..k} log j! = sum_{i<=k} (k + 1 - i) log i, exactly accumulated."""
+    i = np.arange(1.0, k + 1.0)
+    return math.fsum((k + 1.0 - i) * np.log(i))
 
 
 def _check_positive_int(k, name: str = "k") -> int:
@@ -118,18 +65,19 @@ def selberg_log(k: int) -> float:
     """log of prod_{j=1..k} Gamma(j+1) Gamma(j)^2 / Gamma(k+j).
 
     This is the closed form of the squared-Vandermonde integral
-    int_{[0,1]^k} prod_{i<j} (t_i - t_j)^2 dt.  Assembled as
+    int_{[0,1]^k} prod_{i<j} (t_i - t_j)^2 dt.  It equals
 
         4 sum_{j<=k} log Gamma(j) - sum_{j<=2k} log Gamma(j) + log Gamma(k+1),
 
-    with each partial sum accumulated by exact compensated summation, so
-    no two huge nearly-equal quantities are ever subtracted.
+    and with sum_{j<=n} log Gamma(j) = sum_{i<n} (n - i) log i this is one
+    sum of integer multiples of log i, i < 2k, accumulated by exact
+    compensated summation, so no two huge nearly-equal partial sums are
+    ever subtracted.
     """
     k = _check_positive_int(k)
-    lg = _log_gamma_array(np.arange(1.0, 2.0 * k + 1.0))  # log Gamma(1..2k)
-    head = math.fsum(lg[:k])
-    full = math.fsum(lg)
-    return 4.0 * head - full + log_gamma(k + 1.0)
+    i = np.arange(1.0, 2.0 * k)
+    weights = 4.0 * np.maximum(k - i, 0.0) - (2.0 * k - i) + (i <= k)
+    return math.fsum(weights * np.log(i))
 
 
 class SelbergMonteCarlo(NamedTuple):

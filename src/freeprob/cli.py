@@ -28,12 +28,12 @@ from . import __version__
 from .asymptotics import gamma_ratio_limit_series, selberg_log, selberg_mc_check
 from .energy import EnergyResult, offdiag_energy, regularized_energy
 from .entropy import (
-    CHI_SHIFT,
-    DIM_ONE_SHIFT,
     FORMULAS,
+    chi,
     dimension_truncation_bound,
     free_family_bounds,
     free_hausdorff_dimension,
+    h1_identity,
     hausdorff_entropy_bounds,
     sandwich_width,
 )
@@ -63,6 +63,8 @@ EPS_SWEEP = (1.0, 0.1, 0.01)
 _SERIES_KINDS = ("gamma-ratio", "regularized-product", "offdiag-sum",
                  "packing-constant")
 _CSV_COMMANDS = ("series", "microstate")
+_CLOSED_FORM_TOL_HELP = ("tolerance, recorded in the report; the energies "
+                         "here are closed form, exact up to rounding")
 
 
 @dataclass(frozen=True)
@@ -133,14 +135,16 @@ def build_parser() -> _Parser:
 
     p = new("energy", "off-diagonal log energy plus a regularized sweep",
             measures=True)
-    p.add_argument("--tol", type=float, help="absolute quadrature tolerance")
+    p.add_argument("--tol", type=float,
+                   help="absolute quadrature tolerance of the regularized "
+                        "sweep")
     p.add_argument("--eps", type=float,
                    help="single regularization instead of the default sweep")
     finish(p)
 
     p = new("chi", "free entropy (log energy plus 3/4 + log(2 pi)/2)",
             measures=True)
-    p.add_argument("--tol", type=float, help="absolute quadrature tolerance")
+    p.add_argument("--tol", type=float, help=_CLOSED_FORM_TOL_HELP)
     finish(p)
 
     p = new("dim", "free Hausdorff dimension 1 - sum(c_i^2)", measures=True)
@@ -148,12 +152,12 @@ def build_parser() -> _Parser:
 
     p = new("bounds", "two-sided free Hausdorff entropy bounds",
             measures=True)
-    p.add_argument("--tol", type=float, help="absolute quadrature tolerance")
+    p.add_argument("--tol", type=float, help=_CLOSED_FORM_TOL_HELP)
     finish(p)
 
     p = new("family-bounds", "entropy sandwich for a free family",
             measures=True)
-    p.add_argument("--tol", type=float, help="absolute quadrature tolerance")
+    p.add_argument("--tol", type=float, help=_CLOSED_FORM_TOL_HELP)
     finish(p)
 
     p = new("microstate", "diagonal microstate spectrum and pair statistics",
@@ -175,7 +179,9 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float,
                    help="regularization (regularized-product only)")
     p.add_argument("--tol", type=float,
-                   help="tolerance for the quadrature target")
+                   help="absolute quadrature tolerance of the "
+                        "regularized-product target (the other targets "
+                        "are closed form)")
     finish(p)
 
     p = new("selberg", "Selberg product: closed form and Monte Carlo check")
@@ -190,7 +196,7 @@ def build_parser() -> _Parser:
 
     p = new("report", "comprehensive report over one or more measures",
             measures=True)
-    p.add_argument("--tol", type=float, help="absolute quadrature tolerance")
+    p.add_argument("--tol", type=float, help=_CLOSED_FORM_TOL_HELP)
     finish(p)
 
     return parser
@@ -215,6 +221,8 @@ def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
                           f"{' and '.join(_CSV_COMMANDS)}")
 
     tol = getattr(ns, "tol", None)
+    if tol is not None and not tol > 0:
+        raise _UsageError(f"--tol must be positive, got {tol!r}")
     eps = getattr(ns, "eps", None)
     kind = getattr(ns, "kind", None)
 
@@ -291,10 +299,6 @@ def _sanitize(obj: Any) -> Any:
     return obj
 
 
-def _fmt_scalar(v: Any) -> str:
-    return str(v)
-
-
 def _text_lines(obj: Any, indent: int = 0) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
@@ -307,20 +311,20 @@ def _text_lines(obj: Any, indent: int = 0) -> list[str]:
                 lines.extend(_text_lines(val, indent + 1))
             elif isinstance(val, list):
                 shown = val if len(val) <= 20 else val[:8] + ["..."] + val[-2:]
-                body = ", ".join(_fmt_scalar(x) for x in shown)
+                body = ", ".join(str(x) for x in shown)
                 suffix = f"  ({len(val)} values)" if len(val) > 20 else ""
                 lines.append(f"{pad}{key}: [{body}]{suffix}")
             else:
-                lines.append(f"{pad}{key}: {_fmt_scalar(val)}")
+                lines.append(f"{pad}{key}: {val}")
     elif isinstance(obj, list):
         for item in obj:
             if isinstance(item, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.extend(_text_lines(item, indent + 1))
             else:
-                lines.append(f"{pad}- {_fmt_scalar(item)}")
+                lines.append(f"{pad}- {item}")
     else:
-        lines.append(f"{pad}{_fmt_scalar(obj)}")
+        lines.append(f"{pad}{obj}")
     return lines
 
 
@@ -330,7 +334,8 @@ def _render(payload: dict, config: RunConfig,
         return json.dumps(_sanitize(payload), sort_keys=True, indent=2,
                           allow_nan=False)
     if config.format == "csv":
-        assert csv_lines is not None
+        if csv_lines is None:
+            raise RuntimeError(f"{config.command} produced no csv rows")
         return "\n".join(csv_lines)
     return "\n".join(_text_lines(_sanitize(payload)))
 
@@ -443,7 +448,7 @@ def _cmd_energy(config: RunConfig):
     worst = 0
     for path, measure in _load_all(config):
         _require_valid(path, measure)
-        energy = offdiag_energy(measure, config.tol)
+        energy = offdiag_energy(measure)
         if energy.status != "ok":
             worst = 3
         results.append({
@@ -462,20 +467,12 @@ def _cmd_energy(config: RunConfig):
 
 def _cmd_chi(config: RunConfig):
     results = []
-    worst = 0
     for path, measure in _load_all(config):
         _require_valid(path, measure)
-        if measure.atoms or measure.truncated_tail > 0.0:
-            value = -math.inf
-        else:
-            energy = offdiag_energy(measure, config.tol)
-            if energy.status != "ok":
-                worst = 3
-            value = energy.value + CHI_SHIFT
-        results.append({"measure": path, "chi": value,
+        results.append({"measure": path, "chi": chi(measure),
                         "formula": FORMULAS["chi"]})
     inputs = {"measures": list(config.measure_paths), "tol": config.tol}
-    return _envelope(config, inputs, {"results": results}), worst, None
+    return _envelope(config, inputs, {"results": results}), 0, None
 
 
 def _cmd_dim(config: RunConfig):
@@ -497,7 +494,7 @@ def _cmd_bounds(config: RunConfig):
     worst = 0
     for path, measure in _load_all(config):
         _require_valid(path, measure)
-        bounds = hausdorff_entropy_bounds(measure, config.tol)
+        bounds = hausdorff_entropy_bounds(measure)
         if bounds.energy.status != "ok":
             worst = 3
         results.append({
@@ -518,7 +515,7 @@ def _cmd_family_bounds(config: RunConfig):
     loaded = _load_all(config)
     for path, measure in loaded:
         _require_valid(path, measure)
-    family = free_family_bounds([m for _, m in loaded], config.tol)
+    family = free_family_bounds([m for _, m in loaded])
     worst = 3 if any(e.status != "ok" for e in family.energies) else 0
     body = {
         "n": len(loaded),
@@ -608,15 +605,12 @@ def _cmd_series(config: RunConfig):
         report = regularized_product_series(measure, config.eps, config.ks,
                                             config.tol)
     else:
-        energy = offdiag_energy(measure, config.tol)
-        if energy.status != "ok":
+        if offdiag_energy(measure).status != "ok":
             worst = 3
         if kind == "offdiag-sum":
-            report = offdiag_sum_series(measure, config.ks, config.tol,
-                                        energy=energy)
+            report = offdiag_sum_series(measure, config.ks)
         else:
-            report = packing_constant_series(measure, config.ks, config.tol,
-                                             energy=energy)
+            report = packing_constant_series(measure, config.ks)
     body = _series_dict(kind, report)
     csv_lines = _series_csv(report.ks, report.values, report.target)
     return _envelope(config, inputs, {"result": body}), worst, csv_lines
@@ -649,26 +643,21 @@ def _cmd_selberg(config: RunConfig):
 def _cmd_report(config: RunConfig):
     loaded = _load_all(config)
     results = []
-    energies = []
     worst = 0
     for path, measure in loaded:
         _require_valid(path, measure)
-        energy = offdiag_energy(measure, config.tol)
-        energies.append(energy)
-        if energy.status != "ok":
+        bounds = hausdorff_entropy_bounds(measure)
+        if bounds.energy.status != "ok":
             worst = 3
-        atomless = not measure.atoms and measure.truncated_tail == 0.0
-        chi_value = energy.value + CHI_SHIFT if atomless else -math.inf
-        bounds = hausdorff_entropy_bounds(measure, config.tol, energy=energy)
         results.append({
             "measure": path,
             "dimension": {
                 "alpha": bounds.alpha,
                 "truncation_bound": dimension_truncation_bound(measure),
             },
-            "energy": _energy_dict(energy),
-            "chi": chi_value,
-            "h1_identity": chi_value + DIM_ONE_SHIFT,
+            "energy": _energy_dict(bounds.energy),
+            "chi": chi(measure),
+            "h1_identity": h1_identity(measure),
             "bounds": {
                 "lower": bounds.lower,
                 "upper": bounds.upper,
@@ -678,8 +667,7 @@ def _cmd_report(config: RunConfig):
     body: dict[str, Any] = {"results": results,
                             "formulas": dict(FORMULAS)}
     if len(loaded) >= 2:
-        family = free_family_bounds([m for _, m in loaded], config.tol,
-                                    energies=energies)
+        family = free_family_bounds([m for _, m in loaded])
         body["family"] = {
             "n": len(loaded),
             "beta": family.beta,

@@ -17,7 +17,6 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,16 +30,6 @@ __all__ = [
     "offdiag_energy",
     "regularized_energy",
 ]
-
-_DEFAULT_MAX_CELLS = 40000
-
-
-def _max_cells(explicit: int | None) -> int:
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get("FREEPROB_MAX_CELLS")
-    return int(env) if env else _DEFAULT_MAX_CELLS
-
 
 @dataclass(frozen=True)
 class EnergyComponents:
@@ -174,15 +163,12 @@ def _truncation_bound(measure: SpectralMeasure) -> tuple[float, str | None]:
 # Off-diagonal energy.
 
 
-def offdiag_energy(measure: SpectralMeasure,
-                   tol: float = 1e-6) -> EnergyResult:
+def offdiag_energy(measure: SpectralMeasure) -> EnergyResult:
     """E = the integral of log|y - z| d(mu x mu) off the diagonal.
 
-    Every term is closed form, so the value meets any positive ``tol``.
-    Two atoms at one location make E = -inf with status "diverged".
+    Every term is closed form, exact up to rounding.  Two atoms at one
+    location make E = -inf with status "diverged".
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     atoms = measure.atoms
     diffuse = measure.diffuse
     c = diffuse.mass
@@ -281,7 +267,7 @@ def _pair_integrand(diffuse: DiffusePart, eps: float):
 
 def regularized_energy(measure: SpectralMeasure, eps: float,
                        tol: float = 1e-6, *,
-                       max_cells: int | None = None) -> float:
+                       max_cells: int = 40000) -> float:
     """Full-plane integral of log((y - z)^2 + eps) d(mu x mu).
 
     The diagonal is included (each atom's self-pair contributes
@@ -290,14 +276,12 @@ def regularized_energy(measure: SpectralMeasure, eps: float,
     mass at its accumulation point, which misplaces it by at most the
     tail's spatial spread; with default truncation tolerances this is
     far below any quadrature tolerance in use.  ``max_cells`` caps the
-    2-D cells and defaults to the FREEPROB_MAX_CELLS environment
-    variable, else 40000.
+    2-D cells.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    cells = _max_cells(max_cells)
     diffuse = measure.diffuse
     c = diffuse.mass
 
@@ -331,7 +315,7 @@ def regularized_energy(measure: SpectralMeasure, eps: float,
             ad += weight * res.value
 
         res = adaptive_quad_2d(_pair_integrand(diffuse, eps),
-                               tol=0.5 * tol / (c * c), max_cells=cells,
+                               tol=0.5 * tol / (c * c), max_cells=max_cells,
                                u_breaks=breaks, v_breaks=breaks)
         dd = c * c * res.value
 

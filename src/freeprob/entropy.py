@@ -114,27 +114,27 @@ def dimension_truncation_bound(measure: SpectralMeasure) -> float:
     return measure.truncated_tail ** 2
 
 
-def chi(measure: SpectralMeasure, tol: float = 1e-6) -> float:
+def chi(measure: SpectralMeasure) -> float:
     """Free entropy: full-plane log energy plus 3/4 + (1/2) log(2 pi).
 
     Any atomic mass (including a truncated family tail) makes the
     diagonal contribute weight^2 * log 0, so the result is -inf without
-    computing an energy.  Callers who need the energy's status should
-    use offdiag_energy directly.
+    computing an energy.  An atomless measure's energy is closed form
+    with status "ok", so chi needs no status of its own.
     """
     if measure.atoms or measure.truncated_tail > 0.0:
         return -math.inf
-    return offdiag_energy(measure, tol).value + CHI_SHIFT
+    return offdiag_energy(measure).value + CHI_SHIFT
 
 
-def h1_identity(measure: SpectralMeasure, tol: float = 1e-6) -> float:
+def h1_identity(measure: SpectralMeasure) -> float:
     """Exact dimension-one entropy: chi + (1/2) log(2 / (pi e)).
 
     For atomless measures this is the exact free Hausdorff entropy at
     exponent 1 and must fall inside the sandwich of
     ``hausdorff_entropy_bounds``; with atoms it is -inf like chi.
     """
-    return chi(measure, tol) + DIM_ONE_SHIFT
+    return chi(measure) + DIM_ONE_SHIFT
 
 
 def sandwich_width(alpha: float) -> float:
@@ -142,15 +142,10 @@ def sandwich_width(alpha: float) -> float:
     return UPPER_SHIFT + alpha * math.log(2.0) + HALF_LOG_288E - 0.75
 
 
-def hausdorff_entropy_bounds(measure: SpectralMeasure, tol: float = 1e-6, *,
-                             energy: EnergyResult | None = None) -> EntropyBounds:
-    """Sandwich the exponent-alpha free Hausdorff entropy around E.
-
-    Pass a precomputed ``energy`` result to skip recomputing it.
-    """
+def hausdorff_entropy_bounds(measure: SpectralMeasure) -> EntropyBounds:
+    """Sandwich the exponent-alpha free Hausdorff entropy around E."""
     alpha = free_hausdorff_dimension(measure)
-    if energy is None:
-        energy = offdiag_energy(measure, tol)
+    energy = offdiag_energy(measure)
     e = energy.value
     if e == -math.inf:
         lower = upper = -math.inf
@@ -169,26 +164,18 @@ def family_constants(alphas: Sequence[float]) -> tuple[float, float]:
     return k1, k2
 
 
-def free_family_bounds(measures: Iterable[SpectralMeasure],
-                       tol: float = 1e-6, *,
-                       energies: Sequence[EnergyResult] | None = None) -> FamilyBounds:
+def free_family_bounds(measures: Iterable[SpectralMeasure]) -> FamilyBounds:
     """Entropy sandwich for n jointly free variables.
 
     Freeness is the caller's assertion; the computation only needs the
     marginal measures.  With n = 1 this reproduces
-    ``hausdorff_entropy_bounds`` exactly.  Precomputed per-variable
-    ``energies`` (in the same order) skip recomputing them.
+    ``hausdorff_entropy_bounds`` exactly.
     """
     measures = list(measures)
     if not measures:
         raise ValueError("free_family_bounds needs at least one measure")
     alphas = tuple(free_hausdorff_dimension(m) for m in measures)
-    if energies is None:
-        energies = tuple(offdiag_energy(m, tol) for m in measures)
-    else:
-        energies = tuple(energies)
-        if len(energies) != len(measures):
-            raise ValueError("energies must match measures one to one")
+    energies = tuple(offdiag_energy(m) for m in measures)
     k1, k2 = family_constants(alphas)
     e_sum = math.fsum(r.value for r in energies)
     return FamilyBounds(alphas=alphas, beta=math.fsum(alphas),

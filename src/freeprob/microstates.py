@@ -32,8 +32,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._kernels import pair_log_reg_sum, pair_log_sq_skip
-from .asymptotics import _sum_log_factorials, log_gamma, selberg_log
-from .energy import EnergyResult, offdiag_energy, regularized_energy
+from .asymptotics import (
+    _check_positive_int,
+    _sum_log_factorials,
+    _validated_ks,
+    log_gamma,
+    selberg_log,
+)
+from .energy import offdiag_energy, regularized_energy
 from .entropy import free_hausdorff_dimension
 from .measures import SpectralMeasure, _int_part, diffuse_quantile_batch
 
@@ -127,23 +133,17 @@ class SeriesReport:
 
 
 def _check_k(k: int, k_cap: int) -> int:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    k = _check_positive_int(k)
     if k > k_cap:
         raise ValueError(f"k = {k} exceeds the configured cap {k_cap}")
     return k
 
 
-def _validated_series_ks(ks: Iterable[int], k_cap: int) -> list[int]:
-    out = [_check_k(k, k_cap) for k in ks]
-    if not out:
-        raise ValueError("ks must be nonempty")
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise ValueError(f"ks must be strictly increasing, got {out}")
-    return out
+def _validated_series_ks(ks: Iterable[int], k_cap: int) -> tuple[int, ...]:
+    ks = _validated_ks(ks)
+    for k in ks:
+        _check_k(k, k_cap)
+    return ks
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +300,8 @@ def _top_quartile(n: int) -> int:
     return max(1, n // 4)
 
 
-def offdiag_sum_series(measure: SpectralMeasure, ks: Iterable[int],
-                       tol: float = 1e-6, *,
-                       k_cap: int = K_CAP,
-                       energy: EnergyResult | None = None) -> SeriesReport:
+def offdiag_sum_series(measure: SpectralMeasure, ks: Iterable[int], *,
+                       k_cap: int = K_CAP) -> SeriesReport:
     """Distinct-value pair averages of the separated microstate.
 
     value(k) = k^{-2} sum over ordered distinct-value pairs of
@@ -311,13 +309,10 @@ def offdiag_sum_series(measure: SpectralMeasure, ks: Iterable[int],
     off-diagonal energy).  ``achieved_gap`` is the worst value-minus-
     target over the largest quartile of ks; ``extras`` records the same
     gap under the halved (unordered-pair) normalization, so both
-    readings of the sum are reported.  Pass a precomputed ``energy``
-    result to skip recomputing it.
+    readings of the sum are reported.
     """
     ks = _validated_series_ks(ks, k_cap)
-    if energy is None:
-        energy = offdiag_energy(measure, tol)
-    target = 2.0 * energy.value
+    target = 2.0 * offdiag_energy(measure).value
     values = []
     for k in ks:
         ms = build_lower_microstate(measure, k, k_cap=k_cap)
@@ -338,20 +333,12 @@ def offdiag_sum_series(measure: SpectralMeasure, ks: Iterable[int],
 _INNER_SUP = math.sqrt(0.4)
 
 
-def _inner_radius_ratio(alpha: float) -> float:
-    return math.sqrt((alpha + 2.0 * alpha * alpha) / (alpha + 2.0))
-
-
-def _inner_alpha(target: float) -> float:
-    # strictly increasing from 0 to sqrt(2/5) on (0, 1/2)
-    lo, hi = 0.0, 0.5
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if _inner_radius_ratio(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _inner_alpha(s: float) -> float:
+    # sqrt((a + 2a^2) / (a + 2)) = s is the quadratic
+    # 2a^2 + (1 - s^2) a - 2 s^2 = 0; its positive root, written without
+    # the cancellation of the textbook form.
+    b = 1.0 - s * s
+    return 4.0 * s * s / (b + math.sqrt(b * b + 16.0 * s * s))
 
 
 def volume_upper_bound_log(microstate: DiagonalMicrostate, eps: float,
@@ -363,7 +350,7 @@ def volume_upper_bound_log(microstate: DiagonalMicrostate, eps: float,
     pi^{k^2/2} 2^{k(k-1)/2} (prod_j j!)^{-1}
     prod_{i<j} ((a_i - a_j)^2 + eps),
     where the inner radius ratio a in (0, 1/2) solves
-    sqrt((a + 2a^2) / (a + 2)) = t/eps + 1/4 (bisection to 1e-12).
+    sqrt((a + 2a^2) / (a + 2)) = t/eps + 1/4 (a quadratic's positive root).
     Raises NoSolutionError when t/eps + 1/4 falls outside the range
     (0, sqrt(2/5)) of the left side.
     """
@@ -418,33 +405,28 @@ def packing_constant_log(measure: SpectralMeasure, k: int, *,
     ])
 
 
-def packing_series_target(measure: SpectralMeasure, tol: float = 1e-6, *,
-                          energy: EnergyResult | None = None) -> float:
+def packing_series_target(measure: SpectralMeasure) -> float:
     """Limit of the normalized packing-constant series.
 
     2E + (1/2) log pi + 3/4 - alpha log 2 - log 4: twice the off-diagonal
     energy plus the aggregate of the Mehta normalizer, factorial, pair-
     doubling, and Selberg limits.
     """
-    if energy is None:
-        energy = offdiag_energy(measure, tol)
-    e = energy.value
+    e = offdiag_energy(measure).value
     alpha = free_hausdorff_dimension(measure)
     return (2.0 * e + 0.5 * math.log(math.pi) + 0.75
             - alpha * math.log(2.0) - math.log(4.0))
 
 
-def packing_constant_series(measure: SpectralMeasure, ks: Iterable[int],
-                            tol: float = 1e-6, *,
-                            k_cap: int = K_CAP,
-                            energy: EnergyResult | None = None) -> SeriesReport:
+def packing_constant_series(measure: SpectralMeasure, ks: Iterable[int], *,
+                            k_cap: int = K_CAP) -> SeriesReport:
     """Normalized packing constants k^{-2} log C_k + (1/2) log k per k.
 
     Converges (slowly, at the sqrt(k)/k scale of the atom deflation) to
     ``packing_series_target``; approach is from above.
     """
     ks = _validated_series_ks(ks, k_cap)
-    target = packing_series_target(measure, tol, energy=energy)
+    target = packing_series_target(measure)
     values = []
     for k in ks:
         ms = build_lower_microstate(measure, k, k_cap=k_cap)

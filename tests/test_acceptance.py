@@ -50,7 +50,7 @@ def test_criterion_03_example_dimension_and_energy():
     m = fp.example42_measure(1e-10)
     alpha = fp.free_hausdorff_dimension(m)
     assert alpha == pytest.approx(2.0 / 3.0, abs=1e-9)
-    bounds = fp.hausdorff_entropy_bounds(m, TOL)
+    bounds = fp.hausdorff_entropy_bounds(m)
     assert math.isfinite(bounds.lower) and math.isfinite(bounds.upper)
     # Truncated-double-sum oracle over the retained atoms.
     atoms = m.atoms
@@ -83,11 +83,11 @@ def test_criterion_04_sandwich_width_identity():
             support=(lo, hi), atoms=atoms,
             diffuse=fp.DiffusePart("uniform", float(weights[n]),
                                    {"lo": lo, "hi": hi}))
-        b = fp.hausdorff_entropy_bounds(m, TOL)
+        b = fp.hausdorff_entropy_bounds(m)
         want = (math.log(16.0) + 0.25 + b.alpha * math.log(2.0)
                 + 0.5 * math.log(288.0 * math.e) - 0.75)
         worst_width = max(worst_width, abs((b.upper - b.lower) - want))
-        fam = fp.free_family_bounds([m], TOL)
+        fam = fp.free_family_bounds([m])
         worst_family = max(worst_family, abs(fam.lower - b.lower),
                            abs(fam.upper - b.upper))
     assert worst_width < 1e-12
@@ -106,7 +106,7 @@ def test_criterion_05_energy_oracles_and_chi():
     ]
     diffs = []
     for m, want in cases:
-        res = fp.offdiag_energy(m, TOL)
+        res = fp.offdiag_energy(m)
         assert res.status == "ok"
         assert res.value == pytest.approx(want, abs=1e-6)
         diffs.append(abs(res.value - want))
@@ -139,7 +139,7 @@ def test_criterion_07_offdiag_sum_inequality():
         support=(0.0, 2.0),
         atoms=(fp.Atom(0.0, 0.5),),
         diffuse=fp.DiffusePart("uniform", 0.5, {"lo": 1.0, "hi": 2.0}))
-    rep = fp.offdiag_sum_series(m, (100, 200, 400, 800), TOL)
+    rep = fp.offdiag_sum_series(m, (100, 200, 400, 800))
     ordered_gap = rep.achieved_gap
     unordered_gap = rep.extras["unordered_normalization_gap"]
     assert max(ordered_gap, unordered_gap) >= -0.05

@@ -117,6 +117,15 @@ class TestKnobDiscipline:
                       "--measure", mixed_path)
         assert res.code == 1
 
+    def test_tol_must_be_positive(self, mixed_path):
+        # chi on a measure with atoms is -inf without an energy, so the
+        # check must not depend on which library path a command takes
+        res = run_cli("chi", "--measure", mixed_path, "--tol", "0")
+        assert res.code == 1
+        assert res.stderr.startswith("freeprob: error: usage:")
+        res = run_cli("bounds", "--measure", mixed_path, "--tol", "nan")
+        assert res.code == 1
+
     def test_gamma_ratio_takes_no_tol(self):
         res = run_cli("series", "gamma-ratio", "--ks", "10,20",
                       "--tol", "1e-8")
@@ -171,7 +180,7 @@ class TestJsonOutput:
 
     def test_bounds_values_match_library(self, mixed_measure, mixed_path):
         res = run_cli("bounds", "--measure", mixed_path, "--format", "json")
-        lib = fp.hausdorff_entropy_bounds(mixed_measure, 1e-6)
+        lib = fp.hausdorff_entropy_bounds(mixed_measure)
         got = res.json["results"][0]
         assert got["lower"] == pytest.approx(lib.lower, rel=1e-12)
         assert got["upper"] == pytest.approx(lib.upper, rel=1e-12)

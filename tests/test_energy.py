@@ -16,15 +16,15 @@ from freeprob._quad import adaptive_quad_2d
 TOL = 1e-6
 
 
-def energy_value(measure, tol=TOL):
-    res = fp.offdiag_energy(measure, tol)
+def energy_value(measure):
+    res = fp.offdiag_energy(measure)
     assert res.status == "ok"
     return res.value
 
 
 class TestClosedForms:
     def test_uniform_unit_interval(self, uniform01):
-        res = fp.offdiag_energy(uniform01, TOL)
+        res = fp.offdiag_energy(uniform01)
         assert res.status == "ok"
         assert res.value == pytest.approx(-1.5, abs=TOL)
 
@@ -42,7 +42,7 @@ class TestClosedForms:
         assert energy_value(semicircle2) == pytest.approx(-0.25, abs=TOL)
 
     def test_mixed_measure(self, mixed_measure):
-        res = fp.offdiag_energy(mixed_measure, TOL)
+        res = fp.offdiag_energy(mixed_measure)
         assert res.status == "ok"
         assert res.value == pytest.approx(MIXED_ENERGY, abs=TOL)
         # aa: single atom, no pairs.  ad: 2 * (1/2)(1/2) int_1^2 log x dx.
@@ -55,7 +55,7 @@ class TestClosedForms:
 
     def test_two_atoms(self, two_atoms):
         # 2 * (1/2)(1/2) * log 1 = 0.
-        res = fp.offdiag_energy(two_atoms, TOL)
+        res = fp.offdiag_energy(two_atoms)
         assert res.value == 0.0
         assert res.components.atom_atom == 0.0
 
@@ -204,7 +204,7 @@ class TestClosedFormOracles:
                                    lambda t: 2 / mpmath.pi
                                    * mpmath.sin(t) ** 2)
         m = fp.SpectralMeasure(support=(lo, hi), diffuse=_diffuse(kind, 1.0))
-        res = fp.offdiag_energy(m, ORACLE_TOL)
+        res = fp.offdiag_energy(m)
         assert res.status == "ok"
         assert res.value == pytest.approx(oracle, abs=ORACLE_TOL)
 
@@ -230,7 +230,7 @@ class TestClosedFormOracles:
                                atoms=(fp.Atom(location, w),),
                                diffuse=_diffuse(kind, c))
         assert fp.validate(m).ok
-        res = fp.offdiag_energy(m, ORACLE_TOL)
+        res = fp.offdiag_energy(m)
         assert res.status == "ok"
         assert res.components.atom_diffuse == pytest.approx(
             2 * w * c * potential, abs=ORACLE_TOL)
@@ -291,19 +291,19 @@ class TestInvariances:
     def test_affine_rule_atomic(self, m):
         # E(t mu + c) = E(mu) + (1 - sum w_i^2) log|t|, exactly in the
         # atomic case up to fsum rounding.
-        base = fp.offdiag_energy(m, TOL).value
+        base = fp.offdiag_energy(m).value
         alpha = fp.free_hausdorff_dimension(m)
         moved = fp.affine_pushforward(m, -2.0, 5.0)
-        got = fp.offdiag_energy(moved, TOL).value
+        got = fp.offdiag_energy(moved).value
         assert got == pytest.approx(base + alpha * math.log(2.0),
                                     abs=1e-10, rel=1e-10)
 
     @given(atomic_plus_uniform())
     @settings(max_examples=10, deadline=None)
     def test_translation_invariance_mixed(self, m):
-        base = fp.offdiag_energy(m, TOL).value
+        base = fp.offdiag_energy(m).value
         moved = fp.affine_pushforward(m, 1.0, 10.0)
-        got = fp.offdiag_energy(moved, TOL).value
+        got = fp.offdiag_energy(moved).value
         assert got == pytest.approx(base, abs=5e-6)
 
     def test_scaling_rule_diffuse(self, semicircle2):
@@ -313,9 +313,9 @@ class TestInvariances:
             base + math.log(2.0), abs=5e-6)
 
     def test_reflection_invariance(self, mixed_measure):
-        base = fp.offdiag_energy(mixed_measure, TOL).value
+        base = fp.offdiag_energy(mixed_measure).value
         flipped = fp.affine_pushforward(mixed_measure, -1.0, 0.0)
-        got = fp.offdiag_energy(flipped, TOL).value
+        got = fp.offdiag_energy(flipped).value
         assert got == pytest.approx(base, abs=5e-6)
 
 
@@ -325,7 +325,7 @@ class TestStatuses:
         # rather than crash or return a finite number.
         m = fp.SpectralMeasure(support=(0.0, 1.0),
                                atoms=(fp.Atom(0.5, 0.5), fp.Atom(0.5, 0.5)))
-        res = fp.offdiag_energy(m, TOL)
+        res = fp.offdiag_energy(m)
         assert res.status == "diverged"
         assert res.value == -math.inf
 
@@ -338,32 +338,32 @@ class TestStatuses:
         assert math.isfinite(res.value)
 
     def test_semicircle_tight_tol_is_ok(self, semicircle2):
-        res = fp.offdiag_energy(semicircle2, 1e-12)
+        res = fp.offdiag_energy(semicircle2)
         assert res.status == "ok"
         assert res.value == pytest.approx(-0.25, abs=1e-12)
 
     def test_error_estimate_honest(self, uniform01, arcsine2, semicircle2):
         for m, truth in ((uniform01, -1.5), (arcsine2, 0.0),
                          (semicircle2, -0.25)):
-            res = fp.offdiag_energy(m, TOL)
+            res = fp.offdiag_energy(m)
             assert abs(res.value - truth) <= max(TOL,
                                                  10 * res.abs_error_estimate)
 
 
 class TestTruncationReporting:
     def test_no_tail_no_note(self, mixed_measure):
-        res = fp.offdiag_energy(mixed_measure, TOL)
+        res = fp.offdiag_energy(mixed_measure)
         assert res.truncation_bound == 0.0
         assert res.truncation_note is None
 
     def test_tail_bound_reported(self, example42):
-        res = fp.offdiag_energy(example42, TOL)
+        res = fp.offdiag_energy(example42)
         assert res.truncation_note is not None
         assert 0.0 < res.truncation_bound < 1e-8
 
     def test_tail_bound_scales_with_tail(self):
         coarse = fp.example42_measure(1e-4)
         fine = fp.example42_measure(1e-12)
-        b_coarse = fp.offdiag_energy(coarse, TOL).truncation_bound
-        b_fine = fp.offdiag_energy(fine, TOL).truncation_bound
+        b_coarse = fp.offdiag_energy(coarse).truncation_bound
+        b_fine = fp.offdiag_energy(fine).truncation_bound
         assert b_fine < b_coarse

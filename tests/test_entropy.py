@@ -8,8 +8,6 @@ from hypothesis import given, settings
 import freeprob as fp
 from conftest import MIXED_ENERGY, atomic_plus_uniform, purely_atomic
 
-TOL = 1e-6
-
 
 class TestConstants:
     def test_chi_shift(self):
@@ -90,7 +88,7 @@ class TestDimOneIdentity:
 
     def test_equals_energy_form(self, uniform01):
         # chi + (1/2) log(2/(pi e)) telescopes to E + log 2 + 1/4.
-        res = fp.offdiag_energy(uniform01, TOL)
+        res = fp.offdiag_energy(uniform01)
         want = res.value + math.log(2.0) + 0.25
         assert fp.h1_identity(uniform01) == pytest.approx(
             want, abs=1e-9)
@@ -98,18 +96,18 @@ class TestDimOneIdentity:
 
 class TestSandwich:
     def test_bounds_order_and_width(self, mixed_measure):
-        b = fp.hausdorff_entropy_bounds(mixed_measure, TOL)
+        b = fp.hausdorff_entropy_bounds(mixed_measure)
         assert b.lower < b.upper
         assert b.upper - b.lower == pytest.approx(
             fp.sandwich_width(b.alpha), abs=1e-12)
 
     def test_upper_formula(self, mixed_measure):
-        b = fp.hausdorff_entropy_bounds(mixed_measure, TOL)
+        b = fp.hausdorff_entropy_bounds(mixed_measure)
         assert b.upper == pytest.approx(
             b.energy.value + math.log(16.0) + 0.25, abs=1e-12)
 
     def test_lower_formula(self, mixed_measure):
-        b = fp.hausdorff_entropy_bounds(mixed_measure, TOL)
+        b = fp.hausdorff_entropy_bounds(mixed_measure)
         want = (b.energy.value - b.alpha * math.log(2.0)
                 - 0.5 * math.log(288.0 * math.e) + 0.75)
         assert b.lower == pytest.approx(want, abs=1e-12)
@@ -120,35 +118,30 @@ class TestSandwich:
                 + 0.5 * math.log(288.0 * math.e) - 0.75)
         assert w == pytest.approx(want, abs=1e-15)
 
-    def test_energy_reused_when_supplied(self, mixed_measure):
-        res = fp.offdiag_energy(mixed_measure, TOL)
-        b = fp.hausdorff_entropy_bounds(mixed_measure, TOL, energy=res)
-        assert b.energy is res
-
     @given(atomic_plus_uniform())
     @settings(max_examples=10, deadline=None)
     def test_width_identity_random(self, m):
-        b = fp.hausdorff_entropy_bounds(m, TOL)
+        b = fp.hausdorff_entropy_bounds(m)
         assert b.upper - b.lower == pytest.approx(
             fp.sandwich_width(b.alpha), abs=1e-12)
 
     def test_frozen_two_atom_lower(self, two_atoms):
         # E = 0 and alpha = 1/2 pin the lower bound in closed form.
-        b = fp.hausdorff_entropy_bounds(two_atoms, TOL)
+        b = fp.hausdorff_entropy_bounds(two_atoms)
         want = -0.5 * math.log(2.0) - 0.5 * math.log(288.0 * math.e) + 0.75
         assert b.lower == pytest.approx(want, abs=1e-12)
         assert b.lower == pytest.approx(-2.9280538303479458, abs=1e-9)
 
     def test_frozen_upper_at_zero_energy(self, two_atoms):
-        b = fp.hausdorff_entropy_bounds(two_atoms, TOL)
+        b = fp.hausdorff_entropy_bounds(two_atoms)
         assert b.upper == pytest.approx(3.022588722239781, abs=1e-12)
 
 
 class TestFamily:
     def test_single_variable_consistency(self, mixed_measure):
         # n = 1 family constants must reproduce the scalar sandwich.
-        single = fp.free_family_bounds([mixed_measure], TOL)
-        scalar = fp.hausdorff_entropy_bounds(mixed_measure, TOL)
+        single = fp.free_family_bounds([mixed_measure])
+        scalar = fp.hausdorff_entropy_bounds(mixed_measure)
         assert single.lower == pytest.approx(scalar.lower, abs=1e-12)
         assert single.upper == pytest.approx(scalar.upper, abs=1e-12)
         assert single.beta == pytest.approx(scalar.alpha, abs=0.0)
@@ -165,7 +158,7 @@ class TestFamily:
         assert k2 == pytest.approx(want_k2, abs=1e-12)
 
     def test_bounds_sum_energies(self, mixed_measure, uniform01):
-        fam = fp.free_family_bounds([mixed_measure, uniform01], TOL)
+        fam = fp.free_family_bounds([mixed_measure, uniform01])
         total = sum(e.value for e in fam.energies)
         assert fam.lower == pytest.approx(total + fam.k1, abs=1e-12)
         assert fam.upper == pytest.approx(total + fam.k2, abs=1e-12)
@@ -173,10 +166,4 @@ class TestFamily:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            fp.free_family_bounds([], TOL)
-
-    def test_energies_length_checked(self, mixed_measure, uniform01):
-        res = fp.offdiag_energy(mixed_measure, TOL)
-        with pytest.raises(ValueError):
-            fp.free_family_bounds([mixed_measure, uniform01], TOL,
-                                  energies=[res])
+            fp.free_family_bounds([])

@@ -69,6 +69,8 @@ class TestUpperMicrostate:
             fp.build_upper_microstate(mixed_measure, True)
         with pytest.raises(ValueError):
             fp.build_upper_microstate(mixed_measure, 6000)
+        with pytest.raises(ValueError):
+            fp.build_upper_microstate(mixed_measure, 6001, k_cap=6000)
         ok = fp.build_upper_microstate(mixed_measure, 6000, k_cap=6000)
         assert ok.k == 6000
 
@@ -253,48 +255,44 @@ class TestOffdiagSumSeries:
         assert rep.achieved_gap >= 0.0
 
     def test_mixed_measure_bounded_below(self, mixed_measure):
-        rep = fp.offdiag_sum_series(mixed_measure, (100, 200, 400, 800), TOL)
-        energy = fp.offdiag_energy(mixed_measure, TOL)
+        rep = fp.offdiag_sum_series(mixed_measure, (100, 200, 400, 800))
+        energy = fp.offdiag_energy(mixed_measure)
         assert rep.target == pytest.approx(2.0 * energy.value, abs=1e-9)
         assert rep.achieved_gap >= -0.05
         assert "unordered_normalization_gap" in rep.extras
 
-    def test_precomputed_energy_reused(self, mixed_measure):
-        energy = fp.offdiag_energy(mixed_measure, TOL)
-        rep = fp.offdiag_sum_series(mixed_measure, (50, 100), TOL,
-                                    energy=energy)
-        assert rep.target == pytest.approx(2.0 * energy.value, abs=0.0)
-
 
 class TestVolumeUpperBound:
     def test_mpmath_assembly_oracle(self, uniform01):
-        k, eps, t = 50, 0.5, 0.05
+        k, eps = 50, 0.5
         ms = fp.build_upper_microstate(uniform01, k)
-        got = fp.volume_upper_bound_log(ms, eps, t)
-
         mpmath.mp.dps = 50
-        ratio = mpmath.mpf(t) / eps + mpmath.mpf(1) / 4
-        r2 = ratio * ratio
-        # (a + 2a^2)/(a + 2) = r^2 is quadratic in a; take the positive
-        # root, which lies in (0, 1/2) whenever r < sqrt(2/5).
-        alpha = (-(1 - r2) + mpmath.sqrt((1 - r2) ** 2 + 16 * r2)) / 4
         evs = [mpmath.mpf(j) / k for j in range(1, k + 1)]
         pair = mpmath.fsum(
             mpmath.log((evs[i] - evs[j]) ** 2 + eps)
             for i in range(k) for j in range(i + 1, k))
-        want = mpmath.fsum([
-            mpmath.mpf(k) / 2 * mpmath.log(k),
-            k * mpmath.log(mpmath.mpf(eps)),
-            -mpmath.loggamma(mpmath.mpf(k) / 2 + 1),
-            mpmath.mpf(k * (k - 1)) / 2 * mpmath.log(1 + 2 * alpha),
-            2 * k * k * mpmath.mpf(eps),
-            mpmath.mpf(k * k) / 2 * mpmath.log(mpmath.pi),
-            mpmath.mpf(k * (k - 1)) / 2 * mpmath.log(2),
-            -mpmath.fsum(mpmath.log(mpmath.factorial(j))
-                         for j in range(1, k + 1)),
-            pair,
-        ])
-        assert got == pytest.approx(float(want), abs=1e-8)
+        # t/eps + 1/4 = 0.35, and ratios near both ends of (0, sqrt(2/5))
+        for t in (0.05, (1e-3 - 0.25) * eps,
+                  (math.sqrt(0.4) - 1e-9 - 0.25) * eps):
+            got = fp.volume_upper_bound_log(ms, eps, t)
+            ratio = mpmath.mpf(t) / eps + mpmath.mpf(1) / 4
+            r2 = ratio * ratio
+            # (a + 2a^2)/(a + 2) = r^2 is quadratic in a; take the positive
+            # root, which lies in (0, 1/2) whenever r < sqrt(2/5).
+            alpha = (-(1 - r2) + mpmath.sqrt((1 - r2) ** 2 + 16 * r2)) / 4
+            want = mpmath.fsum([
+                mpmath.mpf(k) / 2 * mpmath.log(k),
+                k * mpmath.log(mpmath.mpf(eps)),
+                -mpmath.loggamma(mpmath.mpf(k) / 2 + 1),
+                mpmath.mpf(k * (k - 1)) / 2 * mpmath.log(1 + 2 * alpha),
+                2 * k * k * mpmath.mpf(eps),
+                mpmath.mpf(k * k) / 2 * mpmath.log(mpmath.pi),
+                mpmath.mpf(k * (k - 1)) / 2 * mpmath.log(2),
+                -mpmath.fsum(mpmath.log(mpmath.factorial(j))
+                             for j in range(1, k + 1)),
+                pair,
+            ])
+            assert got == pytest.approx(float(want), abs=1e-8)
 
     def test_monotone_in_t(self, uniform01):
         ms = fp.build_upper_microstate(uniform01, 20)
@@ -334,20 +332,19 @@ class TestPackingConstant:
                                     abs=1e-12)
 
     def test_series_converges_from_above(self, mixed_measure):
-        target = fp.packing_series_target(mixed_measure, TOL)
-        rep = fp.packing_constant_series(mixed_measure, (50, 100, 200, 400),
-                                         TOL)
+        target = fp.packing_series_target(mixed_measure)
+        rep = fp.packing_constant_series(mixed_measure, (50, 100, 200, 400))
         assert rep.target == pytest.approx(target, abs=1e-9)
         gaps = [v - target for v in rep.values]
         assert all(g > 0 for g in gaps)
         assert gaps == sorted(gaps, reverse=True)
 
     def test_target_formula(self, mixed_measure):
-        energy = fp.offdiag_energy(mixed_measure, TOL)
+        energy = fp.offdiag_energy(mixed_measure)
         alpha = fp.free_hausdorff_dimension(mixed_measure)
         want = (2.0 * energy.value + 0.5 * math.log(math.pi) + 0.75
                 - alpha * math.log(2.0) - math.log(4.0))
-        assert fp.packing_series_target(mixed_measure, TOL) == \
+        assert fp.packing_series_target(mixed_measure) == \
             pytest.approx(want, abs=1e-9)
 
     def test_microstate_reuse(self, mixed_measure):
