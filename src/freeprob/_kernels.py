@@ -2,7 +2,8 @@
 semicircle quantile solver.
 
 All kernels are plain numpy and single-threaded, and accumulate in a
-fixed order, so results are deterministic run to run.
+fixed order, so results are deterministic run to run.  numpy is imported
+inside each kernel, so importing this module does not load it.
 
 The pair sums run over the spectrum compressed to its distinct values u_a
 with multiplicities c_a.  Microstate spectra repeat each atom value
@@ -18,8 +19,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 _BLOCK = 256
 
 
@@ -28,17 +27,15 @@ def backend() -> str:
     return "numpy"
 
 
-def _as_vector(vals) -> np.ndarray:
-    return np.ascontiguousarray(vals, dtype=np.float64)
-
-
 def _distinct_pair_log_sum(vals, eps: float) -> tuple[float, int]:
     """Sum of log((u_a - u_b)^2 + eps) c_a c_b over distinct values a < b.
 
     Returns the sum together with the number of equal-value index pairs,
     sum c_a (c_a - 1) / 2, which the sum leaves out.
     """
-    values, counts = np.unique(_as_vector(vals), return_counts=True)
+    import numpy as np
+    values, counts = np.unique(np.asarray(vals, dtype=float),
+                               return_counts=True)
     equal = int(np.sum(counts * (counts - 1) // 2))
     weights = counts.astype(np.float64)
     n = values.size
@@ -83,6 +80,7 @@ def vandermonde_sq_moments(t) -> tuple[float, float]:
 
     ``t`` is a (samples, k) block; returns (sum f, sum f^2).
     """
+    import numpy as np
     block = np.ascontiguousarray(t, dtype=np.float64)
     m, k = block.shape
     f = np.ones(m)
@@ -97,18 +95,21 @@ def vandermonde_sq_moments(t) -> tuple[float, float]:
 def semicircle_quantile_unit(u) -> np.ndarray:
     """Quantile of the unit-radius semicircle law at probabilities ``u``.
 
-    75 bisection steps on F(z) = 1/2 + (z sqrt(1-z^2) + asin z) / pi
-    shrink the bracket to ~5e-23, below the resolution of float64 on
-    [-1, 1].
+    With z = -cos(psi / 2), F(z) = 1/2 + (z sqrt(1-z^2) + asin z) / pi
+    becomes the parabolic Kepler equation psi - sin psi = 2 pi u.  It is
+    solved for M = 2 pi min(u, 1-u) from psi = (6 M)^(1/3) by three
+    Halley steps, and the sign is mirrored above u = 1/2, so the result
+    is odd about u = 1/2 and u = 0, 1 map exactly to -1, 1.
     """
-    u = _as_vector(u)
-    lo = np.full(u.shape, -1.0)
-    hi = np.full(u.shape, 1.0)
-    for _ in range(75):
-        mid = 0.5 * (lo + hi)
-        cdf = 0.5 + (mid * np.sqrt(np.maximum(0.0, 1.0 - mid * mid))
-                     + np.arcsin(mid)) / np.pi
-        take = cdf <= u
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    return 0.5 * (lo + hi)
+    import numpy as np
+    u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+    m = 2.0 * math.pi * np.minimum(u, 1.0 - u)
+    psi = np.cbrt(6.0 * m)
+    for _ in range(3):
+        sin = np.sin(psi)
+        one_minus_cos = 2.0 * np.sin(0.5 * psi) ** 2
+        f = psi - sin - m
+        denom = 2.0 * one_minus_cos * one_minus_cos - f * sin
+        psi -= np.divide(2.0 * f * one_minus_cos, denom,
+                         out=np.zeros_like(psi), where=denom != 0.0)
+    return np.sign(u - 0.5) * np.cos(0.5 * psi)

@@ -18,14 +18,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-import numpy as np
-
 __all__ = ["QuadResult", "adaptive_quad_1d", "adaptive_quad_2d"]
 
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     if n not in _NODE_CACHE:
         _NODE_CACHE[n] = np.polynomial.legendre.leggauss(n)
     return _NODE_CACHE[n]
@@ -49,6 +48,7 @@ class QuadResult:
 
 def _seed_edges(lo: float, hi: float, breaks: Iterable[float],
                 min_segments: int) -> np.ndarray:
+    import numpy as np
     pts = {float(lo), float(hi)}
     pts.update(float(p) for p in breaks if lo < p < hi)
     step = (hi - lo) / min_segments
@@ -62,6 +62,7 @@ def _seed_edges(lo: float, hi: float, breaks: Iterable[float],
 
 def _eval_panels(f: Callable[[np.ndarray], np.ndarray],
                  lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     x15, w15 = _gl_nodes(15)
     x7, w7 = _gl_nodes(7)
     c = 0.5 * (lo + hi)
@@ -88,6 +89,7 @@ def adaptive_quad_1d(f: Callable[[np.ndarray], np.ndarray],
     or endpoint-singularity locations (Gauss nodes stay interior, so an
     integrable singularity placed on an edge is never evaluated).
     """
+    import numpy as np
     if hi <= lo:
         return QuadResult(0.0, 0.0, 0, "ok")
     edges = _seed_edges(lo, hi, breakpoints, 8)
@@ -125,6 +127,7 @@ def adaptive_quad_1d(f: Callable[[np.ndarray], np.ndarray],
 
 def _eval_cells(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 u0, u1, v0, v1) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     x6, w6 = _gl_nodes(6)
     x3, w3 = _gl_nodes(3)
     m = u0.size
@@ -164,6 +167,7 @@ def adaptive_quad_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     exactly, so f must tolerate that.  ``u_breaks`` and ``v_breaks``
     become cell edges from the start.
     """
+    import numpy as np
     ue = _seed_edges(0.0, 1.0, u_breaks, 8)
     ve = _seed_edges(0.0, 1.0, v_breaks, 8)
     uu0, vv0 = np.meshgrid(ue[:-1], ve[:-1], indexing="ij")

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from numbers import Integral
+from operator import mul
 from typing import Iterable, NamedTuple
-
-import numpy as np
 
 from ._kernels import pair_log_sq_skip, vandermonde_sq_moments
 
@@ -51,12 +52,11 @@ def log_gamma(x: float) -> float:
 
 def _sum_log_factorials(k: int) -> float:
     """sum_{j=1..k} log j! = sum_{i<=k} (k + 1 - i) log i, exactly accumulated."""
-    i = np.arange(1.0, k + 1.0)
-    return math.fsum((k + 1.0 - i) * np.log(i))
+    return math.fsum(map(mul, range(k, 0, -1), map(math.log, range(1, k + 1))))
 
 
 def _check_positive_int(k, name: str = "k") -> int:
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+    if not isinstance(k, Integral) or isinstance(k, bool) or k < 1:
         raise ValueError(f"{name} must be a positive integer, got {k!r}")
     return int(k)
 
@@ -75,9 +75,9 @@ def selberg_log(k: int) -> float:
     ever subtracted.
     """
     k = _check_positive_int(k)
-    i = np.arange(1.0, 2.0 * k)
-    weights = 4.0 * np.maximum(k - i, 0.0) - (2.0 * k - i) + (i <= k)
-    return math.fsum(weights * np.log(i))
+    # The weight of log i is 2k + 1 - 3i for i <= k and i - 2k for k < i < 2k.
+    weights = chain(range(2 * k - 2, -k, -3), range(1 - k, 0))
+    return math.fsum(map(mul, weights, map(math.log, range(1, 2 * k))))
 
 
 class SelbergMonteCarlo(NamedTuple):
@@ -98,6 +98,7 @@ def selberg_mc_check(k: int, eps: float, samples: int,
 
     The integrand's variance explodes with k, so k is capped at 6.
     """
+    import numpy as np
     k = _check_positive_int(k)
     if k > 6:
         raise ValueError(f"selberg_mc_check supports k <= 6, got {k}")
@@ -192,6 +193,7 @@ def mehta_log_density(eigenvalues) -> float:
     simplex.  Repeated eigenvalues give -inf (a value, not an error);
     unsorted input is rejected.
     """
+    import numpy as np
     evals = np.ascontiguousarray(eigenvalues, dtype=float)
     if evals.ndim != 1 or evals.size < 1:
         raise ValueError("eigenvalues must be a nonempty 1-D sequence")

@@ -22,8 +22,6 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-import numpy as np
-
 from . import __version__
 from .asymptotics import gamma_ratio_limit_series, selberg_log, selberg_mc_check
 from .energy import EnergyResult, offdiag_energy, regularized_energy
@@ -287,10 +285,6 @@ def _sanitize(obj: Any) -> Any:
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        obj = float(obj)
     if isinstance(obj, float):
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
@@ -414,6 +408,9 @@ def _load_all(config: RunConfig) -> list[tuple[str, SpectralMeasure]]:
             loaded.append((path, load_measure(path)))
         except OSError as exc:
             raise _UsageError(f"cannot read measure file {path}: {exc}")
+        except MeasureSpecError as exc:
+            where = f"{path}: {exc.path}" if exc.path else path
+            raise MeasureSpecError(where, exc.reason) from exc
     return loaded
 
 

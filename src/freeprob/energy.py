@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._quad import adaptive_quad_1d, adaptive_quad_2d
 from .measures import DiffusePart, SpectralMeasure
 
@@ -216,6 +214,7 @@ def _chart(diffuse: DiffusePart):
     quantile solve; every other kind uses its closed-form quantile with
     density 1.
     """
+    import numpy as np
     if diffuse.kind == "semicircle":
         c = float(diffuse.params["center"])
         r = float(diffuse.params["radius"])
@@ -256,6 +255,7 @@ def _chart_preimage(diffuse: DiffusePart, location: float) -> float | None:
 
 def _pair_integrand(diffuse: DiffusePart, eps: float):
     """log((x(u) - x(v))^2 + eps) density(u) density(v) on the chart."""
+    import numpy as np
     x, density = _chart(diffuse)
 
     def integrand(u, v):
@@ -278,6 +278,7 @@ def regularized_energy(measure: SpectralMeasure, eps: float,
     far below any quadrature tolerance in use.  ``max_cells`` caps the
     2-D cells.
     """
+    import numpy as np
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     if not tol > 0:

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
-import numpy as np
-
 from ._kernels import semicircle_quantile_unit
 
 __all__ = [
@@ -117,6 +115,7 @@ class DiffusePart:
         raise ValueError(f"unknown diffuse kind {self.kind!r}")
 
     def _knot_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
         knots = self.params["knots"]
         xs = np.array([float(p[0]) for p in knots])
         cs = np.array([float(p[1]) for p in knots])
@@ -126,6 +125,7 @@ class DiffusePart:
 
     def cdf_mass(self, x):
         """nu((-inf, x]) in measure units (ranges over [0, mass])."""
+        import numpy as np
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
@@ -160,6 +160,7 @@ class DiffusePart:
         exact knot levels of a piecewise CDF, where strict monotonicity
         already makes the preimage unique).
         """
+        import numpy as np
         p = np.asarray(p, dtype=float)
         scalar = p.ndim == 0
         p = np.atleast_1d(p)
@@ -185,6 +186,7 @@ class DiffusePart:
 
     def quantile_unit_derivative(self, p):
         """d(quantile_unit)/dp, vectorized; infinite at arcsine endpoints."""
+        import numpy as np
         p = np.asarray(p, dtype=float)
         scalar = p.ndim == 0
         p = np.atleast_1d(p)
@@ -352,6 +354,7 @@ def cdf(measure: SpectralMeasure, x):
     Truncated family tail mass counts from its accumulation point on, so
     cdf(b) = 1 within 1e-12 for every valid measure.
     """
+    import numpy as np
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
@@ -376,6 +379,7 @@ def diffuse_quantile_batch(measure: SpectralMeasure, k: int) -> np.ndarray:
     preimage is unique, because every diffuse CDF is strictly increasing
     on its interval (piecewise cumulative masses must strictly increase).
     """
+    import numpy as np
     c = measure.diffuse.mass
     q = _int_part(c * k)
     if q < 1:

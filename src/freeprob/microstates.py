@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from ._kernels import pair_log_reg_sum, pair_log_sq_skip
 from .asymptotics import (
     _check_positive_int,
@@ -159,6 +157,7 @@ def build_upper_microstate(measure: SpectralMeasure, k: int, *,
     k - floor(c k) - sum floor(c_i k) zeros (never negative, because the
     integer parts of masses summing to at most 1 sum to at most k).
     """
+    import numpy as np
     k = _check_k(k, k_cap)
     ranked = measure.atoms_by_weight()
     quantiles = diffuse_quantile_batch(measure, k)
@@ -186,6 +185,7 @@ def build_lower_microstate(measure: SpectralMeasure, k: int, *,
     fillers b + 3 + j/F strictly above the support.  The slot identity
     multiplicities + kept quantiles + fillers = k is exact.
     """
+    import numpy as np
     k = _check_k(k, k_cap)
     ranked = measure.atoms_by_weight()
     if not ranked:
@@ -241,6 +241,7 @@ def pair_partition(microstate: DiagonalMicrostate) -> PairPartition:
     disjoint from the support); a repeated non-atom value raises
     ValueError.
     """
+    import numpy as np
     values, counts = np.unique(microstate.eigenvalues, return_counts=True)
     s_count = int(sum(int(c) * (int(c) - 1) // 2 for c in counts))
     k = microstate.k

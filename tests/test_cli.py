@@ -70,6 +70,21 @@ class TestExitCodes:
         res = run_cli("energy", "--measure", str(bad))
         assert res.code == 2
 
+    @pytest.mark.parametrize("content, where", [
+        ("{]", "invalid JSON"),
+        ('{"support": [0, 1], "atoms": [{"location": 0.5, "weight": "x"}]}',
+         "atoms[0].weight"),
+    ], ids=["malformed_json", "bad_weight"])
+    def test_spec_error_names_its_file(self, tmp_path, mixed_path, content,
+                                       where):
+        bad = tmp_path / "second.json"
+        bad.write_text(content)
+        res = run_cli("report", "--measure", mixed_path, "--measure", str(bad))
+        assert res.code == 2
+        assert res.stderr.startswith(
+            f"freeprob: error: measure-spec: {bad}: {where}")
+        assert mixed_path not in res.stderr
+
     def test_no_solution_is_four(self, uniform_path):
         res = run_cli("microstate", "--measure", uniform_path,
                       "--k", "20", "--kind", "upper",

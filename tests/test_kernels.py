@@ -139,6 +139,34 @@ class TestSemicircleQuantile:
         assert np.allclose(cdf, ps, rtol=0.0, atol=1e-14)
 
 
+    def test_mpmath_oracle(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        near = np.array([1e-300, 1e-17, 1e-12, 1e-8, 1e-4])
+        us = np.concatenate([
+            near, np.linspace(0.0, 1.0, 41), 0.5 + near, 0.5 - near, 1.0 - near,
+            np.random.default_rng(5).random(60)])
+        z = _kernels.semicircle_quantile_unit(us)
+
+        def cdf(x):
+            return 0.5 + (x * mpmath.sqrt(1 - x * x) + mpmath.asin(x)) / mpmath.pi
+
+        for u, zi in zip(us, z):
+            if u in (0.0, 1.0):
+                exact = mpmath.mpf(2 * u - 1)
+            else:
+                exact = mpmath.findroot(lambda x: cdf(x) - mpmath.mpf(u),
+                                        (-1, 1), solver="anderson")
+            assert abs(float(zi - exact)) <= 4e-15, u
+
+    def test_ends_exact_and_odd(self):
+        us = np.arange(0, 1025) / 1024.0  # 1 - u is exact on this grid
+        z = _kernels.semicircle_quantile_unit(us)
+        assert z[0] == -1.0 and z[-1] == 1.0 and z[512] == 0.0
+        assert np.array_equal(z, -z[::-1])
+        assert np.all(np.diff(z) > 0)
+
+
 class TestEnvironmentFlag:
     def test_default_backend_reports(self):
         assert _kernels.backend() == "numpy"
