@@ -6,8 +6,9 @@ JSON spec files (see ``measures``); reports go to stdout or ``--out`` as
 JSON, CSV (series and microstates only), or text.
 
 Exit codes: 0 success; 1 usage error (including knobs a command does
-not take); 2 invalid measure specification; 3 energy divergence or
-non-convergence; 4 the volume bound's inner-radius equation has no
+not take); 2 invalid measure specification; 3 a ``status`` field of the
+report is not "ok" (a regularized quadrature did not converge, or an
+energy diverged); 4 the volume bound's inner-radius equation has no
 solution.  Every failure writes a single machine-parseable line to
 stderr.  JSON output is deterministic (sorted keys, shortest-round-trip
 floats) and serializes infinities as the strings "inf"/"-inf".
@@ -19,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 from . import __version__
@@ -50,7 +50,7 @@ from .microstates import (
     volume_upper_bound_log,
 )
 
-__all__ = ["RunConfig", "main", "run", "parse_args"]
+__all__ = ["main", "run", "parse_args"]
 
 DEFAULT_TOL = 1e-6
 DEFAULT_SEED = 42
@@ -61,26 +61,7 @@ EPS_SWEEP = (1.0, 0.1, 0.01)
 _SERIES_KINDS = ("gamma-ratio", "regularized-product", "offdiag-sum",
                  "packing-constant")
 _CSV_COMMANDS = ("series", "microstate")
-_CLOSED_FORM_TOL_HELP = ("tolerance, recorded in the report; the energies "
-                         "here are closed form, exact up to rounding")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully validated invocation: command plus exactly its knobs."""
-
-    command: str
-    measure_paths: tuple[str, ...] = ()
-    k: int | None = None
-    ks: tuple[int, ...] | None = None
-    eps: float | None = None
-    tol: float = DEFAULT_TOL
-    t: float | None = None
-    samples: int | None = None
-    seed: int = DEFAULT_SEED
-    kind: str | None = None
-    out: str | None = None
-    format: str = "text"
+_QUAD_TOL_HELP = "absolute quadrature tolerance of the regularized energy"
 
 
 class _UsageError(Exception):
@@ -110,6 +91,9 @@ def build_parser() -> _Parser:
                     "entropy bounds for spectral measures.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
+    # The knobs a subcommand does not take read as None (no --measure as
+    # an empty list), so every handler sees the same namespace.
+    parser.set_defaults(measure=[], kind=None, eps=None, tol=None, t=None)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser, metavar="command")
 
@@ -133,16 +117,17 @@ def build_parser() -> _Parser:
 
     p = new("energy", "off-diagonal log energy plus a regularized sweep",
             measures=True)
-    p.add_argument("--tol", type=float,
-                   help="absolute quadrature tolerance of the regularized "
-                        "sweep")
+    p.add_argument("--tol", type=float, help=_QUAD_TOL_HELP + " sweep")
     p.add_argument("--eps", type=float,
                    help="single regularization instead of the default sweep")
     finish(p)
 
     p = new("chi", "free entropy (log energy plus 3/4 + log(2 pi)/2)",
             measures=True)
-    p.add_argument("--tol", type=float, help=_CLOSED_FORM_TOL_HELP)
+    # chi is closed form; --tol is only recorded in the report, and stays
+    # for scripts that still pass it.
+    p.add_argument("--tol", type=float,
+                   help="recorded in the report; chi is closed form")
     finish(p)
 
     p = new("dim", "free Hausdorff dimension 1 - sum(c_i^2)", measures=True)
@@ -150,12 +135,10 @@ def build_parser() -> _Parser:
 
     p = new("bounds", "two-sided free Hausdorff entropy bounds",
             measures=True)
-    p.add_argument("--tol", type=float, help=_CLOSED_FORM_TOL_HELP)
     finish(p)
 
     p = new("family-bounds", "entropy sandwich for a free family",
             measures=True)
-    p.add_argument("--tol", type=float, help=_CLOSED_FORM_TOL_HELP)
     finish(p)
 
     p = new("microstate", "diagonal microstate spectrum and pair statistics",
@@ -177,9 +160,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float,
                    help="regularization (regularized-product only)")
     p.add_argument("--tol", type=float,
-                   help="absolute quadrature tolerance of the "
-                        "regularized-product target (the other targets "
-                        "are closed form)")
+                   help=_QUAD_TOL_HELP + " target (regularized-product only)")
     finish(p)
 
     p = new("selberg", "Selberg product: closed form and Monte Carlo check")
@@ -194,86 +175,68 @@ def build_parser() -> _Parser:
 
     p = new("report", "comprehensive report over one or more measures",
             measures=True)
-    p.add_argument("--tol", type=float, help=_CLOSED_FORM_TOL_HELP)
     finish(p)
 
     return parser
 
 
-def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
+def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """Parse and cross-check argv; defaults come back resolved."""
     ns = build_parser().parse_args(argv)
     cmd = ns.command
-    paths = tuple(getattr(ns, "measure", []) or [])
+    paths = ns.measure
 
-    needs_measures = cmd not in ("selberg",) and not (
+    needs_measures = cmd != "selberg" and not (
         cmd == "series" and ns.kind == "gamma-ratio")
     if needs_measures and not paths:
         raise _UsageError(f"{cmd} requires at least one --measure")
 
-    fmt = getattr(ns, "format", None)
-    if fmt is None:
-        fmt = "csv" if cmd in _CSV_COMMANDS else ("json" if cmd == "report"
-                                                  else "text")
-    elif fmt == "csv" and cmd not in _CSV_COMMANDS:
+    if ns.format is None:
+        ns.format = "csv" if cmd in _CSV_COMMANDS else (
+            "json" if cmd == "report" else "text")
+    elif ns.format == "csv" and cmd not in _CSV_COMMANDS:
         raise _UsageError(f"csv output is only available for "
                           f"{' and '.join(_CSV_COMMANDS)}")
 
-    tol = getattr(ns, "tol", None)
-    if tol is not None and not tol > 0:
-        raise _UsageError(f"--tol must be positive, got {tol!r}")
-    eps = getattr(ns, "eps", None)
-    kind = getattr(ns, "kind", None)
+    if ns.tol is not None and not ns.tol > 0:
+        raise _UsageError(f"--tol must be positive, got {ns.tol!r}")
 
     if cmd == "microstate":
         if len(paths) != 1:
             raise _UsageError("microstate takes exactly one --measure")
-        if (eps is None) != (ns.t is None):
+        if (ns.eps is None) != (ns.t is None):
             raise _UsageError("--eps and --t must be given together")
-        if eps is not None and kind != "upper":
+        if ns.eps is not None and ns.kind != "upper":
             raise _UsageError("the volume bound (--eps/--t) applies to the "
                               "upper microstate only")
     if cmd == "series":
         if ns.kind == "gamma-ratio":
             if paths:
                 raise _UsageError("gamma-ratio takes no --measure")
-            if eps is not None or tol is not None:
-                raise _UsageError("gamma-ratio takes neither --eps nor --tol "
-                                  "(its limit is closed-form)")
+        elif len(paths) != 1:
+            raise _UsageError(f"series {ns.kind} takes exactly one --measure")
+        if ns.kind == "regularized-product":
+            if ns.eps is None:
+                raise _UsageError("series regularized-product requires --eps")
         else:
-            if len(paths) != 1:
-                raise _UsageError(f"series {ns.kind} takes exactly one "
-                                  f"--measure")
-            if ns.kind == "regularized-product":
-                if eps is None:
-                    raise _UsageError("series regularized-product requires "
-                                      "--eps")
-            elif eps is not None:
-                raise _UsageError(f"series {ns.kind} does not take --eps")
-    samples = None
-    seed = DEFAULT_SEED
+            for flag in ("eps", "tol"):
+                if getattr(ns, flag) is not None:
+                    raise _UsageError(f"series {ns.kind} does not take "
+                                      f"--{flag}")
     if cmd == "selberg":
         if ns.k > 6 and any(v is not None for v in (ns.eps, ns.samples,
                                                     ns.seed)):
             raise _UsageError("Monte Carlo knobs (--eps/--samples/--seed) "
                               "apply only for k <= 6")
-        eps = ns.eps if ns.eps is not None else DEFAULT_MC_EPS
-        samples = ns.samples if ns.samples is not None else DEFAULT_SAMPLES
-        seed = ns.seed if ns.seed is not None else DEFAULT_SEED
-
-    return RunConfig(
-        command=cmd,
-        measure_paths=paths,
-        k=getattr(ns, "k", None),
-        ks=getattr(ns, "ks", None),
-        eps=eps,
-        tol=DEFAULT_TOL if tol is None else tol,
-        t=getattr(ns, "t", None),
-        samples=samples,
-        seed=seed,
-        kind=kind,
-        out=ns.out,
-        format=fmt,
-    )
+        if ns.eps is None:
+            ns.eps = DEFAULT_MC_EPS
+        if ns.samples is None:
+            ns.samples = DEFAULT_SAMPLES
+        if ns.seed is None:
+            ns.seed = DEFAULT_SEED
+    if ns.tol is None:
+        ns.tol = DEFAULT_TOL
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +285,14 @@ def _text_lines(obj: Any, indent: int = 0) -> list[str]:
     return lines
 
 
-def _render(payload: dict, config: RunConfig,
+def _render(payload: dict, ns: argparse.Namespace,
             csv_lines: list[str] | None) -> str:
-    if config.format == "json":
+    if ns.format == "json":
         return json.dumps(_sanitize(payload), sort_keys=True, indent=2,
                           allow_nan=False)
-    if config.format == "csv":
+    if ns.format == "csv":
         if csv_lines is None:
-            raise RuntimeError(f"{config.command} produced no csv rows")
+            raise RuntimeError(f"{ns.command} produced no csv rows")
         return "\n".join(csv_lines)
     return "\n".join(_text_lines(_sanitize(payload)))
 
@@ -350,13 +313,26 @@ def _fail(code: int, category: str, message: str) -> int:
     return code
 
 
-def _envelope(config: RunConfig, inputs: dict, body: dict) -> dict:
+def _envelope(ns: argparse.Namespace, inputs: dict, body: dict) -> dict:
     return {
         "tool": {"name": "freeprob", "version": __version__},
-        "command": config.command,
+        "command": ns.command,
         "inputs": inputs,
         **body,
     }
+
+
+def _statuses(obj: Any):
+    """Every ``status`` value anywhere in a payload."""
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            if key == "status":
+                yield val
+            else:
+                yield from _statuses(val)
+    elif isinstance(obj, list):
+        for val in obj:
+            yield from _statuses(val)
 
 
 def _energy_dict(res: EnergyResult) -> dict:
@@ -384,6 +360,7 @@ def _series_dict(kind: str, report: SeriesReport) -> dict:
         "target": report.target,
         "relation": report.relation,
         "achieved_gap": report.achieved_gap,
+        "status": report.status,
     }
     if report.extras:
         out["extras"] = dict(report.extras)
@@ -398,34 +375,37 @@ def _series_csv(ks, values, target) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers.  Each returns (payload, exit_code, csv_lines).
+# Command handlers.  Each takes the namespace and the loaded [(path,
+# measure)] and returns (payload, csv_lines).
 
 
-def _load_all(config: RunConfig) -> list[tuple[str, SpectralMeasure]]:
+Loaded = list[tuple[str, SpectralMeasure]]
+
+
+def _load_all(ns: argparse.Namespace) -> Loaded:
+    """Parse every --measure file; except for ``validate``, reject the
+    first invalid measure (exit 2)."""
     loaded = []
-    for path in config.measure_paths:
+    for path in ns.measure:
         try:
-            loaded.append((path, load_measure(path)))
+            measure = load_measure(path)
         except OSError as exc:
             raise _UsageError(f"cannot read measure file {path}: {exc}")
         except MeasureSpecError as exc:
             where = f"{path}: {exc.path}" if exc.path else path
             raise MeasureSpecError(where, exc.reason) from exc
+        if ns.command != "validate":
+            report = validate(measure)
+            if not report.ok:
+                raise MeasureSpecError(path, "; ".join(report.problems))
+        loaded.append((path, measure))
     return loaded
 
 
-def _require_valid(path: str, measure: SpectralMeasure) -> None:
-    report = validate(measure)
-    if not report.ok:
-        raise MeasureSpecError(path, "; ".join(report.problems))
-
-
-def _cmd_validate(config: RunConfig):
+def _cmd_validate(ns, loaded: Loaded):
     results = []
-    all_ok = True
-    for path, measure in _load_all(config):
+    for path, measure in loaded:
         report = validate(measure)
-        all_ok = all_ok and report.ok
         results.append({
             "measure": path,
             "ok": report.ok,
@@ -434,66 +414,45 @@ def _cmd_validate(config: RunConfig):
             "mass_defect": report.mass_defect,
             "tail_mass": report.tail_mass,
         })
-    payload = _envelope(config, {"measures": list(config.measure_paths)},
-                        {"results": results})
-    return payload, 0 if all_ok else 2, None
+    return _envelope(ns, {"measures": ns.measure}, {"results": results}), None
 
 
-def _cmd_energy(config: RunConfig):
-    eps_list = [config.eps] if config.eps is not None else list(EPS_SWEEP)
+def _cmd_energy(ns, loaded: Loaded):
+    eps_list = [ns.eps] if ns.eps is not None else list(EPS_SWEEP)
+    results = [{
+        "measure": path,
+        "offdiag_energy": _energy_dict(offdiag_energy(measure)),
+        "regularized": [
+            {"eps": e,
+             **_energy_dict(regularized_energy(measure, e, ns.tol))}
+            for e in eps_list
+        ],
+    } for path, measure in loaded]
+    inputs = {"measures": ns.measure, "tol": ns.tol, "eps": eps_list}
+    return _envelope(ns, inputs, {"results": results}), None
+
+
+def _cmd_chi(ns, loaded: Loaded):
+    results = [{"measure": path, "chi": chi(measure),
+                "formula": FORMULAS["chi"]} for path, measure in loaded]
+    inputs = {"measures": ns.measure, "tol": ns.tol}
+    return _envelope(ns, inputs, {"results": results}), None
+
+
+def _cmd_dim(ns, loaded: Loaded):
+    results = [{
+        "measure": path,
+        "alpha": free_hausdorff_dimension(measure),
+        "truncation_bound": dimension_truncation_bound(measure),
+        "formula": FORMULAS["alpha"],
+    } for path, measure in loaded]
+    return _envelope(ns, {"measures": ns.measure}, {"results": results}), None
+
+
+def _cmd_bounds(ns, loaded: Loaded):
     results = []
-    worst = 0
-    for path, measure in _load_all(config):
-        _require_valid(path, measure)
-        energy = offdiag_energy(measure)
-        if energy.status != "ok":
-            worst = 3
-        results.append({
-            "measure": path,
-            "offdiag_energy": _energy_dict(energy),
-            "regularized": [
-                {"eps": e,
-                 "value": regularized_energy(measure, e, config.tol)}
-                for e in eps_list
-            ],
-        })
-    inputs = {"measures": list(config.measure_paths), "tol": config.tol,
-              "eps": eps_list}
-    return _envelope(config, inputs, {"results": results}), worst, None
-
-
-def _cmd_chi(config: RunConfig):
-    results = []
-    for path, measure in _load_all(config):
-        _require_valid(path, measure)
-        results.append({"measure": path, "chi": chi(measure),
-                        "formula": FORMULAS["chi"]})
-    inputs = {"measures": list(config.measure_paths), "tol": config.tol}
-    return _envelope(config, inputs, {"results": results}), 0, None
-
-
-def _cmd_dim(config: RunConfig):
-    results = []
-    for path, measure in _load_all(config):
-        _require_valid(path, measure)
-        results.append({
-            "measure": path,
-            "alpha": free_hausdorff_dimension(measure),
-            "truncation_bound": dimension_truncation_bound(measure),
-            "formula": FORMULAS["alpha"],
-        })
-    return _envelope(config, {"measures": list(config.measure_paths)},
-                     {"results": results}), 0, None
-
-
-def _cmd_bounds(config: RunConfig):
-    results = []
-    worst = 0
-    for path, measure in _load_all(config):
-        _require_valid(path, measure)
+    for path, measure in loaded:
         bounds = hausdorff_entropy_bounds(measure)
-        if bounds.energy.status != "ok":
-            worst = 3
         results.append({
             "measure": path,
             "alpha": bounds.alpha,
@@ -504,16 +463,11 @@ def _cmd_bounds(config: RunConfig):
             "formulas": {key: FORMULAS[key]
                          for key in ("lower", "upper", "width")},
         })
-    inputs = {"measures": list(config.measure_paths), "tol": config.tol}
-    return _envelope(config, inputs, {"results": results}), worst, None
+    return _envelope(ns, {"measures": ns.measure}, {"results": results}), None
 
 
-def _cmd_family_bounds(config: RunConfig):
-    loaded = _load_all(config)
-    for path, measure in loaded:
-        _require_valid(path, measure)
+def _cmd_family_bounds(ns, loaded: Loaded):
     family = free_family_bounds([m for _, m in loaded])
-    worst = 3 if any(e.status != "ok" for e in family.energies) else 0
     body = {
         "n": len(loaded),
         "alphas": list(family.alphas),
@@ -528,17 +482,15 @@ def _cmd_family_bounds(config: RunConfig):
         ],
         "formulas": {key: FORMULAS[key] for key in ("k1", "k2")},
     }
-    inputs = {"measures": list(config.measure_paths), "tol": config.tol}
-    return _envelope(config, inputs, {"result": body}), worst, None
+    return _envelope(ns, {"measures": ns.measure}, {"result": body}), None
 
 
-def _cmd_microstate(config: RunConfig):
-    [(path, measure)] = _load_all(config)
-    _require_valid(path, measure)
-    if config.kind == "upper":
-        ms = build_upper_microstate(measure, config.k)
+def _cmd_microstate(ns, loaded: Loaded):
+    [(path, measure)] = loaded
+    if ns.kind == "upper":
+        ms = build_upper_microstate(measure, ns.k)
     else:
-        ms = build_lower_microstate(measure, config.k)
+        ms = build_lower_microstate(measure, ns.k)
     part = pair_partition(ms)
     body = {
         "measure": path,
@@ -565,22 +517,21 @@ def _cmd_microstate(config: RunConfig):
         }
         body["packing_constant_log"] = packing_constant_log(
             measure, ms.k, microstate=ms)
-    inputs = {"measures": [path], "k": config.k, "kind": config.kind}
-    if config.eps is not None:
+    inputs = {"measures": [path], "k": ns.k, "kind": ns.kind}
+    if ns.eps is not None:
         body["volume_upper_bound_log"] = volume_upper_bound_log(
-            ms, config.eps, config.t)
-        inputs["eps"] = config.eps
-        inputs["t"] = config.t
+            ms, ns.eps, ns.t)
+        inputs["eps"] = ns.eps
+        inputs["t"] = ns.t
     csv_lines = [str(float(v)) for v in ms.eigenvalues]
-    return _envelope(config, inputs, {"result": body}), 0, csv_lines
+    return _envelope(ns, inputs, {"result": body}), csv_lines
 
 
-def _cmd_series(config: RunConfig):
-    kind = config.kind
-    inputs: dict[str, Any] = {"ks": list(config.ks)}
-    worst = 0
+def _cmd_series(ns, loaded: Loaded):
+    kind = ns.kind
+    inputs: dict[str, Any] = {"ks": list(ns.ks)}
     if kind == "gamma-ratio":
-        gs = gamma_ratio_limit_series(config.ks)
+        gs = gamma_ratio_limit_series(ns.ks)
         body = {
             "kind": kind,
             "ks": list(gs.ks),
@@ -591,61 +542,48 @@ def _cmd_series(config: RunConfig):
             "approach_side": gs.approach_side,
         }
         csv_lines = _series_csv(gs.ks, gs.normalized_values, gs.limit)
-        return _envelope(config, inputs, {"result": body}), 0, csv_lines
+        return _envelope(ns, inputs, {"result": body}), csv_lines
 
-    [(path, measure)] = _load_all(config)
-    _require_valid(path, measure)
+    [(path, measure)] = loaded
     inputs["measures"] = [path]
-    inputs["tol"] = config.tol
     if kind == "regularized-product":
-        inputs["eps"] = config.eps
-        report = regularized_product_series(measure, config.eps, config.ks,
-                                            config.tol)
+        inputs.update(tol=ns.tol, eps=ns.eps)
+        report = regularized_product_series(measure, ns.eps, ns.ks, ns.tol)
+    elif kind == "offdiag-sum":
+        report = offdiag_sum_series(measure, ns.ks)
     else:
-        if offdiag_energy(measure).status != "ok":
-            worst = 3
-        if kind == "offdiag-sum":
-            report = offdiag_sum_series(measure, config.ks)
-        else:
-            report = packing_constant_series(measure, config.ks)
-    body = _series_dict(kind, report)
+        report = packing_constant_series(measure, ns.ks)
     csv_lines = _series_csv(report.ks, report.values, report.target)
-    return _envelope(config, inputs, {"result": body}), worst, csv_lines
+    return (_envelope(ns, inputs, {"result": _series_dict(kind, report)}),
+            csv_lines)
 
 
-def _cmd_selberg(config: RunConfig):
-    log_value = selberg_log(config.k)
+def _cmd_selberg(ns, loaded: Loaded):
+    log_value = selberg_log(ns.k)
     body: dict[str, Any] = {
-        "k": config.k,
+        "k": ns.k,
         "selberg_log": log_value,
         "product": math.exp(log_value),
     }
-    inputs: dict[str, Any] = {"k": config.k}
-    if config.k <= 6:
-        mc = selberg_mc_check(config.k, config.eps, config.samples,
-                              config.seed)
+    inputs: dict[str, Any] = {"k": ns.k}
+    if ns.k <= 6:
+        mc = selberg_mc_check(ns.k, ns.eps, ns.samples, ns.seed)
         body["monte_carlo"] = {
-            "eps": config.eps,
-            "samples": config.samples,
-            "seed": config.seed,
+            "eps": ns.eps,
+            "samples": ns.samples,
+            "seed": ns.seed,
             "mc_estimate": mc.mc_estimate,
             "closed_form": mc.closed_form,
             "z_score": mc.z_score,
         }
-        inputs.update(eps=config.eps, samples=config.samples,
-                      seed=config.seed)
-    return _envelope(config, inputs, {"result": body}), 0, None
+        inputs.update(eps=ns.eps, samples=ns.samples, seed=ns.seed)
+    return _envelope(ns, inputs, {"result": body}), None
 
 
-def _cmd_report(config: RunConfig):
-    loaded = _load_all(config)
+def _cmd_report(ns, loaded: Loaded):
     results = []
-    worst = 0
     for path, measure in loaded:
-        _require_valid(path, measure)
         bounds = hausdorff_entropy_bounds(measure)
-        if bounds.energy.status != "ok":
-            worst = 3
         results.append({
             "measure": path,
             "dimension": {
@@ -673,8 +611,7 @@ def _cmd_report(config: RunConfig):
             "lower": family.lower,
             "upper": family.upper,
         }
-    inputs = {"measures": list(config.measure_paths), "tol": config.tol}
-    return _envelope(config, inputs, body), worst, None
+    return _envelope(ns, {"measures": ns.measure}, body), None
 
 
 _HANDLERS = {
@@ -691,10 +628,15 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated configuration; returns the exit code."""
+def run(ns: argparse.Namespace) -> int:
+    """Execute a parsed command line; returns the exit code.
+
+    2 when ``validate`` finds a problem, 3 when any ``status`` in the
+    report is not "ok", else 0.
+    """
     try:
-        payload, code, csv_lines = _HANDLERS[config.command](config)
+        loaded = _load_all(ns)
+        payload, csv_lines = _HANDLERS[ns.command](ns, loaded)
     except _UsageError as exc:
         return _fail(1, "usage", str(exc))
     except MeasureSpecError as exc:
@@ -703,16 +645,18 @@ def run(config: RunConfig) -> int:
         return _fail(4, "no-solution", str(exc))
     except ValueError as exc:
         return _fail(1, "usage", str(exc))
-    _emit(_render(payload, config, csv_lines), config.out)
-    if code == 3:
-        _fail(3, "energy", "an energy did not converge or diverged; "
-                           "see the report's status fields")
-    return code
+    _emit(_render(payload, ns, csv_lines), ns.out)
+    if ns.command == "validate":
+        return 0 if all(row["ok"] for row in payload["results"]) else 2
+    if any(status != "ok" for status in _statuses(payload)):
+        return _fail(3, "energy", "an energy did not converge or diverged; "
+                                  "see the report's status fields")
+    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        config = parse_args(argv)
+        ns = parse_args(argv)
     except _UsageError as exc:
         return _fail(1, "usage", str(exc))
-    return run(config)
+    return run(ns)

@@ -11,7 +11,8 @@
   diagonal included, which is finite for every eps > 0.  Adaptive 1-D
   panels and 2-D cells on a smooth chart of the diffuse part (its
   closed-form quantile, or x = c - r cos(pi s) for the semicircle), to
-  an absolute tolerance, because energies near zero are routine.
+  an absolute tolerance, because energies near zero are routine.  The
+  result carries the summed error estimate and a convergence status.
 """
 
 from __future__ import annotations
@@ -42,9 +43,11 @@ class EnergyComponents:
 class EnergyResult:
     """An energy value with its accuracy diagnostics.
 
-    ``value`` is the sum of the three components.  ``status`` is "ok" or
-    "diverged" (two atoms share a location; value is -inf).  The closed
-    forms carry no truncation error, so ``abs_error_estimate`` is 0.
+    ``value`` is the sum of the three components.  ``status`` is "ok",
+    "diverged" (two atoms share a location; value is -inf) or
+    "not_converged" (a regularized energy's quadrature ran out of
+    regions; value is the best estimate).  The closed forms carry no
+    truncation error, so their ``abs_error_estimate`` is 0.
     When the measure carries truncated atom-family mass,
     ``truncation_bound`` bounds the absolute energy contribution of the
     dropped mass (which is excluded from ``value``) and
@@ -61,11 +64,6 @@ class EnergyResult:
 
 # ---------------------------------------------------------------------------
 # Closed-form logarithmic potentials of the unit-mass diffuse families.
-
-
-def _g1(t: float) -> float:
-    # antiderivative of log|t|, zero at 0
-    return t * math.log(abs(t)) - t if t else 0.0
 
 
 def _g2(t: float) -> float:
@@ -92,15 +90,37 @@ def _self_energy(diffuse: DiffusePart) -> float:
         return math.log(0.5 * float(diffuse.params["radius"])) - 0.25
     # Per segment pair, with density m / (b - a) on [a, b]: the integral
     # of log|y - z| over [a, b] x [c, d] is
-    # g2(b - c) + g2(a - d) - g2(a - c) - g2(b - d).
-    terms = []
-    segments = _segments(diffuse)
+    # g2(b - c) + g2(a - d) - g2(a - c) - g2(b - d).  Points are measured
+    # in units of the part's width w, so the sum is scale-free and the
+    # energy is log w plus it (E(s nu) = E(nu) + log s): no product of
+    # two widths can underflow, and no g2 can overflow.
+    lo, hi = diffuse.interval()
+    width = hi - lo
+    segments = [(m, (a - lo) / width, (b - lo) / width)
+                for m, a, b in _segments(diffuse)]
+    terms = [math.log(width)]
     for m, a, b in segments:
         for n, c, d in segments:
             scale = m * n / ((b - a) * (d - c))
             terms.extend(scale * t for t in (_g2(b - c), _g2(a - d),
                                              -_g2(a - c), -_g2(b - d)))
     return math.fsum(terms)
+
+
+def _segment_potential(x: float, a: float, b: float) -> float:
+    """Mean of log|x - y| over y uniform on [a, b]."""
+    w = b - a
+    p, q = x - a, x - b
+    if min(abs(p), abs(q)) <= w:
+        # the antiderivative t log|t| - t of log|t| differenced over
+        # [q, p] and divided by w, with |p / w| and |q / w| at most 2
+        return ((p / w) * math.log(abs(p)) if p else 0.0) - (
+            (q / w) * math.log(abs(q)) if q else 0.0) - 1.0
+    # Farther than w from the segment: the same difference written as
+    # log|p| + log1p(r) / r - 1 with r = w / q in (-1/2, 1), which
+    # neither cancels nor overflows however narrow the segment is.
+    r = w / q
+    return math.log(abs(p)) + (math.log1p(r) / r if r else 1.0) - 1.0
 
 
 def _potential(diffuse: DiffusePart, x: float) -> float:
@@ -113,17 +133,18 @@ def _potential(diffuse: DiffusePart, x: float) -> float:
         u = abs(x - float(diffuse.params["center"]))
         if u <= r:
             return math.log(0.5 * r) + (u / r) ** 2 - 0.5
-        s = math.sqrt((u - r) * (u + r))
+        s = math.sqrt(u - r) * math.sqrt(u + r)
         # (u^2 - u s) / r^2 = u / (u + s), without the cancellation
-        return math.log(0.5 * (u + s)) + u / (u + s) - 0.5
+        return math.log(0.5 * u + 0.5 * s) + 1.0 / (1.0 + s / u) - 0.5
     if diffuse.kind == "arcsine":
         lo, hi = diffuse.interval()
         rho = 0.5 * (hi - lo)
-        u = abs(x - 0.5 * (lo + hi))
+        u = abs(x - lo - rho)
         if u <= rho:
             return math.log(0.5 * rho)
-        return math.log(0.5 * (u + math.sqrt((u - rho) * (u + rho))))
-    return math.fsum(m * (_g1(x - a) - _g1(x - b)) / (b - a)
+        return math.log(0.5 * u
+                        + 0.5 * math.sqrt(u - rho) * math.sqrt(u + rho))
+    return math.fsum(m * _segment_potential(x, a, b)
                      for m, a, b in _segments(diffuse))
 
 
@@ -266,8 +287,7 @@ def _pair_integrand(diffuse: DiffusePart, eps: float):
 
 
 def regularized_energy(measure: SpectralMeasure, eps: float,
-                       tol: float = 1e-6, *,
-                       max_cells: int = 40000) -> float:
+                       tol: float = 1e-6) -> EnergyResult:
     """Full-plane integral of log((y - z)^2 + eps) d(mu x mu).
 
     The diagonal is included (each atom's self-pair contributes
@@ -275,8 +295,10 @@ def regularized_energy(measure: SpectralMeasure, eps: float,
     always finite.  Truncated atom-family mass participates as a point
     mass at its accumulation point, which misplaces it by at most the
     tail's spatial spread; with default truncation tolerances this is
-    far below any quadrature tolerance in use.  ``max_cells`` caps the
-    2-D cells.
+    far below any quadrature tolerance in use.  ``abs_error_estimate``
+    is the weighted sum of the quadrature error estimates; ``status`` is
+    "not_converged" when any quadrature stopped (at its region budget)
+    before meeting its share of ``tol``.
     """
     import numpy as np
     if not eps > 0:
@@ -296,8 +318,9 @@ def regularized_energy(measure: SpectralMeasure, eps: float,
                 for xj, wj in point_masses]
     aa = math.fsum(aa_terms)
 
-    ad = 0.0
-    dd = 0.0
+    ad = dd = 0.0
+    errors = []
+    statuses = {"ok"}
     if c > 0.0:
         x, density = _chart(diffuse)
         breaks = _chart_breaks(diffuse)
@@ -314,10 +337,17 @@ def regularized_energy(measure: SpectralMeasure, eps: float,
                                    breakpoints=(breaks if crossing is None
                                                 else breaks + [crossing]))
             ad += weight * res.value
+            errors.append(weight * res.error)
+            statuses.add(res.status)
 
         res = adaptive_quad_2d(_pair_integrand(diffuse, eps),
-                               tol=0.5 * tol / (c * c), max_cells=max_cells,
+                               tol=0.5 * tol / (c * c), max_cells=40000,
                                u_breaks=breaks, v_breaks=breaks)
         dd = c * c * res.value
+        errors.append(c * c * res.error)
+        statuses.add(res.status)
 
-    return math.fsum([aa, ad, dd])
+    return EnergyResult(value=math.fsum([aa, ad, dd]),
+                        abs_error_estimate=math.fsum(errors),
+                        components=EnergyComponents(dd, ad, aa),
+                        status="ok" if statuses == {"ok"} else "not_converged")

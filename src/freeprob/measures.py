@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
@@ -48,6 +49,9 @@ __all__ = [
 _DIFFUSE_KINDS = ("empty", "uniform", "semicircle", "arcsine",
                   "piecewise_linear_cdf")
 _MASS_TOL = 1e-12
+# Narrower diffuse parts would have subnormal widths, with fewer than 53
+# significant bits to place their quantiles and knots.
+_MIN_WIDTH = sys.float_info.min
 
 
 def _int_part(x: float) -> int:
@@ -223,16 +227,20 @@ class DiffusePart:
             lo = self.params.get("lo")
             hi = self.params.get("hi")
             if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float))
-                    and math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                problems.append(f"{self.kind} params need finite lo < hi, got "
+                    and math.isfinite(lo) and math.isfinite(hi)
+                    and hi - lo >= _MIN_WIDTH):
+                problems.append(f"{self.kind} params need finite lo < hi, at "
+                                f"least {_MIN_WIDTH:.3g} apart, got "
                                 f"lo={lo!r}, hi={hi!r}")
         elif self.kind == "semicircle":
             c = self.params.get("center")
             r = self.params.get("radius")
             if not (isinstance(c, (int, float)) and isinstance(r, (int, float))
-                    and math.isfinite(c) and math.isfinite(r) and r > 0):
+                    and math.isfinite(c) and math.isfinite(r)
+                    and r >= _MIN_WIDTH):
                 problems.append(f"semicircle params need finite center and "
-                                f"radius > 0, got center={c!r}, radius={r!r}")
+                                f"radius >= {_MIN_WIDTH:.3g}, got "
+                                f"center={c!r}, radius={r!r}")
         elif self.kind == "piecewise_linear_cdf":
             knots = self.params.get("knots")
             if (not isinstance(knots, (list, tuple)) or len(knots) < 2
@@ -247,6 +255,9 @@ class DiffusePart:
                 if any(b <= a for a, b in zip(xs, xs[1:])):
                     problems.append("piecewise knot points must be strictly "
                                     "increasing")
+                elif not xs[-1] - xs[0] >= _MIN_WIDTH:
+                    problems.append(f"piecewise knots must span at least "
+                                    f"{_MIN_WIDTH:.3g}")
                 if any(b <= a for a, b in zip(cs, cs[1:])):
                     problems.append("piecewise knot cumulative masses must be "
                                     "strictly increasing")
@@ -318,6 +329,9 @@ def validate(measure: SpectralMeasure) -> ValidationReport:
         problems.append(f"support endpoints must be finite, got [{a}, {b}]")
     if a > b:
         problems.append(f"support interval is empty: [{a}, {b}]")
+    elif math.isfinite(a) and math.isfinite(b) and math.isinf(b - a):
+        # every distance between two points of the support must be finite
+        problems.append(f"support width b - a overflows: [{a}, {b}]")
     seen: set[float] = set()
     for atom in measure.atoms:
         if not (0.0 < atom.weight <= 1.0):

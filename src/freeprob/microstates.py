@@ -15,7 +15,7 @@ Two explicit diagonal-matrix approximants of a spectral measure:
 
 Pair sums run over the distinct eigenvalues weighted by their
 multiplicities, in O(U^2) for U distinct values (each atom value counts
-once, however often it repeats); k is capped (default 5000).  Sums over
+once, however often it repeats); k is capped at K_CAP = 5000.  Sums over
 the distinct-value pair set are taken over ordered pairs (both (i, j)
 and (j, i)), which is the normalization under which k^{-2} times the
 sum of log(b_i - b_j)^2 converges to twice the off-diagonal energy; the
@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain
+from operator import mul
+from typing import Iterable
 
 from ._kernels import pair_log_reg_sum, pair_log_sq_skip
 from .asymptotics import (
@@ -35,7 +37,6 @@ from .asymptotics import (
     _sum_log_factorials,
     _validated_ks,
     log_gamma,
-    selberg_log,
 )
 from .energy import offdiag_energy, regularized_energy
 from .entropy import free_hausdorff_dimension
@@ -120,6 +121,8 @@ class SeriesReport:
     latter it is the worst (minimum) value-minus-target over the largest
     quartile of the sampled ks, the finite stand-in for a liminf claim.
     ``extras`` carries alternative-normalization diagnostics.
+    ``status`` is "not_converged" when the target is a regularized
+    energy whose quadrature did not meet its tolerance, else "ok".
     """
 
     ks: tuple[int, ...]
@@ -128,19 +131,20 @@ class SeriesReport:
     relation: str
     achieved_gap: float
     extras: dict[str, float] = field(default_factory=dict)
+    status: str = "ok"
 
 
-def _check_k(k: int, k_cap: int) -> int:
+def _check_k(k: int) -> int:
     k = _check_positive_int(k)
-    if k > k_cap:
-        raise ValueError(f"k = {k} exceeds the configured cap {k_cap}")
+    if k > K_CAP:
+        raise ValueError(f"k = {k} exceeds the cap K_CAP = {K_CAP}")
     return k
 
 
-def _validated_series_ks(ks: Iterable[int], k_cap: int) -> tuple[int, ...]:
+def _validated_series_ks(ks: Iterable[int]) -> tuple[int, ...]:
     ks = _validated_ks(ks)
     for k in ks:
-        _check_k(k, k_cap)
+        _check_k(k)
     return ks
 
 
@@ -148,8 +152,8 @@ def _validated_series_ks(ks: Iterable[int], k_cap: int) -> tuple[int, ...]:
 # Constructions.
 
 
-def build_upper_microstate(measure: SpectralMeasure, k: int, *,
-                           k_cap: int = K_CAP) -> DiagonalMicrostate:
+def build_upper_microstate(measure: SpectralMeasure,
+                           k: int) -> DiagonalMicrostate:
     """Quantile-fill approximant: quantiles, atom copies, zero padding.
 
     Entry counts are exact: floor(c k) diffuse quantiles at levels j/k,
@@ -158,7 +162,7 @@ def build_upper_microstate(measure: SpectralMeasure, k: int, *,
     integer parts of masses summing to at most 1 sum to at most k).
     """
     import numpy as np
-    k = _check_k(k, k_cap)
+    k = _check_k(k)
     ranked = measure.atoms_by_weight()
     quantiles = diffuse_quantile_batch(measure, k)
     mults = tuple((a.location, _int_part(a.weight * k)) for a in ranked)
@@ -173,8 +177,8 @@ def build_upper_microstate(measure: SpectralMeasure, k: int, *,
                               zero_count=zero_count)
 
 
-def build_lower_microstate(measure: SpectralMeasure, k: int, *,
-                           k_cap: int = K_CAP) -> DiagonalMicrostate:
+def build_lower_microstate(measure: SpectralMeasure,
+                           k: int) -> DiagonalMicrostate:
     """Separated approximant for the packing lower-bound machinery.
 
     The heaviest atom appears floor(c_1 k) - floor(sqrt(k)) times (k
@@ -186,7 +190,7 @@ def build_lower_microstate(measure: SpectralMeasure, k: int, *,
     multiplicities + kept quantiles + fillers = k is exact.
     """
     import numpy as np
-    k = _check_k(k, k_cap)
+    k = _check_k(k)
     ranked = measure.atoms_by_weight()
     if not ranked:
         raise ValueError("the separated microstate requires at least one atom")
@@ -274,35 +278,37 @@ def sk_counting_check(measure: SpectralMeasure,
 
 
 def regularized_product_series(measure: SpectralMeasure, eps: float,
-                               ks: Iterable[int], tol: float = 1e-6, *,
-                               k_cap: int = K_CAP) -> SeriesReport:
+                               ks: Iterable[int],
+                               tol: float = 1e-6) -> SeriesReport:
     """Per-k regularized pair averages of the quantile-fill microstate.
 
     value(k) = k^{-2} sum over ordered pairs i != j of
     log((a_i - a_j)^2 + eps), which converges to the regularized energy
     (the diagonal's k^{-1} log eps vanishes in the limit).  The single
     atom of full weight shows the trendline exactly:
-    value(k) = (1 - 1/k) log eps.
+    value(k) = (1 - 1/k) log eps.  ``status`` is the target's quadrature
+    status.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    ks = _validated_series_ks(ks, k_cap)
+    ks = _validated_series_ks(ks)
     target = regularized_energy(measure, eps, tol)
     values = []
     for k in ks:
-        ms = build_upper_microstate(measure, k, k_cap=k_cap)
+        ms = build_upper_microstate(measure, k)
         values.append(2.0 * pair_log_reg_sum(ms.eigenvalues, eps) / (k * k))
-    return SeriesReport(ks=tuple(ks), values=tuple(values), target=target,
-                        relation="converges_to",
-                        achieved_gap=values[-1] - target)
+    return SeriesReport(ks=tuple(ks), values=tuple(values),
+                        target=target.value, relation="converges_to",
+                        achieved_gap=values[-1] - target.value,
+                        status=target.status)
 
 
 def _top_quartile(n: int) -> int:
     return max(1, n // 4)
 
 
-def offdiag_sum_series(measure: SpectralMeasure, ks: Iterable[int], *,
-                       k_cap: int = K_CAP) -> SeriesReport:
+def offdiag_sum_series(measure: SpectralMeasure,
+                       ks: Iterable[int]) -> SeriesReport:
     """Distinct-value pair averages of the separated microstate.
 
     value(k) = k^{-2} sum over ordered distinct-value pairs of
@@ -312,11 +318,11 @@ def offdiag_sum_series(measure: SpectralMeasure, ks: Iterable[int], *,
     gap under the halved (unordered-pair) normalization, so both
     readings of the sum are reported.
     """
-    ks = _validated_series_ks(ks, k_cap)
+    ks = _validated_series_ks(ks)
     target = 2.0 * offdiag_energy(measure).value
     values = []
     for k in ks:
-        ms = build_lower_microstate(measure, k, k_cap=k_cap)
+        ms = build_lower_microstate(measure, k)
         pair_sum, _ = pair_log_sq_skip(ms.eigenvalues)
         values.append(2.0 * pair_sum / (k * k))
     tail = values[-_top_quartile(len(ks)):]
@@ -382,7 +388,6 @@ def volume_upper_bound_log(microstate: DiagonalMicrostate, eps: float,
 
 
 def packing_constant_log(measure: SpectralMeasure, k: int, *,
-                         k_cap: int = K_CAP,
                          microstate: DiagonalMicrostate | None = None) -> float:
     """Log of the packing constant assembled from the separated microstate.
 
@@ -390,20 +395,20 @@ def packing_constant_log(measure: SpectralMeasure, k: int, *,
     log(b_i - b_j)^2 - log k! + (2 #S_k + k - k^2) log 2 + selberg_log(k),
     with D_k = pi^{k(k-1)/2} / prod_{j<=k} j! (the Mehta density
     normalizer).  All five summands live in the log domain; #S_k is the
-    equal-pair count of the pair kernel.
+    equal-pair count of the pair kernel.  The three log-factorial terms,
+    -sum_{j<=k} log j! - log k! + selberg_log(k), are one sum of integer
+    multiples of log i, i < 2k, added in the same exact fsum as the rest.
     """
     if microstate is None:
-        microstate = build_lower_microstate(measure, k, k_cap=k_cap)
+        microstate = build_lower_microstate(measure, k)
     k = microstate.k
     pair_sum, s_count = pair_log_sq_skip(microstate.eigenvalues)
-    log_d = 0.5 * k * (k - 1) * math.log(math.pi) - _sum_log_factorials(k)
-    return math.fsum([
-        log_d,
-        2.0 * pair_sum,
-        -log_gamma(k + 1.0),
-        (2 * s_count + k - k * k) * math.log(2.0),
-        selberg_log(k),
-    ])
+    # The weight of log i is k - 1 - 2i for i <= k and i - 2k for k < i < 2k.
+    weights = chain(range(k - 3, -k - 2, -2), range(1 - k, 0))
+    return math.fsum(chain(
+        (0.5 * k * (k - 1) * math.log(math.pi), 2.0 * pair_sum,
+         (2 * s_count + k - k * k) * math.log(2.0)),
+        map(mul, weights, map(math.log, range(1, 2 * k)))))
 
 
 def packing_series_target(measure: SpectralMeasure) -> float:
@@ -419,19 +424,19 @@ def packing_series_target(measure: SpectralMeasure) -> float:
             - alpha * math.log(2.0) - math.log(4.0))
 
 
-def packing_constant_series(measure: SpectralMeasure, ks: Iterable[int], *,
-                            k_cap: int = K_CAP) -> SeriesReport:
+def packing_constant_series(measure: SpectralMeasure,
+                            ks: Iterable[int]) -> SeriesReport:
     """Normalized packing constants k^{-2} log C_k + (1/2) log k per k.
 
     Converges (slowly, at the sqrt(k)/k scale of the atom deflation) to
     ``packing_series_target``; approach is from above.
     """
-    ks = _validated_series_ks(ks, k_cap)
+    ks = _validated_series_ks(ks)
     target = packing_series_target(measure)
     values = []
     for k in ks:
-        ms = build_lower_microstate(measure, k, k_cap=k_cap)
-        log_c = packing_constant_log(measure, k, k_cap=k_cap, microstate=ms)
+        ms = build_lower_microstate(measure, k)
+        log_c = packing_constant_log(measure, k, microstate=ms)
         values.append(log_c / (k * k) + 0.5 * math.log(k))
     return SeriesReport(ks=tuple(ks), values=tuple(values), target=target,
                         relation="converges_to",

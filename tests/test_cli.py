@@ -1,12 +1,18 @@
 """Command-line interface: exit codes, formats, knob discipline."""
 
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freeprob as fp
 from conftest import run_cli
+from freeprob.cli import parse_args
 
 
 @pytest.fixture()
@@ -85,6 +91,27 @@ class TestExitCodes:
             f"freeprob: error: measure-spec: {bad}: {where}")
         assert mixed_path not in res.stderr
 
+    def test_unconverged_regularized_energy_is_three(self, semicircle2,
+                                                     measure_file):
+        path = measure_file(semicircle2, "semicircle.json")
+        res = run_cli("energy", "--measure", path, "--eps", "1e-8",
+                      "--format", "json")
+        assert res.code == 3
+        assert res.stderr.startswith("freeprob: error: energy:")
+        [row] = res.json["results"][0]["regularized"]
+        assert row["status"] == "not_converged"
+        assert row["abs_error_estimate"] > 1e-6
+        assert math.isfinite(row["value"])
+        assert res.json["results"][0]["offdiag_energy"]["status"] == "ok"
+
+    def test_unconverged_series_target_is_three(self, uniform_path):
+        res = run_cli("series", "regularized-product", "--eps", "1e-8",
+                      "--ks", "100,200", "--measure", uniform_path,
+                      "--format", "json")
+        assert res.code == 3
+        assert res.stderr.startswith("freeprob: error: energy:")
+        assert res.json["result"]["status"] == "not_converged"
+
     def test_no_solution_is_four(self, uniform_path):
         res = run_cli("microstate", "--measure", uniform_path,
                       "--k", "20", "--kind", "upper",
@@ -140,6 +167,35 @@ class TestKnobDiscipline:
         assert res.stderr.startswith("freeprob: error: usage:")
         res = run_cli("bounds", "--measure", mixed_path, "--tol", "nan")
         assert res.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds",), ("family-bounds",), ("report",),
+        ("series", "offdiag-sum", "--ks", "10,20"),
+        ("series", "packing-constant", "--ks", "10,20"),
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_tol_only_where_a_quadrature_runs(self, mixed_path, argv):
+        res = run_cli(*argv, "--measure", mixed_path, "--tol", "1e-6")
+        assert res.code == 1
+        assert res.stderr.startswith("freeprob: error: usage:")
+        assert run_cli(*argv, "--measure", mixed_path).code == 0
+
+    def test_tol_kept_on_energy_chi_and_regularized_product(self,
+                                                            uniform_path):
+        res = run_cli("chi", "--measure", uniform_path, "--tol", "1e-8",
+                      "--format", "json")
+        assert res.code == 0
+        assert res.json["inputs"]["tol"] == 1e-8
+        res = run_cli("energy", "--measure", uniform_path, "--eps", "0.5",
+                      "--tol", "1e-8", "--format", "json")
+        assert res.code == 0
+        assert res.json["inputs"]["tol"] == 1e-8
+        res = run_cli("series", "regularized-product", "--eps", "0.5",
+                      "--ks", "10,20", "--tol", "1e-8",
+                      "--measure", uniform_path, "--format", "json")
+        assert res.code == 0
+        assert res.json["inputs"]["tol"] == 1e-8
+        assert run_cli("energy", "--measure", uniform_path,
+                       "--tol", "nan").code == 1
 
     def test_gamma_ratio_takes_no_tol(self):
         res = run_cli("series", "gamma-ratio", "--ks", "10,20",
@@ -245,6 +301,16 @@ class TestCommandPayloads:
         rows = res.json["results"][0]["regularized"]
         assert [r["eps"] for r in rows] == [1.0, 0.1, 0.01]
 
+    def test_energy_regularized_fields(self, mixed_path, mixed_measure):
+        res = run_cli("energy", "--measure", mixed_path, "--eps", "0.5",
+                      "--format", "json")
+        [row] = res.json["results"][0]["regularized"]
+        lib = fp.regularized_energy(mixed_measure, 0.5)
+        assert row["value"] == lib.value
+        assert row["abs_error_estimate"] == lib.abs_error_estimate
+        assert row["status"] == "ok"
+        assert row["components"]["atom_atom"] == lib.components.atom_atom
+
     def test_energy_single_eps(self, mixed_path):
         res = run_cli("energy", "--measure", mixed_path, "--eps", "0.5",
                       "--format", "json")
@@ -336,3 +402,105 @@ class TestTextOutput:
                       "--k", "200", "--kind", "lower", "--format", "text")
         assert res.code == 0
         assert "(200 values)" in res.stdout
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed specs: every spec either gives finite results or is rejected.
+
+
+_SHAPE = ((0.0, 0.0), (0.25, 0.2), (0.6, 0.7), (1.0, 1.0))
+_EXTREMES = [0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300, 1e308, -1e308,
+             1.7976931348623157e308, 5e-324, 2.2250738585072014e-308]
+_WIDTHS = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-150, 1.0,
+           1e150, 1e300, 1e308, 1.7976931348623157e308]
+
+
+@st.composite
+def fuzz_specs(draw):
+    """Measure specs with positions up to +-1e308 and widths from the
+    smallest subnormal up to the largest float."""
+    lo = draw(st.one_of(st.sampled_from(_EXTREMES),
+                        st.floats(-1e308, 1e308, allow_nan=False)))
+    width = draw(st.one_of(st.sampled_from(_WIDTHS),
+                           st.floats(5e-324, 1.7976931348623157e308)))
+    hi = lo + width  # may round back onto lo, or overflow
+    kind = draw(st.sampled_from(["uniform", "arcsine", "semicircle",
+                                 "piecewise_linear_cdf", "empty"]))
+    n_atoms = draw(st.integers(0 if kind != "empty" else 1, 2))
+    weights = [draw(st.integers(1, 16)) / 64.0 for _ in range(n_atoms)]
+    mass = 1.0 - math.fsum(weights)
+    fractions = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+                              min_size=n_atoms, max_size=n_atoms,
+                              unique=True))
+    atoms = [{"location": lo + f * (hi - lo), "weight": w}
+             for f, w in zip(fractions, weights)]
+    if kind == "empty":
+        atoms[-1]["weight"] += mass
+        diffuse = None
+    elif kind == "semicircle":
+        diffuse = {"center": lo + 0.5 * width, "radius": 0.5 * width}
+    elif kind == "piecewise_linear_cdf":
+        diffuse = {"knots": [[lo + x * width, mass * c] for x, c in _SHAPE]}
+    else:
+        diffuse = {"lo": lo, "hi": hi}
+    spec = {"support": [lo, hi], "atoms": atoms}
+    if diffuse is not None:
+        spec["diffuse"] = {"kind": kind, "mass": mass, "params": diffuse}
+    return spec
+
+
+class TestSpecFuzz:
+    @given(spec=fuzz_specs())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_exit_zero_without_nan_or_exit_two(self, tmp_path_factory,
+                                               spec):
+        path = str(tmp_path_factory.getbasetemp() / "fuzz.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)  # writes Infinity when hi overflowed
+        valid = run_cli("validate", "--measure", path)
+        assert valid.code in (0, 2)
+        for argv in (("dim",), ("chi",), ("bounds",), ("report",),
+                     ("family-bounds", "--measure", path)):
+            res = run_cli(*argv, "--measure", path, "--format", "json")
+            if res.code == 0:
+                assert valid.code == 0
+                assert "nan" not in res.stdout
+                assert res.stderr == ""
+            else:
+                assert res.code == 2
+                assert res.stderr.count("\n") == 1
+                assert res.stderr.startswith(
+                    f"freeprob: error: measure-spec: {path}")
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's command lines (perfbench/workloads.py, read, not edited).
+
+
+def _bench_workloads():
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkContract:
+    def test_every_job_parses(self):
+        workloads = _bench_workloads()
+        names = workloads.make_specs(1)
+        paths = {name: f"{name}.json" for name in names}
+        for workload in workloads.WORKLOADS:
+            for job in workloads.jobs_for(workload):
+                ns = parse_args(job.resolve(paths))
+                assert ns.command == job.argv[0], job.id
+
+    def test_energy_quad_exit_codes(self, tmp_path):
+        workloads = _bench_workloads()
+        paths = workloads.write_specs(workloads.make_specs(1), str(tmp_path))
+        codes = {job.id: (run_cli(*job.resolve(paths)).code, job.expect_code)
+                 for job in workloads.jobs_for("energy-quad")}
+        assert len(codes) > 30
+        assert {job: pair for job, pair in codes.items()
+                if pair[0] != pair[1]} == {}

@@ -96,7 +96,7 @@ class TestScipyOracles:
             lambda y, x: 0.25 * math.log((x - y) ** 2 + eps),
             1.0, 2.0, 1.0, 2.0)
         oracle = aa + ad + dd
-        got = fp.regularized_energy(mixed_measure, eps, TOL)
+        got = fp.regularized_energy(mixed_measure, eps, TOL).value
         assert got == pytest.approx(oracle, abs=max(TOL, 10 * (err_ad
                                                                + err_dd)))
 
@@ -105,7 +105,7 @@ class TestScipyOracles:
         oracle, err = integrate.dblquad(
             lambda y, x: math.log((x - y) ** 2 + eps),
             0.0, 1.0, 0.0, 1.0, epsabs=1e-10)
-        got = fp.regularized_energy(uniform01, eps, TOL)
+        got = fp.regularized_energy(uniform01, eps, TOL).value
         assert got == pytest.approx(oracle, abs=max(TOL, 10 * err))
 
 
@@ -254,34 +254,34 @@ class TestClosedFormOracles:
         oracle = w * w * math.log(eps) + 2 * w * mass * ad + mass ** 2 * dd
         m = fp.SpectralMeasure(support=(c - r, c + r), atoms=(fp.Atom(x0, w),),
                                diffuse=_diffuse("semicircle", mass))
-        got = fp.regularized_energy(m, eps, ORACLE_TOL)
+        got = fp.regularized_energy(m, eps, ORACLE_TOL).value
         assert got == pytest.approx(oracle, abs=ORACLE_TOL)
 
 
 class TestRegularizedEnergy:
     def test_monotone_in_eps(self, mixed_measure):
-        values = [fp.regularized_energy(mixed_measure, e, TOL)
+        values = [fp.regularized_energy(mixed_measure, e, TOL).value
                   for e in (1.0, 0.1, 0.01, 0.001)]
         assert values == sorted(values, reverse=True)
 
     def test_diffuse_limit_is_twice_offdiag(self, uniform01):
         # For atomless measures the off-diagonal energy is half the
         # regularized limit: the diagonal carries no mass.
-        reg = fp.regularized_energy(uniform01, 1e-10, TOL)
+        reg = fp.regularized_energy(uniform01, 1e-10, TOL).value
         assert reg == pytest.approx(2.0 * (-1.5), abs=5e-4)
 
     def test_atom_diagonal_carries_log_eps(self, two_atoms):
         # Purely atomic: sum w_i w_j log((a_i - a_j)^2 + eps) including
         # the diagonal, which contributes (sum w_i^2) log eps.
         eps = 1e-8
-        got = fp.regularized_energy(two_atoms, eps, TOL)
+        got = fp.regularized_energy(two_atoms, eps, TOL).value
         want = 0.5 * math.log(eps) + 2 * 0.25 * math.log(1.0 + eps)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_dominates_twice_offdiag(self, mixed_measure):
         # log((y-z)^2 + eps) >= 2 log|y-z| pointwise off the diagonal
         # and the diagonal only adds mass, provided eps >= 1.
-        reg = fp.regularized_energy(mixed_measure, 1.0, TOL)
+        reg = fp.regularized_energy(mixed_measure, 1.0, TOL).value
         assert reg >= 2.0 * MIXED_ENERGY - 1e-9
 
 
@@ -319,6 +319,42 @@ class TestInvariances:
         assert got == pytest.approx(base, abs=5e-6)
 
 
+class TestExtremeScales:
+    """The closed forms at widths and positions near the float range."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "arcsine", "semicircle",
+                                      "piecewise_linear_cdf"])
+    @pytest.mark.parametrize("scale", [2.0 ** -1000, 1e-300, 1e300])
+    def test_scale_law(self, kind, scale):
+        # E(s mu) = E(mu) + alpha log s (atom self-pairs are off the
+        # integral, alpha = 1 - sum c_i^2), with an atom inside and one
+        # outside the diffuse support so every potential branch counts.
+        m = fp.SpectralMeasure(support=(-4.0, 10.0),
+                               atoms=(fp.Atom(-3.0, 0.125),
+                                      fp.Atom(1.0, 0.125)),
+                               diffuse=_diffuse(kind, 0.75))
+        scaled = fp.affine_pushforward(m, scale, 0.0)
+        assert fp.validate(scaled).ok
+        alpha = fp.free_hausdorff_dimension(m)
+        want = energy_value(m) + alpha * math.log(scale)
+        assert energy_value(scaled) == pytest.approx(want, rel=1e-13)
+
+    def test_narrow_segment_far_from_atom(self):
+        # A uniform part on [1e-200, 2e-200] seen from an atom at 0.5:
+        # the potential there is log 0.5 to within the width.
+        m = fp.SpectralMeasure(support=(0.0, 0.5),
+                               atoms=(fp.Atom(0.5, 0.5),),
+                               diffuse=fp.DiffusePart(
+                                   "uniform", 0.5,
+                                   {"lo": 1e-200, "hi": 2e-200}))
+        assert fp.validate(m).ok
+        res = fp.offdiag_energy(m)
+        assert res.components.atom_diffuse == pytest.approx(
+            2 * 0.25 * math.log(0.5), rel=1e-15)
+        assert res.components.diffuse_diffuse == pytest.approx(
+            0.25 * (math.log(1e-200) - 1.5), rel=1e-15)
+
+
 class TestStatuses:
     def test_duplicate_atom_locations_diverge(self):
         # Not a valid spec, but the energy must report the divergence
@@ -335,6 +371,24 @@ class TestStatuses:
         integrand = energy._pair_integrand(semicircle2.diffuse, 0.01)
         res = adaptive_quad_2d(integrand, tol=1e-12, max_cells=8)
         assert res.status == "not_converged"
+        assert math.isfinite(res.value)
+
+    def test_regularized_result_carries_status(self, mixed_measure):
+        res = fp.regularized_energy(mixed_measure, 0.1, TOL)
+        assert res.status == "ok"
+        assert 0.0 <= res.abs_error_estimate <= TOL
+        parts = res.components
+        assert res.value == math.fsum([parts.diffuse_diffuse,
+                                       parts.atom_diffuse, parts.atom_atom])
+        assert parts.atom_atom == pytest.approx(0.25 * math.log(0.1),
+                                                rel=1e-15)
+
+    def test_regularized_not_converged_is_reported(self, semicircle2):
+        # At eps 1e-8 the 2-D quadrature runs out of cells before its
+        # error estimate meets the tolerance.
+        res = fp.regularized_energy(semicircle2, 1e-8, TOL)
+        assert res.status == "not_converged"
+        assert res.abs_error_estimate > TOL
         assert math.isfinite(res.value)
 
     def test_semicircle_tight_tol_is_ok(self, semicircle2):

@@ -60,6 +60,29 @@ class TestValidation:
         assert not report.ok
         assert any("finite" in p for p in report.problems)
 
+    def test_support_width_must_be_finite(self):
+        m = fp.uniform_measure(-1e308, 1e308)
+        report = fp.validate(m)
+        assert not report.ok
+        assert any("overflows" in p for p in report.problems)
+
+    @pytest.mark.parametrize("diffuse", [
+        fp.DiffusePart("uniform", 1.0, {"lo": 0.0, "hi": 5e-324}),
+        fp.DiffusePart("arcsine", 1.0, {"lo": 0.0, "hi": 1e-310}),
+        fp.DiffusePart("semicircle", 1.0, {"center": 0.0, "radius": 1e-320}),
+        fp.DiffusePart("piecewise_linear_cdf", 1.0,
+                       {"knots": [[0.0, 0.0], [5e-324, 0.5], [1e-323, 1.0]]}),
+    ], ids=["uniform", "arcsine", "semicircle", "piecewise"])
+    def test_subnormal_width_rejected(self, diffuse):
+        lo, hi = diffuse.interval()
+        report = fp.validate(fp.SpectralMeasure(support=(lo, hi),
+                                                diffuse=diffuse))
+        assert not report.ok
+        assert fp.validate(fp.SpectralMeasure(
+            support=(0.0, 1.0),
+            diffuse=fp.DiffusePart("uniform", 1.0, {"lo": 0.0,
+                                                    "hi": 2.3e-308}))).ok
+
     def test_validate_never_raises_on_bad_diffuse(self):
         m = fp.SpectralMeasure(
             support=(0.0, 1.0),

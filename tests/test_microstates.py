@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import freeprob as fp
 from freeprob import _kernels
+from freeprob.microstates import K_CAP
 from conftest import atomic_plus_uniform, purely_atomic
 
 TOL = 1e-6
@@ -70,9 +71,9 @@ class TestUpperMicrostate:
         with pytest.raises(ValueError):
             fp.build_upper_microstate(mixed_measure, 6000)
         with pytest.raises(ValueError):
-            fp.build_upper_microstate(mixed_measure, 6001, k_cap=6000)
-        ok = fp.build_upper_microstate(mixed_measure, 6000, k_cap=6000)
-        assert ok.k == 6000
+            fp.build_upper_microstate(mixed_measure, K_CAP + 1)
+        ok = fp.build_upper_microstate(mixed_measure, K_CAP)
+        assert ok.k == K_CAP
 
 
 class TestLowerMicrostate:
@@ -231,7 +232,7 @@ class TestRegularizedProductSeries:
     def test_converges_to_regularized_energy(self, uniform01):
         eps = 0.1
         rep = fp.regularized_product_series(uniform01, eps, (100, 400, 1600))
-        target = fp.regularized_energy(uniform01, eps, TOL)
+        target = fp.regularized_energy(uniform01, eps, TOL).value
         assert rep.target == pytest.approx(target, abs=1e-9)
         assert rep.relation == "converges_to"
         gaps = [abs(v - target) for v in rep.values]
@@ -330,6 +331,30 @@ class TestPackingConstant:
         got = fp.packing_constant_log(two_atoms, 2)
         assert got == pytest.approx(math.log(8.0 * math.pi / 3.0),
                                     abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 500, 5000])
+    def test_mpmath_log_factorial_oracle(self, k):
+        # One atom of weight 1 sheds floor(sqrt k) copies to fillers, so
+        # every k is valid.  The pair sum and #S_k come from the kernel;
+        # the oracle rebuilds log D_k, log k! and the Selberg term from
+        # mpmath.loggamma at 40 digits.
+        m = fp.atomic_measure([(0.0, 1.0)])
+        ms = fp.build_lower_microstate(m, k)
+        pair_sum, s_count = _kernels.pair_log_sq_skip(ms.eigenvalues)
+        with mpmath.workdps(40):
+            lg = mpmath.loggamma
+            selberg = mpmath.fsum(lg(j + 1) + 2 * lg(j) - lg(k + j)
+                                  for j in range(1, k + 1))
+            want = float(mpmath.fsum([
+                mpmath.mpf(k * (k - 1)) / 2 * mpmath.log(mpmath.pi),
+                2 * mpmath.mpf(pair_sum),
+                -mpmath.fsum(lg(j + 1) for j in range(1, k + 1)),
+                -lg(k + 1),
+                (2 * s_count + k - k * k) * mpmath.log(2),
+                selberg,
+            ]))
+        got = fp.packing_constant_log(m, k, microstate=ms)
+        assert abs(got - want) <= 2.5e-16 * max(1.0, abs(want))
 
     def test_series_converges_from_above(self, mixed_measure):
         target = fp.packing_series_target(mixed_measure)
