@@ -7,7 +7,7 @@ JSON, CSV (series and microstates only), or text.
 
 Exit codes: 0 success; 1 usage error (including knobs a command does
 not take); 2 invalid measure specification; 3 a ``status`` field of the
-report is not "ok" (a regularized quadrature did not converge, or an
+report is not "ok" (a regularized energy did not converge, or an
 energy diverged); 4 the volume bound's inner-radius equation has no
 solution.  Every failure writes a single machine-parseable line to
 stderr.  JSON output is deterministic (sorted keys, shortest-round-trip
@@ -61,7 +61,7 @@ EPS_SWEEP = (1.0, 0.1, 0.01)
 _SERIES_KINDS = ("gamma-ratio", "regularized-product", "offdiag-sum",
                  "packing-constant")
 _CSV_COMMANDS = ("series", "microstate")
-_QUAD_TOL_HELP = "absolute quadrature tolerance of the regularized energy"
+_TOL_HELP = "absolute tolerance of the regularized energy"
 
 
 class _UsageError(Exception):
@@ -117,7 +117,7 @@ def build_parser() -> _Parser:
 
     p = new("energy", "off-diagonal log energy plus a regularized sweep",
             measures=True)
-    p.add_argument("--tol", type=float, help=_QUAD_TOL_HELP + " sweep")
+    p.add_argument("--tol", type=float, help=_TOL_HELP + " sweep")
     p.add_argument("--eps", type=float,
                    help="single regularization instead of the default sweep")
     finish(p)
@@ -160,7 +160,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float,
                    help="regularization (regularized-product only)")
     p.add_argument("--tol", type=float,
-                   help=_QUAD_TOL_HELP + " target (regularized-product only)")
+                   help=_TOL_HELP + " target (regularized-product only)")
     finish(p)
 
     p = new("selberg", "Selberg product: closed form and Monte Carlo check")

@@ -2,25 +2,25 @@
 
 * ``offdiag_energy``: E = the double integral of log|y - z| against
   mu x mu with the diagonal removed (only atom self-pairs live there).
-  Exact up to rounding: every diffuse family has a closed-form
-  logarithmic potential and self-energy (Saff & Totik, *Logarithmic
-  Potentials with External Fields*, 1997), so atom x atom, atom x
-  diffuse and diffuse x diffuse terms are all compensated sums of
-  elementary functions.
 * ``regularized_energy``: the full-plane integral of log((y - z)^2 + eps),
-  diagonal included, which is finite for every eps > 0.  Adaptive 1-D
-  panels and 2-D cells on a smooth chart of the diffuse part (its
-  closed-form quantile, or x = c - r cos(pi s) for the semicircle), to
-  an absolute tolerance, because energies near zero are routine.  The
-  result carries the summed error estimate and a convergence status.
+  diagonal included, which is finite for every eps > 0.
+
+Both are means of Re log(y - z + i d) over mu x mu, at d = 0 and at
+d = sqrt(eps), and one set of closed-form complex potentials (Saff &
+Totik, *Logarithmic Potentials with External Fields*, 1997) serves both.
+Every term is a compensated sum of elementary functions, except the
+regularized self term of a semicircle or arcsine part: a Gauss-Chebyshev
+rule to an absolute tolerance (energies near zero are routine), whose
+error estimate and convergence status the result carries.  Only ``math``
+and ``cmath`` are used.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-from ._quad import adaptive_quad_1d, adaptive_quad_2d
 from .measures import DiffusePart, SpectralMeasure
 
 __all__ = [
@@ -45,9 +45,10 @@ class EnergyResult:
 
     ``value`` is the sum of the three components.  ``status`` is "ok",
     "diverged" (two atoms share a location; value is -inf) or
-    "not_converged" (a regularized energy's quadrature ran out of
-    regions; value is the best estimate).  The closed forms carry no
-    truncation error, so their ``abs_error_estimate`` is 0.
+    "not_converged" (a regularized energy's error estimate still exceeds
+    its tolerance at ``MAX_NODES`` Gauss-Chebyshev nodes; value is the
+    best estimate).  The closed forms carry no truncation error, so their
+    ``abs_error_estimate`` is 0.
     When the measure carries truncated atom-family mass,
     ``truncation_bound`` bounds the absolute energy contribution of the
     dropped mass (which is excluded from ``value``) and
@@ -63,12 +64,17 @@ class EnergyResult:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form logarithmic potentials of the unit-mass diffuse families.
+# Closed-form complex potentials of the unit-mass diffuse families: means
+# of Re log(x - y + i d), d >= 0, which at d = 0 are the log potentials.
 
+# Largest Gauss-Chebyshev rule that a semicircle or arcsine self term tries.
+MAX_NODES = 16384
 
-def _g2(t: float) -> float:
-    # double antiderivative of log|t|, zero at 0
-    return 0.25 * t * t * (2.0 * math.log(abs(t)) - 3.0) if t else 0.0
+# The 8-point Gauss-Legendre rule on [-1, 1]: (node, weight) for +-node.
+_GAUSS_LEGENDRE_8 = ((0.18343464249564978, 0.36268378337836166),
+                     (0.525532409916329, 0.3137066458778869),
+                     (0.7966664774136267, 0.22238103445337443),
+                     (0.9602898564975362, 0.10122853629037706))
 
 
 def _segments(diffuse: DiffusePart) -> list[tuple[float, float, float]]:
@@ -81,71 +87,174 @@ def _segments(diffuse: DiffusePart) -> list[tuple[float, float, float]]:
             for (x0, c0), (x1, c1) in zip(knots, knots[1:])]
 
 
-def _self_energy(diffuse: DiffusePart) -> float:
-    """Double integral of log|y - z| against the unit-mass diffuse part."""
-    if diffuse.kind == "arcsine":
-        lo, hi = diffuse.interval()
-        return math.log(0.25 * (hi - lo))
+def _center_radius(diffuse: DiffusePart) -> tuple[float, float]:
     if diffuse.kind == "semicircle":
-        return math.log(0.5 * float(diffuse.params["radius"])) - 0.25
-    # Per segment pair, with density m / (b - a) on [a, b]: the integral
-    # of log|y - z| over [a, b] x [c, d] is
-    # g2(b - c) + g2(a - d) - g2(a - c) - g2(b - d).  Points are measured
-    # in units of the part's width w, so the sum is scale-free and the
-    # energy is log w plus it (E(s nu) = E(nu) + log s): no product of
-    # two widths can underflow, and no g2 can overflow.
+        return float(diffuse.params["center"]), float(diffuse.params["radius"])
     lo, hi = diffuse.interval()
-    width = hi - lo
-    segments = [(m, (a - lo) / width, (b - lo) / width)
-                for m, a, b in _segments(diffuse)]
-    terms = [math.log(width)]
-    for m, a, b in segments:
-        for n, c, d in segments:
-            scale = m * n / ((b - a) * (d - c))
-            terms.extend(scale * t for t in (_g2(b - c), _g2(a - d),
-                                             -_g2(a - c), -_g2(b - d)))
-    return math.fsum(terms)
+    return lo + 0.5 * (hi - lo), 0.5 * (hi - lo)
 
 
-def _segment_potential(x: float, a: float, b: float) -> float:
-    """Mean of log|x - y| over y uniform on [a, b]."""
+def _centered_potential(kind: str, w: complex, r: float) -> float:
+    """Re of the integral of log(w - y) against the semicircle or arcsine
+    law on [-r, r], for Im w >= 0."""
+    # the branch of sqrt(w^2 - r^2) that behaves like w at infinity; on
+    # the support it is i sqrt(r^2 - w^2), so |w + s| = r there
+    s = cmath.sqrt(w - r) * cmath.sqrt(w + r)
+    value = cmath.log(0.5 * w + 0.5 * s).real
+    if kind == "semicircle":
+        # (w^2 - w s) / r^2 = w / (w + s), without the cancellation
+        value += (w / (w + s)).real - 0.5
+    return value
+
+
+def _segment_mean(x: float, a: float, b: float, d: float) -> float:
+    """Mean of Re log(x - y + i d) over y uniform on [a, b]."""
     w = b - a
-    p, q = x - a, x - b
+    p, q = complex(x - a, d), complex(x - b, d)
     if min(abs(p), abs(q)) <= w:
-        # the antiderivative t log|t| - t of log|t| differenced over
+        # the antiderivative t log t - t of log t differenced over
         # [q, p] and divided by w, with |p / w| and |q / w| at most 2
-        return ((p / w) * math.log(abs(p)) if p else 0.0) - (
-            (q / w) * math.log(abs(q)) if q else 0.0) - 1.0
+        return ((p / w * cmath.log(p) if p else 0j)
+                - (q / w * cmath.log(q) if q else 0j)).real - 1.0
     # Farther than w from the segment: the same difference written as
-    # log|p| + log1p(r) / r - 1 with r = w / q in (-1/2, 1), which
+    # log q + (1 + r) log(1 + r) / r - 1 with r = w / q, |r| < 1, which
     # neither cancels nor overflows however narrow the segment is.
-    r = w / q
-    return math.log(abs(p)) + (math.log1p(r) / r if r else 1.0) - 1.0
+    # log(u) / (u - 1) is log(1 + r) / r to full precision although
+    # u = 1 + r is rounded.
+    u = 1.0 + w / q
+    ratio = cmath.log(u) / (u - 1.0) if u != 1.0 else 1.0
+    return (cmath.log(q) + u * ratio).real - 1.0
 
 
-def _potential(diffuse: DiffusePart, x: float) -> float:
-    """Integral of log|x - y| against the unit-mass diffuse part.
+def _g(t: complex) -> complex:
+    # double antiderivative of log t, zero at 0
+    return 0.5 * t * t * (cmath.log(t) - 1.5) if t else 0j
 
-    Valid for every real x, inside the support or outside it.
-    """
-    if diffuse.kind == "semicircle":
-        r = float(diffuse.params["radius"])
-        u = abs(x - float(diffuse.params["center"]))
-        if u <= r:
-            return math.log(0.5 * r) + (u / r) ** 2 - 0.5
-        s = math.sqrt(u - r) * math.sqrt(u + r)
-        # (u^2 - u s) / r^2 = u / (u + s), without the cancellation
-        return math.log(0.5 * u + 0.5 * s) + 1.0 / (1.0 + s / u) - 0.5
-    if diffuse.kind == "arcsine":
-        lo, hi = diffuse.interval()
-        rho = 0.5 * (hi - lo)
-        u = abs(x - lo - rho)
-        if u <= rho:
-            return math.log(0.5 * rho)
-        return math.log(0.5 * u
-                        + 0.5 * math.sqrt(u - rho) * math.sqrt(u + rho))
-    return math.fsum(m * _segment_potential(x, a, b)
+
+def _segment_pair(a: float, b: float, c: float, e: float, d: float) -> float:
+    """Mean of Re log(y - z + i d) over y uniform on [a, b] and z uniform
+    on [c, e]."""
+    p, q = b - a, e - c
+    corners = [complex(t, d) for t in (b - c, a - e, a - c, b - e)]
+    scale = max(map(abs, corners))
+    amplification = (scale / p) * (scale / q)
+    # The four-term form loses about `amplification` ulps to cancellation.
+    # The Gauss-Legendre mean below is exact to rounding once d is twice
+    # the narrower width, and within about 1e-10 next to a wider
+    # segment's endpoint once the amplification passes 1e6.
+    if amplification <= 1e6 and d < 2.0 * min(p, q):
+        # g(b - c) + g(a - e) - g(a - c) - g(b - e) over p q, g'' = log,
+        # in units of the largest corner: the second difference of t^2 / 2
+        # is p q, so the scale comes back as its log.
+        g = [_g(z / scale).real for z in corners]
+        return math.log(scale) + amplification * math.fsum(
+            [g[0], g[1], -g[2], -g[3]])
+    # the mean over the narrower segment of the wider one's potential
+    # (Re log is symmetric in y and z)
+    if p < q:
+        a, b, c, e = c, e, a, b
+    half = 0.5 * (e - c)
+    return math.fsum(0.5 * weight * _segment_mean(c + (1.0 + t) * half,
+                                                  a, b, d)
+                     for node, weight in _GAUSS_LEGENDRE_8
+                     for t in (node, -node))
+
+
+def _potential(diffuse: DiffusePart, x: float, d: float) -> float:
+    """Mean of Re log(x - y + i d) over the unit-mass diffuse part, for
+    every real x, inside the support or outside it."""
+    if diffuse.kind in ("semicircle", "arcsine"):
+        center, r = _center_radius(diffuse)
+        return _centered_potential(diffuse.kind, complex(x - center, d), r)
+    return math.fsum(m * _segment_mean(x, a, b, d)
                      for m, a, b in _segments(diffuse))
+
+
+def _self_energy(diffuse: DiffusePart, d: float,
+                 tol: float) -> tuple[float, float, str]:
+    """(value, error estimate, status) of the mean of Re log(y - z + i d)
+    over y and z drawn independently from the unit-mass diffuse part.
+
+    Segment pairs are closed form.  For the semicircle and arcsine the
+    mean over z of the potential at z + i d is an n-node Gauss-Chebyshev
+    rule (second kind for the semicircle, first kind for the arcsine).
+    The integrand is analytic in a strip around the support, so the
+    error falls geometrically in n (Trefethen, *Approximation Theory and
+    Approximation Practice*, 2013, ch. 19); n doubles until two rules
+    agree within ``tol``, and their difference is the error estimate.
+    Rules of fewer than n0 = pi sqrt(r / 8 d) nodes put no node within d
+    of the ends of the support: they miss the layer of width d there,
+    yet can agree with each other, so the doubling starts at n0.  Past
+    ``MAX_NODES / 2`` (and at d = 0) the value is the closed form at
+    d = 0, with a bound on the mean of log|y - z + i d| - log|y - z| >= 0
+    as the estimate: with delta = d / r, 2 delta for the semicircle (its
+    density is at most 2 / (pi r), and log(1 + d^2 / t^2) integrates to
+    2 pi d), and for the arcsine the mean over x = cos(theta) of the
+    Green's function of [-1, 1] at x + i delta, which is at most
+    delta / sin(theta) and at most its value eta at 1 + i delta.
+    """
+    kind = diffuse.kind
+    if kind not in ("semicircle", "arcsine"):
+        segments = _segments(diffuse)
+        return math.fsum(m * n * _segment_pair(a, b, c, e, d)
+                         for m, a, b in segments
+                         for n, c, e in segments), 0.0, "ok"
+    _, r = _center_radius(diffuse)
+    delta = d / r
+    n0 = math.pi * math.sqrt(0.125 / delta) if delta else math.inf
+    if n0 > MAX_NODES / 2:
+        eta = cmath.acosh(complex(1.0, delta)).real
+        theta = math.asin(delta / eta) if delta else 1.0
+        bound = 2.0 * delta if kind == "semicircle" else 2.0 / math.pi * (
+            eta * theta - delta * math.log(math.tan(0.5 * theta)))
+        flat = math.log(0.5 * r) - (0.25 if kind == "semicircle" else 0.0)
+        return flat, bound, "ok" if bound <= tol else "not_converged"
+
+    def rule(n: int) -> float:
+        if kind == "semicircle":
+            angles = [k * math.pi / (n + 1) for k in range(1, n + 1)]
+            weights = [2.0 / (n + 1) * math.sin(t) ** 2 for t in angles]
+        else:
+            angles = [(k - 0.5) * math.pi / n for k in range(1, n + 1)]
+            weights = [1.0 / n] * n
+        return math.fsum(weight * _centered_potential(
+            kind, complex(r * math.cos(t), d), r)
+            for weight, t in zip(weights, angles))
+
+    n = 8
+    while n < n0:
+        n *= 2
+    value = rule(n)
+    while True:
+        n *= 2
+        previous, value = value, rule(n)
+        error = abs(value - previous)
+        if error <= tol or n >= MAX_NODES:
+            return value, error, "ok" if error <= tol else "not_converged"
+
+
+def _energy(points: list[tuple[float, float]], diffuse: DiffusePart,
+            d: float, tol: float) -> tuple[tuple[float, float, float],
+                                           float, str]:
+    """((diffuse x diffuse, atom x diffuse, atom x atom), error estimate,
+    status) of the mean of Re log(y - z + i d) over mu x mu, for mu the
+    (location, weight) point masses plus the diffuse part.  At d = 0 the
+    self-pairs of the points are left out; two points at one location
+    make the atom x atom term -inf with status "diverged"."""
+    c = diffuse.mass
+    # |xi - xj + i d| by hypot, which cannot overflow as a square can
+    gaps = [(wi * wj, math.hypot(xi - xj, d))
+            for i, (xi, wi) in enumerate(points)
+            for j, (xj, wj) in enumerate(points) if d or i != j]
+    aa = math.fsum(w * math.log(gap) if gap else -math.inf for w, gap in gaps)
+    ad = dd = error = 0.0
+    status = "ok"
+    if c > 0.0:
+        ad = math.fsum(2.0 * w * c * _potential(diffuse, x, d)
+                       for x, w in points)
+        dd, error, status = _self_energy(diffuse, d, tol / (c * c))
+        dd, error = c * c * dd, c * c * error
+    return (dd, ad, aa), error, "diverged" if aa == -math.inf else status
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +288,7 @@ def _truncation_bound(measure: SpectralMeasure) -> tuple[float, str | None]:
 
 
 # ---------------------------------------------------------------------------
-# Off-diagonal energy.
+# The two energies.
 
 
 def offdiag_energy(measure: SpectralMeasure) -> EnergyResult:
@@ -188,102 +297,15 @@ def offdiag_energy(measure: SpectralMeasure) -> EnergyResult:
     Every term is closed form, exact up to rounding.  Two atoms at one
     location make E = -inf with status "diverged".
     """
-    atoms = measure.atoms
-    diffuse = measure.diffuse
-    c = diffuse.mass
-
-    aa_terms: list[float] = []
-    aa_diverged = False
-    for i in range(len(atoms)):
-        for j in range(i + 1, len(atoms)):
-            gap = abs(atoms[i].location - atoms[j].location)
-            if gap == 0.0:
-                aa_diverged = True
-            else:
-                aa_terms.append(2.0 * atoms[i].weight * atoms[j].weight
-                                * math.log(gap))
-    aa = -math.inf if aa_diverged else math.fsum(aa_terms)
-
-    ad = dd = 0.0
-    if c > 0.0:
-        ad = math.fsum(2.0 * atom.weight * c
-                       * _potential(diffuse, atom.location)
-                       for atom in atoms)
-        dd = c * c * _self_energy(diffuse)
-
-    status = "diverged" if aa_diverged else "ok"
-    value = -math.inf if aa_diverged else math.fsum([aa, ad, dd])
+    parts, _, status = _energy([(a.location, a.weight) for a in measure.atoms],
+                               measure.diffuse, 0.0, math.inf)
     bound, note = _truncation_bound(measure)
-    return EnergyResult(value=value,
+    return EnergyResult(value=math.fsum(parts),
                         abs_error_estimate=0.0,
-                        components=EnergyComponents(dd, ad, aa),
+                        components=EnergyComponents(*parts),
                         status=status,
                         truncation_bound=bound,
                         truncation_note=note)
-
-
-# ---------------------------------------------------------------------------
-# Regularized energy.
-
-
-def _chart(diffuse: DiffusePart):
-    """(x, density): a smooth map of [0, 1] onto the diffuse support.
-
-    Integrals against the unit-mass diffuse part become integrals of
-    f(x(s)) density(s) over s in [0, 1].  The semicircle uses
-    x = c - r cos(pi s) with density 2 sin^2(pi s), which needs no
-    quantile solve; every other kind uses its closed-form quantile with
-    density 1.
-    """
-    import numpy as np
-    if diffuse.kind == "semicircle":
-        c = float(diffuse.params["center"])
-        r = float(diffuse.params["radius"])
-
-        def x(s):
-            return c - r * np.cos(math.pi * s)
-
-        def density(s):
-            return 2.0 * np.sin(math.pi * s) ** 2
-
-        return x, density
-
-    def unit(s):
-        return 1.0
-
-    return diffuse.quantile_unit, unit
-
-
-def _chart_breaks(diffuse: DiffusePart) -> list[float]:
-    """Interior chart parameters in (0, 1) where the chart has kinks."""
-    if diffuse.kind != "piecewise_linear_cdf":
-        return []
-    return [float(cum) / diffuse.mass
-            for _, cum in diffuse.params["knots"][1:-1]]
-
-
-def _chart_preimage(diffuse: DiffusePart, location: float) -> float | None:
-    """Chart parameter of a point of the diffuse support, else None."""
-    lo, hi = diffuse.interval()
-    if not lo <= location <= hi:
-        return None
-    if diffuse.kind == "semicircle":
-        c = float(diffuse.params["center"])
-        r = float(diffuse.params["radius"])
-        return math.acos(min(1.0, max(-1.0, (c - location) / r))) / math.pi
-    return float(diffuse.cdf_mass(location)) / diffuse.mass
-
-
-def _pair_integrand(diffuse: DiffusePart, eps: float):
-    """log((x(u) - x(v))^2 + eps) density(u) density(v) on the chart."""
-    import numpy as np
-    x, density = _chart(diffuse)
-
-    def integrand(u, v):
-        d = x(u) - x(v)
-        return np.log(d * d + eps) * density(u) * density(v)
-
-    return integrand
 
 
 def regularized_energy(measure: SpectralMeasure, eps: float,
@@ -295,59 +317,24 @@ def regularized_energy(measure: SpectralMeasure, eps: float,
     always finite.  Truncated atom-family mass participates as a point
     mass at its accumulation point, which misplaces it by at most the
     tail's spatial spread; with default truncation tolerances this is
-    far below any quadrature tolerance in use.  ``abs_error_estimate``
-    is the weighted sum of the quadrature error estimates; ``status`` is
-    "not_converged" when any quadrature stopped (at its region budget)
-    before meeting its share of ``tol``.
+    far below any tolerance in use.  The integrand is
+    2 Re log(y - z + i sqrt(eps)), so every term is closed form except
+    the self term of a semicircle or arcsine part, a Gauss-Chebyshev
+    rule: ``abs_error_estimate`` is its weighted error estimate, and
+    ``status`` is "not_converged" when that exceeds ``tol``.
     """
-    import numpy as np
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    diffuse = measure.diffuse
-    c = diffuse.mass
-
-    point_masses = [(a.location, a.weight) for a in measure.atoms]
+    points = [(a.location, a.weight) for a in measure.atoms]
     if measure.truncated_tail > 0.0 and measure.truncated_tail_location is not None:
-        point_masses.append((measure.truncated_tail_location,
-                             measure.truncated_tail))
-
-    aa_terms = [wi * wj * math.log((xi - xj) ** 2 + eps)
-                for xi, wi in point_masses
-                for xj, wj in point_masses]
-    aa = math.fsum(aa_terms)
-
-    ad = dd = 0.0
-    errors = []
-    statuses = {"ok"}
-    if c > 0.0:
-        x, density = _chart(diffuse)
-        breaks = _chart_breaks(diffuse)
-        for loc, w in point_masses:
-            crossing = _chart_preimage(diffuse, loc)
-
-            def integrand(s, _loc=loc):
-                return np.log((_loc - x(s)) ** 2 + eps) * density(s)
-
-            weight = 2.0 * w * c
-            budget = 0.25 * tol / len(point_masses)
-            res = adaptive_quad_1d(integrand, 0.0, 1.0,
-                                   tol=budget / max(weight, 1e-30),
-                                   breakpoints=(breaks if crossing is None
-                                                else breaks + [crossing]))
-            ad += weight * res.value
-            errors.append(weight * res.error)
-            statuses.add(res.status)
-
-        res = adaptive_quad_2d(_pair_integrand(diffuse, eps),
-                               tol=0.5 * tol / (c * c), max_cells=40000,
-                               u_breaks=breaks, v_breaks=breaks)
-        dd = c * c * res.value
-        errors.append(c * c * res.error)
-        statuses.add(res.status)
-
-    return EnergyResult(value=math.fsum([aa, ad, dd]),
-                        abs_error_estimate=math.fsum(errors),
-                        components=EnergyComponents(dd, ad, aa),
-                        status="ok" if statuses == {"ok"} else "not_converged")
+        points.append((measure.truncated_tail_location,
+                       measure.truncated_tail))
+    parts, error, status = _energy(points, measure.diffuse, math.sqrt(eps),
+                                   0.5 * tol)
+    parts = [2.0 * part for part in parts]
+    return EnergyResult(value=math.fsum(parts),
+                        abs_error_estimate=2.0 * error,
+                        components=EnergyComponents(*parts),
+                        status=status)

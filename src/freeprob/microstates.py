@@ -122,7 +122,7 @@ class SeriesReport:
     quartile of the sampled ks, the finite stand-in for a liminf claim.
     ``extras`` carries alternative-normalization diagnostics.
     ``status`` is "not_converged" when the target is a regularized
-    energy whose quadrature did not meet its tolerance, else "ok".
+    energy that did not meet its tolerance, else "ok".
     """
 
     ks: tuple[int, ...]
@@ -286,8 +286,8 @@ def regularized_product_series(measure: SpectralMeasure, eps: float,
     log((a_i - a_j)^2 + eps), which converges to the regularized energy
     (the diagonal's k^{-1} log eps vanishes in the limit).  The single
     atom of full weight shows the trendline exactly:
-    value(k) = (1 - 1/k) log eps.  ``status`` is the target's quadrature
-    status.
+    value(k) = (1 - 1/k) log eps.  ``status`` is the target's
+    convergence status.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")

@@ -8,6 +8,8 @@ import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -167,3 +169,46 @@ def selberg_exact(k: int) -> Fraction:
     for j in range(k):
         value *= fact[j] ** 2 * fact[j + 1] / fact[k + j]
     return value
+
+
+# ---------------------------------------------------------------------------
+# Regularized-energy references: log((y - z)^2 + eps) = 2 Re log(y - z + i d)
+# with d = sqrt(eps).
+
+
+def uniform_regularized_energy(width: float, eps: float) -> float:
+    """The regularized energy of the uniform law on an interval of the
+    given width: 2 log w + F(sqrt(eps) / w), with F(delta) the integral
+    of log(t^2 + delta^2) against the triangular density of y - z on
+    [-1, 1], in mpmath."""
+    with mpmath.workdps(40):
+        delta = mpmath.sqrt(eps) / width
+        f = (mpmath.log(1 + delta ** 2) - 3
+             + 4 * delta * mpmath.atan(1 / delta)
+             - delta ** 2 * mpmath.log1p(delta ** -2))
+        return float(2 * mpmath.log(width) + f)
+
+
+def chebyshev_reference(kind: str, radius: float, eps: float,
+                        n: int = 2 ** 21) -> float:
+    """The regularized energy of the semicircle or arcsine law of the
+    given radius, as an n-node Gauss-Chebyshev sum (second or first kind)
+    of 2 Re of its complex potential U at x + i sqrt(eps), in numpy.
+
+    U(w) = log((w + s) / 2), plus w / (w + s) - 1/2 for the semicircle,
+    with s = sqrt(w - r) sqrt(w + r).  The nodes are symmetric about 0,
+    and so is the integrand, so only the first half is summed.
+    """
+    k = np.arange(1, n // 2 + 1)
+    if kind == "semicircle":
+        theta = k * np.pi / (n + 1)
+        weights = 2.0 / (n + 1) * np.sin(theta) ** 2
+    else:
+        theta = (2 * k - 1) * np.pi / (2 * n)
+        weights = np.full(k.size, 1.0 / n)
+    w = radius * np.cos(theta) + 1j * math.sqrt(eps)
+    s = np.sqrt(w - radius) * np.sqrt(w + radius)
+    u = np.log(0.5 * w + 0.5 * s).real
+    if kind == "semicircle":
+        u += (w / (w + s)).real - 0.5
+    return float(4.0 * np.dot(weights, u))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freeprob as fp
-from conftest import run_cli
+from conftest import chebyshev_reference, run_cli, uniform_regularized_energy
 from freeprob.cli import parse_args
 
 
@@ -91,26 +91,70 @@ class TestExitCodes:
             f"freeprob: error: measure-spec: {bad}: {where}")
         assert mixed_path not in res.stderr
 
-    def test_unconverged_regularized_energy_is_three(self, semicircle2,
+    @pytest.fixture()
+    def arcsine_path(self, measure_file):
+        # Radius 1 at eps 1e-14 needs more than MAX_NODES Gauss-Chebyshev
+        # nodes to meet tol 1e-12.
+        return measure_file(fp.arcsine_measure(-1.0, 1.0), "arcsine.json")
+
+    def test_unconverged_regularized_energy_is_three(self, arcsine_path,
+                                                     semicircle2,
                                                      measure_file):
-        path = measure_file(semicircle2, "semicircle.json")
-        res = run_cli("energy", "--measure", path, "--eps", "1e-8",
-                      "--format", "json")
+        res = run_cli("energy", "--measure", arcsine_path, "--eps", "1e-14",
+                      "--tol", "1e-12", "--format", "json")
         assert res.code == 3
         assert res.stderr.startswith("freeprob: error: energy:")
         [row] = res.json["results"][0]["regularized"]
         assert row["status"] == "not_converged"
-        assert row["abs_error_estimate"] > 1e-6
+        assert row["abs_error_estimate"] > 1e-12
         assert math.isfinite(row["value"])
         assert res.json["results"][0]["offdiag_energy"]["status"] == "ok"
-
-    def test_unconverged_series_target_is_three(self, uniform_path):
-        res = run_cli("series", "regularized-product", "--eps", "1e-8",
-                      "--ks", "100,200", "--measure", uniform_path,
+        # The semicircle at eps 1e-8 converges.
+        path = measure_file(semicircle2, "semicircle.json")
+        res = run_cli("energy", "--measure", path, "--eps", "1e-8",
                       "--format", "json")
+        assert res.code == 0
+        [row] = res.json["results"][0]["regularized"]
+        assert row["status"] == "ok"
+        assert row["value"] == pytest.approx(
+            chebyshev_reference("semicircle", 2.0, 1e-8), abs=1e-6)
+
+    def test_unconverged_series_target_is_three(self, arcsine_path,
+                                                uniform_path):
+        res = run_cli("series", "regularized-product", "--eps", "1e-14",
+                      "--tol", "1e-12", "--ks", "100,200",
+                      "--measure", arcsine_path, "--format", "json")
         assert res.code == 3
         assert res.stderr.startswith("freeprob: error: energy:")
         assert res.json["result"]["status"] == "not_converged"
+        # The uniform target at eps 1e-8 is closed form.
+        res = run_cli("series", "regularized-product", "--eps", "1e-8",
+                      "--ks", "100,200", "--measure", uniform_path,
+                      "--format", "json")
+        assert res.code == 0
+        assert res.json["result"]["status"] == "ok"
+        assert res.json["result"]["target"] == pytest.approx(
+            uniform_regularized_energy(1.0, 1e-8), abs=1e-6)
+
+    @pytest.mark.parametrize("spec", [
+        {"support": [-1e307, 1e307],
+         "atoms": [{"location": -1e307, "weight": 0.5},
+                   {"location": 1e307, "weight": 0.5}]},
+        {"support": [-1e307, 1e307],
+         "diffuse": {"kind": "uniform", "mass": 1.0,
+                     "params": {"lo": -1e307, "hi": 1e307}}},
+    ], ids=["atoms", "uniform"])
+    def test_energy_at_extreme_scales(self, tmp_path, spec):
+        # (y - z)^2 overflows here; hypot and the segment-pair units do not
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(spec))
+        res = run_cli("energy", "--measure", str(path), "--eps", "1",
+                      "--format", "json")
+        assert res.code == 0
+        [row] = res.json["results"][0]["regularized"]
+        assert row["status"] == "ok"
+        assert math.isfinite(row["value"])
+        assert math.isfinite(row["abs_error_estimate"])
 
     def test_no_solution_is_four(self, uniform_path):
         res = run_cli("microstate", "--measure", uniform_path,
@@ -460,7 +504,7 @@ class TestSpecFuzz:
         valid = run_cli("validate", "--measure", path)
         assert valid.code in (0, 2)
         for argv in (("dim",), ("chi",), ("bounds",), ("report",),
-                     ("family-bounds", "--measure", path)):
+                     ("energy",), ("family-bounds", "--measure", path)):
             res = run_cli(*argv, "--measure", path, "--format", "json")
             if res.code == 0:
                 assert valid.code == 0

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from scipy import integrate
 
 import freeprob as fp
-from conftest import MIXED_ENERGY, atomic_plus_uniform, purely_atomic
+from conftest import (MIXED_ENERGY, atomic_plus_uniform, chebyshev_reference,
+                      purely_atomic, uniform_regularized_energy)
 from freeprob import energy
-from freeprob._quad import adaptive_quad_2d
 
 TOL = 1e-6
 
@@ -153,9 +153,13 @@ def _mp_log_abs(d):
     return mpmath.log(abs(d)) if d else 0
 
 
-def _difference_energy(segments):
-    """E as the integral of log|t| against the density of y - z, for y and
-    z independent with constant density m / (b - a) on each (m, a, b)."""
+def _difference_energy(segments, eps=0.0):
+    """E as the integral of log|t| (of log(t^2 + eps) when eps > 0) against
+    the density of y - z, for y and z independent with constant density
+    m / (b - a) on each (m, a, b)."""
+    def f(t):
+        return math.log(t * t + eps) if eps else math.log(abs(t))
+
     def h(t):
         return math.fsum(m * n * max(0.0, min(b, t + d) - max(a, t + c))
                          / ((b - a) * (d - c))
@@ -164,7 +168,7 @@ def _difference_energy(segments):
     corners = sorted({0.0} | {t for _, a, b in segments
                               for _, c, d in segments
                               for t in (a - d, a - c, b - d, b - c)})
-    value, err = integrate.quad(lambda t: math.log(abs(t)) * h(t),
+    value, err = integrate.quad(lambda t: f(t) * h(t),
                                 corners[0], corners[-1], points=corners[1:-1],
                                 epsabs=1e-14, epsrel=1e-14, limit=200)
     assert err < 1e-12
@@ -256,6 +260,123 @@ class TestClosedFormOracles:
                                diffuse=_diffuse("semicircle", mass))
         got = fp.regularized_energy(m, eps, ORACLE_TOL).value
         assert got == pytest.approx(oracle, abs=ORACLE_TOL)
+
+
+REG_EPS = [1.0, 0.1, 0.01, 1e-4]
+# One atom inside and one outside each diffuse support.
+ATOMS = {"semicircle": (-0.7, 2.5), "arcsine": (0.2, 3.5),
+         "uniform": (3.0, 9.0), "piecewise_linear_cdf": (1.0, 6.0)}
+
+
+def _angle_law(kind):
+    """(center, radius, weight) with x = center - radius cos(theta) and
+    weight(theta) d theta the unit-mass law on [0, pi]."""
+    lo, hi = _diffuse(kind, 1.0).interval()
+    if kind == "semicircle":
+        return 0.5 * (lo + hi), 0.5 * (hi - lo), (
+            lambda t: 2 / math.pi * math.sin(t) ** 2)
+    return 0.5 * (lo + hi), 0.5 * (hi - lo), lambda t: 1 / math.pi
+
+
+def _quad(f, lo, hi, points=()):
+    value, err = integrate.quad(f, lo, hi, points=points or None,
+                                epsabs=1e-13, epsrel=1e-13, limit=200)
+    assert err < 1e-11
+    return value
+
+
+def _regularized_self(kind, eps):
+    """The integral of log((y - z)^2 + eps) against the unit-mass law."""
+    if kind == "uniform":
+        return _difference_energy([(1.0, *PARAMS[kind].values())], eps)
+    if kind == "piecewise_linear_cdf":
+        return _difference_energy(_knot_segments(UNIT_KNOTS), eps)
+    _, r, weight = _angle_law(kind)
+
+    def inner(t):
+        def f(p):
+            gap = 2 * r * math.sin(0.5 * (p + t)) * math.sin(0.5 * (p - t))
+            return math.log(gap * gap + eps) * weight(p)
+
+        return _quad(f, 0.0, math.pi, [t])
+
+    return _quad(lambda t: inner(t) * weight(t), 0.0, math.pi)
+
+
+def _regularized_potential(kind, x, eps):
+    """The integral of log((x - y)^2 + eps) against the unit-mass law."""
+    if kind in ("semicircle", "arcsine"):
+        c, r, weight = _angle_law(kind)
+        inside = abs(x - c) < r
+        return _quad(lambda t: math.log((x - c + r * math.cos(t)) ** 2 + eps)
+                     * weight(t), 0.0, math.pi,
+                     [math.acos((c - x) / r)] if inside else ())
+    segments = (_knot_segments(UNIT_KNOTS) if kind == "piecewise_linear_cdf"
+                else [(1.0, *PARAMS[kind].values())])
+    return math.fsum(
+        m / (b - a) * _quad(lambda y: math.log((x - y) ** 2 + eps), a, b,
+                            [x] if a < x < b else ())
+        for m, a, b in segments)
+
+
+class TestRegularizedOracles:
+    """The regularized energy against mpmath closed forms and scipy
+    quadrature of its definition, and the Gauss-Chebyshev status against
+    a 2^21-node sum."""
+
+    @pytest.mark.parametrize("width", [10.0 ** (k / 2)
+                                       for k in range(-16, 17)])
+    def test_uniform_closed_form(self, width):
+        # at eps 1, widths above 1/2 take the four-term form and narrower
+        # ones the Gauss-Legendre mean
+        res = fp.regularized_energy(fp.uniform_measure(0.0, width), 1.0)
+        assert res.status == "ok"
+        assert res.value == pytest.approx(
+            uniform_regularized_energy(width, 1.0), abs=1e-12)
+
+    @pytest.mark.filterwarnings(
+        "ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("eps", REG_EPS)
+    @pytest.mark.parametrize("kind", ["uniform", "arcsine", "semicircle",
+                                      "piecewise_linear_cdf"])
+    @pytest.mark.parametrize("with_atoms", [False, True],
+                             ids=["alone", "two_atoms"])
+    def test_against_quadrature(self, with_atoms, kind, eps):
+        mass, w = (0.75, 0.125) if with_atoms else (1.0, 0.0)
+        xs = ATOMS[kind] if with_atoms else ()
+        oracle = math.fsum(
+            [mass * mass * _regularized_self(kind, eps)]
+            + [2 * w * mass * _regularized_potential(kind, x, eps)
+               for x in xs]
+            + [w * w * math.log((x - y) ** 2 + eps) for x in xs for y in xs])
+        m = fp.SpectralMeasure(
+            support=(-4.0, 10.0) if with_atoms
+            else _diffuse(kind, 1.0).interval(),
+            atoms=tuple(fp.Atom(x, w) for x in xs),
+            diffuse=_diffuse(kind, mass))
+        assert fp.validate(m).ok
+        res = fp.regularized_energy(m, eps, 1e-12)
+        assert res.status == "ok"
+        assert res.value == pytest.approx(oracle, abs=ORACLE_TOL)
+
+    @pytest.mark.parametrize("kind", ["semicircle", "arcsine"])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13,
+                                     1e-14, 1e-15, 1e-16, 1e-18, 1e-20,
+                                     1e-22])
+    def test_ok_status_meets_tol(self, eps, kind):
+        # Below eps ~ 3e-16 the rule cannot resolve the layer of width
+        # sqrt(eps) at the ends of the support; what is returned there is
+        # the eps = 0 value with a bound.
+        m = (fp.semicircle_measure(0.0, 1.0) if kind == "semicircle"
+             else fp.arcsine_measure(-1.0, 1.0))
+        results = [fp.regularized_energy(m, eps, tol) for tol in (1e-6, 1e-10)]
+        assert results[0].status == "ok"
+        reference = chebyshev_reference(kind, 1.0, eps)
+        for tol, res in zip((1e-6, 1e-10), results):
+            assert math.isfinite(res.value)
+            if res.status == "ok":
+                assert res.abs_error_estimate <= tol
+                assert res.value == pytest.approx(reference, abs=tol)
 
 
 class TestRegularizedEnergy:
@@ -354,6 +475,73 @@ class TestExtremeScales:
         assert res.components.diffuse_diffuse == pytest.approx(
             0.25 * (math.log(1e-200) - 1.5), rel=1e-15)
 
+    @pytest.mark.parametrize("kind", ["uniform", "arcsine", "semicircle",
+                                      "piecewise_linear_cdf"])
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_regularized_scale_law(self, kind, scale):
+        # E_reg(s mu, s^2 eps) = E_reg(mu, eps) + 2 log s, atom self-pairs
+        # included, with an atom inside and one outside the diffuse part.
+        m = fp.SpectralMeasure(support=(-4.0, 10.0),
+                               atoms=(fp.Atom(-3.0, 0.125),
+                                      fp.Atom(1.0, 0.125)),
+                               diffuse=_diffuse(kind, 0.75))
+        scaled = fp.affine_pushforward(m, scale, 0.0)
+        assert fp.validate(scaled).ok
+        base = fp.regularized_energy(m, 0.01, 1e-10)
+        got = fp.regularized_energy(scaled, 0.01 * scale * scale, 1e-10)
+        assert base.status == got.status == "ok"
+        assert got.value == pytest.approx(base.value + 2 * math.log(scale),
+                                          abs=1e-10)
+
+    @pytest.mark.parametrize("shape, h", [
+        ("boundary", 1e-2), ("boundary", 1e-8), ("boundary", 1e-16),
+        ("boundary", 1e-200), ("interior", 1e-6), ("interior", 1e-13),
+        ("interior", 1e-15), ("twin", 1e-4), ("twin", 1e-50),
+        ("twin", 1e-200)])
+    def test_narrow_knot_segments(self, shape, h):
+        # A narrow segment next to a wide one, against the segment-pair
+        # closed forms in mpmath: a width of 1e-200 cancels 200 digits of
+        # the off-diagonal pairs, and twice that of a regularized
+        # diagonal pair.
+        knots = {
+            "boundary": [[0.0, 0.0], [h, 0.5], [1.0, 1.0]],
+            "interior": [[0.0, 0.0], [0.5, 0.25], [0.5 + h, 0.75], [1.0, 1.0]],
+            "twin": [[-1.0, 0.0], [-h, 0.25], [0.0, 0.5], [h, 0.75],
+                     [1.0, 1.0]],
+        }[shape]
+        m = fp.SpectralMeasure(support=(knots[0][0], knots[-1][0]),
+                               diffuse=fp.DiffusePart("piecewise_linear_cdf",
+                                                      1.0, {"knots": knots}))
+        assert fp.validate(m).ok
+        res = fp.offdiag_energy(m)
+        assert res.status == "ok"
+        assert res.value == pytest.approx(_mp_knot_energy(knots, 0),
+                                          abs=ORACLE_TOL)
+        assert math.isfinite(fp.chi(m))
+        reg = fp.regularized_energy(m, 1e-4)
+        assert reg.status == "ok"
+        assert reg.value == pytest.approx(2 * _mp_knot_energy(knots, 1e-2),
+                                          abs=ORACLE_TOL)
+
+
+def _mp_knot_energy(knots, d):
+    """Mean of Re log(y - z + i d) over a piecewise-linear CDF: per segment
+    pair, the second difference of g(t) = t^2 log t / 2 - 3 t^2 / 4 at the
+    four corners plus i d, over both widths, in mpmath at 500 digits."""
+    with mpmath.workdps(500):
+        segments = [(mpmath.mpf(c1) - mpmath.mpf(c0), mpmath.mpf(x0),
+                     mpmath.mpf(x1))
+                    for (x0, c0), (x1, c1) in zip(knots, knots[1:])]
+
+        def g(t):
+            z = mpmath.mpc(t, d)
+            return z * z * mpmath.log(z) / 2 - 3 * z * z / 4 if z else 0
+
+        return float(mpmath.fsum(
+            m * n * mpmath.re(g(b - c) + g(a - e) - g(a - c) - g(b - e))
+            / ((b - a) * (e - c))
+            for m, a, b in segments for n, c, e in segments))
+
 
 class TestStatuses:
     def test_duplicate_atom_locations_diverge(self):
@@ -365,13 +553,17 @@ class TestStatuses:
         assert res.status == "diverged"
         assert res.value == -math.inf
 
-    def test_starved_quadrature_reports_not_converged(self, semicircle2):
-        # offdiag_energy is closed form; the 2-D quadrature left is the
-        # regularized energy's, on the semicircle chart.
-        integrand = energy._pair_integrand(semicircle2.diffuse, 0.01)
-        res = adaptive_quad_2d(integrand, tol=1e-12, max_cells=8)
-        assert res.status == "not_converged"
-        assert math.isfinite(res.value)
+    def test_starved_quadrature_reports_not_converged(self, monkeypatch):
+        # An arcsine of radius 1 at eps 1e-12 needs 16,384 nodes to meet
+        # tol 1e-12.  With a cap of 64, at eps 1e-4 the rule stops at the
+        # cap, and at eps 1e-12 it cannot resolve sqrt(eps) at all.
+        monkeypatch.setattr(energy, "MAX_NODES", 64)
+        arcsine = fp.arcsine_measure(-1.0, 1.0)
+        for eps in (1e-4, 1e-12):
+            res = fp.regularized_energy(arcsine, eps, 1e-12)
+            assert res.status == "not_converged"
+            assert res.abs_error_estimate > 1e-12
+            assert math.isfinite(res.value)
 
     def test_regularized_result_carries_status(self, mixed_measure):
         res = fp.regularized_energy(mixed_measure, 0.1, TOL)
@@ -384,12 +576,18 @@ class TestStatuses:
                                                 rel=1e-15)
 
     def test_regularized_not_converged_is_reported(self, semicircle2):
-        # At eps 1e-8 the 2-D quadrature runs out of cells before its
-        # error estimate meets the tolerance.
-        res = fp.regularized_energy(semicircle2, 1e-8, TOL)
+        # An arcsine of radius 1 at eps 1e-14 needs more than MAX_NODES
+        # nodes to meet tol 1e-12.
+        res = fp.regularized_energy(fp.arcsine_measure(-1.0, 1.0), 1e-14,
+                                    1e-12)
         assert res.status == "not_converged"
-        assert res.abs_error_estimate > TOL
+        assert res.abs_error_estimate > 1e-12
         assert math.isfinite(res.value)
+        # The semicircle at eps 1e-8 converges.
+        res = fp.regularized_energy(semicircle2, 1e-8, TOL)
+        assert res.status == "ok"
+        assert res.value == pytest.approx(
+            chebyshev_reference("semicircle", 2.0, 1e-8), abs=TOL)
 
     def test_semicircle_tight_tol_is_ok(self, semicircle2):
         res = fp.offdiag_energy(semicircle2)

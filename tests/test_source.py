@@ -60,14 +60,17 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path):
     closed_form = [["--version"], ["series", "gamma-ratio", "--ks", "10,100"],
                    ["selberg", "--k", "8"]]  # k > 6 runs no Monte Carlo
     for spec in (str(atomic), str(mixed)):
-        for command in ("validate", "dim", "chi", "bounds", "report"):
+        for command in ("validate", "dim", "chi", "bounds", "report",
+                        "energy"):
             closed_form.append([command, "--measure", spec])
+        closed_form.append(["energy", "--measure", spec, "--eps", "1e-8"])
     for command in ("family-bounds", "report"):
         closed_form.append([command, "--measure", str(atomic),
                             "--measure", str(mixed)])
-    # The regularized sweep of `energy` does load numpy: this shows that
-    # the probe sees an import when there is one.
-    argvs = closed_form + [["energy", "--measure", str(mixed)]]
+    # A microstate is a numpy array: this shows that the probe sees an
+    # import when there is one.
+    argvs = closed_form + [["microstate", "--k", "10", "--kind", "upper",
+                            "--measure", str(mixed)]]
     rows = [json.loads(line)
             for line in _fresh_python(_RUN_COMMANDS,
                                       json.dumps(argvs)).splitlines()]
