@@ -156,6 +156,41 @@ class TestExitCodes:
         assert math.isfinite(row["value"])
         assert math.isfinite(row["abs_error_estimate"])
 
+    @pytest.mark.parametrize("kind,params", [
+        ("uniform", {"lo": 0.0, "hi": 1.0}),
+        ("semicircle", {"center": 0.5, "radius": 0.5}),
+        ("arcsine", {"lo": 0.0, "hi": 1.0}),
+        ("piecewise_linear_cdf",
+         {"knots": [[0.0, 0.0], [0.5, 6e-201], [1.0, 1e-200]]}),
+    ], ids=["uniform", "semicircle", "arcsine", "piecewise"])
+    def test_diffuse_trace_mass(self, tmp_path, kind, params):
+        # c = 1e-200 makes c^2 underflow to 0: the self term vanishes and
+        # the energy is the atom x diffuse term 2 c U(0.5) alone
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps({
+            "support": [0.0, 1.0],
+            "atoms": [{"location": 0.5, "weight": 1.0}],
+            "diffuse": {"kind": kind, "mass": 1e-200, "params": params}}))
+        for argv in (("bounds",), ("energy",), ("energy", "--eps", "1"),
+                     ("report",), ("series", "offdiag-sum", "--ks", "10,20")):
+            res = run_cli(*argv, "--measure", str(path), "--format", "json")
+            assert res.code == 0, (argv, res.stderr)
+            assert "nan" not in res.stdout
+        res = run_cli("energy", "--measure", str(path), "--eps", "1",
+                      "--format", "json")
+        [result] = res.json["results"]
+        offdiag, [regularized] = result["offdiag_energy"], result["regularized"]
+        assert offdiag["status"] == regularized["status"] == "ok"
+        assert offdiag["components"]["diffuse_diffuse"] == 0.0
+        assert regularized["components"]["diffuse_diffuse"] == 0.0
+        if kind == "uniform":
+            # the mean of log|0.5 - y| and of log((0.5 - y)^2 + 1) over [0, 1]
+            assert offdiag["value"] == pytest.approx(
+                2e-200 * (math.log(0.5) - 1.0), rel=1e-13)
+            assert regularized["value"] == pytest.approx(
+                2e-200 * (math.log(1.25) - 2.0 + 4.0 * math.atan(0.5)),
+                rel=1e-13)
+
     def test_no_solution_is_four(self, uniform_path):
         res = run_cli("microstate", "--measure", uniform_path,
                       "--k", "20", "--kind", "upper",
@@ -473,6 +508,11 @@ def fuzz_specs(draw):
     n_atoms = draw(st.integers(0 if kind != "empty" else 1, 2))
     weights = [draw(st.integers(1, 16)) / 64.0 for _ in range(n_atoms)]
     mass = 1.0 - math.fsum(weights)
+    if n_atoms and kind != "empty" and draw(st.booleans()):
+        # the atoms carry the unit mass and the diffuse part a trace
+        # whose square underflows
+        weights[-1] += mass
+        mass = draw(st.sampled_from([1e-200, 1e-320, 5e-324]))
     fractions = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
                               min_size=n_atoms, max_size=n_atoms,
                               unique=True))
