@@ -5,14 +5,16 @@ All kernels are plain numpy and single-threaded, and accumulate in a
 fixed order, so results are deterministic run to run.  numpy is imported
 inside each kernel, so importing this module does not load it.
 
-The pair sums run over the spectrum compressed to its distinct values u_a
-with multiplicities c_a.  Microstate spectra repeat each atom value
-floor(c_i k) times, so the U distinct values are often far fewer than
-the k entries, and the cost is O(U^2) instead of O(k^2).  Distinct-value
-pairs are evaluated in square blocks of the U x U log-gap matrix, each
-block is weighted by the counts on both sides, and the block partials
-are summed with ``math.fsum``.  Equal-value pairs are counted, not
-evaluated: there are sum c_a (c_a - 1) / 2 of them.
+The pair sums run over distinct values u_a with multiplicities c_a.
+Microstates store their spectra that way (each atom value repeats
+floor(c_i k) times), so the U distinct values are often far fewer than
+the k entries, and the cost is O(U^2) instead of O(k^2); a raw spectrum
+is compressed first.  Distinct-value pairs are evaluated in square
+blocks of the U x U log-gap matrix, each block is weighted by the counts
+on both sides, and the block partials are summed with ``math.fsum``.
+Equal-value pairs are counted, not evaluated: there are
+sum c_a (c_a - 1) / 2 of them.  ``shifted_log_sum`` is the cross term
+between such values and a microstate's evenly spaced fillers.
 """
 
 from __future__ import annotations
@@ -27,52 +29,91 @@ def backend() -> str:
     return "numpy"
 
 
-def _distinct_pair_log_sum(vals, eps: float) -> tuple[float, int]:
+def _distinct_pair_log_sum(values, counts, eps: float) -> tuple[float, int]:
     """Sum of log((u_a - u_b)^2 + eps) c_a c_b over distinct values a < b.
 
-    Returns the sum together with the number of equal-value index pairs,
+    ``values`` are distinct with multiplicities ``counts``; with
+    ``counts`` None, ``values`` is a raw spectrum and is compressed
+    first.  At eps = 0 each term is 2 log|u_a - u_b|, so gaps whose
+    squares would overflow or underflow stay finite.  Returns the sum
+    together with the number of equal-value index pairs,
     sum c_a (c_a - 1) / 2, which the sum leaves out.
     """
     import numpy as np
-    values, counts = np.unique(np.asarray(vals, dtype=float),
-                               return_counts=True)
+    if counts is None:
+        values, counts = np.unique(np.asarray(values, dtype=float),
+                                   return_counts=True)
+    else:
+        values = np.asarray(values, dtype=float)
+        counts = np.asarray(counts, dtype=np.int64)
     equal = int(np.sum(counts * (counts - 1) // 2))
     weights = counts.astype(np.float64)
     n = values.size
+    buffer = np.empty((min(n, _BLOCK), min(n, _BLOCK)))
     partials = []
     for i0 in range(0, n, _BLOCK):
         vi, ci = values[i0:i0 + _BLOCK], weights[i0:i0 + _BLOCK]
         for j0 in range(i0, n, _BLOCK):
             vj, cj = values[j0:j0 + _BLOCK], weights[j0:j0 + _BLOCK]
-            d = np.subtract.outer(vi, vj)
-            np.multiply(d, d, out=d)
-            np.add(d, eps, out=d)
+            d = np.subtract.outer(vi, vj, out=buffer[:vi.size, :vj.size])
+            if eps == 0.0:
+                np.abs(d, out=d)
+            else:
+                np.multiply(d, d, out=d)
+                np.add(d, eps, out=d)
             if j0 == i0:
-                # Keep only a < b: log(1) = 0 on and below the diagonal.
-                d[np.tril_indices(d.shape[0])] = 1.0
-            np.log(d, out=d)
-            partials.append(float(ci @ (d @ cj)))
-    return math.fsum(partials), equal
+                # The block is symmetric: log(1) = 0 on the diagonal, and
+                # the pairs a < b are half of the rest.
+                np.fill_diagonal(d, 1.0)
+                np.log(d, out=d)
+                partials.append(0.5 * float(ci @ (d @ ci)))
+            else:
+                np.log(d, out=d)
+                partials.append(float(ci @ (d @ cj)))
+    total = math.fsum(partials)
+    return (2.0 * total if eps == 0.0 else total), equal
 
 
-def pair_log_reg_sum(vals, eps: float) -> float:
+def pair_log_reg_sum(values, eps: float, counts=None) -> float:
     """Sum of log((v_i - v_j)^2 + eps) over unordered pairs i < j.
 
-    ``eps`` must be positive: each equal-value pair contributes log eps.
+    The spectrum is ``values`` repeated ``counts`` times (each value
+    once without ``counts``; then the values need not be distinct).
+    ``eps`` must be positive and finite: each equal-value pair
+    contributes log eps.
     """
     eps = float(eps)
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
-    total, equal = _distinct_pair_log_sum(vals, eps)
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    total, equal = _distinct_pair_log_sum(values, counts, eps)
     return total + equal * math.log(eps)
 
 
-def pair_log_sq_skip(vals) -> tuple[float, int]:
+def pair_log_sq_skip(values, counts=None) -> tuple[float, int]:
     """Sum of log((v_i - v_j)^2) over unordered pairs with v_i != v_j.
 
-    Returns the sum together with the number of equal pairs skipped.
+    The spectrum is given as for ``pair_log_reg_sum``.  Returns the sum
+    together with the number of equal pairs skipped.
     """
-    return _distinct_pair_log_sum(vals, 0.0)
+    return _distinct_pair_log_sum(values, counts, 0.0)
+
+
+def shifted_log_sum(offsets, counts, n: int) -> float:
+    """Sum of c_a log(t_a + j/n) over the offsets t_a and j = 1 .. n.
+
+    Rows of the offsets-by-steps table are taken in blocks of about
+    2^16 entries and summed along the steps first.
+    """
+    import numpy as np
+    offsets = np.asarray(offsets, dtype=float)
+    weights = np.asarray(counts, dtype=float)
+    steps = np.arange(1, n + 1) / n
+    rows = max(1, (1 << 16) // n)
+    partials = []
+    for i0 in range(0, offsets.size, rows):
+        table = np.log(np.add.outer(offsets[i0:i0 + rows], steps))
+        partials.append(float(weights[i0:i0 + rows] @ table.sum(axis=1)))
+    return math.fsum(partials)
 
 
 def vandermonde_sq_moments(t) -> tuple[float, float]:

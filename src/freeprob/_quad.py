@@ -15,8 +15,12 @@ repeated runs of the same problem are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable
+
+from ._record import Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable, Iterable
 
 __all__ = ["QuadResult", "adaptive_quad_1d", "adaptive_quad_2d"]
 
@@ -30,8 +34,7 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _NODE_CACHE[n]
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(Record):
     """Outcome of an adaptive integration.
 
     ``status`` is "ok" (error bound met) or "not_converged" (region
@@ -40,10 +43,7 @@ class QuadResult:
     cells.
     """
 
-    value: float
-    error: float
-    regions: int
-    status: str
+    __slots__ = ("value", "error", "regions", "status")
 
 
 def _seed_edges(lo: float, hi: float, breaks: Iterable[float],

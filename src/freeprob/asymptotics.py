@@ -19,13 +19,16 @@ in dimension k^2) overflow float64 around k = 20.  The module provides
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from numbers import Integral
 from operator import mul
-from typing import Iterable, NamedTuple
 
 from ._kernels import pair_log_sq_skip, vandermonde_sq_moments
+from ._record import Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable
 
 __all__ = [
     "GammaSeries",
@@ -80,10 +83,8 @@ def selberg_log(k: int) -> float:
     return math.fsum(map(mul, weights, map(math.log, range(1, 2 * k))))
 
 
-class SelbergMonteCarlo(NamedTuple):
-    mc_estimate: float
-    closed_form: float
-    z_score: float
+class SelbergMonteCarlo(Record):
+    __slots__ = ("mc_estimate", "closed_form", "z_score")
 
 
 def selberg_mc_check(k: int, eps: float, samples: int,
@@ -134,15 +135,13 @@ def selberg_mc_check(k: int, eps: float, samples: int,
     return SelbergMonteCarlo(estimate, closed, z)
 
 
-@dataclass(frozen=True)
-class GammaSeries:
-    """The normalized log Gamma-ratio sequence and its limit -log 4."""
+class GammaSeries(Record):
+    """The normalized log Gamma-ratio sequence and its limit -log 4.
 
-    ks: tuple[int, ...]
-    normalized_values: tuple[float, ...]
-    limit: float
-    gaps: tuple[float, ...]
-    approach_side: str  # "below", "above", or "mixed"
+    ``approach_side`` is "below", "above", or "mixed".
+    """
+
+    __slots__ = ("ks", "normalized_values", "limit", "gaps", "approach_side")
 
 
 def _validated_ks(ks: Iterable[int]) -> tuple[int, ...]:

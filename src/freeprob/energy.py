@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .measures import DiffusePart, SpectralMeasure
 
 __all__ = [
@@ -30,17 +30,14 @@ __all__ = [
     "regularized_energy",
 ]
 
-@dataclass(frozen=True)
-class EnergyComponents:
+
+class EnergyComponents(Record):
     """Breakdown of an energy value by interaction type."""
 
-    diffuse_diffuse: float
-    atom_diffuse: float
-    atom_atom: float
+    __slots__ = ("diffuse_diffuse", "atom_diffuse", "atom_atom")
 
 
-@dataclass(frozen=True)
-class EnergyResult:
+class EnergyResult(Record):
     """An energy value with its accuracy diagnostics.
 
     ``value`` is the sum of the three components.  ``status`` is "ok",
@@ -57,12 +54,9 @@ class EnergyResult:
     ``truncation_note`` says so in words.
     """
 
-    value: float
-    abs_error_estimate: float
-    components: EnergyComponents
-    status: str
-    truncation_bound: float = 0.0
-    truncation_note: str | None = None
+    __slots__ = ("value", "abs_error_estimate", "components", "status",
+                 "truncation_bound", "truncation_note")
+    _defaults = {"truncation_bound": 0.0, "truncation_note": None}
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +323,8 @@ def regularized_energy(measure: SpectralMeasure, eps: float,
     rule: ``abs_error_estimate`` is its weighted error estimate, and
     ``status`` is "not_converged" when that exceeds ``tol``.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     points = [(a.location, a.weight) for a in measure.atoms]

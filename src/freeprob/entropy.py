@@ -21,11 +21,14 @@ from truncated decimal literals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from .energy import EnergyResult, offdiag_energy
+from ._record import Record
+from .energy import offdiag_energy
 from .measures import SpectralMeasure
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Sequence
 
 __all__ = [
     "EntropyBounds",
@@ -63,8 +66,7 @@ FORMULAS = {
 }
 
 
-@dataclass(frozen=True)
-class EntropyBounds:
+class EntropyBounds(Record):
     """Two-sided bounds on the free Hausdorff entropy of exponent alpha.
 
     ``alpha`` is the measure's free Hausdorff dimension, ``energy`` the
@@ -72,27 +74,17 @@ class EntropyBounds:
     endpoints are -inf when the energy is.
     """
 
-    alpha: float
-    energy: EnergyResult
-    lower: float
-    upper: float
+    __slots__ = ("alpha", "energy", "lower", "upper")
 
 
-@dataclass(frozen=True)
-class FamilyBounds:
+class FamilyBounds(Record):
     """Entropy sandwich for a free family of n variables.
 
     ``alphas`` are the per-variable dimensions, ``beta`` their sum; the
     bounds are sum(E_i) + K1 and sum(E_i) + K2.
     """
 
-    alphas: tuple[float, ...]
-    beta: float
-    energies: tuple[EnergyResult, ...]
-    k1: float
-    k2: float
-    lower: float
-    upper: float
+    __slots__ = ("alphas", "beta", "energies", "k1", "k2", "lower", "upper")
 
 
 def free_hausdorff_dimension(measure: SpectralMeasure) -> float:

@@ -18,10 +18,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterable
 
 from ._kernels import semicircle_quantile_unit
+from ._record import Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, Iterable
 
 __all__ = [
     "Atom",
@@ -75,16 +78,13 @@ class MeasureSpecError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     """A point mass: ``weight`` at ``location``."""
 
-    location: float
-    weight: float
+    __slots__ = ("location", "weight")
 
 
-@dataclass(frozen=True)
-class DiffusePart:
+class DiffusePart(Record):
     """The diffuse component of a measure.
 
     ``mass`` is its total measure (0 for kind "empty"); ``params`` holds
@@ -97,9 +97,8 @@ class DiffusePart:
     * empty: ``{}``
     """
 
-    kind: str
-    mass: float = 0.0
-    params: dict = field(default_factory=dict)
+    __slots__ = ("kind", "mass", "params")
+    _defaults = {"mass": 0.0, "params": dict}
 
     # -- structure ----------------------------------------------------------
 
@@ -273,8 +272,7 @@ class DiffusePart:
 _EMPTY_DIFFUSE = DiffusePart(kind="empty", mass=0.0)
 
 
-@dataclass(frozen=True)
-class SpectralMeasure:
+class SpectralMeasure(Record):
     """A probability measure on [a, b]: atoms + diffuse part (+ tail note).
 
     ``family`` records a named infinite atom family the explicit atoms
@@ -284,15 +282,14 @@ class SpectralMeasure:
     purposes.
     """
 
-    support: tuple[float, float]
-    atoms: tuple[Atom, ...] = ()
-    diffuse: DiffusePart = _EMPTY_DIFFUSE
-    family: str | None = None
-    family_tol: float | None = None
-    truncated_tail: float = 0.0
-    truncated_tail_location: float | None = None
+    __slots__ = ("support", "atoms", "diffuse", "family", "family_tol",
+                 "truncated_tail", "truncated_tail_location")
+    _defaults = {"atoms": (), "diffuse": _EMPTY_DIFFUSE, "family": None,
+                 "family_tol": None, "truncated_tail": 0.0,
+                 "truncated_tail_location": None}
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         object.__setattr__(self, "support",
                            (float(self.support[0]), float(self.support[1])))
         atoms = tuple(sorted((Atom(float(a.location), float(a.weight))
@@ -312,13 +309,8 @@ class SpectralMeasure:
         return cdf(self, x)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    problems: tuple[str, ...]
-    total_mass: float
-    mass_defect: float
-    tail_mass: float
+class ValidationReport(Record):
+    __slots__ = ("ok", "problems", "total_mass", "mass_defect", "tail_mass")
 
 
 def validate(measure: SpectralMeasure) -> ValidationReport:
@@ -449,12 +441,11 @@ def truncate_atoms(measure: SpectralMeasure, tol: float) -> SpectralMeasure:
     tail_loc = dropped[0].location
     if measure.truncated_tail_location is not None:
         tail_loc = measure.truncated_tail_location
-    return replace(measure,
-                   atoms=tuple(kept),
-                   family=None,
-                   family_tol=None,
-                   truncated_tail=measure.truncated_tail + suffix,
-                   truncated_tail_location=tail_loc)
+    return measure._replace(atoms=tuple(kept),
+                            family=None,
+                            family_tol=None,
+                            truncated_tail=measure.truncated_tail + suffix,
+                            truncated_tail_location=tail_loc)
 
 
 def affine_pushforward(measure: SpectralMeasure, scale: float,
@@ -496,8 +487,9 @@ def affine_pushforward(measure: SpectralMeasure, scale: float,
             new[-1][1] = d.mass
         diffuse = DiffusePart("piecewise_linear_cdf", d.mass, {"knots": new})
     tail_loc = measure.truncated_tail_location
-    return replace(measure, support=support, atoms=atoms, diffuse=diffuse,
-                   truncated_tail_location=None if tail_loc is None else mv(tail_loc))
+    return measure._replace(
+        support=support, atoms=atoms, diffuse=diffuse,
+        truncated_tail_location=None if tail_loc is None else mv(tail_loc))
 
 
 # ---------------------------------------------------------------------------

@@ -9,29 +9,35 @@ Two explicit diagonal-matrix approximants of a spectral measure:
   packing volume upper bound.
 * the separated microstate ("lower"): the heaviest atom is deflated by
   floor(sqrt(k)) copies, interior quantiles adjacent to an atom are
-  excluded, and leftover slots get synthetic fillers in (b + 3, b + 4]
-  so they collide with nothing.  Its distinct-value pair sum drives the
-  packing-constant lower-bound machinery.
+  excluded, and the F leftover slots get synthetic fillers
+  b + 3 + j/F, j = 1..F, in (b + 3, b + 4], so they collide with
+  nothing.  Its distinct-value pair sum drives the packing-constant
+  lower-bound machinery.
 
-Pair sums run over the distinct eigenvalues weighted by their
-multiplicities, in O(U^2) for U distinct values (each atom value counts
-once, however often it repeats); k is capped at K_CAP = 5000.  Sums over
-the distinct-value pair set are taken over ordered pairs (both (i, j)
-and (j, i)), which is the normalization under which k^{-2} times the
-sum of log(b_i - b_j)^2 converges to twice the off-diagonal energy; the
-series reports also carry the halved (unordered) gap so both readings
-are visible.
+A microstate stores its spectrum as sorted distinct values with counts,
+and a lower one keeps its fillers symbolic as (F, b); only
+``eigenvalues`` expands them to floats.  Pair sums over the U distinct
+values take O(U^2) terms in the numpy kernel (each atom value counts
+once, however often it repeats).  The fillers add U F terms
+c_v 2 log((b - v) + 3 + j/F) and, because their gaps are (j - i)/F, a
+closed-form filler x filler sum 2 (sum_{m<F} log m! - C(F, 2) log F).
+An atom-only lower microstate has a few atoms and about sqrt(k)
+fillers, so its pair sums run in ``math`` and never load numpy.  k is
+capped at K_CAP = 5000.  Sums over the distinct-value pair set are taken
+over ordered pairs (both (i, j) and (j, i)), which is the normalization
+under which k^{-2} times the sum of log(b_i - b_j)^2 converges to twice
+the off-diagonal energy; the series reports also carry the halved
+(unordered) gap so both readings are visible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import mul
-from typing import Iterable
 
-from ._kernels import pair_log_reg_sum, pair_log_sq_skip
+from ._kernels import pair_log_reg_sum, pair_log_sq_skip, shifted_log_sum
+from ._record import Record
 from .asymptotics import (
     _check_positive_int,
     _sum_log_factorials,
@@ -41,6 +47,10 @@ from .asymptotics import (
 from .energy import offdiag_energy, regularized_energy
 from .entropy import free_hausdorff_dimension
 from .measures import SpectralMeasure, _int_part, diffuse_quantile_batch
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable
 
 __all__ = [
     "K_CAP",
@@ -62,58 +72,64 @@ __all__ = [
 ]
 
 K_CAP = 5000
+# Up to this many log terms, a pair sum without quantiles runs in plain
+# math: that is quicker than importing numpy.
+_MATH_TERMS = 1 << 16
 
 
 class NoSolutionError(ValueError):
     """The inner-radius equation of the volume bound has no root."""
 
 
-@dataclass(frozen=True)
-class DiagonalMicrostate:
+class DiagonalMicrostate(Record):
     """A diagonal matrix approximant, stored as its sorted spectrum.
 
-    ``eigenvalues`` is ascending, length ``k``; treat it as read-only.
+    ``values`` are the ascending distinct entries other than fillers and
+    ``counts`` their multiplicities (tuples of floats and ints).
     ``atom_multiplicity_map`` pairs atom locations (decreasing-weight
-    order) with their entry counts.  ``filler_range`` spans the
-    synthetic entries of a "lower" microstate, None for "upper";
-    ``zero_count`` counts the zero padding of an "upper" microstate.
+    order) with their entry counts.  A "lower" microstate also holds
+    ``filler_count`` = F fillers b + 3 + j/F, j = 1..F, above
+    ``filler_base`` = b; ``zero_count`` counts the zero padding of an
+    "upper" microstate (one of its ``values``).
     """
 
-    kind: str
-    k: int
-    eigenvalues: np.ndarray
-    atom_multiplicity_map: tuple[tuple[float, int], ...]
-    quantile_count: int
-    zero_count: int = 0
-    filler_count: int = 0
-    filler_range: tuple[float, float] | None = None
-    excluded_quantile_count: int = 0
-    live_atom_count: int = 0
+    __slots__ = ("kind", "k", "values", "counts", "atom_multiplicity_map",
+                 "quantile_count", "zero_count", "filler_count",
+                 "filler_base", "excluded_quantile_count", "live_atom_count")
+    _defaults = {"zero_count": 0, "filler_count": 0, "filler_base": None,
+                 "excluded_quantile_count": 0, "live_atom_count": 0}
+
+    @property
+    def filler_range(self) -> tuple[float, float] | None:
+        """The first and last filler as floats, None without fillers."""
+        if not self.filler_count:
+            return None
+        top = self.filler_base + 3.0
+        return top + 1 / self.filler_count, top + 1.0
+
+    @property
+    def eigenvalues(self) -> tuple[float, ...]:
+        """All k entries in ascending order, fillers expanded to floats."""
+        out = list(chain.from_iterable(map(repeat, self.values, self.counts)))
+        if self.filler_count:
+            top, f = self.filler_base + 3.0, self.filler_count
+            out.extend(top + j / f for j in range(1, f + 1))
+        return tuple(out)
 
 
-@dataclass(frozen=True)
-class PairPartition:
+class PairPartition(Record):
     """Counts of equal-value vs distinct-value index pairs (i < j)."""
 
-    k: int
-    s_count: int
-    w_count: int
+    __slots__ = ("k", "s_count", "w_count")
 
 
-@dataclass(frozen=True)
-class CountingCheck:
+class CountingCheck(Record):
     """Evaluation of the packing counting bound 2 #S_k + k <= (1-alpha) k^2."""
 
-    k: int
-    s_count: int
-    lhs: float
-    rhs: float
-    margin: float
-    holds: bool
+    __slots__ = ("k", "s_count", "lhs", "rhs", "margin", "holds")
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(Record):
     """A sampled sequence against its limit or eventual bound.
 
     ``relation`` is "converges_to" or "eventually_at_least".  For the
@@ -125,13 +141,9 @@ class SeriesReport:
     energy that did not meet its tolerance, else "ok".
     """
 
-    ks: tuple[int, ...]
-    values: tuple[float, ...]
-    target: float
-    relation: str
-    achieved_gap: float
-    extras: dict[str, float] = field(default_factory=dict)
-    status: str = "ok"
+    __slots__ = ("ks", "values", "target", "relation", "achieved_gap",
+                 "extras", "status")
+    _defaults = {"extras": dict, "status": "ok"}
 
 
 def _check_k(k: int) -> int:
@@ -148,8 +160,38 @@ def _validated_series_ks(ks: Iterable[int]) -> tuple[int, ...]:
     return ks
 
 
+def _check_eps(eps: float) -> None:
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+
+
 # ---------------------------------------------------------------------------
 # Constructions.
+
+
+def _spectrum(pairs, quantiles=()) -> tuple[tuple, tuple]:
+    """Ascending distinct values and their counts.
+
+    ``pairs`` are (value, count) and ``quantiles`` an array of single
+    entries; equal values merge and zero counts drop out.
+    """
+    if not len(quantiles):
+        merged: dict[float, int] = {}
+        for value, count in pairs:
+            if count:
+                merged[value] = merged.get(value, 0) + count
+        values = sorted(merged)
+        return tuple(values), tuple(merged[v] for v in values)
+    import numpy as np
+    pairs = [(v, m) for v, m in pairs if m]
+    vals = np.concatenate([quantiles, [v for v, _ in pairs]])
+    cnts = np.concatenate([np.ones(len(quantiles), dtype=np.int64),
+                           np.array([m for _, m in pairs], dtype=np.int64)])
+    order = np.argsort(vals, kind="stable")
+    vals, cnts = vals[order], cnts[order]
+    first = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
+    return (tuple(vals[first].tolist()),
+            tuple(np.add.reduceat(cnts, first).tolist()))
 
 
 def build_upper_microstate(measure: SpectralMeasure,
@@ -161,17 +203,13 @@ def build_upper_microstate(measure: SpectralMeasure,
     k - floor(c k) - sum floor(c_i k) zeros (never negative, because the
     integer parts of masses summing to at most 1 sum to at most k).
     """
-    import numpy as np
     k = _check_k(k)
     ranked = measure.atoms_by_weight()
     quantiles = diffuse_quantile_batch(measure, k)
     mults = tuple((a.location, _int_part(a.weight * k)) for a in ranked)
     zero_count = k - quantiles.size - sum(m for _, m in mults)
-    parts = [quantiles]
-    parts.extend(np.full(m, loc) for loc, m in mults)
-    parts.append(np.zeros(zero_count))
-    eig = np.sort(np.concatenate(parts))
-    return DiagonalMicrostate(kind="upper", k=k, eigenvalues=eig,
+    values, counts = _spectrum(mults + ((0.0, zero_count),), quantiles)
+    return DiagonalMicrostate(kind="upper", k=k, values=values, counts=counts,
                               atom_multiplicity_map=mults,
                               quantile_count=int(quantiles.size),
                               zero_count=zero_count)
@@ -185,11 +223,11 @@ def build_lower_microstate(measure: SpectralMeasure,
     must be large enough for that to be nonnegative), lighter atoms with
     positive floor(c_j k) appear that many times, interior quantiles at
     levels 2/k .. (floor(c k) - 1)/k are kept except the nearest one on
-    each side of every contributing atom, and the remaining slots hold
+    each side of every contributing atom, and the remaining F slots hold
     fillers b + 3 + j/F strictly above the support.  The slot identity
-    multiplicities + kept quantiles + fillers = k is exact.
+    multiplicities + kept quantiles + fillers = k is exact.  Without
+    interior quantiles no numpy is loaded.
     """
-    import numpy as np
     k = _check_k(k)
     ranked = measure.atoms_by_weight()
     if not ranked:
@@ -206,35 +244,68 @@ def build_lower_microstate(measure: SpectralMeasure,
     mults = tuple(mults)
 
     q = _int_part(measure.diffuse.mass * k)
-    interior = diffuse_quantile_batch(measure, k)[1:q - 1] if q >= 3 else np.empty(0)
-    excluded: set[int] = set()
-    for loc, _ in mults:
-        below = np.searchsorted(interior, loc, side="right") - 1
-        if below >= 0:
-            excluded.add(int(below))
-        above = np.searchsorted(interior, loc, side="left")
-        if above < interior.size:
-            excluded.add(int(above))
-    kept = np.delete(interior, sorted(excluded))
+    kept, excluded = (), set()
+    if q >= 3:
+        import numpy as np
+        interior = diffuse_quantile_batch(measure, k)[1:q - 1]
+        for loc, _ in mults:
+            below = np.searchsorted(interior, loc, side="right") - 1
+            if below >= 0:
+                excluded.add(int(below))
+            above = np.searchsorted(interior, loc, side="left")
+            if above < interior.size:
+                excluded.add(int(above))
+        kept = np.delete(interior, sorted(excluded))
 
-    filler_count = k - sum(m for _, m in mults) - kept.size
-    b = measure.support[1]
-    fillers = b + 3.0 + np.arange(1, filler_count + 1) / filler_count
-    parts = [np.full(m, loc) for loc, m in mults]
-    parts.append(kept)
-    parts.append(fillers)
-    eig = np.sort(np.concatenate(parts))
-    return DiagonalMicrostate(kind="lower", k=k, eigenvalues=eig,
+    values, counts = _spectrum(mults, kept)
+    return DiagonalMicrostate(kind="lower", k=k, values=values, counts=counts,
                               atom_multiplicity_map=mults,
-                              quantile_count=int(kept.size),
-                              filler_count=int(filler_count),
-                              filler_range=(float(fillers[0]), float(fillers[-1])),
+                              quantile_count=len(kept),
+                              filler_count=k - sum(counts),
+                              filler_base=measure.support[1],
                               excluded_quantile_count=len(excluded),
                               live_atom_count=live)
 
 
 # ---------------------------------------------------------------------------
 # Pair statistics.
+
+
+def _equal_pairs(microstate: DiagonalMicrostate) -> int:
+    return sum(c * (c - 1) // 2 for c in microstate.counts)
+
+
+def _pair_log_sq_sum(microstate: DiagonalMicrostate) -> float:
+    """Sum of log(b_i - b_j)^2 over unordered pairs with b_i != b_j.
+
+    Fillers enter through their exact gaps, never as floats: (j - i)/F
+    among themselves, summed in closed form, and (b - v) + 3 + j/F from
+    a value v.  The values go to the numpy kernel when the microstate
+    has quantiles or more than ``_MATH_TERMS`` log terms, else to
+    ``math``.
+    """
+    values, counts = microstate.values, microstate.counts
+    f = microstate.filler_count
+    offsets = [(microstate.filler_base - v) + 3.0 for v in values] if f else []
+    terms = []
+    if f:
+        terms.append(2.0 * (_sum_log_factorials(f - 1)
+                            - math.comb(f, 2) * math.log(f)))
+    n = len(values)
+    if microstate.quantile_count or n * (n - 1) // 2 + n * f > _MATH_TERMS:
+        terms.append(pair_log_sq_skip(values, counts)[0])
+        if f:
+            terms.append(2.0 * shifted_log_sum(offsets, counts, f))
+        return math.fsum(terms)
+    steps = [j / f for j in range(1, f + 1)]
+    for a in range(n):
+        va, ca = values[a], counts[a]
+        terms.extend(2.0 * ca * counts[b] * math.log(abs(va - values[b]))
+                     for b in range(a + 1, n))
+        if f:
+            terms.append(2.0 * ca * math.fsum(
+                map(math.log, [offsets[a] + s for s in steps])))
+    return math.fsum(terms)
 
 
 def pair_partition(microstate: DiagonalMicrostate) -> PairPartition:
@@ -245,15 +316,13 @@ def pair_partition(microstate: DiagonalMicrostate) -> PairPartition:
     disjoint from the support); a repeated non-atom value raises
     ValueError.
     """
-    import numpy as np
-    values, counts = np.unique(microstate.eigenvalues, return_counts=True)
-    s_count = int(sum(int(c) * (int(c) - 1) // 2 for c in counts))
     k = microstate.k
     if microstate.kind == "lower":
         atom_locs = {loc for loc, _ in microstate.atom_multiplicity_map}
-        repeated = values[counts > 1]
-        if not all(float(v) in atom_locs for v in repeated):
+        if any(c > 1 and v not in atom_locs
+               for v, c in zip(microstate.values, microstate.counts)):
             raise ValueError("separated microstate repeats a non-atom value")
+    s_count = _equal_pairs(microstate)
     return PairPartition(k=k, s_count=s_count,
                          w_count=k * (k - 1) // 2 - s_count)
 
@@ -289,14 +358,14 @@ def regularized_product_series(measure: SpectralMeasure, eps: float,
     value(k) = (1 - 1/k) log eps.  ``status`` is the target's
     convergence status.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    _check_eps(eps)
     ks = _validated_series_ks(ks)
     target = regularized_energy(measure, eps, tol)
     values = []
     for k in ks:
         ms = build_upper_microstate(measure, k)
-        values.append(2.0 * pair_log_reg_sum(ms.eigenvalues, eps) / (k * k))
+        values.append(2.0 * pair_log_reg_sum(ms.values, eps, ms.counts)
+                      / (k * k))
     return SeriesReport(ks=tuple(ks), values=tuple(values),
                         target=target.value, relation="converges_to",
                         achieved_gap=values[-1] - target.value,
@@ -323,8 +392,7 @@ def offdiag_sum_series(measure: SpectralMeasure,
     values = []
     for k in ks:
         ms = build_lower_microstate(measure, k)
-        pair_sum, _ = pair_log_sq_skip(ms.eigenvalues)
-        values.append(2.0 * pair_sum / (k * k))
+        values.append(2.0 * _pair_log_sq_sum(ms) / (k * k))
     tail = values[-_top_quartile(len(ks)):]
     achieved = min(v - target for v in tail)
     half = min(0.5 * v - target for v in tail)
@@ -364,8 +432,7 @@ def volume_upper_bound_log(microstate: DiagonalMicrostate, eps: float,
     if microstate.kind != "upper":
         raise ValueError("the volume bound is defined for the quantile-fill "
                          "(upper) microstate")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    _check_eps(eps)
     ratio = t / eps + 0.25
     if not 0.0 < ratio < _INNER_SUP:
         raise NoSolutionError(
@@ -373,7 +440,7 @@ def volume_upper_bound_log(microstate: DiagonalMicrostate, eps: float,
             f"(0, {_INNER_SUP:.6f}); no inner radius ratio in (0, 1/2) exists")
     alpha = _inner_alpha(ratio)
     k = microstate.k
-    pair_sum = pair_log_reg_sum(microstate.eigenvalues, eps)
+    pair_sum = pair_log_reg_sum(microstate.values, eps, microstate.counts)
     return math.fsum([
         0.5 * k * math.log(k),
         k * math.log(eps),
@@ -395,20 +462,26 @@ def packing_constant_log(measure: SpectralMeasure, k: int, *,
     log(b_i - b_j)^2 - log k! + (2 #S_k + k - k^2) log 2 + selberg_log(k),
     with D_k = pi^{k(k-1)/2} / prod_{j<=k} j! (the Mehta density
     normalizer).  All five summands live in the log domain; #S_k is the
-    equal-pair count of the pair kernel.  The three log-factorial terms,
+    number of equal-value index pairs.  The three log-factorial terms,
     -sum_{j<=k} log j! - log k! + selberg_log(k), are one sum of integer
     multiples of log i, i < 2k, added in the same exact fsum as the rest.
     """
     if microstate is None:
         microstate = build_lower_microstate(measure, k)
+    return _packing_log(microstate, map(math.log, range(1, 2 * microstate.k)))
+
+
+def _packing_log(microstate: DiagonalMicrostate, logs) -> float:
+    """``packing_constant_log`` with log i, i = 1, 2, ..., read from
+    ``logs``, which may run past 2k - 1 (one table serves a series)."""
     k = microstate.k
-    pair_sum, s_count = pair_log_sq_skip(microstate.eigenvalues)
     # The weight of log i is k - 1 - 2i for i <= k and i - 2k for k < i < 2k.
     weights = chain(range(k - 3, -k - 2, -2), range(1 - k, 0))
     return math.fsum(chain(
-        (0.5 * k * (k - 1) * math.log(math.pi), 2.0 * pair_sum,
-         (2 * s_count + k - k * k) * math.log(2.0)),
-        map(mul, weights, map(math.log, range(1, 2 * k)))))
+        (0.5 * k * (k - 1) * math.log(math.pi),
+         2.0 * _pair_log_sq_sum(microstate),
+         (2 * _equal_pairs(microstate) + k - k * k) * math.log(2.0)),
+        map(mul, weights, logs)))
 
 
 def packing_series_target(measure: SpectralMeasure) -> float:
@@ -433,10 +506,10 @@ def packing_constant_series(measure: SpectralMeasure,
     """
     ks = _validated_series_ks(ks)
     target = packing_series_target(measure)
+    logs = list(map(math.log, range(1, 2 * ks[-1])))
     values = []
     for k in ks:
-        ms = build_lower_microstate(measure, k)
-        log_c = packing_constant_log(measure, k, microstate=ms)
+        log_c = _packing_log(build_lower_microstate(measure, k), logs)
         values.append(log_c / (k * k) + 0.5 * math.log(k))
     return SeriesReport(ks=tuple(ks), values=tuple(values), target=target,
                         relation="converges_to",

@@ -186,7 +186,7 @@ def test_criterion_10_structural_invariants(m, k):
     upper = fp.build_upper_microstate(m, k)
     mult_up = sum(c for _, c in upper.atom_multiplicity_map)
     assert mult_up + upper.quantile_count + upper.zero_count == k
-    assert upper.eigenvalues.size == k
+    assert len(upper.eigenvalues) == k
 
     part = fp.pair_partition(upper)
     assert part.s_count + part.w_count == k * (k - 1) // 2

@@ -191,6 +191,38 @@ class TestExitCodes:
                 2e-200 * (math.log(1.25) - 2.0 + 4.0 * math.atan(0.5)),
                 rel=1e-13)
 
+    def test_far_atoms_lower_microstate(self, tmp_path):
+        # fillers b + 3 + j/F used to collapse onto equal floats from
+        # b = 1e15 up ("repeats a non-atom value", exit 1)
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "support": [0.0, 1e15],
+            "atoms": [{"location": 0.0, "weight": 0.5},
+                      {"location": 1e15, "weight": 0.5}]}))
+        res = run_cli("microstate", "--kind", "lower", "--k", "400",
+                      "--measure", str(path), "--format", "json")
+        assert res.code == 0, res.stderr
+        body = res.json["result"]
+        # 180 copies of the atom at 0, 200 at 1e15, and 20 fillers
+        assert body["pair_partition"]["s_count"] == math.comb(180, 2) \
+            + math.comb(200, 2)
+        assert len(body["eigenvalues"]) == 400
+
+    def test_offdiag_sum_at_the_float_range(self, tmp_path):
+        # squared gaps overflowed to "inf" values with status "ok"
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "support": [1.0, 8.8e307],
+            "atoms": [{"location": 1.0, "weight": 0.5},
+                      {"location": 8.8e307, "weight": 0.5}]}))
+        res = run_cli("series", "offdiag-sum", "--ks", "100,400",
+                      "--measure", str(path), "--format", "json")
+        assert res.code == 0, res.stderr
+        result = res.json["result"]
+        assert result["target"] == pytest.approx(math.log(8.8e307),
+                                                 rel=1e-15)
+        assert all(math.isfinite(v) for v in result["values"])
+
     def test_no_solution_is_four(self, uniform_path):
         res = run_cli("microstate", "--measure", uniform_path,
                       "--k", "20", "--kind", "upper",
@@ -246,6 +278,27 @@ class TestKnobDiscipline:
         assert res.stderr.startswith("freeprob: error: usage:")
         res = run_cli("bounds", "--measure", mixed_path, "--tol", "nan")
         assert res.code == 1
+
+    @pytest.mark.parametrize("spec", ["atoms", "arcsine"])
+    @pytest.mark.parametrize("argv", [
+        ("energy",),
+        ("series", "regularized-product", "--ks", "10,20"),
+        ("microstate", "--kind", "upper", "--k", "10", "--t", "0.05"),
+    ], ids=lambda argv: argv[-1] if len(argv) == 1 else argv[0])
+    def test_eps_must_be_finite(self, measure_file, argv, spec):
+        # --eps inf once gave "inf" energy components with exit 0 (atoms),
+        # or a "nan" series value with status "ok"
+        m = (fp.atomic_measure([(0.0, 0.5), (1.0, 0.5)]) if spec == "atoms"
+             else fp.arcsine_measure(-1.0, 1.0))
+        path = measure_file(m)
+        for eps in ("inf", "-inf", "nan", "0"):
+            res = run_cli(*argv, f"--eps={eps}", "--measure", path,
+                          "--format", "json")
+            assert res.code == 1, (eps, res.stderr)
+            assert res.stderr.startswith("freeprob: error: usage: --eps must "
+                                         "be positive and finite")
+            assert res.stdout == ""
+        assert run_cli(*argv, "--eps=0.5", "--measure", path).code == 0
 
     @pytest.mark.parametrize("argv", [
         ("bounds",), ("family-bounds",), ("report",),
@@ -322,6 +375,22 @@ class TestJsonOutput:
         res = run_cli("chi", "--measure", m42_path, "--format", "json")
         assert res.code == 0
         assert res.json["results"][0]["chi"] == "-inf"
+
+    def test_json_text_is_json_dumps(self, mixed_path, uniform_path):
+        from freeprob.cli import _json_text, _sanitize
+        samples = [{}, [], {"a": []}, [[], {}], [1, 2.5, -0.0, 1e300, 10**20],
+                   [True, None, "x, y", 1.5], {"\u00e9": [{"b": [1e-320]}]},
+                   {"z": 1, "a": {"m": [3, 4], "b": "inf"}}, 0.1, "s", None]
+        for argv in (("microstate", "--kind", "lower", "--k", "40",
+                      "--measure", mixed_path),
+                     ("report", "--measure", mixed_path, "--measure",
+                      uniform_path),
+                     ("series", "offdiag-sum", "--ks", "10,20",
+                      "--measure", mixed_path)):
+            samples.append(run_cli(*argv, "--format", "json").json)
+        for obj in map(_sanitize, samples):
+            assert _json_text(obj) == json.dumps(obj, sort_keys=True,
+                                                 indent=2, allow_nan=False)
 
     def test_sorted_keys(self, mixed_path):
         res = run_cli("dim", "--measure", mixed_path, "--format", "json")
@@ -555,6 +624,44 @@ class TestSpecFuzz:
                 assert res.stderr.count("\n") == 1
                 assert res.stderr.startswith(
                     f"freeprob: error: measure-spec: {path}")
+
+
+    @given(spec=fuzz_specs())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_microstate_and_series_finite_or_refused(self, tmp_path_factory,
+                                                     spec):
+        path = str(tmp_path_factory.getbasetemp() / "fuzz.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        valid = run_cli("validate", "--measure", path)
+        for argv in (("microstate", "--kind", "lower", "--k", "400"),
+                     ("series", "offdiag-sum", "--ks", "100,400"),
+                     ("series", "packing-constant", "--ks", "100,400")):
+            res = run_cli(*argv, "--measure", path, "--format", "json")
+            if res.code == 0:
+                assert valid.code == 0
+                assert list(_nonfinite(res.json["result"])) == [], argv
+            elif res.code == 1:
+                # by design: the separated microstate needs an atom heavy
+                # enough to shed floor(sqrt(k)) copies
+                assert valid.code == 0
+                assert ("requires at least one atom" in res.stderr
+                        or "too small" in res.stderr), (argv, res.stderr)
+            else:
+                assert res.code == 2, (argv, res.stderr)
+                assert valid.code == 2
+
+
+def _nonfinite(obj, path=""):
+    """JSON paths of "nan", "inf" and "-inf" values in a CLI payload."""
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield from _nonfinite(val, f"{path}.{key}")
+    elif isinstance(obj, list):
+        for i, val in enumerate(obj):
+            yield from _nonfinite(val, f"{path}[{i}]")
+    elif obj in ("nan", "inf", "-inf"):
+        yield path
 
 
 # ---------------------------------------------------------------------------

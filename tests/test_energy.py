@@ -399,6 +399,12 @@ class TestRegularizedEnergy:
         want = 0.5 * math.log(eps) + 2 * 0.25 * math.log(1.0 + eps)
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_rejects_eps_that_is_not_finite(self, two_atoms, arcsine2):
+        for m in (two_atoms, arcsine2):
+            for eps in (math.inf, math.nan, 0.0, -1.0):
+                with pytest.raises(ValueError, match="positive and finite"):
+                    fp.regularized_energy(m, eps, TOL)
+
     def test_dominates_twice_offdiag(self, mixed_measure):
         # log((y-z)^2 + eps) >= 2 log|y-z| pointwise off the diagonal
         # and the diagonal only adds mass, provided eps >= 1.

@@ -130,6 +130,55 @@ class TestCompressedPairs:
             _kernels.pair_log_reg_sum(np.array([0.0, 1.0]), 0.0)
 
 
+class TestExtremeGaps:
+    """At eps = 0 each term is 2 log|d|: squaring would overflow above
+    about 1.3e154 and underflow below about 1.5e-154."""
+
+    def test_huge_gap(self):
+        total, skipped = _kernels.pair_log_sq_skip([1.0, 8.8e307])
+        assert skipped == 0
+        assert total == pytest.approx(2.0 * math.log(8.8e307 - 1.0),
+                                      rel=1e-15)
+
+    def test_tiny_gaps(self):
+        vals = [0.0, 1e-308, 3e-308, 5e-324]
+        total, _ = _kernels.pair_log_sq_skip(vals)
+        want = math.fsum(2.0 * math.log(abs(a - b))
+                         for i, a in enumerate(vals) for b in vals[i + 1:])
+        assert total == pytest.approx(want, rel=1e-14)
+
+
+class TestValuesWithCounts:
+    def test_counts_match_the_expanded_spectrum(self):
+        rng = np.random.default_rng(41)
+        values = np.sort(rng.uniform(-1.0, 1.0, size=300))
+        counts = rng.integers(1, 4, size=300)
+        expanded = np.repeat(values, counts)
+        total, skipped = _kernels.pair_log_sq_skip(values, counts)
+        want_total, want_skipped = _kernels.pair_log_sq_skip(expanded)
+        assert skipped == want_skipped == int(
+            np.sum(counts * (counts - 1) // 2))
+        assert total == pytest.approx(want_total, rel=1e-13)
+        few = np.repeat(values[:40], counts[:40]).tolist()
+        assert _kernels.pair_log_reg_sum(values[:40], 0.2, counts[:40]) == \
+            pytest.approx(fsum_reg(few, 0.2), rel=1e-13)
+
+    def test_shifted_log_sum(self):
+        offsets = [3.0, 3.5, 4.25, 1e300]
+        counts = [5, 1, 2, 3]
+        for n in (1, 7, 70000):
+            want = math.fsum(c * math.log(t + j / n)
+                             for t, c in zip(offsets, counts)
+                             for j in range(1, n + 1))
+            got = _kernels.shifted_log_sum(offsets, counts, n)
+            assert got == pytest.approx(want, rel=1e-13)
+
+    def test_reg_sum_rejects_infinite_eps(self):
+        for eps in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                _kernels.pair_log_reg_sum([0.0, 1.0], eps)
+
+
 class TestSemicircleQuantile:
     def test_inverts_cdf(self):
         ps = np.linspace(0.001, 0.999, 57)

@@ -1,6 +1,8 @@
 """Diagonal microstates, counting bounds, series, volume and packing."""
 
 import math
+import pickle
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -58,7 +60,7 @@ class TestUpperMicrostate:
     @settings(max_examples=30, deadline=None)
     def test_slot_identity(self, m, k):
         ms = fp.build_upper_microstate(m, k)
-        assert ms.eigenvalues.size == k
+        assert len(ms.eigenvalues) == k
         mult_total = sum(c for _, c in ms.atom_multiplicity_map)
         assert mult_total + ms.quantile_count + ms.zero_count == k
         assert np.all(np.diff(ms.eigenvalues) >= 0.0)
@@ -113,7 +115,7 @@ class TestLowerMicrostate:
     def test_fillers_above_support(self, mixed_measure):
         ms = fp.build_lower_microstate(mixed_measure, 60)
         b = mixed_measure.support[1]
-        fillers = ms.eigenvalues[-ms.filler_count:]
+        fillers = np.array(ms.eigenvalues[-ms.filler_count:])
         assert np.all(fillers > b + 3.0)
         assert np.all(fillers <= b + 4.0)
         assert fillers[-1] == b + 4.0
@@ -147,7 +149,7 @@ class TestLowerMicrostate:
         mult_total = sum(c for _, c in ms.atom_multiplicity_map)
         assert mult_total + ms.quantile_count + ms.filler_count == k
         assert ms.excluded_quantile_count <= 2 * ms.live_atom_count
-        assert ms.eigenvalues.size == k
+        assert len(ms.eigenvalues) == k
         assert np.all(np.diff(ms.eigenvalues) >= 0.0)
         a, b = m.support
         assert ms.eigenvalues[0] >= a
@@ -176,10 +178,10 @@ class TestPairPartition:
         # 1.5 is not an atom location, so a separated microstate may not
         # repeat it; the check must survive python -O.
         ms = fp.DiagonalMicrostate(
-            kind="lower", k=5,
-            eigenvalues=np.array([0.0, 0.0, 1.5, 1.5, 4.0]),
+            kind="lower", k=5, values=(0.0, 1.5), counts=(2, 2),
             atom_multiplicity_map=((0.0, 2),), quantile_count=2,
-            filler_count=1, filler_range=(4.0, 4.0))
+            filler_count=1, filler_base=0.0)
+        assert ms.eigenvalues == (0.0, 0.0, 1.5, 1.5, 4.0)
         with pytest.raises(ValueError, match="non-atom"):
             fp.pair_partition(ms)
 
@@ -239,6 +241,14 @@ class TestRegularizedProductSeries:
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-2
         assert rep.achieved_gap == pytest.approx(rep.values[-1] - target)
+
+    def test_rejects_eps_that_is_not_finite(self, uniform01):
+        ms = fp.build_upper_microstate(uniform01, 20)
+        for eps in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                fp.regularized_product_series(uniform01, eps, (10, 20))
+            with pytest.raises(ValueError, match="positive and finite"):
+                fp.volume_upper_bound_log(ms, eps, 0.05)
 
     def test_rejects_nonincreasing_ks(self, uniform01):
         with pytest.raises(ValueError):
@@ -377,3 +387,181 @@ class TestPackingConstant:
         a = fp.packing_constant_log(mixed_measure, 64, microstate=ms)
         b = fp.packing_constant_log(mixed_measure, 64)
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Closed-form pair sums of the separated microstate against explicit pairs.
+
+
+def _lower_entries(atoms, k):
+    """The entries of an atom-only separated microstate, by definition:
+    ("atom", x) floor(c k) times (floor(c_1 k) - floor(sqrt k) for the
+    heaviest), then ("filler", j), j = 1..F, standing for b + 3 + j/F."""
+    ranked = sorted(atoms, key=lambda a: (-a[1], a[0]))
+    counts = [math.floor(Fraction(w) * k) for _, w in ranked]
+    counts[0] -= math.isqrt(k)
+    entries = [("atom", x) for (x, _), c in zip(ranked, counts)
+               for _ in range(c)]
+    fillers = k - len(entries)
+    return entries + [("filler", j) for j in range(1, fillers + 1)], fillers
+
+
+def _exact_gap(p, q, b, fillers):
+    """|p - q| as a Fraction, from the exact entry values."""
+    (kind_p, v_p), (kind_q, v_q) = p, q
+    if kind_p == kind_q == "atom":
+        return abs(Fraction(v_p) - Fraction(v_q))
+    if kind_p == kind_q == "filler":
+        return Fraction(abs(v_p - v_q), fillers)
+    x, j = (v_p, v_q) if kind_p == "atom" else (v_q, v_p)
+    return Fraction(b) + 3 + Fraction(j, fillers) - Fraction(x)
+
+
+def explicit_pair_sum(atoms, b, k, log=math.log):
+    """Sum of 2 log|e_i - e_j| over every index pair with distinct entries,
+    each gap exact before its one rounding; ``log`` takes a Fraction."""
+    entries, fillers = _lower_entries(atoms, k)
+    memo = {}
+    terms = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            key = (entries[i], entries[j])
+            if key not in memo:
+                gap = _exact_gap(entries[i], entries[j], b, fillers)
+                memo[key] = 2 * log(gap) if gap else None
+            if memo[key] is not None:
+                terms.append(memo[key])
+    equal = sum(1 for i in range(k) for j in range(i + 1, k)
+                if entries[i] == entries[j])
+    return terms, equal
+
+
+def _mp_log(gap):
+    return mpmath.log(mpmath.mpf(gap.numerator) / gap.denominator)
+
+
+THREE_ATOMS = [(-0.7, 0.4375), (0.3, 0.3125), (1.1, 0.25)]
+
+
+class TestClosedFormPairSums:
+    """Atom-only lower microstates never build their fillers as floats:
+    the pair sum adds the exact filler gaps in closed form."""
+
+    @pytest.fixture(params=["three_atoms", "example42"])
+    def case(self, request, example42):
+        if request.param == "example42":
+            m = example42
+        else:
+            m = fp.atomic_measure(THREE_ATOMS)
+        atoms = [(a.location, a.weight) for a in m.atoms]
+        return m, atoms, m.support[1]
+
+    @pytest.mark.parametrize("k", [16, 100, 400])
+    def test_offdiag_sum_matches_fsum(self, case, k):
+        m, atoms, b = case
+        terms, _ = explicit_pair_sum(atoms, b, k)
+        [value] = fp.offdiag_sum_series(m, (k,)).values
+        assert value == pytest.approx(2.0 * math.fsum(terms) / (k * k),
+                                      rel=1e-13)
+
+    @pytest.mark.parametrize("k", [16, 100])
+    def test_packing_constant_matches_mpmath(self, case, k):
+        m, atoms, b = case
+        with mpmath.workdps(40):
+            terms, equal = explicit_pair_sum(atoms, b, k, log=_mp_log)
+            lg = mpmath.loggamma
+            want = mpmath.fsum([
+                mpmath.mpf(k * (k - 1)) / 2 * mpmath.log(mpmath.pi),
+                2 * mpmath.fsum(terms),
+                -mpmath.fsum(lg(j + 1) for j in range(1, k + 1)),
+                -lg(k + 1),
+                (2 * equal + k - k * k) * mpmath.log(2),
+                mpmath.fsum(lg(j + 1) + 2 * lg(j) - lg(k + j)
+                            for j in range(1, k + 1)),
+            ])
+            pair = mpmath.fsum(terms)
+        ms = fp.build_lower_microstate(m, k)
+        assert fp.pair_partition(ms).s_count == equal
+        [value] = fp.offdiag_sum_series(m, (k,)).values
+        assert abs(value * k * k / 2 - float(pair)) <= 1e-14 * abs(pair)
+        got = fp.packing_constant_log(m, k, microstate=ms)
+        assert abs(got - float(want)) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 9])
+    def test_one_to_three_fillers(self, k):
+        m = fp.atomic_measure([(0.25, 1.0)])
+        terms, _ = explicit_pair_sum([(0.25, 1.0)], 0.25, k)
+        [value] = fp.offdiag_sum_series(m, (k,)).values
+        assert value == pytest.approx(2.0 * math.fsum(terms) / (k * k),
+                                      rel=1e-14, abs=1e-300)
+
+    def test_far_atoms_keep_their_fillers_apart(self):
+        # At b = 1e16 the float spacing is 2, so b + 3 + j/F collapses
+        # onto a few values; the pairs among the fillers are not equal.
+        atoms = [(0.0, 0.5), (1e16, 0.5)]
+        m = fp.atomic_measure(atoms)
+        terms, _ = explicit_pair_sum(atoms, 1e16, 400)
+        [value] = fp.offdiag_sum_series(m, (400,)).values
+        assert value == pytest.approx(2.0 * math.fsum(terms) / 400 ** 2,
+                                      rel=1e-13)
+        assert value == pytest.approx(36.5923, abs=1e-4)
+        ms = fp.build_lower_microstate(m, 400)
+        assert fp.pair_partition(ms).s_count == math.comb(180, 2) \
+            + math.comb(200, 2)
+
+    def test_diffuse_at_scale_1e300(self):
+        # The numpy kernel sums 2 log|d|: d * d would overflow here.
+        scale = 1e300
+        m = fp.SpectralMeasure(
+            support=(0.0, scale), atoms=(fp.Atom(0.5 * scale, 0.5),),
+            diffuse=fp.DiffusePart("uniform", 0.5, {"lo": 0.0, "hi": scale}))
+        k = 100
+        ms = fp.build_lower_microstate(m, k)
+        f, b = ms.filler_count, ms.filler_base
+        values = ms.eigenvalues[:k - f]
+        terms = [2.0 * math.log(abs(x - y))
+                 for i, x in enumerate(values) for y in values[i + 1:]
+                 if x != y]
+        terms += [2.0 * math.log(float(Fraction(b) + 3 + Fraction(j, f)
+                                       - Fraction(x)))
+                  for x in values for j in range(1, f + 1)]
+        terms += [2.0 * math.log((j - i) / f)
+                  for i in range(1, f + 1) for j in range(i + 1, f + 1)]
+        [value] = fp.offdiag_sum_series(m, (k,)).values
+        assert math.isfinite(value)
+        assert value == pytest.approx(2.0 * math.fsum(terms) / (k * k),
+                                      rel=1e-13)
+
+    def test_atom_only_values_and_counts(self):
+        m = fp.atomic_measure(THREE_ATOMS)
+        ms = fp.build_lower_microstate(m, 100)
+        assert ms.values == (-0.7, 0.3, 1.1)
+        assert ms.counts == (33, 31, 25)
+        assert (ms.filler_count, ms.filler_base) == (11, 1.1)
+        assert ms.filler_range == (4.1 + 1 / 11, 5.1)
+        assert ms.eigenvalues[-1] == 1.1 + 3.0 + 1.0
+        assert len(ms.eigenvalues) == 100
+
+
+class TestRecords:
+    def test_immutable_with_value_equality(self, mixed_measure):
+        ms = fp.build_lower_microstate(mixed_measure, 16)
+        again = fp.build_lower_microstate(mixed_measure, 16)
+        assert ms == again and hash(ms) == hash(again)
+        assert ms != fp.build_lower_microstate(mixed_measure, 17)
+        with pytest.raises(AttributeError):
+            ms.k = 3
+        assert repr(ms).startswith("DiagonalMicrostate(kind='lower', k=16, ")
+
+    def test_defaults_and_copies(self):
+        rep = fp.SeriesReport(ks=(1,), values=(0.0,), target=0.0,
+                              relation="converges_to", achieved_gap=0.0)
+        other = fp.SeriesReport((1,), (0.0,), 0.0, "converges_to", 0.0)
+        assert rep == other and rep.extras == {} and rep.status == "ok"
+        assert rep.extras is not other.extras
+        assert rep._replace(status="not_converged").status == "not_converged"
+        assert pickle.loads(pickle.dumps(rep)) == rep
+        with pytest.raises(TypeError, match="missing"):
+            fp.PairPartition(k=1, s_count=0)
+        with pytest.raises(TypeError, match="unexpected"):
+            fp.PairPartition(k=1, s_count=0, w_count=0, extra=1)

@@ -45,7 +45,8 @@ for argv in json.loads(sys.argv[1]):
             code = main(argv)
         except SystemExit as exc:  # --version
             code = exc.code
-    print(json.dumps([argv, code, "numpy" in sys.modules]))
+    print(json.dumps([argv, code, "numpy" in sys.modules,
+                      "dataclasses" in sys.modules]))
 """
 
 
@@ -75,8 +76,74 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path):
             for line in _fresh_python(_RUN_COMMANDS,
                                       json.dumps(argvs)).splitlines()]
     assert [row[0] for row in rows] == argvs
-    assert all(code == 0 for _, code, _ in rows)
-    assert [argv for argv, _, loaded in rows if loaded] == argvs[-1:]
+    assert all(code == 0 for _, code, _, _ in rows)
+    assert [argv for argv, _, loaded, _ in rows if loaded] == argvs[-1:]
+
+
+def _imported_names(tree):
+    """(module name, inside ``if TYPE_CHECKING:``) of every import."""
+    guarded = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            guarded.update(id(n) for stmt in node.body
+                           for n in ast.walk(stmt))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            yield name.split(".")[0], id(node) in guarded
+
+
+def test_no_dataclasses_and_typing_only_for_type_checkers():
+    # Importing dataclasses and building frozen classes cost more than
+    # the rest of a closed-form command's import; typing is for
+    # annotations, which are never evaluated
+    found = [f"{path.name}: {name}"
+             for path in SOURCES
+             for name, guarded in _imported_names(
+                 ast.parse(path.read_text(), str(path)))
+             if name == "dataclasses" or (name == "typing" and not guarded)]
+    assert found == []
+
+
+def test_atom_only_microstates_do_not_import_numpy(tmp_path):
+    atomic = tmp_path / "atomic.json"
+    mixed = tmp_path / "mixed.json"
+    fp.dump_measure(fp.atomic_measure([(0.0, 0.5), (0.4, 0.25),
+                                       (1.0, 0.25)]), str(atomic))
+    fp.dump_measure(fp.SpectralMeasure(
+        support=(-2.0, 3.0), atoms=(fp.Atom(2.5, 0.5),),
+        diffuse=fp.DiffusePart("semicircle", 0.5,
+                               {"center": 0.0, "radius": 2.0})), str(mixed))
+    atom_only = [["microstate", "--kind", "lower", "--k", "400",
+                  "--measure", str(atomic), "--format", "json"],
+                 ["series", "offdiag-sum", "--ks", "100,400",
+                  "--measure", str(atomic)],
+                 ["series", "packing-constant", "--ks", "100,400",
+                  "--measure", str(atomic)]]
+    # then every command that loads numpy, to probe dataclasses
+    argvs = atom_only + [
+        ["microstate", "--kind", "lower", "--k", "100", "--measure",
+         str(mixed)],
+        ["microstate", "--kind", "upper", "--k", "50", "--eps", "0.5",
+         "--t", "0.05", "--measure", str(mixed)],
+        ["series", "regularized-product", "--eps", "0.1", "--ks", "10,20",
+         "--measure", str(mixed)],
+        ["selberg", "--k", "3", "--samples", "1000"],
+        ["report", "--measure", str(mixed), "--measure", str(atomic)]]
+    rows = [json.loads(line)
+            for line in _fresh_python(_RUN_COMMANDS,
+                                      json.dumps(argvs)).splitlines()]
+    assert [row[0] for row in rows] == argvs
+    assert [code for _, code, _, _ in rows] == [0] * len(argvs)
+    assert [loaded for _, _, loaded, _ in rows[:3]] == [False] * 3
+    assert rows[3][2]  # the probe sees numpy once a quantile is built
+    assert [argv for argv, _, _, dc in rows if dc] == []
 
 
 _RESOLVE_TARGETS = """
