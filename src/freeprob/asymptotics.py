@@ -19,6 +19,7 @@ in dimension k^2) overflow float64 around k = 20.  The module provides
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import chain
 from numbers import Integral
 from operator import mul
@@ -83,8 +84,11 @@ def selberg_log(k: int) -> float:
     return math.fsum(map(mul, weights, map(math.log, range(1, 2 * k))))
 
 
-class SelbergMonteCarlo(Record):
-    __slots__ = ("mc_estimate", "closed_form", "z_score")
+class SelbergMonteCarlo(namedtuple("SelbergMonteCarlo",
+                                    "mc_estimate closed_form z_score")):
+    """A tuple (estimate, closed form, z): unpacks and indexes."""
+
+    __slots__ = ()
 
 
 def selberg_mc_check(k: int, eps: float, samples: int,

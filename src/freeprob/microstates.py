@@ -22,8 +22,8 @@ once, however often it repeats).  The fillers add U F terms
 c_v 2 log((b - v) + 3 + j/F) and, because their gaps are (j - i)/F, a
 closed-form filler x filler sum 2 (sum_{m<F} log m! - C(F, 2) log F).
 An atom-only lower microstate has a few atoms and about sqrt(k)
-fillers, so its pair sums run in ``math`` and never load numpy.  k is
-capped at K_CAP = 5000.  Sums over the distinct-value pair set are taken
+fillers, so its pair sums run in ``math`` and never load numpy (up to
+2^19 log terms, unless numpy is loaded already).  k is capped at K_CAP = 5000.  Sums over the distinct-value pair set are taken
 over ordered pairs (both (i, j) and (j, i)), which is the normalization
 under which k^{-2} times the sum of log(b_i - b_j)^2 converges to twice
 the off-diagonal energy; the series reports also carry the halved
@@ -33,6 +33,7 @@ the off-diagonal energy; the series reports also carry the halved
 from __future__ import annotations
 
 import math
+import sys
 from itertools import chain, repeat
 from operator import mul
 
@@ -72,9 +73,16 @@ __all__ = [
 ]
 
 K_CAP = 5000
-# Up to this many log terms, a pair sum without quantiles runs in plain
-# math: that is quicker than importing numpy.
-_MATH_TERMS = 1 << 16
+# A pair sum without quantiles runs in plain math up to this many log
+# terms while numpy is not loaded.  Atom-only specs at k = 5000 (2-core
+# box, Python 3.11, numpy 2.4) took 0.30-0.43 us a term in math against
+# 5-30 ns in the numpy kernel, and importing numpy took about 170 ms, so
+# math is quicker up to about 2^19 terms.  `series offdiag-sum --ks 5000`
+# in a fresh process took 0.36 s in math against 0.48 s with numpy at
+# 2.5e5 terms, 0.68 against 0.70 s at 5.8e5 and 1.09 against 0.92 s at
+# 1.1e6.  Once numpy is loaded the kernel is quicker from about 200 terms
+# and at most 35 us slower below.
+_MATH_TERMS = 1 << 19
 
 
 class NoSolutionError(ValueError):
@@ -109,7 +117,12 @@ class DiagonalMicrostate(Record):
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
-        """All k entries in ascending order, fillers expanded to floats."""
+        """All k entries in ascending order, fillers expanded to floats.
+
+        From b of about 1e15 up, 1/F is below the float spacing at b + 3
+        and distinct fillers round onto equal floats; ``pair_partition``
+        and the pair sums count the exact entries, not these floats.
+        """
         out = list(chain.from_iterable(map(repeat, self.values, self.counts)))
         if self.filler_count:
             top, f = self.filler_base + 3.0, self.filler_count
@@ -275,14 +288,16 @@ def _equal_pairs(microstate: DiagonalMicrostate) -> int:
     return sum(c * (c - 1) // 2 for c in microstate.counts)
 
 
-def _pair_log_sq_sum(microstate: DiagonalMicrostate) -> float:
+def _pair_log_sq_sum(microstate: DiagonalMicrostate,
+                     use_numpy: bool | None = None) -> float:
     """Sum of log(b_i - b_j)^2 over unordered pairs with b_i != b_j.
 
     Fillers enter through their exact gaps, never as floats: (j - i)/F
     among themselves, summed in closed form, and (b - v) + 3 + j/F from
-    a value v.  The values go to the numpy kernel when the microstate
-    has quantiles or more than ``_MATH_TERMS`` log terms, else to
-    ``math``.
+    a value v.  The values go to the numpy kernel when ``use_numpy`` is
+    true, else to ``math``; by default to the kernel when the
+    microstate has quantiles, numpy is loaded or there are more than
+    ``_MATH_TERMS`` log terms.
     """
     values, counts = microstate.values, microstate.counts
     f = microstate.filler_count
@@ -292,7 +307,10 @@ def _pair_log_sq_sum(microstate: DiagonalMicrostate) -> float:
         terms.append(2.0 * (_sum_log_factorials(f - 1)
                             - math.comb(f, 2) * math.log(f)))
     n = len(values)
-    if microstate.quantile_count or n * (n - 1) // 2 + n * f > _MATH_TERMS:
+    if use_numpy is None:
+        use_numpy = bool(microstate.quantile_count or "numpy" in sys.modules
+                         or n * (n - 1) // 2 + n * f > _MATH_TERMS)
+    if use_numpy:
         terms.append(pair_log_sq_skip(values, counts)[0])
         if f:
             terms.append(2.0 * shifted_log_sum(offsets, counts, f))

@@ -83,6 +83,13 @@ class TestSelbergMonteCarlo:
         b = fp.selberg_mc_check(2, 0.5, 20_000, seed=7)
         assert a == b
 
+    def test_is_a_tuple(self):
+        mc = fp.selberg_mc_check(2, 0.5, 1000)
+        est, closed, z = mc
+        assert (est, closed, z) == mc == (mc[0], mc[1], mc[2])
+        assert (est, closed, z) == (mc.mc_estimate, mc.closed_form,
+                                    mc.z_score)
+
     def test_seed_changes_stream(self):
         a = fp.selberg_mc_check(2, 0.5, 20_000, seed=7)
         b = fp.selberg_mc_check(2, 0.5, 20_000, seed=8)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import freeprob as fp
 from freeprob import _kernels
-from freeprob.microstates import K_CAP
+from freeprob.microstates import K_CAP, _MATH_TERMS, _pair_log_sq_sum
 from conftest import atomic_plus_uniform, purely_atomic
 
 TOL = 1e-6
@@ -463,6 +463,21 @@ class TestClosedFormPairSums:
         [value] = fp.offdiag_sum_series(m, (k,)).values
         assert value == pytest.approx(2.0 * math.fsum(terms) / (k * k),
                                       rel=1e-13)
+        ms = fp.build_lower_microstate(m, k)
+        for use_numpy in (False, True):
+            assert _pair_log_sq_sum(ms, use_numpy) == pytest.approx(
+                math.fsum(terms), rel=1e-13)
+
+    def test_paths_agree_past_the_math_threshold(self):
+        # 700 atoms at k = 5000 give about 5.8e5 log terms, more than the
+        # math path takes by default
+        atoms = [(0.0, 0.5)] + [(i / 700, 0.5 / 699) for i in range(1, 700)]
+        ms = fp.build_lower_microstate(fp.atomic_measure(atoms), 5000)
+        n, f = len(ms.values), ms.filler_count
+        assert n * (n - 1) // 2 + n * f > _MATH_TERMS
+        slow = _pair_log_sq_sum(ms, use_numpy=False)
+        assert _pair_log_sq_sum(ms, use_numpy=True) == pytest.approx(
+            slow, rel=1e-13)
 
     @pytest.mark.parametrize("k", [16, 100])
     def test_packing_constant_matches_mpmath(self, case, k):

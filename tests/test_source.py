@@ -146,6 +146,21 @@ def test_atom_only_microstates_do_not_import_numpy(tmp_path):
     assert [argv for argv, _, _, dc in rows if dc] == []
 
 
+def test_atom_only_pair_sums_load_numpy_past_the_math_threshold(tmp_path):
+    # 700 atoms: at k = 1000 only the heaviest is live and math sums the
+    # pairs; at k = 5000 about 5.8e5 log terms go to the numpy kernel
+    spec = tmp_path / "many.json"
+    atoms = [(0.0, 0.5)] + [(i / 700, 0.5 / 699) for i in range(1, 700)]
+    fp.dump_measure(fp.atomic_measure(atoms), str(spec))
+    argvs = [["series", "offdiag-sum", "--ks", str(k), "--measure", str(spec)]
+             for k in (1000, 5000)]
+    rows = [json.loads(line)
+            for line in _fresh_python(_RUN_COMMANDS,
+                                      json.dumps(argvs)).splitlines()]
+    assert [(code, loaded) for _, code, loaded, _ in rows] == [(0, False),
+                                                               (0, True)]
+
+
 _RESOLVE_TARGETS = """
 import json, sys
 import freeprob.cli
