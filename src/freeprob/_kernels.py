@@ -59,19 +59,36 @@ def _distinct_pair_log_sum(values, counts, eps: float) -> tuple[float, int]:
             if eps == 0.0:
                 np.abs(d, out=d)
             else:
-                np.multiply(d, d, out=d)
+                with np.errstate(over="ignore"):
+                    np.multiply(d, d, out=d)
                 np.add(d, eps, out=d)
+            # The diagonal block is symmetric: log(1) = 0 on its diagonal,
+            # and the pairs a < b are half of the rest.
+            half = 0.5 if j0 == i0 else 1.0
             if j0 == i0:
-                # The block is symmetric: log(1) = 0 on the diagonal, and
-                # the pairs a < b are half of the rest.
                 np.fill_diagonal(d, 1.0)
-                np.log(d, out=d)
-                partials.append(0.5 * float(ci @ (d @ ci)))
-            else:
-                np.log(d, out=d)
-                partials.append(float(ci @ (d @ cj)))
+            np.log(d, out=d)
+            partial = half * float(ci @ (d @ cj))
+            if eps and not math.isfinite(partial):
+                # a squared gap overflowed: take log(d^2 + eps) as
+                # logaddexp(2 log|d|, log eps), which cannot
+                d = np.subtract.outer(vi, vj)
+                with np.errstate(divide="ignore"):
+                    d = np.logaddexp(2.0 * np.log(np.abs(d)), math.log(eps))
+                if j0 == i0:
+                    np.fill_diagonal(d, 0.0)
+                partial = half * float(ci @ (d @ cj))
+            partials.append(partial)
     total = math.fsum(partials)
     return (2.0 * total if eps == 0.0 else total), equal
+
+
+def _check_eps(eps: float) -> float:
+    """``eps`` as a float; ValueError unless it is positive and finite."""
+    eps = float(eps)
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    return eps
 
 
 def pair_log_reg_sum(values, eps: float, counts=None) -> float:
@@ -82,9 +99,7 @@ def pair_log_reg_sum(values, eps: float, counts=None) -> float:
     ``eps`` must be positive and finite: each equal-value pair
     contributes log eps.
     """
-    eps = float(eps)
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    eps = _check_eps(eps)
     total, equal = _distinct_pair_log_sum(values, counts, eps)
     return total + equal * math.log(eps)
 

@@ -24,7 +24,7 @@ from itertools import chain
 from numbers import Integral
 from operator import mul
 
-from ._kernels import pair_log_sq_skip, vandermonde_sq_moments
+from ._kernels import _check_eps, pair_log_sq_skip, vandermonde_sq_moments
 from ._record import Record
 
 TYPE_CHECKING = False
@@ -107,8 +107,7 @@ def selberg_mc_check(k: int, eps: float, samples: int,
     k = _check_positive_int(k)
     if k > 6:
         raise ValueError(f"selberg_mc_check supports k <= 6, got {k}")
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    _check_eps(eps)
     samples = _check_positive_int(samples, "samples")
     key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, k], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))

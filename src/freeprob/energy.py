@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 
+from ._kernels import _check_eps
 from ._record import Record
 from .measures import DiffusePart, SpectralMeasure
 
@@ -238,11 +239,15 @@ def _energy(points: list[tuple[float, float]], diffuse: DiffusePart,
     self-pairs of the points are left out; two points at one location
     make the atom x atom term -inf with status "diverged"."""
     c = diffuse.mass
-    # |xi - xj + i d| by hypot, which cannot overflow as a square can
-    gaps = [(wi * wj, math.hypot(xi - xj, d))
-            for i, (xi, wi) in enumerate(points)
-            for j, (xj, wj) in enumerate(points) if d or i != j]
-    aa = math.fsum(w * math.log(gap) if gap else -math.inf for w, gap in gaps)
+    # Unordered pairs once, doubled, and at d > 0 the self-pairs w^2 log d:
+    # the exact ordered-pair terms, so fsum rounds them to the same double.
+    # |xi - xj + i d| by hypot, which cannot overflow as a square can.
+    terms = [w * w * math.log(d) for _, w in points] if d else []
+    for i, (xi, wi) in enumerate(points):
+        for xj, wj in points[i + 1:]:
+            gap = math.hypot(xi - xj, d)
+            terms.append(2.0 * wi * wj * math.log(gap) if gap else -math.inf)
+    aa = math.fsum(terms)
     ad = dd = error = 0.0
     status = "ok"
     if c > 0.0:
@@ -323,8 +328,7 @@ def regularized_energy(measure: SpectralMeasure, eps: float,
     rule: ``abs_error_estimate`` is its weighted error estimate, and
     ``status`` is "not_converged" when that exceeds ``tol``.
     """
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    _check_eps(eps)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     points = [(a.location, a.weight) for a in measure.atoms]

@@ -49,12 +49,17 @@ __all__ = [
     "example42_measure",
 ]
 
-_DIFFUSE_KINDS = ("empty", "uniform", "semicircle", "arcsine",
-                  "piecewise_linear_cdf")
+# The number params of each diffuse kind but piecewise_linear_cdf (whose
+# one param is its knot list); validate() reads them through the parser.
+_NUMBER_PARAMS = {"empty": (), "uniform": ("lo", "hi"),
+                  "semicircle": ("center", "radius"), "arcsine": ("lo", "hi")}
+_DIFFUSE_KINDS = (*_NUMBER_PARAMS, "piecewise_linear_cdf")
 _MASS_TOL = 1e-12
 # Narrower diffuse parts would have subnormal widths, with fewer than 53
 # significant bits to place their quantiles and knots.
 _MIN_WIDTH = sys.float_info.min
+_WIDTH_PATHS = {"semicircle": "diffuse.params.radius",
+                "piecewise_linear_cdf": "diffuse.params.knots"}
 
 
 def _int_part(x: float) -> int:
@@ -181,8 +186,15 @@ class DiffusePart(Record):
             r = float(self.params["radius"])
             out = c + r * semicircle_quantile_unit(p)
         elif self.kind == "piecewise_linear_cdf":
+            # x0 + t (x1 - x0) on the knot segment [x0, x1], t in [0, 1]:
+            # no product can overflow, where the slope (x1 - x0) / (c1 - c0)
+            # that np.interp forms can.
             xs, cs = self._knot_arrays()
-            out = np.interp(p * self.mass, cs, xs)
+            u = p * self.mass
+            j = np.clip(np.searchsorted(cs, u, side="right") - 1, 0,
+                        xs.size - 2)
+            t = np.clip((u - cs[j]) / (cs[j + 1] - cs[j]), 0.0, 1.0)
+            out = xs[j] + t * (xs[j + 1] - xs[j])
         else:
             raise ValueError(f"unknown diffuse kind {self.kind!r}")
         return float(out[0]) if scalar else out
@@ -212,61 +224,6 @@ class DiffusePart(Record):
         else:
             raise ValueError(f"no quantile derivative for kind {self.kind!r}")
         return float(out[0]) if scalar else out
-
-    def validate_params(self) -> list[str]:
-        """Kind-specific parameter problems (empty list when fine)."""
-        problems: list[str] = []
-        if self.kind not in _DIFFUSE_KINDS:
-            return [f"diffuse kind {self.kind!r} is not one of {_DIFFUSE_KINDS}"]
-        if not 0.0 <= self.mass <= 1.0:
-            problems.append(f"diffuse mass {self.mass!r} outside [0, 1]")
-        if (self.kind == "empty") != (self.mass == 0.0):
-            problems.append("diffuse kind is 'empty' iff mass is 0")
-        if self.kind in ("uniform", "arcsine"):
-            lo = self.params.get("lo")
-            hi = self.params.get("hi")
-            if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float))
-                    and math.isfinite(lo) and math.isfinite(hi)
-                    and hi - lo >= _MIN_WIDTH):
-                problems.append(f"{self.kind} params need finite lo < hi, at "
-                                f"least {_MIN_WIDTH:.3g} apart, got "
-                                f"lo={lo!r}, hi={hi!r}")
-        elif self.kind == "semicircle":
-            c = self.params.get("center")
-            r = self.params.get("radius")
-            if not (isinstance(c, (int, float)) and isinstance(r, (int, float))
-                    and math.isfinite(c) and math.isfinite(r)
-                    and r >= _MIN_WIDTH):
-                problems.append(f"semicircle params need finite center and "
-                                f"radius >= {_MIN_WIDTH:.3g}, got "
-                                f"center={c!r}, radius={r!r}")
-        elif self.kind == "piecewise_linear_cdf":
-            knots = self.params.get("knots")
-            if (not isinstance(knots, (list, tuple)) or len(knots) < 2
-                    or any(len(p) != 2 for p in knots)):
-                problems.append("piecewise_linear_cdf needs >= 2 [point, "
-                                "cumulative] knot pairs")
-            else:
-                xs = [float(p[0]) for p in knots]
-                cs = [float(p[1]) for p in knots]
-                if not all(map(math.isfinite, xs + cs)):
-                    problems.append("piecewise knots must be finite")
-                if any(b <= a for a, b in zip(xs, xs[1:])):
-                    problems.append("piecewise knot points must be strictly "
-                                    "increasing")
-                elif not xs[-1] - xs[0] >= _MIN_WIDTH:
-                    problems.append(f"piecewise knots must span at least "
-                                    f"{_MIN_WIDTH:.3g}")
-                if any(b <= a for a, b in zip(cs, cs[1:])):
-                    problems.append("piecewise knot cumulative masses must be "
-                                    "strictly increasing")
-                if abs(cs[0]) > _MASS_TOL:
-                    problems.append(f"first knot cumulative mass must be 0, "
-                                    f"got {cs[0]!r}")
-                if abs(cs[-1] - self.mass) > _MASS_TOL:
-                    problems.append(f"last knot cumulative mass {cs[-1]!r} "
-                                    f"must equal the diffuse mass {self.mass!r}")
-        return problems
 
 
 _EMPTY_DIFFUSE = DiffusePart(kind="empty", mass=0.0)
@@ -314,37 +271,22 @@ class ValidationReport(Record):
 
 
 def validate(measure: SpectralMeasure) -> ValidationReport:
-    """Check every structural invariant; report-style (never raises)."""
-    problems: list[str] = []
-    a, b = measure.support
-    if not (math.isfinite(a) and math.isfinite(b)):
-        problems.append(f"support endpoints must be finite, got [{a}, {b}]")
-    if a > b:
-        problems.append(f"support interval is empty: [{a}, {b}]")
-    elif math.isfinite(a) and math.isfinite(b) and math.isinf(b - a):
-        # every distance between two points of the support must be finite
-        problems.append(f"support width b - a overflows: [{a}, {b}]")
-    seen: set[float] = set()
-    for atom in measure.atoms:
-        if not (0.0 < atom.weight <= 1.0):
-            problems.append(f"atom at {atom.location} has weight "
-                            f"{atom.weight!r} outside (0, 1]")
-        if not (a <= atom.location <= b):
-            problems.append(f"atom location {atom.location} outside the "
-                            f"support [{a}, {b}]")
-        if atom.location in seen:
-            problems.append(f"duplicate atom location {atom.location}")
-        seen.add(atom.location)
-    problems.extend(measure.diffuse.validate_params())
-    if not problems and measure.diffuse.kind != "empty":
-        lo, hi = measure.diffuse.interval()
-        if lo < a - 1e-12 or hi > b + 1e-12:
-            problems.append(f"diffuse support [{lo}, {hi}] outside the "
-                            f"declared support [{a}, {b}]")
-    if measure.truncated_tail < 0.0:
-        problems.append(f"negative truncated tail {measure.truncated_tail!r}")
-    if measure.family is not None and measure.family != "example42":
-        problems.append(f"unknown atom family {measure.family!r}")
+    """Check every rule of a measure; report-style (never raises).
+
+    Shape and type are the spec parser's: the measure's spec is parsed
+    again, and a fault there is the one problem besides the total mass.
+    The rules live here alone.  Each problem reads ``path: message``,
+    with the JSON path of the spec key it names.  Atoms are sorted by
+    location when the measure is built, so their problems cite ``atoms``
+    and name the location; the truncated tail and the total mass have no
+    spec key, and their problems no path.
+    """
+    try:
+        measure_from_dict(measure_to_dict(measure))
+    except MeasureSpecError as exc:
+        problems = [str(exc)]
+    else:
+        problems = _rule_problems(measure)
     total = measure.atom_mass + measure.diffuse.mass + measure.truncated_tail
     defect = total - 1.0
     if abs(defect) > _MASS_TOL:
@@ -352,6 +294,69 @@ def validate(measure: SpectralMeasure) -> ValidationReport:
     return ValidationReport(ok=not problems, problems=tuple(problems),
                             total_mass=total, mass_defect=defect,
                             tail_mass=measure.truncated_tail)
+
+
+def _rule_problems(measure: SpectralMeasure) -> list[str]:
+    """``validate``'s rules, on a measure of valid shape and types."""
+    problems: list[str] = []
+
+    def problem(path: str, message: str) -> None:
+        problems.append(f"{path}: {message}")
+
+    a, b = measure.support
+    if a > b:
+        problem("support", f"interval is empty: [{a}, {b}]")
+    elif math.isinf(b - a):
+        # every distance between two points of the support must be finite
+        problem("support", f"width b - a overflows: [{a}, {b}]")
+    seen: set[float] = set()
+    for atom in measure.atoms:
+        x, w = atom.location, atom.weight
+        if not 0.0 < w <= 1.0:
+            problem("atoms", f"atom at {x} has weight {w!r} outside (0, 1]")
+        if not a <= x <= b:
+            problem("atoms", f"atom at {x} lies outside the support "
+                             f"[{a}, {b}]")
+        if x in seen:
+            problem("atoms", f"two atoms at {x}")
+        seen.add(x)
+
+    d, params = measure.diffuse, measure.diffuse.params
+    if not 0.0 <= d.mass <= 1.0:
+        problem("diffuse.mass", f"{d.mass!r} outside [0, 1]")
+    if (d.kind == "empty") != (d.mass == 0.0):
+        problem("diffuse.mass", "must be 0 exactly when the kind is 'empty'")
+    before = len(problems)
+    if d.kind == "piecewise_linear_cdf":
+        path = "diffuse.params.knots"
+        xs, cs = zip(*params["knots"])
+        for j, col, name in ((0, xs, "points"), (1, cs, "cumulative masses")):
+            i = next((i for i in range(1, len(col)) if col[i] <= col[i - 1]),
+                     0)
+            if i:
+                problem(f"{path}[{i}][{j}]",
+                        f"knot {name} must be strictly increasing")
+        if abs(cs[0]) > _MASS_TOL:
+            problem(f"{path}[0][1]", f"first cumulative mass must be 0, "
+                                     f"got {cs[0]!r}")
+        if abs(cs[-1] - d.mass) > _MASS_TOL:
+            problem(f"{path}[{len(cs) - 1}][1]",
+                    f"last cumulative mass {cs[-1]!r} must equal the "
+                    f"diffuse mass {d.mass!r}")
+    if len(problems) == before and d.kind != "empty":
+        # the width between the endpoints as floats: a semicircle whose
+        # radius is below the float spacing at its center has none
+        lo, hi = d.interval()
+        if not hi - lo >= _MIN_WIDTH:
+            problem(_WIDTH_PATHS.get(d.kind, "diffuse.params.hi"),
+                    f"the diffuse part [{lo!r}, {hi!r}] must be at least "
+                    f"{_MIN_WIDTH:.3g} wide")
+        elif lo < a - 1e-12 or hi > b + 1e-12:
+            problem("diffuse.params", f"diffuse support [{lo}, {hi}] lies "
+                                      f"outside the support [{a}, {b}]")
+    if measure.truncated_tail < 0.0:
+        problems.append(f"negative truncated tail {measure.truncated_tail!r}")
+    return problems
 
 
 def cdf(measure: SpectralMeasure, x):
@@ -635,22 +640,11 @@ def measure_from_dict(spec: dict) -> SpectralMeasure:
                                required=(kind != "empty"), default={})
         if not isinstance(params_raw, dict):
             raise MeasureSpecError("diffuse.params", "expected an object")
-        params: dict[str, Any] = {}
-        if kind in ("uniform", "arcsine"):
-            params["lo"] = _spec_number(
-                _spec_get(params_raw, "lo", "diffuse.params"),
-                "diffuse.params.lo")
-            params["hi"] = _spec_number(
-                _spec_get(params_raw, "hi", "diffuse.params"),
-                "diffuse.params.hi")
-        elif kind == "semicircle":
-            params["center"] = _spec_number(
-                _spec_get(params_raw, "center", "diffuse.params"),
-                "diffuse.params.center")
-            params["radius"] = _spec_number(
-                _spec_get(params_raw, "radius", "diffuse.params"),
-                "diffuse.params.radius")
-        elif kind == "piecewise_linear_cdf":
+        params: dict[str, Any] = {
+            key: _spec_number(_spec_get(params_raw, key, "diffuse.params"),
+                              f"diffuse.params.{key}")
+            for key in _NUMBER_PARAMS.get(kind, ())}
+        if kind == "piecewise_linear_cdf":
             knots_raw = _spec_get(params_raw, "knots", "diffuse.params")
             if not isinstance(knots_raw, list) or len(knots_raw) < 2:
                 raise MeasureSpecError("diffuse.params.knots",
@@ -660,18 +654,9 @@ def measure_from_dict(spec: dict) -> SpectralMeasure:
                 kp = f"diffuse.params.knots[{i}]"
                 if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                     raise MeasureSpecError(kp, "expected [point, cumulative]")
-                knots.append((_spec_number(pair[0], f"{kp}[0]"),
-                              _spec_number(pair[1], f"{kp}[1]")))
-            for i in range(1, len(knots)):
-                if knots[i][0] <= knots[i - 1][0]:
-                    raise MeasureSpecError(
-                        f"diffuse.params.knots[{i}][0]",
-                        "knot points must be strictly increasing")
-                if knots[i][1] <= knots[i - 1][1]:
-                    raise MeasureSpecError(
-                        f"diffuse.params.knots[{i}][1]",
-                        "knot cumulative masses must be strictly increasing")
-            params["knots"] = [list(p) for p in knots]
+                knots.append([_spec_number(pair[0], f"{kp}[0]"),
+                              _spec_number(pair[1], f"{kp}[1]")])
+            params["knots"] = knots
         diffuse = DiffusePart(kind=kind, mass=mass, params=params)
 
     family_raw = _spec_get(spec, "atom_family", "", required=False)

@@ -37,7 +37,12 @@ import sys
 from itertools import chain, repeat
 from operator import mul
 
-from ._kernels import pair_log_reg_sum, pair_log_sq_skip, shifted_log_sum
+from ._kernels import (
+    _check_eps,
+    pair_log_reg_sum,
+    pair_log_sq_skip,
+    shifted_log_sum,
+)
 from ._record import Record
 from .asymptotics import (
     _check_positive_int,
@@ -173,11 +178,6 @@ def _validated_series_ks(ks: Iterable[int]) -> tuple[int, ...]:
     return ks
 
 
-def _check_eps(eps: float) -> None:
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
-
-
 # ---------------------------------------------------------------------------
 # Constructions.
 
@@ -239,7 +239,8 @@ def build_lower_microstate(measure: SpectralMeasure,
     each side of every contributing atom, and the remaining F slots hold
     fillers b + 3 + j/F strictly above the support.  The slot identity
     multiplicities + kept quantiles + fillers = k is exact.  Without
-    interior quantiles no numpy is loaded.
+    interior quantiles no numpy is loaded.  Kept quantiles that round onto
+    each other or an atom raise ValueError: pair sums would skip them.
     """
     k = _check_k(k)
     ranked = measure.atoms_by_weight()
@@ -271,6 +272,12 @@ def build_lower_microstate(measure: SpectralMeasure,
         kept = np.delete(interior, sorted(excluded))
 
     values, counts = _spectrum(mults, kept)
+    entries = len(kept) + sum(1 for _, m in mults if m)
+    if len(values) < entries:
+        raise ValueError(
+            f"k = {k}: {entries - len(values)} of the {len(kept)} diffuse "
+            f"quantiles round onto another quantile or an atom; the "
+            f"diffuse part is too narrow for its location at this k")
     return DiagonalMicrostate(kind="lower", k=k, values=values, counts=counts,
                               atom_multiplicity_map=mults,
                               quantile_count=len(kept),
@@ -327,19 +334,8 @@ def _pair_log_sq_sum(microstate: DiagonalMicrostate,
 
 
 def pair_partition(microstate: DiagonalMicrostate) -> PairPartition:
-    """Split the C(k, 2) index pairs into equal-value and distinct-value.
-
-    For a "lower" microstate, equal values can only occur at atom
-    locations (quantiles are strictly increasing, fillers distinct and
-    disjoint from the support); a repeated non-atom value raises
-    ValueError.
-    """
+    """Split the C(k, 2) index pairs into equal-value and distinct-value."""
     k = microstate.k
-    if microstate.kind == "lower":
-        atom_locs = {loc for loc, _ in microstate.atom_multiplicity_map}
-        if any(c > 1 and v not in atom_locs
-               for v, c in zip(microstate.values, microstate.counts)):
-            raise ValueError("separated microstate repeats a non-atom value")
     s_count = _equal_pairs(microstate)
     return PairPartition(k=k, s_count=s_count,
                          w_count=k * (k - 1) // 2 - s_count)

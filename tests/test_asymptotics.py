@@ -112,6 +112,12 @@ class TestSelbergMonteCarlo:
         with pytest.raises(ValueError):
             fp.selberg_mc_check(7, 0.5, 100)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.5, math.inf, math.nan])
+    def test_rejects_eps_that_is_not_positive_and_finite(self, eps):
+        # eps = inf returned (nan, inf, nan)
+        with pytest.raises(ValueError, match="positive and finite"):
+            fp.selberg_mc_check(2, eps, 100)
+
 
 class TestGammaRatioSeries:
     def test_series_contract(self):

@@ -3,7 +3,9 @@
 import importlib.util
 import json
 import math
+import re
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -228,6 +230,35 @@ class TestExitCodes:
                                                  rel=1e-15)
         assert all(math.isfinite(v) for v in result["values"])
 
+    def test_regularized_sums_at_the_float_range(self, tmp_path):
+        # squared gaps overflowed to "inf" values with status "ok", and
+        # numpy warned on stderr
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "support": [1.0, 1e200],
+            "atoms": [{"location": 1.0, "weight": 0.5},
+                      {"location": 1e200, "weight": 0.5}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = run_cli("series", "regularized-product", "--eps", "0.1",
+                             "--ks", "100", "--measure", str(path),
+                             "--format", "json")
+            upper = run_cli("microstate", "--kind", "upper", "--k", "400",
+                            "--eps", "0.5", "--t", "0.01",
+                            "--measure", str(path), "--format", "json")
+        assert series.code == upper.code == 0, (series.stderr, upper.stderr)
+        # k = 100: 50 copies of each atom, summed over the explicit pairs
+        entries = [1.0] * 50 + [1e200] * 50
+        oracle = 2.0 * math.fsum(
+            2.0 * math.log(y - x) + math.log1p(0.1 / (y - x) / (y - x))
+            if y != x else math.log(0.1)
+            for i, x in enumerate(entries) for y in entries[i + 1:]) / 100 ** 2
+        assert oracle == 459.38875190324205
+        assert series.json["result"]["values"] == [
+            pytest.approx(oracle, rel=1e-15)]
+        assert series.json["result"]["status"] == "ok"
+        assert math.isfinite(upper.json["result"]["volume_upper_bound_log"])
+
     def test_no_solution_is_four(self, uniform_path):
         res = run_cli("microstate", "--measure", uniform_path,
                       "--k", "20", "--kind", "upper",
@@ -241,6 +272,89 @@ class TestExitCodes:
                       "--eps", "0.5", "--t", "0.2")
         assert res.stderr.count("\n") == 1
         assert res.stderr.endswith("\n")
+
+
+def _uniform(lo, hi, mass=1.0, kind="uniform"):
+    return {"kind": kind, "mass": mass, "params": {"lo": lo, "hi": hi}}
+
+
+def _knots(*knots, mass=1.0):
+    return {"kind": "piecewise_linear_cdf", "mass": mass,
+            "params": {"knots": [list(k) for k in knots]}}
+
+
+_HALF = {"location": 0.5, "weight": 0.5}
+
+# One spec per rule of validate(), with the JSON path its problem names
+# ("total mass" has no spec key, and its problem no path).
+_RULES = {
+    "empty_support": ({"support": [1.0, 0.0]}, "support"),
+    "support_overflows": ({"support": [-1e308, 1e308],
+                           "atoms": [{"location": 0.0, "weight": 1.0}]},
+                          "support"),
+    "atom_weight": ({"support": [0.0, 1.0],
+                     "atoms": [{"location": 0.5, "weight": 1.5}]}, "atoms"),
+    "atom_outside": ({"support": [0.0, 1.0],
+                      "atoms": [{"location": 2.0, "weight": 1.0}]}, "atoms"),
+    "two_atoms_at_one_point": ({"support": [0.0, 1.0],
+                                "atoms": [_HALF, _HALF]}, "atoms"),
+    "diffuse_mass": ({"support": [0.0, 1.0],
+                      "diffuse": _uniform(0.0, 1.0, mass=1.5)},
+                     "diffuse.mass"),
+    "empty_with_mass": ({"support": [0.0, 1.0], "atoms": [_HALF],
+                         "diffuse": {"kind": "empty", "mass": 0.5}},
+                        "diffuse.mass"),
+    "uniform_width": ({"support": [0.0, 1.0],
+                       "diffuse": _uniform(0.5, 0.5)}, "diffuse.params.hi"),
+    "arcsine_width": ({"support": [0.0, 1.0],
+                       "diffuse": _uniform(1.0, 0.0, kind="arcsine")},
+                      "diffuse.params.hi"),
+    "semicircle_radius": ({"support": [-1.0, 1.0], "diffuse": {
+        "kind": "semicircle", "mass": 1.0,
+        "params": {"center": 0.0, "radius": -1.0}}},
+        "diffuse.params.radius"),
+    "semicircle_below_float_spacing": ({"support": [1.0, 1.0], "diffuse": {
+        "kind": "semicircle", "mass": 1.0,
+        "params": {"center": 1.0, "radius": 5e-301}}},
+        "diffuse.params.radius"),
+    "knot_points": ({"support": [0.0, 1.0], "diffuse": _knots(
+        (0.0, 0.0), (0.5, 0.3), (0.4, 0.6), (1.0, 1.0))},
+        "diffuse.params.knots[2][0]"),
+    "knot_masses": ({"support": [0.0, 1.0], "diffuse": _knots(
+        (0.0, 0.0), (0.5, 0.6), (0.7, 0.3), (1.0, 1.0))},
+        "diffuse.params.knots[2][1]"),
+    "first_knot_mass": ({"support": [0.0, 1.0], "diffuse": _knots(
+        (0.0, 0.1), (1.0, 1.0))}, "diffuse.params.knots[0][1]"),
+    "last_knot_mass": ({"support": [0.0, 1.0], "diffuse": _knots(
+        (0.0, 0.0), (0.5, 0.5), (1.0, 0.9))}, "diffuse.params.knots[2][1]"),
+    "knot_span": ({"support": [0.0, 1.0], "diffuse": _knots(
+        (0.0, 0.0), (5e-324, 0.5), (1e-323, 1.0))}, "diffuse.params.knots"),
+    "diffuse_outside": ({"support": [0.0, 1.0],
+                         "diffuse": _uniform(0.0, 2.0)}, "diffuse.params"),
+    "total_mass": ({"support": [0.0, 1.0],
+                    "atoms": [{"location": 0.5, "weight": 0.25}]}, None),
+}
+
+
+class TestSpecRules:
+    @pytest.mark.parametrize("name", list(_RULES))
+    def test_problem_names_its_json_path(self, tmp_path, name):
+        spec, path = _RULES[name]
+        head = "total mass " if path is None else f"{path}: "
+        [problem, *_] = fp.validate(fp.measure_from_dict(spec)).problems
+        assert problem.startswith(head)
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(json.dumps(spec))
+        res = run_cli("dim", "--measure", str(bad))
+        assert res.code == 2
+        assert res.stderr.startswith(
+            f"freeprob: error: measure-spec: {bad}: {head}")
+        # validate reports the same problems in its JSON
+        res = run_cli("validate", "--measure", str(bad), "--format", "json")
+        assert res.code == 2
+        [row] = res.json["results"]
+        assert row["ok"] is False
+        assert row["problems"][0] == problem
 
 
 class TestKnobDiscipline:
@@ -611,8 +725,12 @@ class TestSpecFuzz:
             else:
                 assert res.code == 2
                 assert res.stderr.count("\n") == 1
-                assert res.stderr.startswith(
-                    f"freeprob: error: measure-spec: {path}")
+                head = f"freeprob: error: measure-spec: {path}: "
+                assert res.stderr.startswith(head)
+                # a JSON path of the spec, or the total mass (no path)
+                rest = res.stderr[len(head):]
+                if not rest.startswith("total mass "):
+                    _resolve(spec, rest.split(": ")[0])
 
 
     @given(spec=fuzz_specs())
@@ -625,7 +743,11 @@ class TestSpecFuzz:
         valid = run_cli("validate", "--measure", path)
         for argv in (("microstate", "--kind", "lower", "--k", "400"),
                      ("series", "offdiag-sum", "--ks", "100,400"),
-                     ("series", "packing-constant", "--ks", "100,400")):
+                     ("series", "packing-constant", "--ks", "100,400"),
+                     ("series", "regularized-product", "--eps", "0.1",
+                      "--ks", "100,400"),
+                     ("microstate", "--kind", "upper", "--k", "400",
+                      "--eps", "0.5", "--t", "0.01")):
             res = run_cli(*argv, "--measure", path, "--format", "json")
             if res.code == 0:
                 assert valid.code == 0
@@ -639,6 +761,14 @@ class TestSpecFuzz:
             else:
                 assert res.code == 2, (argv, res.stderr)
                 assert valid.code == 2
+
+
+def _resolve(spec, path):
+    """The value at a JSON path such as ``diffuse.params.knots[2][0]``."""
+    node = spec
+    for key, index in re.findall(r"([^.\[\]]+)|\[(\d+)\]", path):
+        node = node[int(index)] if index else node[key]
+    return node
 
 
 def _nonfinite(obj, path=""):

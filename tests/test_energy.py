@@ -59,6 +59,26 @@ class TestClosedForms:
         assert res.value == 0.0
         assert res.components.atom_atom == 0.0
 
+    @pytest.mark.parametrize("eps", [None, 1.0, 1e-3])
+    def test_atom_pairs_match_the_ordered_pair_sum(self, eps):
+        # each unordered pair is summed once, doubled: the same exact
+        # terms as the ordered pairs, so fsum gives the same double
+        rng = np.random.default_rng(7)
+        locs = np.unique(rng.normal(size=60) * 10.0 ** rng.integers(-3, 4, 60))
+        weights = rng.random(locs.size)
+        weights /= weights.sum()
+        points = list(zip(locs.tolist(), weights.tolist()))
+        m = fp.atomic_measure(points)
+        d = 0.0 if eps is None else math.sqrt(eps)
+        want = math.fsum(wi * wj * math.log(math.hypot(xi - xj, d))
+                         for i, (xi, wi) in enumerate(points)
+                         for j, (xj, wj) in enumerate(points) if d or i != j)
+        if eps is None:
+            assert fp.offdiag_energy(m).components.atom_atom == want
+        else:
+            got = fp.regularized_energy(m, eps).components.atom_atom
+            assert got == 2.0 * want
+
     def test_atom_pair_distance(self):
         m = fp.atomic_measure([(0.0, 0.25), (3.0, 0.75)])
         assert energy_value(m) == pytest.approx(

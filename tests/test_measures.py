@@ -194,6 +194,22 @@ class TestQuantiles:
     def test_no_diffuse_part_gives_empty(self, two_atoms):
         assert fp.diffuse_quantile_batch(two_atoms, 10).size == 0
 
+    def test_piecewise_quantiles_at_the_float_range(self):
+        # the slope (x1 - x0) / (c1 - c0) of np.interp overflowed: 198 of
+        # the 400 quantiles were inf
+        m = fp.measure_from_dict({
+            "support": [0.0, 1.797e308],
+            "diffuse": {"kind": "piecewise_linear_cdf", "mass": 1.0,
+                        "params": {"knots": [[0.0, 0.0], [4.494e307, 0.2],
+                                             [1.0786e308, 0.7],
+                                             [1.797e308, 1.0]]}}})
+        assert fp.validate(m).ok
+        qs = fp.diffuse_quantile_batch(m, 400)
+        assert qs.size == 400
+        assert np.all(np.isfinite(qs))
+        assert np.all((qs >= 0.0) & (qs <= 1.797e308))
+        assert np.all(np.diff(qs) > 0.0)
+
     def test_piecewise_quantiles(self):
         m = fp.SpectralMeasure(
             support=(0.0, 3.0),

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import freeprob as fp
 from freeprob import _kernels
 from freeprob.microstates import K_CAP, _MATH_TERMS, _pair_log_sq_sum
-from conftest import atomic_plus_uniform, purely_atomic
+from conftest import atomic_plus_uniform, purely_atomic, run_cli
 
 TOL = 1e-6
 
@@ -174,16 +174,28 @@ class TestPairPartition:
         part = fp.pair_partition(ms)
         assert part.s_count + part.w_count == 120
 
-    def test_lower_repeating_non_atom_raises(self):
-        # 1.5 is not an atom location, so a separated microstate may not
-        # repeat it; the check must survive python -O.
-        ms = fp.DiagonalMicrostate(
-            kind="lower", k=5, values=(0.0, 1.5), counts=(2, 2),
-            atom_multiplicity_map=((0.0, 2),), quantile_count=2,
-            filler_count=1, filler_base=0.0)
-        assert ms.eigenvalues == (0.0, 0.0, 1.5, 1.5, 4.0)
-        with pytest.raises(ValueError, match="non-atom"):
-            fp.pair_partition(ms)
+    def test_lower_repeating_non_atom_raises(self, measure_file):
+        # A uniform of width 100 at 1e16 has quantile spacing 0.25 at
+        # k = 400, against a float spacing of 2: its quantiles round onto
+        # each other and onto the atom.  `series offdiag-sum` skipped
+        # them as equal pairs, 5.651 against the target 5.158, with
+        # status "ok".  The builder refuses them, and it must do so
+        # under python -O.
+        lo, hi = 1e16, 1e16 + 100.0
+        m = fp.SpectralMeasure(
+            support=(lo, hi), atoms=(fp.Atom(lo, 0.5),),
+            diffuse=fp.DiffusePart("uniform", 0.5, {"lo": lo, "hi": hi}))
+        assert fp.validate(m).ok
+        with pytest.raises(ValueError, match="round onto"):
+            fp.build_lower_microstate(m, 400)
+        path = measure_file(m)
+        for argv in (("microstate", "--kind", "lower", "--k", "400"),
+                     ("series", "offdiag-sum", "--ks", "100,400"),
+                     ("series", "packing-constant", "--ks", "100,400")):
+            res = run_cli(*argv, "--measure", path, "--format", "json")
+            assert res.code == 1, argv
+            assert res.stderr.startswith("freeprob: error: usage: k = 400:")
+            assert "round onto" in res.stderr
 
     def test_kernel_equal_count_is_s_count(self, example42, mixed_measure,
                                            single_atom):
