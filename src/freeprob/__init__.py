@@ -14,140 +14,13 @@ __version__ = "0.1.0"
 # importing freeprob.cli, so the package still loads it.
 from . import _quad  # noqa: F401
 
-from .asymptotics import (
-    GAMMA_RATIO_LIMIT,
-    GammaSeries,
-    SelbergMonteCarlo,
-    gamma_ratio_limit_series,
-    log_ball_volume,
-    log_gamma,
-    mehta_log_density,
-    selberg_log,
-    selberg_mc_check,
-)
-from .energy import (
-    EnergyComponents,
-    EnergyResult,
-    offdiag_energy,
-    regularized_energy,
-)
-from .entropy import (
-    CHI_SHIFT,
-    FORMULAS,
-    EntropyBounds,
-    FamilyBounds,
-    chi,
-    dimension_truncation_bound,
-    family_constants,
-    free_family_bounds,
-    free_hausdorff_dimension,
-    h1_identity,
-    hausdorff_entropy_bounds,
-    sandwich_width,
-)
-from .measures import (
-    Atom,
-    DiffusePart,
-    MeasureSpecError,
-    SpectralMeasure,
-    ValidationReport,
-    affine_pushforward,
-    arcsine_measure,
-    atomic_measure,
-    diffuse_quantile,
-    diffuse_quantile_batch,
-    dump_measure,
-    example42_measure,
-    load_measure,
-    measure_from_dict,
-    measure_to_dict,
-    semicircle_measure,
-    truncate_atoms,
-    uniform_measure,
-    validate,
-)
-from .microstates import (
-    CountingCheck,
-    DiagonalMicrostate,
-    NoSolutionError,
-    PairPartition,
-    SeriesReport,
-    build_lower_microstate,
-    build_upper_microstate,
-    offdiag_sum_series,
-    packing_constant_log,
-    packing_constant_series,
-    packing_series_target,
-    pair_partition,
-    regularized_product_series,
-    sk_counting_check,
-    volume_upper_bound_log,
-)
+# The public surface is each module's __all__; a submodule import also
+# binds the module's name here.
+from .asymptotics import *
+from .energy import *
+from .entropy import *
+from .measures import *
+from .microstates import *
 
-__all__ = [
-    "__version__",
-    # asymptotics
-    "GAMMA_RATIO_LIMIT",
-    "GammaSeries",
-    "SelbergMonteCarlo",
-    "gamma_ratio_limit_series",
-    "log_ball_volume",
-    "log_gamma",
-    "mehta_log_density",
-    "selberg_log",
-    "selberg_mc_check",
-    # energy
-    "EnergyComponents",
-    "EnergyResult",
-    "offdiag_energy",
-    "regularized_energy",
-    # entropy
-    "CHI_SHIFT",
-    "FORMULAS",
-    "EntropyBounds",
-    "FamilyBounds",
-    "chi",
-    "dimension_truncation_bound",
-    "family_constants",
-    "free_family_bounds",
-    "free_hausdorff_dimension",
-    "h1_identity",
-    "hausdorff_entropy_bounds",
-    "sandwich_width",
-    # measures
-    "Atom",
-    "DiffusePart",
-    "MeasureSpecError",
-    "SpectralMeasure",
-    "ValidationReport",
-    "affine_pushforward",
-    "arcsine_measure",
-    "atomic_measure",
-    "diffuse_quantile",
-    "diffuse_quantile_batch",
-    "dump_measure",
-    "example42_measure",
-    "load_measure",
-    "measure_from_dict",
-    "measure_to_dict",
-    "semicircle_measure",
-    "truncate_atoms",
-    "uniform_measure",
-    "validate",
-    # microstates
-    "CountingCheck",
-    "DiagonalMicrostate",
-    "NoSolutionError",
-    "PairPartition",
-    "SeriesReport",
-    "build_lower_microstate",
-    "build_upper_microstate",
-    "offdiag_sum_series",
-    "packing_constant_log",
-    "packing_constant_series",
-    "packing_series_target",
-    "pair_partition",
-    "regularized_product_series",
-    "sk_counting_check",
-    "volume_upper_bound_log",
-]
+__all__ = ["__version__", *asymptotics.__all__, *energy.__all__,
+           *entropy.__all__, *measures.__all__, *microstates.__all__]

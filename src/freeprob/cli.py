@@ -3,7 +3,8 @@
 Subcommands mirror the library: validate, energy, chi, dim, bounds,
 family-bounds, microstate, series, selberg, report.  Measures come from
 JSON spec files (see ``measures``); reports go to stdout or ``--out`` as
-JSON, CSV (series and microstates only), or text.
+JSON, CSV (series and microstates only), or text.  Each command and each
+series kind has its own parser, which declares exactly its flags.
 
 Exit codes: 0 success; 1 usage error (including knobs a command does
 not take); 2 invalid measure specification; 3 a ``status`` field of the
@@ -61,10 +62,8 @@ DEFAULT_SAMPLES = 1_000_000
 DEFAULT_MC_EPS = 0.5
 EPS_SWEEP = (1.0, 0.1, 0.01)
 
-_SERIES_KINDS = ("gamma-ratio", "regularized-product", "offdiag-sum",
-                 "packing-constant")
-_CSV_COMMANDS = ("series", "microstate")
 _TOL_HELP = "absolute tolerance of the regularized energy"
+_CSV = ("csv", "json", "text")
 
 
 class _UsageError(Exception):
@@ -87,6 +86,22 @@ def _ks_arg(text: str) -> tuple[int, ...]:
     return ks
 
 
+def _command(parent, name: str, help_: str, formats=("text", "json"),
+             measure: bool = True) -> _Parser:
+    """A command's parser with --measure (if it reads one), --out and
+    --format, whose default is the first of ``formats``."""
+    p = parent.add_parser(name, help=help_, description=help_)
+    if measure:
+        p.add_argument("--measure", action="append", required=True,
+                       metavar="PATH", help="measure spec JSON file "
+                                            "(repeatable)")
+    p.add_argument("--out", metavar="PATH",
+                   help="write the report to this file instead of stdout")
+    p.add_argument("--format", choices=formats, default=formats[0],
+                   help="output format (default: %(default)s)")
+    return p
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="freeprob",
@@ -94,58 +109,34 @@ def build_parser() -> _Parser:
                     "entropy bounds for spectral measures.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
-    # The knobs a subcommand does not take read as None (no --measure as
-    # an empty list), so every handler sees the same namespace.
-    parser.set_defaults(measure=[], kind=None, eps=None, tol=None, t=None)
+    # selberg and series gamma-ratio take no --measure; _load_all reads it
+    parser.set_defaults(measure=[])
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser, metavar="command")
 
-    def new(name: str, help_: str, measures: bool = False):
-        p = sub.add_parser(name, help=help_, description=help_)
-        if measures:
-            p.add_argument("--measure", action="append", default=[],
-                           metavar="PATH",
-                           help="measure spec JSON file (repeatable)")
-        return p
+    _command(sub, "validate", "check a measure spec and report its "
+                              "invariants")
 
-    def finish(p):
-        p.add_argument("--out", metavar="PATH",
-                       help="write the report to this file instead of stdout")
-        p.add_argument("--format", choices=["json", "csv", "text"],
-                       help="output format (csv only for series/microstate)")
-
-    p = new("validate", "check a measure spec and report its invariants",
-            measures=True)
-    finish(p)
-
-    p = new("energy", "off-diagonal log energy plus a regularized sweep",
-            measures=True)
-    p.add_argument("--tol", type=float, help=_TOL_HELP + " sweep")
+    p = _command(sub, "energy", "off-diagonal log energy plus a regularized "
+                                "sweep")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help=_TOL_HELP + " sweep")
     p.add_argument("--eps", type=float,
                    help="single regularization instead of the default sweep")
-    finish(p)
 
-    p = new("chi", "free entropy (log energy plus 3/4 + log(2 pi)/2)",
-            measures=True)
+    p = _command(sub, "chi", "free entropy (log energy plus 3/4 + "
+                             "log(2 pi)/2)")
     # chi is closed form; --tol is only recorded in the report, and stays
     # for scripts that still pass it.
-    p.add_argument("--tol", type=float,
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="recorded in the report; chi is closed form")
-    finish(p)
 
-    p = new("dim", "free Hausdorff dimension 1 - sum(c_i^2)", measures=True)
-    finish(p)
+    _command(sub, "dim", "free Hausdorff dimension 1 - sum(c_i^2)")
+    _command(sub, "bounds", "two-sided free Hausdorff entropy bounds")
+    _command(sub, "family-bounds", "entropy sandwich for a free family")
 
-    p = new("bounds", "two-sided free Hausdorff entropy bounds",
-            measures=True)
-    finish(p)
-
-    p = new("family-bounds", "entropy sandwich for a free family",
-            measures=True)
-    finish(p)
-
-    p = new("microstate", "diagonal microstate spectrum and pair statistics",
-            measures=True)
+    p = _command(sub, "microstate", "diagonal microstate spectrum and pair "
+                                    "statistics", _CSV)
     p.add_argument("--k", type=int, required=True, help="matrix size")
     p.add_argument("--kind", choices=["upper", "lower"], required=True,
                    help="quantile-fill (upper) or separated (lower) variant")
@@ -153,20 +144,29 @@ def build_parser() -> _Parser:
                    help="with --t: evaluate the volume upper bound (upper kind)")
     p.add_argument("--t", type=float,
                    help="with --eps: evaluate the volume upper bound (upper kind)")
-    finish(p)
 
-    p = new("series", "convergence series against its limit or bound",
-            measures=True)
-    p.add_argument("kind", choices=list(_SERIES_KINDS), help="which series")
-    p.add_argument("--ks", type=_ks_arg, required=True,
-                   help="comma-separated strictly increasing k values")
-    p.add_argument("--eps", type=float,
-                   help="regularization (regularized-product only)")
-    p.add_argument("--tol", type=float,
-                   help=_TOL_HELP + " target (regularized-product only)")
-    finish(p)
+    help_ = "convergence series against its limit or bound"
+    p = sub.add_parser("series", help=help_, description=help_)
+    kinds = p.add_subparsers(dest="kind", required=True, parser_class=_Parser,
+                             metavar="kind")
+    for kind, help_ in (
+            ("gamma-ratio", "normalized Gamma-ratio series and its limit"),
+            ("regularized-product", "regularized pair averages of the "
+                                    "upper microstate"),
+            ("offdiag-sum", "distinct-value pair averages of the lower "
+                            "microstate"),
+            ("packing-constant", "packing constants of the lower "
+                                 "microstate")):
+        p = _command(kinds, kind, help_, _CSV, measure=kind != "gamma-ratio")
+        p.add_argument("--ks", type=_ks_arg, required=True,
+                       help="comma-separated strictly increasing k values")
+    p = kinds.choices["regularized-product"]
+    p.add_argument("--eps", type=float, required=True, help="regularization")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help=_TOL_HELP + " target")
 
-    p = new("selberg", "Selberg product: closed form and Monte Carlo check")
+    p = _command(sub, "selberg", "Selberg product: closed form and Monte "
+                                 "Carlo check", measure=False)
     p.add_argument("--k", type=int, required=True, help="number of variables")
     p.add_argument("--eps", type=float,
                    help="half-width of the Monte Carlo cube (k <= 6 only)")
@@ -174,61 +174,30 @@ def build_parser() -> _Parser:
                    help="Monte Carlo sample count (k <= 6 only)")
     p.add_argument("--seed", type=int,
                    help="Monte Carlo seed (k <= 6 only)")
-    finish(p)
 
-    p = new("report", "comprehensive report over one or more measures",
-            measures=True)
-    finish(p)
-
+    _command(sub, "report", "comprehensive report over one or more measures",
+             ("json", "text"))
     return parser
 
 
 def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
-    """Parse and cross-check argv; defaults come back resolved."""
+    """Parse argv and make the checks argparse cannot declare."""
     ns = build_parser().parse_args(argv)
-    cmd = ns.command
-    paths = ns.measure
-
-    needs_measures = cmd != "selberg" and not (
-        cmd == "series" and ns.kind == "gamma-ratio")
-    if needs_measures and not paths:
-        raise _UsageError(f"{cmd} requires at least one --measure")
-
-    if ns.format is None:
-        ns.format = "csv" if cmd in _CSV_COMMANDS else (
-            "json" if cmd == "report" else "text")
-    elif ns.format == "csv" and cmd not in _CSV_COMMANDS:
-        raise _UsageError(f"csv output is only available for "
-                          f"{' and '.join(_CSV_COMMANDS)}")
-
-    if ns.tol is not None and not ns.tol > 0:
-        raise _UsageError(f"--tol must be positive, got {ns.tol!r}")
-    if ns.eps is not None and not (ns.eps > 0 and math.isfinite(ns.eps)):
-        raise _UsageError(f"--eps must be positive and finite, got {ns.eps!r}")
-
-    if cmd == "microstate":
-        if len(paths) != 1:
-            raise _UsageError("microstate takes exactly one --measure")
+    tol, eps = getattr(ns, "tol", DEFAULT_TOL), getattr(ns, "eps", None)
+    if not tol > 0:
+        raise _UsageError(f"--tol must be positive, got {tol!r}")
+    if eps is not None and not (eps > 0 and math.isfinite(eps)):
+        raise _UsageError(f"--eps must be positive and finite, got {eps!r}")
+    if ns.command in ("microstate", "series") and len(ns.measure) > 1:
+        name = f"series {ns.kind}" if ns.command == "series" else "microstate"
+        raise _UsageError(f"{name} takes exactly one --measure")
+    if ns.command == "microstate":
         if (ns.eps is None) != (ns.t is None):
             raise _UsageError("--eps and --t must be given together")
         if ns.eps is not None and ns.kind != "upper":
             raise _UsageError("the volume bound (--eps/--t) applies to the "
                               "upper microstate only")
-    if cmd == "series":
-        if ns.kind == "gamma-ratio":
-            if paths:
-                raise _UsageError("gamma-ratio takes no --measure")
-        elif len(paths) != 1:
-            raise _UsageError(f"series {ns.kind} takes exactly one --measure")
-        if ns.kind == "regularized-product":
-            if ns.eps is None:
-                raise _UsageError("series regularized-product requires --eps")
-        else:
-            for flag in ("eps", "tol"):
-                if getattr(ns, flag) is not None:
-                    raise _UsageError(f"series {ns.kind} does not take "
-                                      f"--{flag}")
-    if cmd == "selberg":
+    if ns.command == "selberg":
         if ns.k > 6 and any(v is not None for v in (ns.eps, ns.samples,
                                                     ns.seed)):
             raise _UsageError("Monte Carlo knobs (--eps/--samples/--seed) "
@@ -239,8 +208,6 @@ def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
             ns.samples = DEFAULT_SAMPLES
         if ns.seed is None:
             ns.seed = DEFAULT_SEED
-    if ns.tol is None:
-        ns.tol = DEFAULT_TOL
     return ns
 
 
@@ -295,9 +262,7 @@ def _render(payload: dict, ns: argparse.Namespace,
     if ns.format == "json":
         return json.dumps(_sanitize(payload), sort_keys=True, indent=2,
                           allow_nan=False)
-    if ns.format == "csv":
-        if csv_lines is None:
-            raise RuntimeError(f"{ns.command} produced no csv rows")
+    if ns.format == "csv":  # offered only by commands that make csv rows
         return "\n".join(csv_lines)
     return "\n".join(_text_lines(_sanitize(payload)))
 

@@ -42,9 +42,6 @@ __all__ = [
     "family_constants",
     "sandwich_width",
     "CHI_SHIFT",
-    "UPPER_SHIFT",
-    "HALF_LOG_288E",
-    "DIM_ONE_SHIFT",
     "FORMULAS",
 ]
 

@@ -33,7 +33,6 @@ __all__ = [
     "ValidationReport",
     "MeasureSpecError",
     "validate",
-    "cdf",
     "diffuse_quantile",
     "diffuse_quantile_batch",
     "truncate_atoms",
@@ -458,7 +457,9 @@ def affine_pushforward(measure: SpectralMeasure, scale: float,
     """Pushforward under x -> scale * x + shift (scale nonzero).
 
     Energies transform as E -> E + log|scale|; a negative scale also
-    reflects the measure, which leaves energies unchanged.
+    reflects the measure, which leaves energies unchanged.  Moved atoms
+    are no longer the named family's, so ``family`` is cleared unless
+    the map is the identity.
     """
     if scale == 0.0:
         raise ValueError("scale must be nonzero")
@@ -492,8 +493,11 @@ def affine_pushforward(measure: SpectralMeasure, scale: float,
             new[-1][1] = d.mass
         diffuse = DiffusePart("piecewise_linear_cdf", d.mass, {"knots": new})
     tail_loc = measure.truncated_tail_location
+    moved = not (scale == 1.0 and shift == 0.0)
     return measure._replace(
         support=support, atoms=atoms, diffuse=diffuse,
+        family=None if moved else measure.family,
+        family_tol=None if moved else measure.family_tol,
         truncated_tail_location=None if tail_loc is None else mv(tail_loc))
 
 

@@ -23,17 +23,18 @@ c_v 2 log((b - v) + 3 + j/F) and, because their gaps are (j - i)/F, a
 closed-form filler x filler sum 2 (sum_{m<F} log m! - C(F, 2) log F).
 An atom-only lower microstate has a few atoms and about sqrt(k)
 fillers, so its pair sums run in ``math`` and never load numpy (up to
-2^19 log terms, unless numpy is loaded already).  k is capped at K_CAP = 5000.  Sums over the distinct-value pair set are taken
-over ordered pairs (both (i, j) and (j, i)), which is the normalization
-under which k^{-2} times the sum of log(b_i - b_j)^2 converges to twice
-the off-diagonal energy; the series reports also carry the halved
-(unordered) gap so both readings are visible.
+2^19 log terms).  k is capped at K_CAP = 5000.
+
+Sums over the distinct-value pair set are taken over ordered pairs
+(both (i, j) and (j, i)), which is the normalization under which k^{-2}
+times the sum of log(b_i - b_j)^2 converges to twice the off-diagonal
+energy; the series reports also carry the halved (unordered) gap so
+both readings are visible.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from itertools import chain, repeat
 from operator import mul
 
@@ -59,7 +60,6 @@ if TYPE_CHECKING:
     from typing import Iterable
 
 __all__ = [
-    "K_CAP",
     "DiagonalMicrostate",
     "PairPartition",
     "CountingCheck",
@@ -79,14 +79,15 @@ __all__ = [
 
 K_CAP = 5000
 # A pair sum without quantiles runs in plain math up to this many log
-# terms while numpy is not loaded.  Atom-only specs at k = 5000 (2-core
-# box, Python 3.11, numpy 2.4) took 0.30-0.43 us a term in math against
-# 5-30 ns in the numpy kernel, and importing numpy took about 170 ms, so
+# terms, whether or not numpy is loaded, so its bits depend on the
+# microstate alone.  Atom-only specs at k = 5000 (2-core box, Python
+# 3.11, numpy 2.4) took 0.30-0.43 us a term in math against 5-30 ns in
+# the numpy kernel, and importing numpy took about 170 ms, so
 # math is quicker up to about 2^19 terms.  `series offdiag-sum --ks 5000`
 # in a fresh process took 0.36 s in math against 0.48 s with numpy at
 # 2.5e5 terms, 0.68 against 0.70 s at 5.8e5 and 1.09 against 0.92 s at
 # 1.1e6.  Once numpy is loaded the kernel is quicker from about 200 terms
-# and at most 35 us slower below.
+# and at most 35 us slower below; the library keeps math there anyway.
 _MATH_TERMS = 1 << 19
 
 
@@ -108,9 +109,9 @@ class DiagonalMicrostate(Record):
 
     __slots__ = ("kind", "k", "values", "counts", "atom_multiplicity_map",
                  "quantile_count", "zero_count", "filler_count",
-                 "filler_base", "excluded_quantile_count", "live_atom_count")
+                 "filler_base", "excluded_quantile_count")
     _defaults = {"zero_count": 0, "filler_count": 0, "filler_base": None,
-                 "excluded_quantile_count": 0, "live_atom_count": 0}
+                 "excluded_quantile_count": 0}
 
     @property
     def filler_range(self) -> tuple[float, float] | None:
@@ -215,10 +216,19 @@ def build_upper_microstate(measure: SpectralMeasure,
     floor(c_i k) copies of each atom (decreasing weight), and
     k - floor(c k) - sum floor(c_i k) zeros (never negative, because the
     integer parts of masses summing to at most 1 sum to at most k).
+    Quantiles that round onto each other raise ValueError: pair sums
+    would take them as one repeated value.  An atom or zero equal to a
+    quantile is a real repeated eigenvalue.
     """
     k = _check_k(k)
     ranked = measure.atoms_by_weight()
     quantiles = diffuse_quantile_batch(measure, k)
+    repeats = int((quantiles[1:] == quantiles[:-1]).sum())
+    if repeats:
+        raise ValueError(
+            f"k = {k}: {repeats} of the {quantiles.size} diffuse quantiles "
+            f"round onto their neighbour; the diffuse part is too narrow "
+            f"for its location at this k")
     mults = tuple((a.location, _int_part(a.weight * k)) for a in ranked)
     zero_count = k - quantiles.size - sum(m for _, m in mults)
     values, counts = _spectrum(mults + ((0.0, zero_count),), quantiles)
@@ -283,8 +293,7 @@ def build_lower_microstate(measure: SpectralMeasure,
                               quantile_count=len(kept),
                               filler_count=k - sum(counts),
                               filler_base=measure.support[1],
-                              excluded_quantile_count=len(excluded),
-                              live_atom_count=live)
+                              excluded_quantile_count=len(excluded))
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +304,14 @@ def _equal_pairs(microstate: DiagonalMicrostate) -> int:
     return sum(c * (c - 1) // 2 for c in microstate.counts)
 
 
-def _pair_log_sq_sum(microstate: DiagonalMicrostate,
-                     use_numpy: bool | None = None) -> float:
+def _pair_log_sq_sum(microstate: DiagonalMicrostate) -> float:
     """Sum of log(b_i - b_j)^2 over unordered pairs with b_i != b_j.
 
     Fillers enter through their exact gaps, never as floats: (j - i)/F
     among themselves, summed in closed form, and (b - v) + 3 + j/F from
-    a value v.  The values go to the numpy kernel when ``use_numpy`` is
-    true, else to ``math``; by default to the kernel when the
-    microstate has quantiles, numpy is loaded or there are more than
-    ``_MATH_TERMS`` log terms.
+    a value v.  The values go to ``math`` when the microstate has no
+    quantiles and at most ``_MATH_TERMS`` log terms, else to the numpy
+    kernel.
     """
     values, counts = microstate.values, microstate.counts
     f = microstate.filler_count
@@ -314,10 +321,7 @@ def _pair_log_sq_sum(microstate: DiagonalMicrostate,
         terms.append(2.0 * (_sum_log_factorials(f - 1)
                             - math.comb(f, 2) * math.log(f)))
     n = len(values)
-    if use_numpy is None:
-        use_numpy = bool(microstate.quantile_count or "numpy" in sys.modules
-                         or n * (n - 1) // 2 + n * f > _MATH_TERMS)
-    if use_numpy:
+    if microstate.quantile_count or n * (n - 1) // 2 + n * f > _MATH_TERMS:
         terms.append(pair_log_sq_skip(values, counts)[0])
         if f:
             terms.append(2.0 * shifted_log_sum(offsets, counts, f))

@@ -198,7 +198,8 @@ def test_criterion_10_structural_invariants(m, k):
     if lower is not None:
         mult_lo = sum(c for _, c in lower.atom_multiplicity_map)
         assert mult_lo + lower.quantile_count + lower.filler_count == k
-        assert lower.excluded_quantile_count <= 2 * lower.live_atom_count
+        assert (lower.excluded_quantile_count
+                <= 2 * len(lower.atom_multiplicity_map))
         part = fp.pair_partition(lower)
         assert part.s_count + part.w_count == k * (k - 1) // 2
 

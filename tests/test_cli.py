@@ -358,6 +358,37 @@ class TestSpecRules:
 
 
 class TestKnobDiscipline:
+    @pytest.mark.parametrize("argv, says", [
+        (("dim", "--measure", "M", "--tol", "1e-6"),
+         "unrecognized arguments: --tol 1e-6"),
+        (("series", "offdiag-sum", "--ks", "10,20", "--measure", "M",
+          "--eps", "0.1"), "unrecognized arguments: --eps 0.1"),
+        (("series", "gamma-ratio", "--ks", "10,20", "--measure", "M"),
+         "unrecognized arguments: --measure M"),
+        (("dim",), "the following arguments are required: --measure"),
+        (("series", "regularized-product", "--ks", "10,20", "--measure",
+          "M"), "the following arguments are required: --eps"),
+        (("microstate", "--kind", "upper", "--measure", "M"),
+         "the following arguments are required: --k"),
+        (("energy", "--measure", "M", "--format", "csv"),
+         "argument --format: invalid choice: 'csv'"),
+        (("report", "--measure", "M", "--format", "csv"),
+         "argument --format: invalid choice: 'csv'"),
+        (("series",), "the following arguments are required: kind"),
+        (("series", "--ks", "10,20"), "argument kind: invalid choice"),
+    ], ids=["undeclared-tol", "undeclared-eps", "undeclared-measure",
+            "missing-measure", "missing-eps", "missing-k", "energy-csv",
+            "report-csv", "series-no-kind", "series-flag-before-kind"])
+    def test_argparse_refusals(self, mixed_path, argv, says):
+        # each command's parser declares its own flags, so argparse makes
+        # these refusals; they keep exit 1 and one usage line
+        res = run_cli(*(mixed_path if a == "M" else a for a in argv))
+        assert res.code == 1
+        assert res.stdout == ""
+        assert res.stderr.count("\n") == 1
+        assert res.stderr.startswith("freeprob: error: usage:")
+        assert says.replace(" M", f" {mixed_path}") in res.stderr
+
     def test_unknown_flag_rejected(self, mixed_path):
         res = run_cli("dim", "--measure", mixed_path, "--tol", "1e-6")
         assert res.code == 1

@@ -351,6 +351,16 @@ class TestAffinePushforward:
         assert fp.validate(t).ok
         assert t.cdf(-1.5) == pytest.approx(0.25)
 
+    def test_moved_family_keeps_its_atoms_in_the_spec(self):
+        # the family form would reload the atoms at 1/j, outside [10, 12]
+        m = fp.example42_measure(1e-6)
+        t = fp.affine_pushforward(m, 2.0, 10.0)
+        assert t.family is None and t.family_tol is None
+        back = fp.measure_from_dict(fp.measure_to_dict(t))
+        assert back.atoms == t.atoms
+        assert all(10.0 < a.location <= 12.0 for a in back.atoms)
+        assert fp.affine_pushforward(m, 1.0, 0.0).family == "example42"
+
 
 class TestPropertyInvariants:
     @given(atomic_plus_uniform())

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freeprob as fp
-from freeprob import _kernels
+from freeprob import _kernels, microstates
 from freeprob.microstates import K_CAP, _MATH_TERMS, _pair_log_sq_sum
 from conftest import atomic_plus_uniform, purely_atomic, run_cli
 
@@ -77,6 +77,49 @@ class TestUpperMicrostate:
         ok = fp.build_upper_microstate(mixed_measure, K_CAP)
         assert ok.k == K_CAP
 
+    @staticmethod
+    def _uniform(lo, width=100.0):
+        return fp.SpectralMeasure(
+            support=(lo, lo + width),
+            diffuse=fp.DiffusePart("uniform", 1.0,
+                                   {"lo": lo, "hi": lo + width}))
+
+    @pytest.mark.parametrize("argv", [
+        ("series", "regularized-product", "--eps", "0.1", "--ks", "400"),
+        ("microstate", "--kind", "upper", "--k", "400"),
+        ("microstate", "--kind", "upper", "--k", "400", "--eps", "0.5",
+         "--t", "0.01"),
+    ], ids=["regularized-product", "microstate", "volume-bound"])
+    def test_collapsed_quantiles_refused(self, measure_file, argv):
+        # On [1e16, 1e16 + 100] the float spacing is 2, so most of the 400
+        # quantiles round onto a neighbour: the sums once took them as
+        # repeated eigenvalues with status "ok"
+        far = measure_file(self._uniform(1e16), "far.json")
+        res = run_cli(*argv, "--measure", far, "--format", "json")
+        assert res.code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("freeprob: error: usage: k = 400: ")
+        assert res.stderr.endswith("too narrow for its location at this k\n")
+        # translation invariance holds where the quantiles stay distinct
+        near, moved = (run_cli(*argv, "--measure",
+                               measure_file(self._uniform(lo), f"{lo}.json"),
+                               "--format", "json")
+                       for lo in (0.0, 1e3))
+        assert near.code == moved.code == 0
+        value = "values" if argv[0] == "series" else "volume_upper_bound_log"
+        if value in near.json["result"]:
+            assert moved.json["result"][value] == pytest.approx(
+                near.json["result"][value], rel=1e-9)
+
+    def test_atom_on_a_quantile_is_a_repeated_eigenvalue(self):
+        # the 2/4 quantile of the uniform half is 0.5, where the atom sits
+        m = fp.SpectralMeasure(
+            support=(0.0, 1.0), atoms=(fp.Atom(0.5, 0.5),),
+            diffuse=fp.DiffusePart("uniform", 0.5, {"lo": 0.0, "hi": 1.0}))
+        ms = fp.build_upper_microstate(m, 4)
+        assert ms.values == (0.5, 1.0)
+        assert ms.counts == (3, 1)
+
 
 class TestLowerMicrostate:
     def test_mixed_hand_trace_k16(self, mixed_measure):
@@ -108,7 +151,7 @@ class TestLowerMicrostate:
         # Heaviest atom (weight 1/2 at location 1): 50 - 10 copies.
         assert mult[1.0] == 40
         assert mult[0.5] == 25
-        assert ms.live_atom_count == 6
+        assert len(ms.atom_multiplicity_map) == 6  # the live atoms
         total = sum(mult.values())
         assert total + ms.quantile_count + ms.filler_count == 100
 
@@ -148,7 +191,8 @@ class TestLowerMicrostate:
             return
         mult_total = sum(c for _, c in ms.atom_multiplicity_map)
         assert mult_total + ms.quantile_count + ms.filler_count == k
-        assert ms.excluded_quantile_count <= 2 * ms.live_atom_count
+        assert (ms.excluded_quantile_count
+                <= 2 * len(ms.atom_multiplicity_map))
         assert len(ms.eigenvalues) == k
         assert np.all(np.diff(ms.eigenvalues) >= 0.0)
         a, b = m.support
@@ -469,27 +513,28 @@ class TestClosedFormPairSums:
         return m, atoms, m.support[1]
 
     @pytest.mark.parametrize("k", [16, 100, 400])
-    def test_offdiag_sum_matches_fsum(self, case, k):
+    def test_offdiag_sum_matches_fsum(self, case, k, monkeypatch):
         m, atoms, b = case
         terms, _ = explicit_pair_sum(atoms, b, k)
         [value] = fp.offdiag_sum_series(m, (k,)).values
         assert value == pytest.approx(2.0 * math.fsum(terms) / (k * k),
                                       rel=1e-13)
         ms = fp.build_lower_microstate(m, k)
-        for use_numpy in (False, True):
-            assert _pair_log_sq_sum(ms, use_numpy) == pytest.approx(
+        for math_terms in (_MATH_TERMS, 0):  # math, then the numpy kernel
+            monkeypatch.setattr(microstates, "_MATH_TERMS", math_terms)
+            assert _pair_log_sq_sum(ms) == pytest.approx(
                 math.fsum(terms), rel=1e-13)
 
-    def test_paths_agree_past_the_math_threshold(self):
+    def test_paths_agree_past_the_math_threshold(self, monkeypatch):
         # 700 atoms at k = 5000 give about 5.8e5 log terms, more than the
-        # math path takes by default
+        # math path takes
         atoms = [(0.0, 0.5)] + [(i / 700, 0.5 / 699) for i in range(1, 700)]
         ms = fp.build_lower_microstate(fp.atomic_measure(atoms), 5000)
         n, f = len(ms.values), ms.filler_count
         assert n * (n - 1) // 2 + n * f > _MATH_TERMS
-        slow = _pair_log_sq_sum(ms, use_numpy=False)
-        assert _pair_log_sq_sum(ms, use_numpy=True) == pytest.approx(
-            slow, rel=1e-13)
+        kernel = _pair_log_sq_sum(ms)
+        monkeypatch.setattr(microstates, "_MATH_TERMS", 1 << 30)
+        assert _pair_log_sq_sum(ms) == pytest.approx(kernel, rel=1e-13)
 
     @pytest.mark.parametrize("k", [16, 100])
     def test_packing_constant_matches_mpmath(self, case, k):

@@ -192,3 +192,43 @@ def test_tracer_targets_resolve_after_cli_import():
     assert targets
     assert json.loads(_fresh_python(_RESOLVE_TARGETS,
                                     json.dumps(targets))) == []
+
+
+def test_init_reexports_module_all_lists():
+    # Each public name is declared once, in its module's __all__; the
+    # package imports only ``*`` from its modules (and _quad for the tracer)
+    path = Path(fp.__file__)
+    named = [f"{node.module}: {alias.name}"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ImportFrom)
+             for alias in node.names
+             if alias.name not in ("*", "_quad")]
+    assert named == []
+
+
+def test_package_all_resolves_to_defining_modules():
+    modules = [fp.asymptotics, fp.energy, fp.entropy, fp.measures,
+               fp.microstates]
+    assert len(fp.__all__) == len(set(fp.__all__))
+    assert fp.__all__[0] == "__version__"
+    owners = {name: module for module in modules for name in module.__all__}
+    assert sorted(owners) == sorted(fp.__all__[1:])
+    assert [name for name, module in owners.items()
+            if getattr(fp, name) is not getattr(module, name)] == []
+
+
+_CLI = "import sys; from freeprob.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_atom_only_pair_sums_match_the_cli_bit_for_bit(tmp_path):
+    # This process has numpy loaded and a fresh CLI process does not; the
+    # atom-only pair sum must take the same path in both
+    assert "numpy" in sys.modules
+    m = fp.atomic_measure([(-0.7, 0.4375), (0.3, 0.3125), (1.1, 0.25)])
+    spec = tmp_path / "three_atoms.json"
+    fp.dump_measure(m, str(spec))
+    ks = tuple(range(500, 5001, 500))
+    out = json.loads(_fresh_python(
+        _CLI, "series", "offdiag-sum", "--ks", ",".join(map(str, ks)),
+        "--measure", str(spec), "--format", "json"))
+    assert out["result"]["values"] == list(fp.offdiag_sum_series(m, ks).values)
