@@ -281,7 +281,7 @@ def validate(measure: SpectralMeasure) -> ValidationReport:
     spec key, and their problems no path.
     """
     try:
-        measure_from_dict(measure_to_dict(measure))
+        measure_from_dict(_spec_dict(measure))
     except MeasureSpecError as exc:
         problems = [str(exc)]
     else:
@@ -696,7 +696,21 @@ def measure_from_dict(spec: dict) -> SpectralMeasure:
 
 
 def measure_to_dict(measure: SpectralMeasure) -> dict:
-    """Inverse of measure_from_dict (family measures keep their family form)."""
+    """Inverse of measure_from_dict (family measures keep their family form).
+
+    A spec has no key for a truncated tail, so a measure that carries one
+    without its family (``truncate_atoms``, or a moved family) raises
+    ValueError: its spec would reload as a different measure.
+    """
+    if measure.truncated_tail > 0.0 and measure.family is None:
+        raise ValueError(
+            f"truncated tail mass {measure.truncated_tail!r} has no spec "
+            f"form; the written spec would reload without it")
+    return _spec_dict(measure)
+
+
+def _spec_dict(measure: SpectralMeasure) -> dict:
+    """The spec mapping of a measure, truncated tail left out."""
     out: dict[str, Any] = {"support": [measure.support[0], measure.support[1]]}
     if measure.family is not None:
         out["atom_family"] = {"name": measure.family,
@@ -722,7 +736,8 @@ def load_measure(path: str) -> SpectralMeasure:
 
 
 def dump_measure(measure: SpectralMeasure, path: str) -> None:
-    """Write the measure's JSON specification."""
+    """Write the measure's JSON specification (no file when it has none)."""
+    spec = measure_to_dict(measure)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(measure_to_dict(measure), fh, indent=2, sort_keys=True)
+        json.dump(spec, fh, indent=2, sort_keys=True)
         fh.write("\n")

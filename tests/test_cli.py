@@ -736,6 +736,10 @@ def fuzz_specs(draw):
     return spec
 
 
+_BY_DESIGN = ("requires at least one atom", "too small",
+              "too narrow for its location at this k")
+
+
 class TestSpecFuzz:
     @given(spec=fuzz_specs())
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -785,13 +789,33 @@ class TestSpecFuzz:
                 assert list(_nonfinite(res.json["result"])) == [], argv
             elif res.code == 1:
                 # by design: the separated microstate needs an atom heavy
-                # enough to shed floor(sqrt(k)) copies
+                # enough to shed floor(sqrt(k)) copies, and no microstate
+                # takes quantiles that round onto each other as one value
                 assert valid.code == 0
-                assert ("requires at least one atom" in res.stderr
-                        or "too small" in res.stderr), (argv, res.stderr)
+                assert any(m in res.stderr for m in _BY_DESIGN), \
+                    (argv, res.stderr)
             else:
                 assert res.code == 2, (argv, res.stderr)
                 assert valid.code == 2
+
+
+def test_arcsine_narrow_for_its_location_is_refused(tmp_path):
+    # validates, but at k = 400 two quantiles near 2^38 + 1 are equal floats
+    lo, hi = 2.0 ** 38, 2.0 ** 38 + 1.0
+    spec = {"support": [lo, hi], "atoms": [],
+            "diffuse": {"kind": "arcsine", "mass": 1.0,
+                        "params": {"lo": lo, "hi": hi}}}
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli("validate", "--measure", str(path)).code == 0
+    for argv in (("series", "regularized-product", "--eps", "0.1",
+                  "--ks", "100,400"),
+                 ("microstate", "--kind", "upper", "--k", "400",
+                  "--eps", "0.5", "--t", "0.01")):
+        res = run_cli(*argv, "--measure", str(path), "--format", "json")
+        assert res.code == 1, argv
+        assert res.stdout == ""
+        assert "too narrow for its location at this k" in res.stderr
 
 
 def _resolve(spec, path):

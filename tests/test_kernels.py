@@ -2,11 +2,13 @@
 Vandermonde products, and the semicircle CDF."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from freeprob import _kernels
+import freeprob as fp
+from freeprob import _kernels, microstates
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +228,139 @@ class TestEnvironmentFlag:
         assert abs(float(qs[0])) < 1e-12
         ends = _kernels.semicircle_quantile_unit(np.array([0.0, 1.0]))
         assert np.allclose(ends, [-1.0, 1.0], atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The Chebyshev node sum behind pair_log_reg_sum (eps > 0).
+
+_DIFFUSE = {
+    "uniform": {"lo": -1.3, "hi": 0.9},
+    "arcsine": {"lo": -0.4, "hi": 1.6},
+    "semicircle": {"center": 0.3, "radius": 1.1},
+    "piecewise_linear_cdf": {"knots": [[-1.0, 0.0], [-0.5, 0.2],
+                                       [0.4, 0.7], [1.0, 1.0]]},
+}
+_SUPPORT = {"uniform": [-1.3, 0.9], "arcsine": [-0.4, 1.6],
+            "semicircle": [-0.8, 1.4], "piecewise_linear_cdf": [-1.0, 1.0]}
+
+
+def _spec(kind, variant):
+    """A diffuse family alone, with an atom, or with an atom and zeros.
+
+    At k = 600 the padded variant has floor(0.8005 k) + floor(0.1995 k)
+    = 599 entries, so one slot is a zero eigenvalue."""
+    mass = {"pure": 1.0, "atom": 0.75, "padded": 0.8005}[variant]
+    spec = {"support": _SUPPORT[kind],
+            "diffuse": {"kind": kind, "mass": mass,
+                        "params": _DIFFUSE[kind]}}
+    if variant != "pure":
+        spec["atoms"] = [{"location": _SUPPORT[kind][0] + 0.37,
+                          "weight": 1.0 - mass}]
+    return fp.measure_from_dict(spec)
+
+
+def _reg_block(values, counts, eps):
+    values, counts = _kernels._distinct(values, counts)
+    total, equal = _kernels._distinct_pair_log_sum(values, counts, eps)
+    return total + equal * math.log(eps)
+
+
+@pytest.fixture()
+def node_calls(monkeypatch):
+    """Records whether each node sum ran to a value (True) or declined."""
+    calls = []
+    original = _kernels._node_pair_sum
+
+    def spy(values, counts, eps):
+        total = original(values, counts, eps)
+        calls.append(total is not None)
+        return total
+
+    monkeypatch.setattr(_kernels, "_node_pair_sum", spy)
+    return calls
+
+
+class TestNodeSum:
+    @pytest.mark.parametrize("variant", ["pure", "atom", "padded"])
+    @pytest.mark.parametrize("kind", sorted(_DIFFUSE))
+    def test_microstates_match_fsum_over_pairs(self, kind, variant,
+                                               node_calls):
+        k, eps = 600, 0.5
+        ms = microstates.build_upper_microstate(_spec(kind, variant), k)
+        assert (ms.zero_count == 1) == (variant == "padded")
+        assert len(ms.values) < k or variant == "pure"
+        got = _kernels.pair_log_reg_sum(ms.values, eps, ms.counts)
+        assert node_calls == [True]
+        assert abs(got - fsum_reg(ms.eigenvalues, eps)) <= 1e-12 * k * k
+        # the raw spectrum takes the same path to the same sum
+        raw = _kernels.pair_log_reg_sum(ms.eigenvalues, eps)
+        assert node_calls == [True, True]
+        assert abs(raw - got) <= 1e-12 * k * k
+
+    @pytest.mark.parametrize("eps", [0.5, 2.0])
+    def test_forced_at_small_k_matches_mpmath(self, eps, monkeypatch,
+                                              node_calls):
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(_kernels, "_node_is_cheaper", lambda n, u: True)
+        rng = np.random.default_rng(17)
+        vals = rng.uniform(-1.0, 1.0, size=70).tolist() + [0.25] * 5
+        k = len(vals)
+        with mpmath.workdps(40):
+            want = mpmath.fsum(
+                mpmath.log((mpmath.mpf(a) - mpmath.mpf(b)) ** 2 + eps)
+                for i, a in enumerate(vals) for b in vals[i + 1:])
+        got = _kernels.pair_log_reg_sum(vals, eps)
+        assert node_calls == [True]
+        assert abs(got - float(want)) <= 1e-12 * k * k
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.1, 1.0, 10.0])
+    def test_eps_range_on_both_sides_of_the_cost_rule(self, eps,
+                                                      node_calls):
+        rng = np.random.default_rng(3)
+        paths = []
+        for size in (150, 3000):
+            vals = np.sort(rng.uniform(-1.0, 1.0, size=size))
+            counts = rng.integers(1, 3, size=size)
+            k = int(counts.sum())
+            got = _kernels.pair_log_reg_sum(vals, eps, counts)
+            paths.append(node_calls.pop())
+            want = _reg_block(vals, counts, eps)
+            assert abs(got - want) <= 1e-12 * k * k, (size, paths[-1])
+        # 150 values take the block kernel at every eps; 3000 values take
+        # the node sum unless its degree passes the cap (eps = 1e-3)
+        assert paths == [False, eps > 1e-3]
+
+    @pytest.mark.parametrize("span", [1e-300, 1e16, 1e300])
+    @pytest.mark.parametrize("eps", [1e-3, 0.5, 10.0])
+    def test_extreme_spans_finite_without_warnings(self, span, eps,
+                                                   node_calls):
+        vals = span * np.linspace(-0.5, 0.5, 2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _kernels.pair_log_reg_sum(vals, eps)
+        assert math.isfinite(got)
+        if span == 1e-300:
+            # every gap is below 1e-300: each pair gives log eps
+            assert node_calls == [True]
+            assert got == pytest.approx(math.comb(2000, 2) * math.log(eps),
+                                        rel=1e-15)
+        else:
+            assert node_calls == [False]
+            assert got == pytest.approx(_reg_block(vals, None, eps),
+                                        rel=1e-13)
+
+    def test_block_kernel_inputs_above_stay_on_it(self, node_calls):
+        # the rel = 1e-13 tests above size their inputs for the block kernel
+        rng = np.random.default_rng(0)
+        for size, eps in ((80, 0.25), (620, 0.01), (40, 0.2), (90, 0.05),
+                          (2, 0.25), (6, 4.0)):
+            _kernels.pair_log_reg_sum(rng.uniform(-3.0, 3.0, size), eps)
+        assert not any(node_calls)
+
+    def test_tail_check_falls_back_to_the_block_kernel(self, monkeypatch,
+                                                       node_calls):
+        vals = np.linspace(-1.0, 1.0, 3000)
+        monkeypatch.setattr(_kernels, "_NODE_TAIL", 0.0)
+        got = _kernels.pair_log_reg_sum(vals, 0.5)
+        assert node_calls == [False]
+        assert got == _reg_block(vals, None, 0.5)

@@ -246,6 +246,27 @@ class TestSerialization:
         assert loaded.atoms == example42.atoms
         assert loaded.truncated_tail == example42.truncated_tail
 
+    def test_truncated_tail_refused_without_its_family(self, tmp_path):
+        # the spec would reload as atoms 0.5/0.3 of total mass 0.8
+        m = fp.atomic_measure([(0.0, 0.5), (1.0, 0.3), (2.0, 0.2)])
+        t = fp.truncate_atoms(m, 0.25)
+        assert fp.validate(t).ok
+        path = tmp_path / "truncated.json"
+        for write in (fp.measure_to_dict,
+                      lambda measure: fp.dump_measure(measure, str(path))):
+            with pytest.raises(ValueError, match="truncated tail mass 0.2"):
+                write(t)
+        assert not path.exists()
+
+    def test_family_round_trips_with_its_tail(self):
+        m = fp.example42_measure()
+        back = fp.measure_from_dict(fp.measure_to_dict(m))
+        assert fp.measure_to_dict(m)["atom_family"] == {"name": "example42",
+                                                        "tol": 1e-10}
+        assert back.atoms == m.atoms
+        assert back.truncated_tail == m.truncated_tail > 0.0
+        assert fp.validate(back).ok
+
     def test_error_paths_name_keys(self):
         with pytest.raises(fp.MeasureSpecError) as exc:
             fp.measure_from_dict({"support": [0.0]})
@@ -351,15 +372,19 @@ class TestAffinePushforward:
         assert fp.validate(t).ok
         assert t.cdf(-1.5) == pytest.approx(0.25)
 
-    def test_moved_family_keeps_its_atoms_in_the_spec(self):
-        # the family form would reload the atoms at 1/j, outside [10, 12]
+    def test_moved_family_has_no_spec(self):
+        # the family form would reload the atoms at 1/j, outside [10, 12],
+        # and the explicit atoms without the tail
         m = fp.example42_measure(1e-6)
         t = fp.affine_pushforward(m, 2.0, 10.0)
         assert t.family is None and t.family_tol is None
-        back = fp.measure_from_dict(fp.measure_to_dict(t))
-        assert back.atoms == t.atoms
-        assert all(10.0 < a.location <= 12.0 for a in back.atoms)
-        assert fp.affine_pushforward(m, 1.0, 0.0).family == "example42"
+        assert all(10.0 < a.location <= 12.0 for a in t.atoms)
+        assert fp.validate(t).ok
+        with pytest.raises(ValueError, match="truncated tail mass"):
+            fp.measure_to_dict(t)
+        same = fp.affine_pushforward(m, 1.0, 0.0)
+        assert same.family == "example42"
+        assert fp.measure_to_dict(same) == fp.measure_to_dict(m)
 
 
 class TestPropertyInvariants:
