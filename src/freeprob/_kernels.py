@@ -156,10 +156,11 @@ def _node_pair_sum(values, counts, eps: float) -> float | None:
     if not _node_is_cheaper(n, distinct):
         return None
     weights = counts.astype(np.float64)
+    k = float(weights.sum())
     t = (values - mid) / half
     # moments[p] = sum_a c_a T_p(t_a), by the three-term recurrence.
     moments = np.empty(n)
-    moments[0], moments[1] = 0.5 * float(weights.sum()), weights @ t
+    moments[0], moments[1] = 0.5 * k, weights @ t
     twice_t = 2.0 * t
     prev, cur, nxt = np.ones_like(t), t.copy(), np.empty_like(t)
     for p in range(2, n):
@@ -187,7 +188,6 @@ def _node_pair_sum(values, counts, eps: float) -> float | None:
         row[0] *= 0.5
         if scale * float(np.abs(row).max()) > _NODE_TAIL:
             return None
-    k = float(weights.sum())
     # log eps is constant and the carried counts sum to k, so it enters
     # as k^2 log eps; the diagonal's k log eps comes off.
     return 0.5 * (k * k - k) * math.log(eps) \
