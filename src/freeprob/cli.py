@@ -616,7 +616,10 @@ def run(ns: argparse.Namespace) -> int:
         return _fail(4, "no-solution", str(exc))
     except ValueError as exc:
         return _fail(1, "usage", str(exc))
-    _emit(_render(payload, ns, csv_lines), ns.out)
+    try:
+        _emit(_render(payload, ns, csv_lines), ns.out)
+    except OSError as exc:
+        return _fail(1, "usage", f"cannot write report file {ns.out}: {exc}")
     if ns.command == "validate":
         return 0 if all(row["ok"] for row in payload["results"]) else 2
     if any(status != "ok" for status in _statuses(payload)):

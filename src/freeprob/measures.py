@@ -48,17 +48,16 @@ __all__ = [
     "example42_measure",
 ]
 
-# The number params of each diffuse kind but piecewise_linear_cdf (whose
-# one param is its knot list); validate() reads them through the parser.
-_NUMBER_PARAMS = {"empty": (), "uniform": ("lo", "hi"),
-                  "semicircle": ("center", "radius"), "arcsine": ("lo", "hi")}
-_DIFFUSE_KINDS = (*_NUMBER_PARAMS, "piecewise_linear_cdf")
+# The param names of each diffuse kind, the width's end last; the spec
+# parser reads them, and validate() cites the last for a too narrow part.
+_PARAMS = {"empty": (), "uniform": ("lo", "hi"),
+           "semicircle": ("center", "radius"), "arcsine": ("lo", "hi"),
+           "piecewise_linear_cdf": ("knots",)}
+_DIFFUSE_KINDS = tuple(_PARAMS)
 _MASS_TOL = 1e-12
 # Narrower diffuse parts would have subnormal widths, with fewer than 53
 # significant bits to place their quantiles and knots.
 _MIN_WIDTH = sys.float_info.min
-_WIDTH_PATHS = {"semicircle": "diffuse.params.radius",
-                "piecewise_linear_cdf": "diffuse.params.knots"}
 
 
 def _int_part(x: float) -> int:
@@ -347,7 +346,7 @@ def _rule_problems(measure: SpectralMeasure) -> list[str]:
         # radius is below the float spacing at its center has none
         lo, hi = d.interval()
         if not hi - lo >= _MIN_WIDTH:
-            problem(_WIDTH_PATHS.get(d.kind, "diffuse.params.hi"),
+            problem(f"diffuse.params.{_PARAMS[d.kind][-1]}",
                     f"the diffuse part [{lo!r}, {hi!r}] must be at least "
                     f"{_MIN_WIDTH:.3g} wide")
         elif lo < a - 1e-12 or hi > b + 1e-12:
@@ -568,14 +567,29 @@ def example42_measure(tol: float = 1e-10) -> SpectralMeasure:
 # JSON measure specifications.
 
 
-def _spec_get(mapping: dict, key: str, path: str, required: bool = True,
-              default: Any = None) -> Any:
-    if key not in mapping:
-        if required:
-            raise MeasureSpecError(f"{path}.{key}" if path else key,
-                                   "missing required key")
-        return default
-    return mapping[key]
+# An optional object left out of its spec: {} unless it has required keys.
+_ABSENT: dict = {}
+
+
+def _keys(obj: Any, path: str, required: tuple[str, ...],
+          optional: dict[str, Any] = {}) -> list[Any]:
+    """The values of a spec object's ``required`` keys, then of its
+    ``optional`` ones, which maps each to its value when absent.  Refuses
+    a non-object, an unknown key or a missing key at its JSON path."""
+    prefix = f"{path}." if path else ""
+    if obj is _ABSENT and required:
+        raise MeasureSpecError(path, "missing required key")
+    if not isinstance(obj, dict):
+        raise MeasureSpecError(path, f"expected an object, got "
+                                     f"{type(obj).__name__}")
+    unknown = sorted(set(obj).difference(required, optional), key=str)
+    if unknown:
+        raise MeasureSpecError(f"{prefix}{unknown[0]}", "unknown key")
+    for key in required:
+        if key not in obj:
+            raise MeasureSpecError(prefix + key, "missing required key")
+    return [obj[key] for key in required] + [
+        obj.get(key, default) for key, default in optional.items()]
 
 
 def _spec_number(value: Any, path: str) -> float:
@@ -591,108 +605,73 @@ def _spec_number(value: Any, path: str) -> float:
     return number
 
 
+def _spec_pair(value: Any, path: str, form: str) -> list[float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise MeasureSpecError(path, f"expected {form}")
+    return [_spec_number(value[0], f"{path}[0]"),
+            _spec_number(value[1], f"{path}[1]")]
+
+
+def _spec_knots(value: Any, path: str) -> list[list[float]]:
+    if not isinstance(value, list) or len(value) < 2:
+        raise MeasureSpecError(path, "expected a list of >= 2 knots")
+    return [_spec_pair(pair, f"{path}[{i}]", "[point, cumulative]")
+            for i, pair in enumerate(value)]
+
+
 def measure_from_dict(spec: dict) -> SpectralMeasure:
     """Build a measure from the documented JSON-style mapping.
 
     Raises MeasureSpecError citing the offending key path on any
-    malformed input.  An ``atom_family`` entry is expanded into explicit
+    malformed input, an unknown key included.  An ``atom_family`` entry is expanded into explicit
     atoms (plus a reported tail) and may not be combined with an explicit
     ``atoms`` list.
     """
-    if not isinstance(spec, dict):
-        raise MeasureSpecError("", f"measure spec must be an object, "
-                                   f"got {type(spec).__name__}")
-    unknown = set(spec) - {"support", "atoms", "diffuse", "atom_family"}
-    if unknown:
-        raise MeasureSpecError(sorted(unknown)[0], "unknown top-level key")
-    support_raw = _spec_get(spec, "support", "")
-    if (not isinstance(support_raw, (list, tuple)) or len(support_raw) != 2):
-        raise MeasureSpecError("support", "expected [a, b]")
-    support = (_spec_number(support_raw[0], "support[0]"),
-               _spec_number(support_raw[1], "support[1]"))
+    support_raw, atoms_raw, diffuse_raw, family_raw = _keys(
+        spec, "", ("support",),
+        {"atoms": [], "diffuse": None, "atom_family": None})
+    support = _spec_pair(support_raw, "support", "[a, b]")
 
-    atoms: list[Atom] = []
-    atoms_raw = _spec_get(spec, "atoms", "", required=False, default=[])
     if not isinstance(atoms_raw, list):
         raise MeasureSpecError("atoms", "expected a list of atoms")
+    atoms = []
     for i, entry in enumerate(atoms_raw):
         path = f"atoms[{i}]"
-        if not isinstance(entry, dict):
-            raise MeasureSpecError(path, "expected an object with "
-                                         "location and weight")
-        loc = _spec_number(_spec_get(entry, "location", path),
-                           f"{path}.location")
-        w = _spec_number(_spec_get(entry, "weight", path), f"{path}.weight")
-        extra = set(entry) - {"location", "weight"}
-        if extra:
-            raise MeasureSpecError(f"{path}.{sorted(extra)[0]}", "unknown key")
-        atoms.append(Atom(loc, w))
+        loc, w = _keys(entry, path, ("location", "weight"))
+        atoms.append(Atom(_spec_number(loc, f"{path}.location"),
+                          _spec_number(w, f"{path}.weight")))
 
     diffuse = _EMPTY_DIFFUSE
-    diffuse_raw = _spec_get(spec, "diffuse", "", required=False)
     if diffuse_raw is not None:
-        if not isinstance(diffuse_raw, dict):
-            raise MeasureSpecError("diffuse", "expected an object")
-        kind = _spec_get(diffuse_raw, "kind", "diffuse")
+        kind, mass, params_raw = _keys(diffuse_raw, "diffuse",
+                                       ("kind", "mass"), {"params": _ABSENT})
         if kind not in _DIFFUSE_KINDS:
-            raise MeasureSpecError("diffuse.kind",
-                                   f"unknown kind {kind!r}; expected one "
-                                   f"of {_DIFFUSE_KINDS}")
-        mass = _spec_number(_spec_get(diffuse_raw, "mass", "diffuse"),
-                            "diffuse.mass")
-        params_raw = _spec_get(diffuse_raw, "params", "diffuse",
-                               required=(kind != "empty"), default={})
-        if not isinstance(params_raw, dict):
-            raise MeasureSpecError("diffuse.params", "expected an object")
-        params: dict[str, Any] = {
-            key: _spec_number(_spec_get(params_raw, key, "diffuse.params"),
-                              f"diffuse.params.{key}")
-            for key in _NUMBER_PARAMS.get(kind, ())}
-        if kind == "piecewise_linear_cdf":
-            knots_raw = _spec_get(params_raw, "knots", "diffuse.params")
-            if not isinstance(knots_raw, list) or len(knots_raw) < 2:
-                raise MeasureSpecError("diffuse.params.knots",
-                                       "expected a list of >= 2 knots")
-            knots = []
-            for i, pair in enumerate(knots_raw):
-                kp = f"diffuse.params.knots[{i}]"
-                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                    raise MeasureSpecError(kp, "expected [point, cumulative]")
-                knots.append([_spec_number(pair[0], f"{kp}[0]"),
-                              _spec_number(pair[1], f"{kp}[1]")])
-            params["knots"] = knots
+            raise MeasureSpecError("diffuse.kind", f"unknown kind {kind!r}; "
+                                   f"expected one of {_DIFFUSE_KINDS}")
+        mass = _spec_number(mass, "diffuse.mass")
+        names = _PARAMS[kind]
+        params = {key: (_spec_knots if key == "knots" else _spec_number)(
+                      value, f"diffuse.params.{key}")
+                  for key, value in zip(names, _keys(params_raw,
+                                                     "diffuse.params", names))}
         diffuse = DiffusePart(kind=kind, mass=mass, params=params)
 
-    family_raw = _spec_get(spec, "atom_family", "", required=False)
-    family = None
-    family_tol = None
-    tail = 0.0
-    tail_loc = None
-    if family_raw is not None:
-        if not isinstance(family_raw, dict):
-            raise MeasureSpecError("atom_family", "expected an object")
-        name = _spec_get(family_raw, "name", "atom_family")
-        if name != "example42":
-            raise MeasureSpecError("atom_family.name",
-                                   f"unknown family {name!r}")
-        tol = _spec_number(_spec_get(family_raw, "tol", "atom_family",
-                                     required=False, default=1e-10),
-                           "atom_family.tol")
-        if tol <= 0:
-            raise MeasureSpecError("atom_family.tol", "must be positive")
-        if atoms:
-            raise MeasureSpecError("atoms", "cannot combine an explicit atom "
-                                            "list with atom_family")
-        fam_atoms, tail = _expand_example42(tol)
-        atoms = list(fam_atoms)
-        family = name
-        family_tol = tol
-        tail_loc = 0.0
-
-    return SpectralMeasure(support=support, atoms=tuple(atoms),
-                           diffuse=diffuse, family=family,
-                           family_tol=family_tol, truncated_tail=tail,
-                           truncated_tail_location=tail_loc)
+    if family_raw is None:
+        return SpectralMeasure(support=support, atoms=tuple(atoms),
+                               diffuse=diffuse)
+    name, tol = _keys(family_raw, "atom_family", ("name",), {"tol": 1e-10})
+    if name != "example42":
+        raise MeasureSpecError("atom_family.name", f"unknown family {name!r}")
+    tol = _spec_number(tol, "atom_family.tol")
+    if not tol > 5e-324:  # 2^-1074; a smaller tol makes a zero-weight atom
+        raise MeasureSpecError("atom_family.tol", "must exceed 5e-324")
+    if atoms:
+        raise MeasureSpecError("atoms", "cannot combine an explicit atom "
+                                        "list with atom_family")
+    fam_atoms, tail = _expand_example42(tol)
+    return SpectralMeasure(support=support, atoms=fam_atoms, diffuse=diffuse,
+                           family=name, family_tol=tol, truncated_tail=tail,
+                           truncated_tail_location=0.0)
 
 
 def measure_to_dict(measure: SpectralMeasure) -> dict:

@@ -72,6 +72,27 @@ class TestExitCodes:
         assert res.code == 2
         assert "diffuse.params.knots[1][0]" in res.stderr
 
+    def test_unknown_spec_key_is_two(self, tmp_path):
+        bad = tmp_path / "tolerance.json"
+        bad.write_text(json.dumps({
+            "support": [0, 1],
+            "atom_family": {"name": "example42", "tolerance": 1e-3}}))
+        res = run_cli("validate", "--measure", str(bad))
+        assert res.code == 2
+        assert res.stderr == (f"freeprob: error: measure-spec: {bad}: "
+                              f"atom_family.tolerance: unknown key\n")
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_is_one(self, tmp_path, mixed_path, where):
+        out = tmp_path / "no" / "x.json" if where == "missing_dir" else tmp_path
+        res = run_cli("dim", "--measure", mixed_path, "--out", str(out))
+        assert res.code == 1
+        assert res.stderr.startswith(
+            f"freeprob: error: usage: cannot write report file {out}: ")
+        assert res.stderr.count("\n") == 1
+        assert res.stdout == ""
+
     def test_malformed_json_is_two(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{]")

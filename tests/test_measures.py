@@ -292,6 +292,46 @@ class TestSerialization:
         with pytest.raises(fp.MeasureSpecError):
             fp.measure_from_dict({"support": [0, 1], "wat": 3})
 
+    @pytest.mark.parametrize("spec, path", [
+        ({"support": [0, 1], "wat": 3}, "wat"),
+        ({"support": [0, 1],
+          "atoms": [{"location": 0.5, "weight": 1.0, "colour": "red"}]},
+         "atoms[0].colour"),
+        ({"support": [0, 1], "diffuse": {"kind": "uniform", "mass": 1.0,
+                                         "weight": 1.0,
+                                         "params": {"lo": 0, "hi": 1}}},
+         "diffuse.weight"),
+        ({"support": [-1, 1],
+          "diffuse": {"kind": "semicircle", "mass": 1.0,
+                      "params": {"center": 0, "radius": 1, "hi": 1}}},
+         "diffuse.params.hi"),
+        ({"support": [0, 1], "atoms": [{"location": 0.5, "weight": 1.0}],
+          "diffuse": {"kind": "empty", "mass": 0.0, "params": {"lo": 0}}},
+         "diffuse.params.lo"),
+        ({"support": [0, 1],
+          "diffuse": {"kind": "piecewise_linear_cdf", "mass": 1.0,
+                      "params": {"knot": [[0, 0], [1, 1]]}}},
+         "diffuse.params.knot"),
+        ({"support": [0, 1],
+          "atom_family": {"name": "example42", "tolerance": 1e-3}},
+         "atom_family.tolerance"),
+    ], ids=["top", "atom", "diffuse", "semicircle_params", "empty_params",
+            "piecewise_params", "atom_family"])
+    def test_unknown_key_rejected_at_its_path(self, spec, path):
+        with pytest.raises(fp.MeasureSpecError) as exc:
+            fp.measure_from_dict(spec)
+        assert exc.value.path == path
+        assert exc.value.reason == "unknown key"
+
+    def test_validate_reports_unknown_param(self):
+        m = fp.SpectralMeasure(
+            support=(0.0, 1.0),
+            diffuse=fp.DiffusePart("uniform", 1.0,
+                                   {"lo": 0, "hi": 1, "extra": 2}))
+        report = fp.validate(m)
+        assert not report.ok
+        assert report.problems == ("diffuse.params.extra: unknown key",)
+
     def test_family_with_atoms_rejected(self):
         with pytest.raises(fp.MeasureSpecError):
             fp.measure_from_dict({
@@ -323,6 +363,20 @@ class TestExample42:
     def test_dimension_is_two_thirds(self, example42):
         assert fp.free_hausdorff_dimension(example42) == pytest.approx(
             2.0 / 3.0, abs=1e-9)
+
+    def test_smallest_tol_refused(self):
+        # its expansion would need a tail of 2^-1075, which rounds to 0
+        with pytest.raises(fp.MeasureSpecError) as exc:
+            fp.measure_from_dict({"support": [0, 1], "atom_family": {
+                "name": "example42", "tol": 5e-324}})
+        assert exc.value.path == "atom_family.tol"
+
+    def test_next_smallest_tol_accepted(self):
+        m = fp.measure_from_dict({"support": [0, 1], "atom_family": {
+            "name": "example42", "tol": 1e-323}})
+        assert len(m.atoms) == 1074
+        assert all(a.weight > 0.0 for a in m.atoms)
+        assert fp.validate(m).ok
 
     def test_tail_below_tolerance(self):
         for tol in (1e-6, 1e-10, 1e-13):
