@@ -536,6 +536,13 @@ def atomic_measure(pairs: Iterable[tuple[float, float]],
     return SpectralMeasure(support=support, atoms=atoms)
 
 
+def _check_family_tol(tol: float, path: str) -> None:
+    """Refuse an example42 ``tol`` of 5e-324 = 2^-1074 or less, at ``path``:
+    its tail 2^-1075 would round to 0, and its last atom weigh 0."""
+    if not tol > 5e-324:
+        raise MeasureSpecError(path, f"must exceed 5e-324, got {tol!r}")
+
+
 def _expand_example42(tol: float) -> tuple[tuple[Atom, ...], float]:
     """Atoms of weight 2^-j at 1/j until the remaining tail is < tol.
 
@@ -553,10 +560,10 @@ def example42_measure(tol: float = 1e-10) -> SpectralMeasure:
     """The built-in infinite atom family: weight 2^-j at location 1/j.
 
     The locations accumulate at 0, so the truncated tail is attributed
-    there.  Its free Hausdorff dimension is 1 - sum 4^-j = 2/3.
+    there.  Its free Hausdorff dimension is 1 - sum 4^-j = 2/3.  ``tol``
+    must exceed 5e-324, as in a spec's ``atom_family``.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    _check_family_tol(tol, "tol")
     atoms, tail = _expand_example42(tol)
     return SpectralMeasure(support=(0.0, 1.0), atoms=atoms,
                            family="example42", family_tol=tol,
@@ -663,8 +670,7 @@ def measure_from_dict(spec: dict) -> SpectralMeasure:
     if name != "example42":
         raise MeasureSpecError("atom_family.name", f"unknown family {name!r}")
     tol = _spec_number(tol, "atom_family.tol")
-    if not tol > 5e-324:  # 2^-1074; a smaller tol makes a zero-weight atom
-        raise MeasureSpecError("atom_family.tol", "must exceed 5e-324")
+    _check_family_tol(tol, "atom_family.tol")
     if atoms:
         raise MeasureSpecError("atoms", "cannot combine an explicit atom "
                                         "list with atom_family")

@@ -482,24 +482,44 @@ def packing_constant_log(measure: SpectralMeasure, k: int, *,
     normalizer).  All five summands live in the log domain; #S_k is the
     number of equal-value index pairs.  The three log-factorial terms,
     -sum_{j<=k} log j! - log k! + selberg_log(k), are one sum of integer
-    multiples of log i, i < 2k, added in the same exact fsum as the rest.
+    multiples of log i, i < 2k, added exactly (``_log_sums``).
     """
     if microstate is None:
         microstate = build_lower_microstate(measure, k)
-    return _packing_log(microstate, map(math.log, range(1, 2 * microstate.k)))
-
-
-def _packing_log(microstate: DiagonalMicrostate, logs) -> float:
-    """``packing_constant_log`` with log i, i = 1, 2, ..., read from
-    ``logs``, which may run past 2k - 1 (one table serves a series)."""
     k = microstate.k
+    return _packing_log(microstate, _log_sums((k, 2 * k - 1)))
+
+
+def _log_sums(ends: Iterable[int]) -> dict[int, tuple[int, int]]:
+    """(A_i, B_i) = (sum_{j<=i} m_j, sum_{j<=i} j m_j) at each i in
+    ``ends``, of the floats log j = m_j 2^-53.
+
+    For j >= 2, log j > 1/2, so its float is an integer multiple of
+    2^-53 (and log 1 = 0): the sums are exact integers.
+    """
+    sums, a, b, last = {}, 0, 0, 1
+    for i in sorted(set(ends)):
+        js = range(last + 1, i + 1)
+        m = [int(math.ldexp(math.log(j), 53)) for j in js]
+        a, b, last = a + sum(m), b + sum(map(mul, js, m)), i
+        sums[i] = (a, b)
+    return sums
+
+
+def _packing_log(microstate: DiagonalMicrostate, sums) -> float:
+    """``packing_constant_log`` with ``_log_sums`` at k and 2k - 1 (one
+    table serves a series), in O(1) besides the pair sum."""
+    k = microstate.k
+    (ak, bk), (atop, btop) = sums[k], sums[2 * k - 1]
     # The weight of log i is k - 1 - 2i for i <= k and i - 2k for k < i < 2k.
-    weights = chain(range(k - 3, -k - 2, -2), range(1 - k, 0))
-    return math.fsum(chain(
-        (0.5 * k * (k - 1) * math.log(math.pi),
-         2.0 * _pair_log_sq_sum(microstate),
-         (2 * _equal_pairs(microstate) + k - k * k) * math.log(2.0)),
-        map(mul, weights, logs)))
+    total = (k - 1) * ak - 2 * bk + (btop - bk) - 2 * k * (atop - ak)
+    # total 2^-53 as two floats with an exact sum
+    high = float(total)
+    return math.fsum((
+        0.5 * k * (k - 1) * math.log(math.pi),
+        2.0 * _pair_log_sq_sum(microstate),
+        (2 * _equal_pairs(microstate) + k - k * k) * math.log(2.0),
+        math.ldexp(high, -53), math.ldexp(float(total - int(high)), -53)))
 
 
 def packing_series_target(measure: SpectralMeasure) -> float:
@@ -524,10 +544,10 @@ def packing_constant_series(measure: SpectralMeasure,
     """
     ks = _validated_series_ks(ks)
     target = packing_series_target(measure)
-    logs = list(map(math.log, range(1, 2 * ks[-1])))
+    sums = _log_sums(chain.from_iterable((k, 2 * k - 1) for k in ks))
     values = []
     for k in ks:
-        log_c = _packing_log(build_lower_microstate(measure, k), logs)
+        log_c = _packing_log(build_lower_microstate(measure, k), sums)
         values.append(log_c / (k * k) + 0.5 * math.log(k))
     return SeriesReport(ks=tuple(ks), values=tuple(values), target=target,
                         relation="converges_to",

@@ -3,6 +3,7 @@ Vandermonde products, and the semicircle CDF."""
 
 import math
 import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -174,6 +175,11 @@ class TestValuesWithCounts:
                              for j in range(1, n + 1))
             got = _kernels.shifted_log_sum(offsets, counts, n)
             assert got == pytest.approx(want, rel=1e-13)
+
+    def test_shifted_log_sum_refuses_offsets_below_three(self):
+        # the carried fillers assume log(t + s) analytic for s in [-2, 0]
+        with pytest.raises(ValueError, match="at least 3"):
+            _kernels.shifted_log_sum([2.5, 4.0], [1, 1], 10)
 
     def test_reg_sum_rejects_infinite_eps(self):
         for eps in (math.inf, math.nan):
@@ -364,3 +370,118 @@ class TestNodeSum:
         got = _kernels.pair_log_reg_sum(vals, 0.5)
         assert node_calls == [False]
         assert got == _reg_block(vals, None, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# The cluster sum behind both entry points (eps = 0, and eps > 0 where the
+# node sum declines), against math.fsum over every distinct pair.
+
+
+def fsum_distinct_pairs(values, counts, eps=0.0):
+    """Sum of c_a c_b K(u_a - u_b) over distinct values a < b, with
+    K(d) = 2 log|d| at eps = 0 and log(d^2 + eps) else (as
+    2 log|d| + log1p(eps / d^2), which does not overflow): one
+    math.fsum over the terms of every pair."""
+    u = np.asarray(values, dtype=float)
+    c = np.asarray(counts, dtype=float)
+
+    def row(a):
+        d = np.abs(u[a + 1:] - u[a])
+        term = 2.0 * np.log(d)
+        if eps:
+            term += np.log1p(eps / d / d)
+        return (term * (c[a] * c[a + 1:])).tolist()
+
+    return math.fsum(chain.from_iterable(map(row, range(u.size - 1))))
+
+
+def _quantiles_with_atom(kind, k):
+    """The quantiles at j/k of a diffuse part of mass 0.6 on [-1, 1], and
+    one atom of weight 0.4 repeated floor(0.4 k) times, as sorted
+    distinct values and counts."""
+    params = {"semicircle": {"center": 0.0, "radius": 1.0},
+              "uniform": {"lo": -1.0, "hi": 1.0},
+              "arcsine": {"lo": -1.0, "hi": 1.0}}[kind]
+    m = fp.measure_from_dict({
+        "support": [-1.0, 1.0],
+        "atoms": [{"location": 0.1234567, "weight": 0.4}],
+        "diffuse": {"kind": kind, "mass": 0.6, "params": params}})
+    values = np.append(fp.diffuse_quantile_batch(m, k), 0.1234567)
+    counts = np.append(np.ones(values.size - 1, dtype=np.int64),
+                       math.floor(0.4 * k))
+    order = np.argsort(values)
+    values, counts = values[order], counts[order]
+    assert np.all(np.diff(values) > 0)
+    return values, counts
+
+
+@pytest.fixture()
+def far_pairs(monkeypatch):
+    """Records the number of far leaf pairs of each cluster sum."""
+    calls = []
+    original = _kernels._far_partials
+
+    def spy(values, weights, lo, hi, far, eps):
+        calls.append(int(far.sum()))
+        return original(values, weights, lo, hi, far, eps)
+
+    monkeypatch.setattr(_kernels, "_far_partials", spy)
+    return calls
+
+
+class TestClusterSum:
+    @pytest.mark.parametrize("k", [5000, 21667])
+    @pytest.mark.parametrize("kind", ["semicircle", "uniform", "arcsine"])
+    def test_quantiles_with_an_atom_match_fsum(self, kind, k, far_pairs):
+        # U = 3001 and 13001 distinct values; the arcsine's quantiles
+        # crowd both ends of the span
+        values, counts = _quantiles_with_atom(kind, k)
+        assert values.size == math.floor(0.6 * k) + 1
+        total, equal = _kernels.pair_log_sq_skip(values, counts)
+        assert far_pairs and far_pairs[0] > 0
+        assert equal == math.comb(int(counts.max()), 2)
+        want = fsum_distinct_pairs(values, counts)
+        n = int(counts.sum())
+        assert 2.0 * abs(total - want) / (n * n) <= 1e-14
+
+    def test_small_eps_on_a_wide_span_matches_fsum(self, node_calls,
+                                                   far_pairs):
+        # s = sqrt(eps) / h = 5e-4 on [-2, 2]: the node sum would need
+        # degree 73600, so it declines
+        rng = np.random.default_rng(29)
+        values = np.sort(rng.uniform(-2.0, 2.0, size=3000))
+        counts = rng.integers(1, 4, size=3000)
+        eps = 1e-6
+        got = _kernels.pair_log_reg_sum(values, eps, counts)
+        assert node_calls == [False] and far_pairs[0] > 0
+        equal = int(np.sum(counts * (counts - 1) // 2))
+        want = math.fsum([fsum_distinct_pairs(values, counts, eps),
+                          equal * math.log(eps)])
+        n = int(counts.sum())
+        assert 2.0 * abs(got - want) / (n * n) <= 1e-14
+
+    def test_far_pairs_whose_squared_gaps_overflow(self, far_pairs):
+        values = 1e300 * np.linspace(-0.5, 0.5, 800)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _kernels.pair_log_reg_sum(values, 0.5)
+        assert far_pairs[0] > 0
+        want = fsum_distinct_pairs(values, np.ones(800), 0.5)
+        # each term is about 2 log 1e300, so the bound is relative
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("size", [1, 2, 100, 256])
+    def test_one_leaf_gives_the_block_kernel_bits(self, size, far_pairs):
+        assert size <= _kernels._LEAF
+        rng = np.random.default_rng(size)
+        values = np.sort(rng.uniform(-1.0, 1.0, size=size))
+        counts = rng.integers(1, 4, size=size)
+        weights = counts.astype(float)
+        for eps in (0.0, 0.3):
+            d = np.subtract.outer(values, values)
+            d = np.abs(d) if eps == 0.0 else d * d + eps
+            np.fill_diagonal(d, 1.0)
+            block = math.fsum([0.5 * float(weights @ (np.log(d) @ weights))])
+            got, _ = _kernels._distinct_pair_log_sum(values, counts, eps)
+            assert got == (2.0 * block if eps == 0.0 else block)
+        assert far_pairs == []

@@ -378,6 +378,15 @@ class TestExample42:
         assert all(a.weight > 0.0 for a in m.atoms)
         assert fp.validate(m).ok
 
+    def test_library_refuses_the_smallest_tol(self):
+        # example42_measure shares the spec reader's check
+        with pytest.raises(fp.MeasureSpecError) as exc:
+            fp.example42_measure(5e-324)
+        assert exc.value.path == "tol"
+        m = fp.example42_measure(1e-323)
+        assert len(m.atoms) == 1074
+        assert all(a.weight > 0.0 for a in m.atoms)
+
     def test_tail_below_tolerance(self):
         for tol in (1e-6, 1e-10, 1e-13):
             m = fp.example42_measure(tol)

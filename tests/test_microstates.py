@@ -422,6 +422,33 @@ class TestPackingConstant:
         got = fp.packing_constant_log(m, k, microstate=ms)
         assert abs(got - want) <= 2.5e-16 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("k", [2, 3, 500, 5000])
+    def test_log_factorial_terms_match_the_fsum_formula(self, k):
+        # The weighted sum of log i, i < 2k, from exact integer prefix
+        # sums: the exactly rounded sum of the same float terms, and
+        # within the product rounding of the per-term fsum it replaced.
+        m = fp.atomic_measure([(0.0, 1.0)])
+        ms = fp.build_lower_microstate(m, k)
+        head = [0.5 * k * (k - 1) * math.log(math.pi),
+                2.0 * _pair_log_sq_sum(ms),
+                (2 * microstates._equal_pairs(ms) + k - k * k)
+                * math.log(2.0)]
+        weights = [k - 1 - 2 * i for i in range(1, k + 1)] \
+            + [i - 2 * k for i in range(k + 1, 2 * k)]
+        logs = [math.log(i) for i in range(1, 2 * k)]
+        products = [w * x for w, x in zip(weights, logs)]
+        exact = sum(map(Fraction, head)) \
+            + sum(w * Fraction(x) for w, x in zip(weights, logs))
+        got = fp.packing_constant_log(m, k, microstate=ms)
+        assert got == float(exact)
+        rounding = 2.0 ** -53 * math.fsum(map(abs, products))
+        assert abs(got - math.fsum(head + products)) <= rounding
+        # a series reads every k from one table built for its largest k
+        series = fp.packing_constant_series(m, sorted({2, k}))
+        assert series.values[0] == \
+            fp.packing_constant_log(m, 2) / 4 + 0.5 * math.log(2)
+        assert series.values[-1] == got / (k * k) + 0.5 * math.log(k)
+
     def test_series_converges_from_above(self, mixed_measure):
         target = fp.packing_series_target(mixed_measure)
         rep = fp.packing_constant_series(mixed_measure, (50, 100, 200, 400))
