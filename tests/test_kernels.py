@@ -177,7 +177,8 @@ class TestValuesWithCounts:
             assert got == pytest.approx(want, rel=1e-13)
 
     def test_shifted_log_sum_refuses_offsets_below_three(self):
-        # the carried fillers assume log(t + s) analytic for s in [-2, 0]
+        # carrying the fillers needs log(t + s) analytic well beyond
+        # s in [0, 1]: t >= 3 puts its singularity at s <= -3
         with pytest.raises(ValueError, match="at least 3"):
             _kernels.shifted_log_sum([2.5, 4.0], [1, 1], 10)
 
