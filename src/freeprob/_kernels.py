@@ -25,9 +25,11 @@ for eps > 0.  Three methods sum it:
   Bernstein ellipse of rho = r + sqrt(r^2 - 1), r = 1 + 2 _FAR_RATIO,
   about 4.8, so each leaf's counts are carried onto _FAR_DEGREE = p
   first-kind Chebyshev points x of its span (``_carry``), and a far pair
-  A, B contributes w_A^T K(x_A - x_B) w_B.  At the threshold gap this
-  errs by at most 7e-15 per pair of unit counts (the max over a 401 x
-  401 grid of two equal leaves), and wider gaps converge faster.  Near
+  A, B contributes w_A^T K(x_A - x_B) w_B, its gaps taken from the
+  leaf centers' difference so that they do not carry the rounding of
+  the spectrum's offset from 0.  At the threshold gap this errs by at
+  most 7e-15 per pair of unit counts (the max over a 401 x 401 grid of
+  two equal leaves), and wider gaps converge faster.  Near
   pairs and each leaf with itself go to the block kernel, and the
   partials are summed with ``math.fsum``; a spectrum of one leaf gets
   the block kernel's bits.  The cost is O(L U) for the near field of
@@ -66,8 +68,6 @@ import math
 _LEAF = 256
 _FAR_RATIO = 0.75
 _FAR_DEGREE = 20
-# Far pairs are evaluated in chunks of at most this many kernel entries.
-_FAR_ENTRIES = 1 << 20
 
 
 def backend() -> str:
@@ -77,11 +77,17 @@ def backend() -> str:
 
 def _distinct(values, counts):
     """(values, counts) as float and int64 arrays; with ``counts`` None,
-    ``values`` is a raw spectrum and is compressed first."""
+    ``values`` is a raw spectrum and is compressed first.  Values given
+    with counts must be strictly ascending: the cluster sum reads each
+    leaf's span from its first and last value."""
     import numpy as np
     if counts is None:
         return np.unique(np.asarray(values, dtype=float), return_counts=True)
-    return np.asarray(values, dtype=float), np.asarray(counts, dtype=np.int64)
+    values = np.asarray(values, dtype=float)
+    if not np.all(values[1:] > values[:-1]):
+        raise ValueError("values given with counts must be strictly "
+                         "ascending")
+    return values, np.asarray(counts, dtype=np.int64)
 
 
 def _chebyshev_basis(n: int):
@@ -167,12 +173,15 @@ def _block_partial(vi, ci, vj, cj, eps: float, buffer) -> float:
     return partial
 
 
-def _far_partials(values, weights, lo, hi, far, eps: float) -> list[float]:
+def _far_partial(values, weights, lo, hi, far, eps: float) -> float:
     """Sum of K(u_a - u_b) c_a c_b over the far leaf pairs ``far``.
 
     Each leaf's counts are carried onto _FAR_DEGREE Chebyshev points of
     its own span [lo, hi], and a far pair of leaves A, B contributes
-    w_A^T K(x_A - x_B) w_B.  All far pairs are one batched product.
+    w_A^T K(x_A - x_B) w_B.  All far pairs are one batched product.  The
+    gaps x_A - x_B are formed from the leaf centers' difference, which is
+    exact for nearby floats, so they do not carry the rounding of the
+    points' absolute positions.
     """
     import numpy as np
     basis = _chebyshev_basis(_FAR_DEGREE)
@@ -182,21 +191,20 @@ def _far_partials(values, weights, lo, hi, far, eps: float) -> list[float]:
     c = np.concatenate((weights, np.zeros(pad))).reshape(-1, _LEAF)
     scale = np.where(half > 0.0, half, 1.0)  # a one-value leaf has t = 0
     carried = _carry((v - mid[:, None]) / scale[:, None], c, basis)
-    nodes = mid[:, None] + half[:, None] * basis[1]
-    left, right = np.nonzero(far)
-    chunk = _FAR_ENTRIES // _FAR_DEGREE ** 2
-    partials = []
-    for f0 in range(0, left.size, chunk):
-        a, b = left[f0:f0 + chunk], right[f0:f0 + chunk]
-        d = np.subtract(nodes[a, :, None], nodes[b, None, :])
+    a, b = np.nonzero(far)
+    x = basis[1]
+
+    def gaps():
+        return (np.subtract(mid[a], mid[b])[:, None, None]
+                + (half[a][:, None, None] * x[:, None]
+                   - half[b][:, None, None] * x[None, :]))
+
+    partial = float(np.einsum("fi,fij,fj->", carried[a],
+                              _log_kernel(gaps(), eps), carried[b]))
+    if eps and not math.isfinite(partial):
         partial = float(np.einsum("fi,fij,fj->", carried[a],
-                                  _log_kernel(d, eps), carried[b]))
-        if eps and not math.isfinite(partial):
-            d = _wide_log_kernel(nodes[a, :, None] - nodes[b, None, :], eps)
-            partial = float(np.einsum("fi,fij,fj->", carried[a], d,
-                                      carried[b]))
-        partials.append(partial)
-    return partials
+                                  _wide_log_kernel(gaps(), eps), carried[b]))
+    return partial
 
 
 def _distinct_pair_log_sum(values, counts, eps: float) -> tuple[float, int]:
@@ -209,7 +217,7 @@ def _distinct_pair_log_sum(values, counts, eps: float) -> tuple[float, int]:
     which the sum leaves out.
 
     This is the cluster sum: the values split into leaves of _LEAF, far
-    leaf pairs go to ``_far_partials`` and the rest to the block kernel,
+    leaf pairs go to ``_far_partial`` and the rest to the block kernel,
     and all partials are summed with ``math.fsum``.
     """
     import numpy as np
@@ -233,7 +241,7 @@ def _distinct_pair_log_sum(values, counts, eps: float) -> tuple[float, int]:
                                           weights[j0:j0 + _LEAF])
         partials.append(_block_partial(vi, ci, vj, cj, eps, buffer))
     if far.any():
-        partials.extend(_far_partials(values, weights, lo, hi, far, eps))
+        partials.append(_far_partial(values, weights, lo, hi, far, eps))
     total = math.fsum(partials)
     return (2.0 * total if eps == 0.0 else total), equal
 
@@ -311,8 +319,9 @@ def _node_pair_sum(values, counts, eps: float) -> float | None:
 def pair_log_reg_sum(values, eps: float, counts=None) -> float:
     """Sum of log((v_i - v_j)^2 + eps) over unordered pairs i < j.
 
-    The spectrum is ``values`` repeated ``counts`` times (each value
-    once without ``counts``; then the values need not be distinct).
+    The spectrum is ``values`` repeated ``counts`` times, with the
+    values strictly ascending (each value once without ``counts``; then
+    the values need not be sorted or distinct).
     ``eps`` must be positive and finite: each equal-value pair
     contributes log eps.
     """

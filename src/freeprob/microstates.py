@@ -35,8 +35,7 @@ both readings are visible.
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
-from operator import mul
+from itertools import accumulate, chain, repeat
 
 from ._kernels import (
     _check_eps,
@@ -495,15 +494,15 @@ def _log_sums(ends: Iterable[int]) -> dict[int, tuple[int, int]]:
     ``ends``, of the floats log j = m_j 2^-53.
 
     For j >= 2, log j > 1/2, so its float is an integer multiple of
-    2^-53 (and log 1 = 0): the sums are exact integers.
+    2^-53 (and log 1 = 0): the sums are exact integers.  B_i is
+    i A_i - sum_{t<i} A_t, so two running sums replace the products.
     """
-    sums, a, b, last = {}, 0, 0, 1
-    for i in sorted(set(ends)):
-        js = range(last + 1, i + 1)
-        m = [int(math.ldexp(math.log(j), 53)) for j in js]
-        a, b, last = a + sum(m), b + sum(map(mul, js, m)), i
-        sums[i] = (a, b)
-    return sums
+    ends = sorted(set(ends))
+    m = map(int, map(float(1 << 53).__mul__,
+                     map(math.log, range(1, ends[-1] + 1))))
+    a = list(accumulate(m, initial=0))  # a[i] = A_i
+    c = list(accumulate(a))  # c[i] = sum_{t<=i} A_t
+    return {i: (a[i], i * a[i] - c[i - 1]) for i in ends}
 
 
 def _packing_log(microstate: DiagonalMicrostate, sums) -> float:

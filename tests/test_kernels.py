@@ -176,6 +176,14 @@ class TestValuesWithCounts:
             got = _kernels.shifted_log_sum(offsets, counts, n)
             assert got == pytest.approx(want, rel=1e-13)
 
+    def test_counts_need_strictly_ascending_values(self):
+        # the cluster sum reads a leaf's span from its first and last value
+        for values in ([0.5, -0.25, 1.0], [0.5, 0.5, 1.0]):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                _kernels.pair_log_sq_skip(values, [1, 2, 1])
+            with pytest.raises(ValueError, match="strictly ascending"):
+                _kernels.pair_log_reg_sum(values, 0.1, [1, 2, 1])
+
     def test_shifted_log_sum_refuses_offsets_below_three(self):
         # carrying the fillers needs log(t + s) analytic well beyond
         # s in [0, 1]: t >= 3 puts its singularity at s <= -3
@@ -420,13 +428,13 @@ def _quantiles_with_atom(kind, k):
 def far_pairs(monkeypatch):
     """Records the number of far leaf pairs of each cluster sum."""
     calls = []
-    original = _kernels._far_partials
+    original = _kernels._far_partial
 
     def spy(values, weights, lo, hi, far, eps):
         calls.append(int(far.sum()))
         return original(values, weights, lo, hi, far, eps)
 
-    monkeypatch.setattr(_kernels, "_far_partials", spy)
+    monkeypatch.setattr(_kernels, "_far_partial", spy)
     return calls
 
 
@@ -441,6 +449,20 @@ class TestClusterSum:
         total, equal = _kernels.pair_log_sq_skip(values, counts)
         assert far_pairs and far_pairs[0] > 0
         assert equal == math.comb(int(counts.max()), 2)
+        want = fsum_distinct_pairs(values, counts)
+        n = int(counts.sum())
+        assert 2.0 * abs(total - want) / (n * n) <= 1e-14
+
+    @pytest.mark.parametrize("center", [1e6, 1e12])
+    def test_far_from_zero_matches_fsum(self, center, far_pairs):
+        # the uniform quantiles moved to a far center: their spacing, 6.7e-4,
+        # stays above the float spacing there (1.2e-4 at 1e12), and the
+        # far gaps must not take on the rounding of the absolute positions
+        values, counts = _quantiles_with_atom("uniform", 5000)
+        values = values + center
+        assert np.all(np.diff(values) > 0)
+        total, _ = _kernels.pair_log_sq_skip(values, counts)
+        assert far_pairs and far_pairs[0] > 0
         want = fsum_distinct_pairs(values, counts)
         n = int(counts.sum())
         assert 2.0 * abs(total - want) / (n * n) <= 1e-14
