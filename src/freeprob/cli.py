@@ -2,9 +2,10 @@
 
 Subcommands mirror the library: validate, energy, chi, dim, bounds,
 family-bounds, microstate, series, selberg, report.  Measures come from
-JSON spec files (see ``measures``); reports go to stdout or ``--out`` as
-JSON, CSV (series and microstates only), or text.  Each command and each
-series kind has its own parser, which declares exactly its flags.
+JSON spec files (see ``measures``); each command's one payload goes to
+stdout or ``--out`` as JSON, text, or (series and microstates only) CSV
+rows rendered from it.  Each command and each series kind has its own
+parser, which declares exactly its flags.
 
 Exit codes: 0 success; 1 usage error (including knobs a command does
 not take); 2 invalid measure specification; 3 a ``status`` field of the
@@ -126,8 +127,8 @@ def build_parser() -> _Parser:
 
     p = _command(sub, "chi", "free entropy (log energy plus 3/4 + "
                              "log(2 pi)/2)")
-    # chi is closed form; --tol is only recorded in the report, and stays
-    # for scripts that still pass it.
+    # chi is closed form; --tol is only recorded in the report.  It stays
+    # because the benchmark job chi:semicircle:tol=1e-8 passes it.
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="recorded in the report; chi is closed form")
 
@@ -184,8 +185,8 @@ def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     """Parse argv and make the checks argparse cannot declare."""
     ns = build_parser().parse_args(argv)
     tol, eps = getattr(ns, "tol", DEFAULT_TOL), getattr(ns, "eps", None)
-    if not tol > 0:
-        raise _UsageError(f"--tol must be positive, got {tol!r}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise _UsageError(f"--tol must be positive and finite, got {tol!r}")
     if eps is not None and not (eps > 0 and math.isfinite(eps)):
         raise _UsageError(f"--eps must be positive and finite, got {eps!r}")
     if ns.command in ("microstate", "series") and len(ns.measure) > 1:
@@ -194,6 +195,8 @@ def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     if ns.command == "microstate":
         if (ns.eps is None) != (ns.t is None):
             raise _UsageError("--eps and --t must be given together")
+        if ns.t is not None and not math.isfinite(ns.t):
+            raise _UsageError(f"--t must be finite, got {ns.t!r}")
         if ns.eps is not None and ns.kind != "upper":
             raise _UsageError("the volume bound (--eps/--t) applies to the "
                               "upper microstate only")
@@ -257,14 +260,20 @@ def _text_lines(obj: Any, indent: int = 0) -> list[str]:
     return lines
 
 
-def _render(payload: dict, ns: argparse.Namespace,
-            csv_lines: list[str] | None) -> str:
+def _render(payload: dict, ns: argparse.Namespace) -> str:
     if ns.format == "json":
         return json.dumps(_sanitize(payload), sort_keys=True, indent=2,
                           allow_nan=False)
-    if ns.format == "csv":  # offered only by commands that make csv rows
-        return "\n".join(csv_lines)
-    return "\n".join(_text_lines(_sanitize(payload)))
+    if ns.format == "text":
+        return "\n".join(_text_lines(_sanitize(payload)))
+    # csv, offered only by microstate and series, reads unsanitized floats
+    result = payload["result"]
+    if ns.command == "microstate":
+        return "\n".join(map(str, result["eigenvalues"]))
+    target = result["target"]
+    return "\n".join(["k,value,target,gap"] + [
+        f"{k},{v},{target},{v - target}"
+        for k, v in zip(result["ks"], result["values"])])
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -337,16 +346,9 @@ def _series_dict(kind: str, report: SeriesReport) -> dict:
     return out
 
 
-def _series_csv(ks, values, target) -> list[str]:
-    lines = ["k,value,target,gap"]
-    lines.extend(f"{k},{v},{target},{v - target}"
-                 for k, v in zip(ks, values))
-    return lines
-
-
 # ---------------------------------------------------------------------------
 # Command handlers.  Each takes the namespace and the loaded [(path,
-# measure)] and returns (payload, csv_lines).
+# measure)] and returns the payload.
 
 
 Loaded = list[tuple[str, SpectralMeasure]]
@@ -384,7 +386,7 @@ def _cmd_validate(ns, loaded: Loaded):
             "mass_defect": report.mass_defect,
             "tail_mass": report.tail_mass,
         })
-    return _envelope(ns, {"measures": ns.measure}, {"results": results}), None
+    return _envelope(ns, {"measures": ns.measure}, {"results": results})
 
 
 def _cmd_energy(ns, loaded: Loaded):
@@ -399,14 +401,14 @@ def _cmd_energy(ns, loaded: Loaded):
         ],
     } for path, measure in loaded]
     inputs = {"measures": ns.measure, "tol": ns.tol, "eps": eps_list}
-    return _envelope(ns, inputs, {"results": results}), None
+    return _envelope(ns, inputs, {"results": results})
 
 
 def _cmd_chi(ns, loaded: Loaded):
     results = [{"measure": path, "chi": chi(measure),
                 "formula": FORMULAS["chi"]} for path, measure in loaded]
     inputs = {"measures": ns.measure, "tol": ns.tol}
-    return _envelope(ns, inputs, {"results": results}), None
+    return _envelope(ns, inputs, {"results": results})
 
 
 def _cmd_dim(ns, loaded: Loaded):
@@ -416,7 +418,7 @@ def _cmd_dim(ns, loaded: Loaded):
         "truncation_bound": dimension_truncation_bound(measure),
         "formula": FORMULAS["alpha"],
     } for path, measure in loaded]
-    return _envelope(ns, {"measures": ns.measure}, {"results": results}), None
+    return _envelope(ns, {"measures": ns.measure}, {"results": results})
 
 
 def _cmd_bounds(ns, loaded: Loaded):
@@ -433,7 +435,7 @@ def _cmd_bounds(ns, loaded: Loaded):
             "formulas": {key: FORMULAS[key]
                          for key in ("lower", "upper", "width")},
         })
-    return _envelope(ns, {"measures": ns.measure}, {"results": results}), None
+    return _envelope(ns, {"measures": ns.measure}, {"results": results})
 
 
 def _cmd_family_bounds(ns, loaded: Loaded):
@@ -452,7 +454,7 @@ def _cmd_family_bounds(ns, loaded: Loaded):
         ],
         "formulas": {key: FORMULAS[key] for key in ("k1", "k2")},
     }
-    return _envelope(ns, {"measures": ns.measure}, {"result": body}), None
+    return _envelope(ns, {"measures": ns.measure}, {"result": body})
 
 
 def _cmd_microstate(ns, loaded: Loaded):
@@ -462,7 +464,6 @@ def _cmd_microstate(ns, loaded: Loaded):
     else:
         ms = build_lower_microstate(measure, ns.k)
     part = pair_partition(ms)
-    eigenvalues = ms.eigenvalues
     body = {
         "measure": path,
         "kind": ms.kind,
@@ -473,7 +474,7 @@ def _cmd_microstate(ns, loaded: Loaded):
             for loc, mult in ms.atom_multiplicity_map
         ],
         "pair_partition": {"s_count": part.s_count, "w_count": part.w_count},
-        "eigenvalues": list(eigenvalues),
+        "eigenvalues": ms.eigenvalues,
     }
     if ms.kind == "upper":
         body["zero_count"] = ms.zero_count
@@ -494,8 +495,7 @@ def _cmd_microstate(ns, loaded: Loaded):
             ms, ns.eps, ns.t)
         inputs["eps"] = ns.eps
         inputs["t"] = ns.t
-    csv_lines = [str(v) for v in eigenvalues]
-    return _envelope(ns, inputs, {"result": body}), csv_lines
+    return _envelope(ns, inputs, {"result": body})
 
 
 def _cmd_series(ns, loaded: Loaded):
@@ -512,8 +512,7 @@ def _cmd_series(ns, loaded: Loaded):
             "achieved_gap": gs.normalized_values[-1] - gs.limit,
             "approach_side": gs.approach_side,
         }
-        csv_lines = _series_csv(gs.ks, gs.normalized_values, gs.limit)
-        return _envelope(ns, inputs, {"result": body}), csv_lines
+        return _envelope(ns, inputs, {"result": body})
 
     [(path, measure)] = loaded
     inputs["measures"] = [path]
@@ -524,9 +523,7 @@ def _cmd_series(ns, loaded: Loaded):
         report = offdiag_sum_series(measure, ns.ks)
     else:
         report = packing_constant_series(measure, ns.ks)
-    csv_lines = _series_csv(report.ks, report.values, report.target)
-    return (_envelope(ns, inputs, {"result": _series_dict(kind, report)}),
-            csv_lines)
+    return _envelope(ns, inputs, {"result": _series_dict(kind, report)})
 
 
 def _cmd_selberg(ns, loaded: Loaded):
@@ -548,7 +545,7 @@ def _cmd_selberg(ns, loaded: Loaded):
             "z_score": mc.z_score,
         }
         inputs.update(eps=ns.eps, samples=ns.samples, seed=ns.seed)
-    return _envelope(ns, inputs, {"result": body}), None
+    return _envelope(ns, inputs, {"result": body})
 
 
 def _cmd_report(ns, loaded: Loaded):
@@ -582,7 +579,7 @@ def _cmd_report(ns, loaded: Loaded):
             "lower": family.lower,
             "upper": family.upper,
         }
-    return _envelope(ns, {"measures": ns.measure}, body), None
+    return _envelope(ns, {"measures": ns.measure}, body)
 
 
 _HANDLERS = {
@@ -607,7 +604,7 @@ def run(ns: argparse.Namespace) -> int:
     """
     try:
         loaded = _load_all(ns)
-        payload, csv_lines = _HANDLERS[ns.command](ns, loaded)
+        payload = _HANDLERS[ns.command](ns, loaded)
     except _UsageError as exc:
         return _fail(1, "usage", str(exc))
     except MeasureSpecError as exc:
@@ -617,7 +614,7 @@ def run(ns: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(1, "usage", str(exc))
     try:
-        _emit(_render(payload, ns, csv_lines), ns.out)
+        _emit(_render(payload, ns), ns.out)
     except OSError as exc:
         return _fail(1, "usage", f"cannot write report file {ns.out}: {exc}")
     if ns.command == "validate":

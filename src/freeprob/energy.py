@@ -329,8 +329,8 @@ def regularized_energy(measure: SpectralMeasure, eps: float,
     ``status`` is "not_converged" when that exceeds ``tol``.
     """
     _check_eps(eps)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     points = [(a.location, a.weight) for a in measure.atoms]
     if measure.truncated_tail > 0.0 and measure.truncated_tail_location is not None:
         points.append((measure.truncated_tail_location,

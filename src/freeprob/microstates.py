@@ -443,13 +443,15 @@ def volume_upper_bound_log(microstate: DiagonalMicrostate, eps: float,
     prod_{i<j} ((a_i - a_j)^2 + eps),
     where the inner radius ratio a in (0, 1/2) solves
     sqrt((a + 2a^2) / (a + 2)) = t/eps + 1/4 (a quadratic's positive root).
-    Raises NoSolutionError when t/eps + 1/4 falls outside the range
-    (0, sqrt(2/5)) of the left side.
+    Raises NoSolutionError when a finite t puts t/eps + 1/4 outside the
+    range (0, sqrt(2/5)) of the left side, ValueError for a non-finite t.
     """
     if microstate.kind != "upper":
         raise ValueError("the volume bound is defined for the quantile-fill "
                          "(upper) microstate")
     _check_eps(eps)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     ratio = t / eps + 0.25
     if not 0.0 < ratio < _INNER_SUP:
         raise NoSolutionError(

@@ -449,6 +449,25 @@ class TestKnobDiscipline:
         assert res.stderr.startswith("freeprob: error: usage:")
         res = run_cli("bounds", "--measure", mixed_path, "--tol", "nan")
         assert res.code == 1
+        # --tol inf once ran energy, chi and regularized-product with exit 0
+        for argv in (("chi",), ("energy",),
+                     ("series", "regularized-product", "--eps", "0.5",
+                      "--ks", "10,20")):
+            res = run_cli(*argv, "--measure", mixed_path, "--tol", "inf")
+            assert res.code == 1, argv
+            assert res.stderr == ("freeprob: error: usage: --tol must be "
+                                  "positive and finite, got inf\n")
+            assert res.stdout == ""
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_t_must_be_finite(self, uniform_path, t):
+        # a non-finite --t once reached the volume bound and exited 4
+        res = run_cli("microstate", "--measure", uniform_path, "--k", "20",
+                      "--kind", "upper", "--eps", "0.5", f"--t={t}")
+        assert res.code == 1
+        assert res.stderr == (f"freeprob: error: usage: --t must be finite, "
+                              f"got {float(t)!r}\n")
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("spec", ["atoms", "arcsine"])
     @pytest.mark.parametrize("argv", [
@@ -584,6 +603,40 @@ class TestCsvOutput:
     def test_csv_is_default_for_series(self, uniform_path):
         res = run_cli("series", "gamma-ratio", "--ks", "10,20")
         assert res.stdout.startswith("k,value,target,gap")
+
+    @pytest.mark.parametrize("argv", [
+        ("microstate", "--kind", "lower", "--k", "40"),
+        ("microstate", "--kind", "upper", "--k", "40"),
+        ("microstate", "--kind", "upper", "--k", "40", "--eps", "0.5",
+         "--t", "0.05"),
+        ("series", "gamma-ratio", "--ks", "10,20,40"),
+        ("series", "regularized-product", "--eps", "0.5", "--ks", "10,20,40"),
+        ("series", "offdiag-sum", "--ks", "10,20,40"),
+        ("series", "packing-constant", "--ks", "10,20,40"),
+    ], ids=["lower", "upper", "upper-volume", "gamma-ratio",
+            "regularized-product", "offdiag-sum", "packing-constant"])
+    def test_rows_are_the_json_numbers(self, mixed_path, tmp_path, argv):
+        # the CSV rows are rendered from the same payload as the JSON
+        if argv[1] != "gamma-ratio":
+            argv += ("--measure", mixed_path)
+        csv = run_cli(*argv, "--format", "csv")
+        doc = run_cli(*argv, "--format", "json")
+        assert csv.code == doc.code == 0, (csv.stderr, doc.stderr)
+        result = doc.json["result"]
+        rows = csv.stdout.splitlines()
+        if argv[0] == "microstate":
+            assert [float(row) for row in rows] == result["eigenvalues"]
+            assert len(rows) == result["k"]
+        else:
+            assert rows[0] == "k,value,target,gap"
+            target = result["target"]
+            assert [row.split(",") for row in rows[1:]] == [
+                [str(k), repr(v), repr(target), repr(v - target)]
+                for k, v in zip(result["ks"], result["values"])]
+        out = tmp_path / "report.csv"
+        res = run_cli(*argv, "--format", "csv", "--out", str(out))
+        assert (res.code, res.stdout, res.stderr) == (0, "", "")
+        assert out.read_text(encoding="utf-8") == csv.stdout
 
 
 class TestCommandPayloads:

@@ -425,6 +425,12 @@ class TestRegularizedEnergy:
                 with pytest.raises(ValueError, match="positive and finite"):
                     fp.regularized_energy(m, eps, TOL)
 
+    def test_rejects_tol_that_is_not_finite(self, semicircle2):
+        # tol = inf once returned status "ok" for any error estimate
+        for tol in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="positive and finite"):
+                fp.regularized_energy(semicircle2, 0.01, tol)
+
     def test_dominates_twice_offdiag(self, mixed_measure):
         # log((y-z)^2 + eps) >= 2 log|y-z| pointwise off the diagonal
         # and the diagonal only adds mass, provided eps >= 1.

@@ -374,6 +374,13 @@ class TestVolumeUpperBound:
         with pytest.raises(fp.NoSolutionError):
             fp.volume_upper_bound_log(ms, 0.5, -0.2)  # ratio -0.15
 
+    def test_rejects_t_that_is_not_finite(self, uniform01):
+        # a NaN ratio once fell through to NoSolutionError (exit 4)
+        ms = fp.build_upper_microstate(uniform01, 20)
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="t must be finite"):
+                fp.volume_upper_bound_log(ms, 0.5, t)
+
     def test_boundary_ratio_rejected(self, uniform01):
         ms = fp.build_upper_microstate(uniform01, 20)
         t_sup = (math.sqrt(0.4) - 0.25) * 0.5
