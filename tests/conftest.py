@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -143,6 +146,21 @@ def run_cli(*argv: str) -> CliResult:
 @pytest.fixture(scope="session")
 def cli():
     return run_cli
+
+
+def perfbench_module(name: str):
+    """``perfbench/<name>.py``, loaded from its file and only read.
+
+    It is registered under its own name: ``oracle`` imports ``workloads``
+    by name, and dataclasses resolve their module.
+    """
+    if name not in sys.modules:
+        path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 @pytest.fixture()

@@ -3,36 +3,15 @@
 Every job of ``perfbench/workloads.py`` runs at seed 1 through
 ``freeprob.cli.main``, and ``perfbench/oracle.py`` checks its exit code
 and output, as the benchmark does before it reports a run as correct.
-Both modules are loaded from their files and only read.
 """
-
-import contextlib
-import importlib.util
-import io
-import sys
-from pathlib import Path
 
 import pytest
 
-from freeprob import cli
+from conftest import perfbench_module, run_cli
 
-PERFBENCH = Path(__file__).parents[1] / "perfbench"
+workloads = perfbench_module("workloads")
+oracle = perfbench_module("oracle")
 SEED = 1
-
-
-def _load(name: str):
-    # oracle imports workloads by name, so it is registered under it
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses resolve their module
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load("workloads")
-oracle = _load("oracle")
 
 
 @pytest.fixture(scope="module")
@@ -47,11 +26,8 @@ def test_every_job_passes_the_oracle(inputs, workload):
     specs, paths = inputs
     failed = {}
     for job in workloads.jobs_for(workload):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(job.resolve(paths))
-        reason = oracle.check(job, specs, code, out.getvalue())
+        res = run_cli(*job.resolve(paths))
+        reason = oracle.check(job, specs, res.code, res.stdout)
         if reason is not None:
             failed[job.id] = reason
     assert failed == {}

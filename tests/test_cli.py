@@ -1,19 +1,17 @@
 """Command-line interface: exit codes, formats, knob discipline."""
 
-import importlib.util
 import json
 import math
 import re
-import sys
 import warnings
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freeprob as fp
-from conftest import chebyshev_reference, run_cli, uniform_regularized_energy
+from conftest import (chebyshev_reference, perfbench_module, run_cli,
+                      uniform_regularized_energy)
 from freeprob.cli import parse_args
 
 
@@ -916,30 +914,12 @@ def _nonfinite(obj, path=""):
 # The benchmark's command lines (perfbench/workloads.py, read, not edited).
 
 
-def _bench_workloads():
-    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve their module
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestBenchmarkContract:
     def test_every_job_parses(self):
-        workloads = _bench_workloads()
+        workloads = perfbench_module("workloads")
         names = workloads.make_specs(1)
         paths = {name: f"{name}.json" for name in names}
         for workload in workloads.WORKLOADS:
             for job in workloads.jobs_for(workload):
                 ns = parse_args(job.resolve(paths))
                 assert ns.command == job.argv[0], job.id
-
-    def test_energy_quad_exit_codes(self, tmp_path):
-        workloads = _bench_workloads()
-        paths = workloads.write_specs(workloads.make_specs(1), str(tmp_path))
-        codes = {job.id: (run_cli(*job.resolve(paths)).code, job.expect_code)
-                 for job in workloads.jobs_for("energy-quad")}
-        assert len(codes) > 30
-        assert {job: pair for job, pair in codes.items()
-                if pair[0] != pair[1]} == {}
