@@ -11,48 +11,38 @@ floor(c_i k) times), so the U distinct values are often far fewer than
 the k entries; a raw spectrum is compressed first.  Equal-value pairs
 are counted, not evaluated: there are sum c_a (c_a - 1) / 2 of them.
 The kernel of a gap d is K(d) = 2 log|d| at eps = 0 and log(d^2 + eps)
-for eps > 0.  Three methods sum it:
+for eps > 0.  Two methods sum it:
 
 * The block kernel evaluates the whole log-gap matrix of two blocks of
   values, weighted by the counts on both sides; a block paired with
   itself counts half of it.  O(m^2) for m values, exact up to rounding.
   Squared gaps that overflow are taken as logaddexp(2 log|d|, log eps).
 
-* The cluster sum serves every pair sum that the node sum does not.  It
-  splits the sorted values into leaves of _LEAF.  Two leaves are far
-  apart when their gap is at least _FAR_RATIO times the wider one's
-  width.  Then K is analytic in each leaf's variable inside the
-  Bernstein ellipse of rho = r + sqrt(r^2 - 1), r = 1 + 2 _FAR_RATIO,
-  about 4.8, so each leaf's counts are carried onto _FAR_DEGREE = p
-  first-kind Chebyshev points x of its span (``_carry``), and a far pair
-  A, B contributes w_A^T K(x_A - x_B) w_B, its gaps taken from the
-  leaf centers' difference so that they do not carry the rounding of
-  the spectrum's offset from 0.  At the threshold gap this errs by at
-  most 7e-15 per pair of unit counts (the max over a 401 x 401 grid of
-  two equal leaves), and wider gaps converge faster.  Near
-  pairs and each leaf with itself go to the block kernel, and the
-  partials are summed with ``math.fsum``; a spectrum of one leaf gets
-  the block kernel's bits.  The cost is O(L U) for the near field of
-  leaves of L, O(p U) for the carry and O((p U / L)^2) for the far
-  pairs, evaluated together.  It is the one-level form of the fast
-  multipole split (Greengard & Rokhlin, J. Comput. Phys. 73, 1987)
-  with a Chebyshev far field (Fong & Darve, J. Comput. Phys. 228, 2009).
-
-* The node sum (eps > 0) takes the whole spectrum as one far cluster.
-  In t = (v - m) / h on the values' span [m - h, m + h], the kernel is
-  log eps + log1p(((t - t') / s)^2) with s = sqrt(eps) / h, analytic in
-  a strip of half-width s, so its 2-D Chebyshev interpolant of degree n
-  converges like rho^-n, rho = exp(asinh s) (Trefethen, *Approximation
-  Theory and Approximation Practice*, ch. 8).  With
-  n = ceil(36.8 / asinh s) + 4, rho^-(n - 4) is about 1e-16.  The counts
-  carried onto the n points are w, and the sum over all ordered pairs
-  is w^T F w with F_jl the kernel at (x_j, x_l): O(nU + n^2), in
-  matrix-vector products only (an n x n OpenBLAS gemm takes about 16 ms
-  at n >= 128 on a 2-core host, against 0.13 ms single-threaded).
-  ``pair_log_reg_sum`` tries it first.  The cluster sum runs instead
-  when asinh(s) U < 36.8 (n would exceed U), when the cost rule
-  ``_node_is_cheaper`` says so, or when the interpolant's last
-  coefficient rows exceed 1e-13.
+* The cluster sum splits the sorted values into clusters, carries each
+  cluster's counts onto p first-kind Chebyshev points x of its span
+  (``_carry``), and sums a far pair of clusters A, B as
+  w_A^T K(x_A - x_B) w_B.  A pair is far when its gap is at least
+  _FAR_RATIO times the wider cluster's width: K is then analytic in each
+  cluster's variable inside the Bernstein ellipse of
+  rho = r + sqrt(r^2 - 1), r = 1 + 2 _FAR_RATIO, about 4.8, and at
+  p = _FAR_DEGREE the threshold gap errs by at most 7e-15 per pair of
+  unit counts (the max over a 401 x 401 grid of two equal leaves).  At
+  eps > 0 a pair is also far when both clusters are smooth at p (a
+  cluster with itself included): in t = (v - m) / h on a span
+  [m - h, m + h], K is log eps + log1p(((t - t') / s)^2), s = sqrt(eps)
+  / h, analytic in a strip of half-width s, so its interpolant converges
+  like exp(-p asinh s) (Trefethen, *Approximation Theory and
+  Approximation Practice*, ch. 8); the cluster is smooth at p when
+  (p - 4) asinh s >= 36.8, about 1e-16.  The clusters are the whole
+  spectrum when it is smooth at degree _MAX_DEGREE or below, else
+  leaves of _LEAF.  Near pairs go to the block kernel, and the partials
+  are summed with ``math.fsum``.  The cost is O(L U) for the near field
+  of leaves of L, O(p U) for the carry and O((p U / L)^2) for the far
+  pairs, or O(p U + p^2) for one cluster, with no n x n matrix product
+  (OpenBLAS threads those: about 16 ms at n >= 128 on a 2-core host,
+  against 0.13 ms single-threaded).  It is the one-level fast multipole
+  split (Greengard & Rokhlin, J. Comput. Phys. 73, 1987) with a
+  Chebyshev far field (Fong & Darve, J. Comput. Phys. 228, 2009).
 
 ``shifted_log_sum`` is the cross term between values and a microstate's
 evenly spaced fillers; it carries the fillers onto Chebyshev points too.
@@ -60,14 +50,23 @@ evenly spaced fillers; it carries the fillers onto Chebyshev points too.
 
 from __future__ import annotations
 
+import functools
 import math
 
 # The cluster sum: leaves of _LEAF sorted distinct values, a far pair's
-# gap at least _FAR_RATIO times the wider leaf's width, and _FAR_DEGREE
-# Chebyshev points per leaf (measurements in CHANGES.md).
+# gap at least _FAR_RATIO times the wider leaf's width, and at least
+# _FAR_DEGREE Chebyshev points per cluster.  A cluster of half-width h is
+# smooth at degree p when (p - _GUARD) asinh(sqrt(eps) / h) >= _DECAY.
+# Smoothness admits pairs up to degree _MAX_DEGREE (no slower than 48,
+# 64 or 128 on any call measured), and only in calls of more than _LEAF
+# values: on 256 values one carried cluster costs 1.0-1.5x the block
+# kernel (measurements in CHANGES.md).
 _LEAF = 256
 _FAR_RATIO = 0.75
 _FAR_DEGREE = 20
+_DECAY = 36.8
+_GUARD = 4
+_MAX_DEGREE = 96
 
 
 def backend() -> str:
@@ -90,14 +89,18 @@ def _distinct(values, counts):
     return values, np.asarray(counts, dtype=np.int64)
 
 
+@functools.cache
 def _chebyshev_basis(n: int):
     """basis[p, j] = T_p(x_j) = cos(p (2j + 1) pi / (2n)) at the n
     first-kind Chebyshev points x_j = basis[1, j], read from a table of
-    the 4n angles so that every entry is a rounded cosine."""
+    the 4n angles so that every entry is a rounded cosine.  Read-only:
+    each degree's table is made once."""
     import numpy as np
     angles = np.cos(np.arange(4 * n) * (math.pi / (2 * n)))
     odd = np.arange(1, 2 * n, 2)
-    return angles[np.outer(np.arange(n), odd) % (4 * n)]
+    basis = angles[np.outer(np.arange(n), odd) % (4 * n)]
+    basis.flags.writeable = False
+    return basis
 
 
 def _carry(t, weights, basis):
@@ -114,20 +117,19 @@ def _carry(t, weights, basis):
     import numpy as np
     n = len(basis)
     row = weights[..., None, :]  # each cluster's weights as a 1 x m row
-
-    def moment(tp):
-        return (row @ tp[..., None])[..., 0, 0]
-
-    moments = np.empty(t.shape[:-1] + (n,))
-    moments[..., 0], moments[..., 1] = 0.5 * weights.sum(axis=-1), moment(t)
-    twice_t = 2.0 * t
-    prev, cur, nxt = np.ones_like(t), t.copy(), np.empty_like(t)
+    # Each moment is a 1 x 1 product written in place.
+    moments = np.empty(t.shape[:-1] + (n, 1, 1))
+    moments[..., 0, 0, 0] = 0.5 * weights.sum(axis=-1)
+    twice_t = 2.0 * t[..., None]
+    prev, cur = np.ones_like(twice_t), t[..., None].copy()
+    nxt = np.empty_like(twice_t)
+    np.matmul(row, cur, out=moments[..., 1, :, :])
     for p in range(2, n):
         np.multiply(twice_t, cur, out=nxt)
         np.subtract(nxt, prev, out=nxt)
-        moments[..., p] = moment(nxt)
+        np.matmul(row, nxt, out=moments[..., p, :, :])
         prev, cur, nxt = cur, nxt, prev
-    return (2.0 / n) * (moments @ basis)
+    return (2.0 / n) * (moments[..., 0, 0] @ basis)
 
 
 def _log_kernel(d, eps: float, diagonal: bool = False):
@@ -173,37 +175,58 @@ def _block_partial(vi, ci, vj, cj, eps: float, buffer) -> float:
     return partial
 
 
-def _far_partial(values, weights, lo, hi, far, eps: float) -> float:
-    """Sum of K(u_a - u_b) c_a c_b over the far leaf pairs ``far``.
+def _smooth_degree(root, half):
+    """The least degree p at which eps = root^2 makes a cluster of
+    half-width ``half`` smooth: (p - _GUARD) asinh(root / half) >= _DECAY.
+    Takes arrays; root must be positive."""
+    import numpy as np
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.ceil(_DECAY / np.arcsinh(np.divide(root, half))) + _GUARD
 
-    Each leaf's counts are carried onto _FAR_DEGREE Chebyshev points of
-    its own span [lo, hi], and a far pair of leaves A, B contributes
-    w_A^T K(x_A - x_B) w_B.  All far pairs are one batched product.  The
-    gaps x_A - x_B are formed from the leaf centers' difference, which is
-    exact for nearby floats, so they do not carry the rounding of the
-    points' absolute positions.
+
+def _far_partial(values, weights, lo, hi, far, eps: float, size: int,
+                 degree: int) -> float:
+    """Sum of K(u_a - u_b) c_a c_b over the far cluster pairs ``far``,
+    clusters of ``size`` values carried onto ``degree`` points.
+
+    The gaps x_A - x_B come from the cluster centers' difference, which
+    is exact for nearby floats, so they do not carry the rounding of the
+    points' absolute positions.  A cluster with itself takes K as
+    log eps + log1p(d^2 / eps): its log eps part is exact from the
+    counts, (k_A^2 - sum c_a^2) / 2 index pairs.
     """
     import numpy as np
-    basis = _chebyshev_basis(_FAR_DEGREE)
+    basis = _chebyshev_basis(degree)
     mid, half = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
-    pad = -values.size % _LEAF
-    v = np.concatenate((values, np.full(pad, values[-1]))).reshape(-1, _LEAF)
-    c = np.concatenate((weights, np.zeros(pad))).reshape(-1, _LEAF)
+    pad = -values.size % size
+    v = np.concatenate((values, np.full(pad, values[-1]))).reshape(-1, size)
+    c = np.concatenate((weights, np.zeros(pad))).reshape(-1, size)
     scale = np.where(half > 0.0, half, 1.0)  # a one-value leaf has t = 0
     carried = _carry((v - mid[:, None]) / scale[:, None], c, basis)
+    offset = half[:, None] * basis[1]  # each cluster's points less its mid
     a, b = np.nonzero(far)
-    x = basis[1]
+    own = a[a == b]
+    a, b = a[a != b], b[a != b]
 
     def gaps():
-        return (np.subtract(mid[a], mid[b])[:, None, None]
-                + (half[a][:, None, None] * x[:, None]
-                   - half[b][:, None, None] * x[None, :]))
+        d = offset[a][:, :, None] - offset[b][:, None, :]
+        d += np.subtract(mid[a], mid[b])[:, None, None]
+        return d
 
-    partial = float(np.einsum("fi,fij,fj->", carried[a],
-                              _log_kernel(gaps(), eps), carried[b]))
+    partial = 0.0
+    if a.size:
+        partial = float(np.einsum("fi,fij,fj->", carried[a],
+                                  _log_kernel(gaps(), eps), carried[b]))
     if eps and not math.isfinite(partial):
         partial = float(np.einsum("fi,fij,fj->", carried[a],
                                   _wide_log_kernel(gaps(), eps), carried[b]))
+    if own.size:
+        d = offset[own][:, :, None] - offset[own][:, None, :]
+        shape = np.log1p(d * d / eps)
+        w, counts = carried[own], c[own]
+        pairs = np.sum(counts.sum(axis=1) ** 2 - np.sum(counts ** 2, axis=1))
+        partial += 0.5 * (float(pairs) * math.log(eps) + float(
+            np.sum(w[:, None, :] @ (shape @ w[:, :, None]))))
     return partial
 
 
@@ -214,34 +237,47 @@ def _distinct_pair_log_sum(values, counts, eps: float) -> tuple[float, int]:
     At eps = 0 each term is 2 log|u_a - u_b|, so gaps whose squares
     would overflow or underflow stay finite.  Returns the sum together
     with the number of equal-value index pairs, sum c_a (c_a - 1) / 2,
-    which the sum leaves out.
-
-    This is the cluster sum: the values split into leaves of _LEAF, far
-    leaf pairs go to ``_far_partial`` and the rest to the block kernel,
-    and all partials are summed with ``math.fsum``.
+    which the sum leaves out.  The layout is the module docstring's.
     """
     import numpy as np
-    equal = int(np.sum(counts * (counts - 1) // 2))
+    equal = int(np.sum(counts * (counts - 1))) // 2
     weights = counts.astype(np.float64)
     n = values.size
-    lo = values[0::_LEAF]
-    hi = values[np.minimum(np.arange(1, lo.size + 1) * _LEAF, n) - 1]
+    root = math.sqrt(eps)
+    size, degree = _LEAF, _FAR_DEGREE
+    may_smooth = eps > 0.0 and n > _LEAF
+    if may_smooth and _smooth_degree(
+            root, 0.5 * values[-1] - 0.5 * values[0]) <= _MAX_DEGREE:
+        size = n
+    starts = np.arange(0, n, size)
+    ends = np.minimum(starts + size, n)
+    lo, hi = values[starts], values[ends - 1]
     # Half widths and half gaps, gap[i, j] = (lo_j - hi_i) / 2, which
     # cannot overflow.
     half = 0.5 * hi - 0.5 * lo
     gap = np.subtract.outer(-0.5 * hi, -0.5 * lo)
-    far = np.triu((gap >= _FAR_RATIO * np.maximum.outer(half, half))
-                  & (gap > 0.0), 1)
+    above = np.less.outer(starts, starts)
+    far = above & (gap >= _FAR_RATIO * np.maximum.outer(half, half)) \
+        & (gap > 0.0)
+    if may_smooth:
+        # the one degree: the widest cluster's, unless it passes the cap
+        degrees = _smooth_degree(root, half)
+        if degrees.max() <= _MAX_DEGREE:
+            degree = max(degree, int(degrees.max()))
+        smooth = degrees <= degree
+        far |= above & np.logical_and.outer(smooth, smooth)
+        np.fill_diagonal(far, smooth)
     buffer = np.empty((min(n, _LEAF), min(n, _LEAF)))
     partials = []
-    for i, j in zip(*np.nonzero(np.triu(~far))):
-        i0, j0 = i * _LEAF, j * _LEAF
-        vi, ci = values[i0:i0 + _LEAF], weights[i0:i0 + _LEAF]
-        vj, cj = (vi, ci) if i == j else (values[j0:j0 + _LEAF],
-                                          weights[j0:j0 + _LEAF])
+    for i, j in zip(*np.nonzero(~(far | above.T))):
+        i0, j0 = i * size, j * size
+        vi, ci = values[i0:i0 + size], weights[i0:i0 + size]
+        vj, cj = (vi, ci) if i == j else (values[j0:j0 + size],
+                                          weights[j0:j0 + size])
         partials.append(_block_partial(vi, ci, vj, cj, eps, buffer))
     if far.any():
-        partials.append(_far_partial(values, weights, lo, hi, far, eps))
+        partials.append(_far_partial(values, weights, lo, hi, far, eps,
+                                     size, degree))
     total = math.fsum(partials)
     return (2.0 * total if eps == 0.0 else total), equal
 
@@ -254,68 +290,6 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-# The node sum's degree n makes rho^-n = exp(-_NODE_DECAY) about 1e-16;
-# its last _NODE_GUARD coefficient rows must stay below _NODE_TAIL.
-_NODE_DECAY = 36.8
-_NODE_GUARD = 4
-_NODE_TAIL = 1e-13
-
-
-def _node_is_cheaper(n: int, distinct: int) -> bool:
-    """Cost rule: a node sum of degree n over U distinct values against
-    the cluster sum.
-
-    Timed on one core, the node sum costs about 2 n U + 25 n^2 + 3000 n
-    ns (moment recurrence, node matrices, per-degree overhead).  The
-    cluster sum costs about 2 U^2 ns while a few leaves are all near
-    each other, and about 2300 U + 670000 ns from U = 1000 on: some two
-    blocks of near field per leaf, the carry and the far pairs.
-    """
-    cluster = min(2 * distinct * distinct, 2300 * distinct + 670_000)
-    return n * (2 * distinct + 25 * n + 3000) < cluster
-
-
-def _node_pair_sum(values, counts, eps: float) -> float | None:
-    """The regularized pair sum as a Chebyshev node sum, or None.
-
-    None means the cluster sum is the better choice: the node sum costs
-    more, or its tail coefficients show it would miss the tolerance.
-    """
-    import numpy as np
-    distinct = values.size
-    lo, hi = float(values.min()), float(values.max())
-    mid, half = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
-    if not half > 0.0:
-        return None
-    s = math.sqrt(eps) / half
-    decay = math.asinh(s)
-    if decay * distinct < _NODE_DECAY:
-        return None
-    n = math.ceil(_NODE_DECAY / decay) + _NODE_GUARD
-    if not _node_is_cheaper(n, distinct):
-        return None
-    weights = counts.astype(np.float64)
-    k = float(weights.sum())
-    basis = _chebyshev_basis(n)
-    nodes = basis[1]
-    carried = _carry((values - mid) / half, weights, basis)
-    gaps = np.subtract.outer(nodes, nodes) / s
-    np.multiply(gaps, gaps, out=gaps)
-    shape = np.log1p(gaps, out=gaps)
-    # Coefficient rows p >= n - _NODE_GUARD of the interpolant of
-    # log1p((x - y)^2 / s^2), one matrix-vector pair per row.
-    scale = (2.0 / n) ** 2
-    for p in range(n - _NODE_GUARD, n):
-        row = basis @ (shape @ basis[p])
-        row[0] *= 0.5
-        if scale * float(np.abs(row).max()) > _NODE_TAIL:
-            return None
-    # log eps is constant and the carried counts sum to k, so it enters
-    # as k^2 log eps; the diagonal's k log eps comes off.
-    return 0.5 * (k * k - k) * math.log(eps) \
-        + 0.5 * float(carried @ (shape @ carried))
-
-
 def pair_log_reg_sum(values, eps: float, counts=None) -> float:
     """Sum of log((v_i - v_j)^2 + eps) over unordered pairs i < j.
 
@@ -326,12 +300,8 @@ def pair_log_reg_sum(values, eps: float, counts=None) -> float:
     contributes log eps.
     """
     eps = _check_eps(eps)
-    values, counts = _distinct(values, counts)
-    total = _node_pair_sum(values, counts, eps)
-    if total is None:
-        total, equal = _distinct_pair_log_sum(values, counts, eps)
-        total += equal * math.log(eps)
-    return total
+    total, equal = _distinct_pair_log_sum(*_distinct(values, counts), eps)
+    return total + equal * math.log(eps)
 
 
 def pair_log_sq_skip(values, counts=None) -> tuple[float, int]:

@@ -425,8 +425,8 @@ def truncate_atoms(measure: SpectralMeasure, tol: float) -> SpectralMeasure:
     renormalized away); for finite lists with no droppable tail this is
     the identity.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     ranked = measure.atoms_by_weight()
     suffix = 0.0
     keep = len(ranked)
@@ -462,6 +462,9 @@ def affine_pushforward(measure: SpectralMeasure, scale: float,
     """
     if scale == 0.0:
         raise ValueError("scale must be nonzero")
+    if not (math.isfinite(scale) and math.isfinite(shift)):
+        raise ValueError(f"scale and shift must be finite, got {scale!r}, "
+                         f"{shift!r}")
 
     def mv(x: float) -> float:
         return scale * x + shift
@@ -538,9 +541,11 @@ def atomic_measure(pairs: Iterable[tuple[float, float]],
 
 def _check_family_tol(tol: float, path: str) -> None:
     """Refuse an example42 ``tol`` of 5e-324 = 2^-1074 or less, at ``path``:
-    its tail 2^-1075 would round to 0, and its last atom weigh 0."""
-    if not tol > 5e-324:
-        raise MeasureSpecError(path, f"must exceed 5e-324, got {tol!r}")
+    its tail 2^-1075 would round to 0, and its last atom weigh 0.  An
+    infinite ``tol`` has no atom count either."""
+    if not 5e-324 < tol < math.inf:
+        raise MeasureSpecError(path, f"must be finite and exceed 5e-324, "
+                                     f"got {tol!r}")
 
 
 def _expand_example42(tol: float) -> tuple[tuple[Atom, ...], float]:
@@ -561,7 +566,7 @@ def example42_measure(tol: float = 1e-10) -> SpectralMeasure:
 
     The locations accumulate at 0, so the truncated tail is attributed
     there.  Its free Hausdorff dimension is 1 - sum 4^-j = 2/3.  ``tol``
-    must exceed 5e-324, as in a spec's ``atom_family``.
+    must be finite and exceed 5e-324, as in a spec's ``atom_family``.
     """
     _check_family_tol(tol, "tol")
     atoms, tail = _expand_example42(tol)

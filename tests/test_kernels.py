@@ -246,7 +246,8 @@ class TestEnvironmentFlag:
 
 
 # ---------------------------------------------------------------------------
-# The Chebyshev node sum behind pair_log_reg_sum (eps > 0).
+# The whole spectrum as one cluster (eps > 0).  This was the node sum; it
+# is now the cluster sum's layout when eps makes the whole span smooth.
 
 _DIFFUSE = {
     "uniform": {"lo": -1.3, "hi": 0.9},
@@ -275,23 +276,33 @@ def _spec(kind, variant):
 
 
 def _reg_block(values, counts, eps):
-    values, counts = _kernels._distinct(values, counts)
-    total, equal = _kernels._distinct_pair_log_sum(values, counts, eps)
-    return total + equal * math.log(eps)
+    """The regularized pair sum from the full gap matrix of the distinct
+    values, each term as logaddexp(2 log|d|, log eps) so that none
+    overflows, and each equal pair as log eps: numpy, apart from the
+    kernels."""
+    if counts is None:
+        values, counts = np.unique(values, return_counts=True)
+    u = np.asarray(values, dtype=float)
+    c = np.asarray(counts, dtype=float)
+    with np.errstate(divide="ignore"):
+        table = np.logaddexp(2.0 * np.log(np.abs(np.subtract.outer(u, u))),
+                             math.log(eps))
+    np.fill_diagonal(table, 0.0)
+    equal = float(np.sum(c * (c - 1.0))) / 2.0
+    return 0.5 * float(c @ (table @ c)) + equal * math.log(eps)
 
 
 @pytest.fixture()
-def node_calls(monkeypatch):
-    """Records whether each node sum ran to a value (True) or declined."""
+def far_pairs(monkeypatch):
+    """Records the far cluster-pair matrix of each cluster sum."""
     calls = []
-    original = _kernels._node_pair_sum
+    original = _kernels._far_partial
 
-    def spy(values, counts, eps):
-        total = original(values, counts, eps)
-        calls.append(total is not None)
-        return total
+    def spy(values, weights, lo, hi, far, *rest):
+        calls.append(far.copy())
+        return original(values, weights, lo, hi, far, *rest)
 
-    monkeypatch.setattr(_kernels, "_node_pair_sum", spy)
+    monkeypatch.setattr(_kernels, "_far_partial", spy)
     return calls
 
 
@@ -299,24 +310,26 @@ class TestNodeSum:
     @pytest.mark.parametrize("variant", ["pure", "atom", "padded"])
     @pytest.mark.parametrize("kind", sorted(_DIFFUSE))
     def test_microstates_match_fsum_over_pairs(self, kind, variant,
-                                               node_calls):
+                                               far_pairs):
         k, eps = 600, 0.5
         ms = microstates.build_upper_microstate(_spec(kind, variant), k)
         assert (ms.zero_count == 1) == (variant == "padded")
         assert len(ms.values) < k or variant == "pure"
         got = _kernels.pair_log_reg_sum(ms.values, eps, ms.counts)
-        assert node_calls == [True]
+        # the whole spectrum is one cluster, paired with itself
+        assert [far.tolist() for far in far_pairs] == [[[True]]]
         assert abs(got - fsum_reg(ms.eigenvalues, eps)) <= 1e-12 * k * k
         # the raw spectrum takes the same path to the same sum
         raw = _kernels.pair_log_reg_sum(ms.eigenvalues, eps)
-        assert node_calls == [True, True]
+        assert len(far_pairs) == 2 and far_pairs[1].shape == (1, 1)
         assert abs(raw - got) <= 1e-12 * k * k
 
     @pytest.mark.parametrize("eps", [0.5, 2.0])
     def test_forced_at_small_k_matches_mpmath(self, eps, monkeypatch,
-                                              node_calls):
+                                              far_pairs):
+        # leaves of 16 values let 75 values be carried as one cluster
         mpmath = pytest.importorskip("mpmath")
-        monkeypatch.setattr(_kernels, "_node_is_cheaper", lambda n, u: True)
+        monkeypatch.setattr(_kernels, "_LEAF", 16)
         rng = np.random.default_rng(17)
         vals = rng.uniform(-1.0, 1.0, size=70).tolist() + [0.25] * 5
         k = len(vals)
@@ -325,65 +338,46 @@ class TestNodeSum:
                 mpmath.log((mpmath.mpf(a) - mpmath.mpf(b)) ** 2 + eps)
                 for i, a in enumerate(vals) for b in vals[i + 1:])
         got = _kernels.pair_log_reg_sum(vals, eps)
-        assert node_calls == [True]
+        assert [far.tolist() for far in far_pairs] == [[[True]]]
         assert abs(got - float(want)) <= 1e-12 * k * k
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.1, 1.0, 10.0])
-    def test_eps_range_on_both_sides_of_the_cost_rule(self, eps,
-                                                      node_calls):
+    def test_eps_range_on_both_sides_of_the_cost_rule(self, eps):
+        # 150 values, one leaf, take the block kernel at every eps; 3000
+        # values are carried wherever eps makes their clusters smooth
         rng = np.random.default_rng(3)
-        paths = []
         for size in (150, 3000):
             vals = np.sort(rng.uniform(-1.0, 1.0, size=size))
             counts = rng.integers(1, 3, size=size)
             k = int(counts.sum())
             got = _kernels.pair_log_reg_sum(vals, eps, counts)
-            paths.append(node_calls.pop())
             want = _reg_block(vals, counts, eps)
-            assert abs(got - want) <= 1e-12 * k * k, (size, paths[-1])
-        # 150 values take the block kernel at every eps; 3000 values take
-        # the node sum unless its degree passes the cap (eps = 1e-3)
-        assert paths == [False, eps > 1e-3]
+            assert abs(got - want) <= 1e-12 * k * k, size
 
     @pytest.mark.parametrize("span", [1e-300, 1e16, 1e300])
     @pytest.mark.parametrize("eps", [1e-3, 0.5, 10.0])
     def test_extreme_spans_finite_without_warnings(self, span, eps,
-                                                   node_calls):
+                                                   far_pairs):
         vals = span * np.linspace(-0.5, 0.5, 2000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _kernels.pair_log_reg_sum(vals, eps)
         assert math.isfinite(got)
         if span == 1e-300:
-            # every gap is below 1e-300: each pair gives log eps
-            assert node_calls == [True]
+            # every gap is below 1e-300: each pair gives log eps, and the
+            # whole spectrum is one smooth cluster
+            assert far_pairs[0].shape == (1, 1)
             assert got == pytest.approx(math.comb(2000, 2) * math.log(eps),
                                         rel=1e-15)
         else:
-            assert node_calls == [False]
+            assert not np.diagonal(far_pairs[0]).any()
             assert got == pytest.approx(_reg_block(vals, None, eps),
                                         rel=1e-13)
 
-    def test_block_kernel_inputs_above_stay_on_it(self, node_calls):
-        # the rel = 1e-13 tests above size their inputs for the block kernel
-        rng = np.random.default_rng(0)
-        for size, eps in ((80, 0.25), (620, 0.01), (40, 0.2), (90, 0.05),
-                          (2, 0.25), (6, 4.0)):
-            _kernels.pair_log_reg_sum(rng.uniform(-3.0, 3.0, size), eps)
-        assert not any(node_calls)
-
-    def test_tail_check_falls_back_to_the_block_kernel(self, monkeypatch,
-                                                       node_calls):
-        vals = np.linspace(-1.0, 1.0, 3000)
-        monkeypatch.setattr(_kernels, "_NODE_TAIL", 0.0)
-        got = _kernels.pair_log_reg_sum(vals, 0.5)
-        assert node_calls == [False]
-        assert got == _reg_block(vals, None, 0.5)
-
 
 # ---------------------------------------------------------------------------
-# The cluster sum behind both entry points (eps = 0, and eps > 0 where the
-# node sum declines), against math.fsum over every distinct pair.
+# The cluster sum behind both entry points, against math.fsum over every
+# distinct pair.
 
 
 def fsum_distinct_pairs(values, counts, eps=0.0):
@@ -402,6 +396,13 @@ def fsum_distinct_pairs(values, counts, eps=0.0):
         return (term * (c[a] * c[a + 1:])).tolist()
 
     return math.fsum(chain.from_iterable(map(row, range(u.size - 1))))
+
+
+def fsum_reg_distinct(values, counts, eps):
+    """``fsum_distinct_pairs`` plus log eps for each equal-value pair."""
+    equal = int(np.sum(np.asarray(counts) * (np.asarray(counts) - 1) // 2))
+    return math.fsum([fsum_distinct_pairs(values, counts, eps),
+                      equal * math.log(eps)])
 
 
 def _quantiles_with_atom(kind, k):
@@ -424,20 +425,6 @@ def _quantiles_with_atom(kind, k):
     return values, counts
 
 
-@pytest.fixture()
-def far_pairs(monkeypatch):
-    """Records the number of far leaf pairs of each cluster sum."""
-    calls = []
-    original = _kernels._far_partial
-
-    def spy(values, weights, lo, hi, far, eps):
-        calls.append(int(far.sum()))
-        return original(values, weights, lo, hi, far, eps)
-
-    monkeypatch.setattr(_kernels, "_far_partial", spy)
-    return calls
-
-
 class TestClusterSum:
     @pytest.mark.parametrize("k", [5000, 21667])
     @pytest.mark.parametrize("kind", ["semicircle", "uniform", "arcsine"])
@@ -447,7 +434,7 @@ class TestClusterSum:
         values, counts = _quantiles_with_atom(kind, k)
         assert values.size == math.floor(0.6 * k) + 1
         total, equal = _kernels.pair_log_sq_skip(values, counts)
-        assert far_pairs and far_pairs[0] > 0
+        assert far_pairs and far_pairs[0].sum() > 0
         assert equal == math.comb(int(counts.max()), 2)
         want = fsum_distinct_pairs(values, counts)
         n = int(counts.sum())
@@ -462,24 +449,22 @@ class TestClusterSum:
         values = values + center
         assert np.all(np.diff(values) > 0)
         total, _ = _kernels.pair_log_sq_skip(values, counts)
-        assert far_pairs and far_pairs[0] > 0
+        assert far_pairs and far_pairs[0].sum() > 0
         want = fsum_distinct_pairs(values, counts)
         n = int(counts.sum())
         assert 2.0 * abs(total - want) / (n * n) <= 1e-14
 
-    def test_small_eps_on_a_wide_span_matches_fsum(self, node_calls,
-                                                   far_pairs):
-        # s = sqrt(eps) / h = 5e-4 on [-2, 2]: the node sum would need
-        # degree 73600, so it declines
+    def test_small_eps_on_a_wide_span_matches_fsum(self, far_pairs):
+        # s = sqrt(eps) / h = 5e-4 on [-2, 2]: no cluster is smooth, and
+        # the far pairs are the gap rule's
         rng = np.random.default_rng(29)
         values = np.sort(rng.uniform(-2.0, 2.0, size=3000))
         counts = rng.integers(1, 4, size=3000)
         eps = 1e-6
         got = _kernels.pair_log_reg_sum(values, eps, counts)
-        assert node_calls == [False] and far_pairs[0] > 0
-        equal = int(np.sum(counts * (counts - 1) // 2))
-        want = math.fsum([fsum_distinct_pairs(values, counts, eps),
-                          equal * math.log(eps)])
+        assert far_pairs[0].sum() > 0
+        assert not np.diagonal(far_pairs[0]).any()
+        want = fsum_reg_distinct(values, counts, eps)
         n = int(counts.sum())
         assert 2.0 * abs(got - want) / (n * n) <= 1e-14
 
@@ -488,19 +473,34 @@ class TestClusterSum:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _kernels.pair_log_reg_sum(values, 0.5)
-        assert far_pairs[0] > 0
+        assert far_pairs[0].sum() > 0
         want = fsum_distinct_pairs(values, np.ones(800), 0.5)
         # each term is about 2 log 1e300, so the bound is relative
         assert abs(got - want) <= 1e-14 * abs(want)
 
+    def test_overflowing_gaps_beside_smooth_leaves(self, far_pairs):
+        # 1500 values on [-1, 1] form leaves smooth at eps = 2 and degree
+        # 20; their gaps to 1500 values near 1e300 square to inf
+        values = np.concatenate((np.linspace(-1.0, 1.0, 1500),
+                                 1e300 * np.linspace(0.5, 1.0, 1500)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _kernels.pair_log_reg_sum(values, 2.0)
+        far = far_pairs[0]
+        assert np.diagonal(far)[:5].all() and not np.diagonal(far)[7:].any()
+        want = fsum_distinct_pairs(values, np.ones(3000), 2.0)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
     @pytest.mark.parametrize("size", [1, 2, 100, 256])
     def test_one_leaf_gives_the_block_kernel_bits(self, size, far_pairs):
+        # smoothness admits no pair in a call of one leaf, even at an eps
+        # that makes the whole span smooth
         assert size <= _kernels._LEAF
         rng = np.random.default_rng(size)
         values = np.sort(rng.uniform(-1.0, 1.0, size=size))
         counts = rng.integers(1, 4, size=size)
         weights = counts.astype(float)
-        for eps in (0.0, 0.3):
+        for eps in (0.0, 0.3, 10.0):
             d = np.subtract.outer(values, values)
             d = np.abs(d) if eps == 0.0 else d * d + eps
             np.fill_diagonal(d, 1.0)
@@ -508,3 +508,57 @@ class TestClusterSum:
             got, _ = _kernels._distinct_pair_log_sum(values, counts, eps)
             assert got == (2.0 * block if eps == 0.0 else block)
         assert far_pairs == []
+
+
+# ---------------------------------------------------------------------------
+# Smooth clusters: the degree rule, and accuracy on both sides of every
+# admission threshold.
+
+
+def _tail(s, n):
+    """Largest of the last four coefficient rows of the degree-n tensor
+    Chebyshev interpolant of log1p((x - y)^2 / s^2) on [-1, 1]^2, from
+    its values at the first-kind points by the cosine transform."""
+    theta = (2.0 * np.arange(n) + 1.0) * math.pi / (2.0 * n)
+    x = np.cos(theta)
+    t = np.cos(np.outer(np.arange(n), theta))
+    coeffs = (2.0 / n) ** 2 * (t @ np.log1p(np.subtract.outer(x, x) ** 2
+                                            / (s * s)) @ t.T)
+    coeffs[0, :] *= 0.5
+    coeffs[:, 0] *= 0.5
+    return float(np.abs(coeffs[n - 4:]).max())
+
+
+class TestSmoothClusters:
+    @pytest.mark.parametrize(
+        "degree", range(_kernels._FAR_DEGREE, _kernels._MAX_DEGREE + 1))
+    def test_degree_rule_leaves_a_negligible_tail(self, degree):
+        # every s from 1e-3 to 1e2 that the rule admits at this degree,
+        # with the smallest such s, where the kernel is least smooth
+        s_min = math.sinh(36.8 / (degree - 4))
+        while _kernels._smooth_degree(s_min, 1.0) > degree:
+            s_min = math.nextafter(s_min, math.inf)
+        admitted = [s for s in np.geomspace(1e-3, 1e2, 26)
+                    if _kernels._smooth_degree(s, 1.0) <= degree]
+        assert all(s >= s_min for s in admitted)
+        for s in [s_min] + admitted:
+            assert _tail(s, degree) <= 1e-13, s
+
+    @pytest.mark.parametrize("spacing", ["uniform", "arcsine"])
+    @pytest.mark.parametrize("size", [1, 2, 150, 700, 3000])
+    def test_matches_fsum_across_the_admission_thresholds(self, size,
+                                                          spacing):
+        # eps from no smooth cluster to a smooth whole spectrum; the
+        # arcsine crowds both ends, so its end leaves are the narrowest
+        rng = np.random.default_rng(size)
+        if spacing == "uniform":
+            values = np.unique(rng.uniform(-1.0, 1.0, size=size))
+        else:
+            values = np.sin(0.5 * math.pi
+                            * np.linspace(-1.0, 1.0, size + 2)[1:-1])
+        counts = rng.integers(1, 4, size=values.size)
+        n = int(counts.sum())
+        for eps in (1e-6, 1e-3, 1e-2, 0.1, 0.5, 10.0):
+            got = _kernels.pair_log_reg_sum(values, eps, counts)
+            want = fsum_reg_distinct(values, counts, eps)
+            assert 2.0 * abs(got - want) / (n * n) <= 1e-14, eps

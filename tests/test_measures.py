@@ -387,6 +387,13 @@ class TestExample42:
         assert len(m.atoms) == 1074
         assert all(a.weight > 0.0 for a in m.atoms)
 
+    def test_library_refuses_an_infinite_tol(self):
+        # an infinite tol has no atom count: a spec error at its path, not
+        # the OverflowError of ceil(-log2(inf))
+        with pytest.raises(fp.MeasureSpecError) as exc:
+            fp.example42_measure(math.inf)
+        assert exc.value.path == "tol"
+
     def test_tail_below_tolerance(self):
         for tol in (1e-6, 1e-10, 1e-13):
             m = fp.example42_measure(tol)
@@ -414,6 +421,13 @@ class TestTruncation:
         total = math.fsum(a.weight for a in t.atoms) + t.truncated_tail
         assert total == pytest.approx(1.0, abs=1e-15)
 
+    def test_tol_must_be_finite(self):
+        # an infinite tol would drop every atom into the tail
+        m = fp.atomic_measure([(0.0, 0.5), (1.0, 0.3), (2.0, 0.2)])
+        for tol in (math.inf, math.nan, 0.0):
+            with pytest.raises(ValueError, match="positive and finite"):
+                fp.truncate_atoms(m, tol)
+
 
 class TestAffinePushforward:
     def test_translation_moves_support(self, mixed_measure):
@@ -434,6 +448,13 @@ class TestAffinePushforward:
         assert t.atoms[-1].location == 0.0
         assert fp.validate(t).ok
         assert t.cdf(-1.5) == pytest.approx(0.25)
+
+    def test_non_finite_scale_or_shift_refused(self, uniform01):
+        # an infinite scale gave the support (nan, inf) without an error
+        for scale, shift in ((math.inf, 0.0), (math.nan, 0.0),
+                             (1.0, -math.inf), (2.0, math.nan)):
+            with pytest.raises(ValueError, match="must be finite"):
+                fp.affine_pushforward(uniform01, scale, shift)
 
     def test_moved_family_has_no_spec(self):
         # the family form would reload the atoms at 1/j, outside [10, 12],
