@@ -213,13 +213,18 @@ def _far_partial(values, weights, lo, hi, far, eps: float, size: int,
         d += np.subtract(mid[a], mid[b])[:, None, None]
         return d
 
+    def cross(kernel):
+        # an overflowed kernel entry makes the sum inf or nan, which the
+        # caller retries with the wide kernel
+        with np.errstate(invalid="ignore"):
+            return float(np.sum(carried[a][:, None, :] @ kernel
+                                @ carried[b][:, :, None]))
+
     partial = 0.0
     if a.size:
-        partial = float(np.einsum("fi,fij,fj->", carried[a],
-                                  _log_kernel(gaps(), eps), carried[b]))
+        partial = cross(_log_kernel(gaps(), eps))
     if eps and not math.isfinite(partial):
-        partial = float(np.einsum("fi,fij,fj->", carried[a],
-                                  _wide_log_kernel(gaps(), eps), carried[b]))
+        partial = cross(_wide_log_kernel(gaps(), eps))
     if own.size:
         d = offset[own][:, :, None] - offset[own][:, None, :]
         shape = np.log1p(d * d / eps)
@@ -335,20 +340,21 @@ def shifted_log_sum(offsets, counts, n: int) -> float:
 def vandermonde_sq_moments(t) -> tuple[float, float]:
     """First two moments of f(rows) = prod_{i<j} (t_i - t_j)^2.
 
-    ``t`` is a (samples, k) block; returns (sum f, sum f^2).  The block
-    is copied once in column-major order, so each column is contiguous,
-    and the products run in place in two buffers.
+    ``t`` is a (samples, k) block; returns (sum f, sum f^2).  Each column
+    is read contiguously from a column-major copy, which a Fortran-ordered
+    block (the transpose of a (k, samples) draw) needs none of.  The
+    unsquared differences are multiplied in place and the product is
+    squared once at the end.
     """
     import numpy as np
-    block = np.array(t, dtype=np.float64, order="F")
+    block = np.asarray(t, dtype=np.float64, order="F")
     m, k = block.shape
     f, d = np.ones(m), np.empty(m)
     for i in range(k):
         ti = block[:, i]
         for j in range(i + 1, k):
-            np.subtract(ti, block[:, j], out=d)
-            np.multiply(d, d, out=d)
-            np.multiply(f, d, out=f)
+            np.multiply(f, np.subtract(ti, block[:, j], out=d), out=f)
+    np.multiply(f, f, out=f)
     s1 = float(f.sum())
     return s1, float(np.multiply(f, f, out=f).sum())
 

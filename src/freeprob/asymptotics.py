@@ -7,8 +7,8 @@ in dimension k^2) overflow float64 around k = 20.  The module provides
 * ``log_gamma``: ``math.lgamma`` restricted to x > 0;
 * ``selberg_log``: the closed-form squared-Vandermonde integral over the
   unit cube, assembled cancellation-free as one weighted sum of log i;
-* ``selberg_mc_check``: a seeded, counter-based Monte Carlo cross-check
-  of that closed form on small cubes;
+* ``selberg_mc_check``: a seeded Monte Carlo cross-check of that
+  closed form on small cubes;
 * ``gamma_ratio_limit_series``: the normalized sequence
   k^{-2} selberg_log(k), which tends to -log 4;
 * ``log_ball_volume``: log volume of the radius-sqrt(k) ball in R^{k^2};
@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 GAMMA_RATIO_LIMIT = -math.log(4.0)
+# Monte Carlo rows per draw: 2^14 ran fastest, 2^13 and 2^15 within 5%,
+# 2^16 8-10% and 2^12 17-19% slower (k = 4 and 6, 10^6 samples, medians
+# of 11 interleaved runs on 2 cores).
+_MC_CHUNK = 1 << 14
 
 
 def log_gamma(x: float) -> float:
@@ -95,11 +99,16 @@ def selberg_mc_check(k: int, eps: float, samples: int,
                      seed: int = 42) -> SelbergMonteCarlo:
     """Monte Carlo check of int_{[-eps,eps]^k} prod_{i<j}(t_i-t_j)^2 dt.
 
-    The exact value is (2 eps)^{k^2} exp(selberg_log(k)) by the change of
-    variables t = -eps + 2 eps u.  Sampling uses a counter-based Philox
-    stream keyed by (seed, k): runs are reproducible and the streams for
-    different k are independent.  Returns the estimate, the closed form,
-    and the standardized discrepancy z.
+    By the change of variables t = -eps + 2 eps u the integral is
+    (2 eps)^{k^2} times the same integral over the unit cube, whose
+    exact value is exp(selberg_log(k)).  u is drawn from a PCG64 stream
+    keyed by ``SeedSequence((seed, k))``, so runs are reproducible and
+    the streams for different k are independent, in (k, 2^14) blocks
+    whose transposes the moment kernel reads without a copy.
+    Returns the estimate and the closed form on [-eps, eps]^k, and the
+    standardized discrepancy z of the unit-cube moments, which does not
+    depend on eps.  ValueError when (2 eps)^{k^2} times either value
+    overflows.
 
     The integrand's variance explodes with k, so k is capped at 6.
     """
@@ -109,32 +118,32 @@ def selberg_mc_check(k: int, eps: float, samples: int,
         raise ValueError(f"selberg_mc_check supports k <= 6, got {k}")
     _check_eps(eps)
     samples = _check_positive_int(samples, "samples")
-    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, k], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    scale = 2.0 * eps
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        (int(seed) & 0xFFFFFFFFFFFFFFFF, k))))
     s1_parts: list[float] = []
     s2_parts: list[float] = []
-    remaining = samples
-    chunk = 1 << 16
-    while remaining > 0:
-        m = min(chunk, remaining)
-        t = scale * rng.random((m, k)) - eps
-        a, b = vandermonde_sq_moments(t)
+    for start in range(0, samples, _MC_CHUNK):
+        m = min(_MC_CHUNK, samples - start)
+        a, b = vandermonde_sq_moments(rng.random((k, m)).T)
         s1_parts.append(a)
         s2_parts.append(b)
-        remaining -= m
     n = float(samples)
     mean = math.fsum(s1_parts) / n
     second = math.fsum(s2_parts) / n
-    volume = math.exp(k * math.log(scale))
-    estimate = volume * mean
-    closed = math.exp(k * k * math.log(scale) + selberg_log(k))
-    variance = max(0.0, second - mean * mean)
-    stderr = volume * math.sqrt(variance / n)
+    log_unit = selberg_log(k)
+    log_volume = k * k * math.log(2.0 * eps)
+    try:
+        closed = math.exp(log_volume + log_unit)
+        estimate = math.exp(log_volume + math.log(mean)) if mean else 0.0
+    except OverflowError:
+        raise ValueError(f"the integral over [-eps, eps]^k overflows a "
+                         f"float at eps = {eps!r}, k = {k}") from None
+    stderr = math.sqrt(max(0.0, second - mean * mean) / n)
+    unit = math.exp(log_unit)
     if stderr == 0.0:
-        z = 0.0 if estimate == closed else math.inf
+        z = 0.0 if mean == unit else math.inf
     else:
-        z = (estimate - closed) / stderr
+        z = (mean - unit) / stderr
     return SelbergMonteCarlo(estimate, closed, z)
 
 

@@ -108,6 +108,44 @@ class TestSelbergMonteCarlo:
             for s in range(20))
         assert excursions <= 1
 
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_default_seed_agrees_with_the_exact_product(self, k):
+        mc = fp.selberg_mc_check(k, 0.5, 10**6, seed=42)
+        assert mc.closed_form == pytest.approx(float(selberg_exact(k)),
+                                               rel=1e-12)
+        assert abs(mc.z_score) < 4.0
+
+    def test_streams_differ_across_k(self, monkeypatch):
+        # one seed keyed only by itself would give k = 2 and 3 the same
+        # first row of draws
+        blocks = []
+
+        def spy(t):
+            blocks.append(t.copy())
+            return original(t)
+
+        original = fp.asymptotics.vandermonde_sq_moments
+        monkeypatch.setattr(fp.asymptotics, "vandermonde_sq_moments", spy)
+        for k in (2, 3):
+            fp.selberg_mc_check(k, 0.5, 100, seed=7)
+        assert [b.shape for b in blocks] == [(100, 2), (100, 3)]
+        assert not np.array_equal(blocks[0][:, 0], blocks[1][:, 0])
+
+    def test_z_score_does_not_depend_on_eps(self):
+        a = fp.selberg_mc_check(4, 0.5, 20_000, seed=3)
+        b = fp.selberg_mc_check(4, 0.25, 20_000, seed=3)
+        assert b.z_score == a.z_score != 0.0
+        assert b.mc_estimate == pytest.approx(a.mc_estimate * 2.0 ** -16,
+                                              rel=1e-12)
+        # at eps = 1e-30 the scaled values underflow to 0; z does not
+        c = fp.selberg_mc_check(4, 1e-30, 20_000, seed=3)
+        assert (c.mc_estimate, c.closed_form) == (0.0, 0.0)
+        assert c.z_score == a.z_score
+
+    def test_overflowing_cube_refused(self):
+        with pytest.raises(ValueError, match=r"eps = 10000000000.0, k = 6"):
+            fp.selberg_mc_check(6, 1e10, 1000)
+
     def test_rejects_large_k(self):
         with pytest.raises(ValueError):
             fp.selberg_mc_check(7, 0.5, 100)

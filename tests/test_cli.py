@@ -709,6 +709,21 @@ class TestCommandPayloads:
                                                     abs=1e-12)
         assert abs(body["monte_carlo"]["z_score"]) < 4.0
 
+    def test_selberg_overflowing_eps_is_a_usage_error(self):
+        res = run_cli("selberg", "--k", "6", "--eps", "1e10",
+                      "--samples", "1000")
+        assert res.code == 1
+        assert "overflows" in res.stderr and "k = 6" in res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
+
+    def test_selberg_tiny_eps_keeps_z(self):
+        def z(eps):
+            res = run_cli("selberg", "--k", "6", "--eps", eps,
+                          "--samples", "1000", "--format", "json")
+            assert res.code == 0
+            return res.json["result"]["monte_carlo"]["z_score"]
+        assert z("1e-12") == z("0.5") != 0.0
+
     def test_selberg_large_k_skips_mc(self):
         res = run_cli("selberg", "--k", "50", "--format", "json")
         assert "monte_carlo" not in res.json["result"]

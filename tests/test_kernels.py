@@ -64,6 +64,18 @@ class TestAgainstFsum:
         assert got_s1 == pytest.approx(float(prods.sum()), rel=1e-12)
         assert got_s2 == pytest.approx(float((prods ** 2).sum()), rel=1e-12)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_vandermonde_moments_of_a_transposed_draw(self, k):
+        # the sampler's layout: a (k, m) draw read as its (m, k) transpose
+        draw = np.random.default_rng(k).random((k, 1000))
+        got = _kernels.vandermonde_sq_moments(draw.T)
+        assert got == _kernels.vandermonde_sq_moments(np.ascontiguousarray(
+            draw.T))
+        prods = np.prod([(draw[i] - draw[j]) ** 2
+                         for i in range(k) for j in range(i + 1, k)], axis=0)
+        assert got[0] == pytest.approx(float(prods.sum()), rel=1e-12)
+        assert got[1] == pytest.approx(float((prods ** 2).sum()), rel=1e-12)
+
 
 class TestCompressedPairs:
     """The kernels sum over (distinct values, counts); the oracles sum
