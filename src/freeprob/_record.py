@@ -18,8 +18,8 @@ class Record:
     takes its ``_defaults`` entry, and a callable default is a factory
     called once per instance (``dict`` for an empty mapping).  Instances
     are immutable, compare equal when their classes and fields are,
-    hash by their fields, repr as ``Name(field=value, ...)``, and pickle
-    and copy through their fields.
+    hash by their fields, repr as ``Name(field=value, ...)``, convert to
+    a dict by ``_asdict()``, and pickle and copy through their fields.
     """
 
     __slots__ = ()
@@ -51,10 +51,13 @@ class Record:
     def _fields(self) -> tuple:
         return tuple(getattr(self, key) for key in self.__slots__)
 
+    def _asdict(self) -> dict:
+        """The fields by name, in ``__slots__`` order."""
+        return dict(zip(self.__slots__, self._fields()))
+
     def _replace(self, **changes):
         """A copy with the given fields changed."""
-        return type(self)(**dict(zip(self.__slots__, self._fields()),
-                                 **changes))
+        return type(self)(**{**self._asdict(), **changes})
 
     def __setattr__(self, key, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from itertools import chain
-from numbers import Integral
-from operator import mul
+from operator import index, mul
 
 from ._kernels import _check_eps, pair_log_sq_skip, vandermonde_sq_moments
 from ._record import Record
@@ -64,9 +63,13 @@ def _sum_log_factorials(k: int) -> float:
 
 
 def _check_positive_int(k, name: str = "k") -> int:
-    if not isinstance(k, Integral) or isinstance(k, bool) or k < 1:
+    try:
+        value = index(k)
+    except TypeError:
+        value = 0
+    if isinstance(k, bool) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {k!r}")
-    return int(k)
+    return value
 
 
 def selberg_log(k: int) -> float:

@@ -5,7 +5,7 @@ family-bounds, microstate, series, selberg, report.  Measures come from
 JSON spec files (see ``measures``); each command's one payload goes to
 stdout or ``--out`` as JSON, text, or (series and microstates only) CSV
 rows rendered from it.  Each command and each series kind has its own
-parser, which declares exactly its flags.
+parser, which declares exactly its flags and its handler.
 
 Exit codes: 0 success; 1 usage error (including knobs a command does
 not take); 2 invalid measure specification; 3 a ``status`` field of the
@@ -39,7 +39,6 @@ from .entropy import (
 from .measures import MeasureSpecError, SpectralMeasure, load_measure, validate
 from .microstates import (
     NoSolutionError,
-    SeriesReport,
     build_lower_microstate,
     build_upper_microstate,
     offdiag_sum_series,
@@ -87,11 +86,12 @@ def _ks_arg(text: str) -> tuple[int, ...]:
     return ks
 
 
-def _command(parent, name: str, help_: str, formats=("text", "json"),
-             measure: bool = True) -> _Parser:
-    """A command's parser with --measure (if it reads one), --out and
-    --format, whose default is the first of ``formats``."""
+def _command(parent, name: str, help_: str, handler,
+             formats=("text", "json"), measure: bool = True) -> _Parser:
+    """A command's parser with its handler, --measure (if it reads
+    one), --out and --format, whose default is the first of ``formats``."""
     p = parent.add_parser(name, help=help_, description=help_)
+    p.set_defaults(handler=handler)
     if measure:
         p.add_argument("--measure", action="append", required=True,
                        metavar="PATH", help="measure spec JSON file "
@@ -116,28 +116,30 @@ def build_parser() -> _Parser:
                                 parser_class=_Parser, metavar="command")
 
     _command(sub, "validate", "check a measure spec and report its "
-                              "invariants")
+                              "invariants", _cmd_validate)
 
     p = _command(sub, "energy", "off-diagonal log energy plus a regularized "
-                                "sweep")
+                                "sweep", _cmd_energy)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help=_TOL_HELP + " sweep")
     p.add_argument("--eps", type=float,
                    help="single regularization instead of the default sweep")
 
     p = _command(sub, "chi", "free entropy (log energy plus 3/4 + "
-                             "log(2 pi)/2)")
+                             "log(2 pi)/2)", _cmd_chi)
     # chi is closed form; --tol is only recorded in the report.  It stays
     # because the benchmark job chi:semicircle:tol=1e-8 passes it.
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="recorded in the report; chi is closed form")
 
-    _command(sub, "dim", "free Hausdorff dimension 1 - sum(c_i^2)")
-    _command(sub, "bounds", "two-sided free Hausdorff entropy bounds")
-    _command(sub, "family-bounds", "entropy sandwich for a free family")
+    _command(sub, "dim", "free Hausdorff dimension 1 - sum(c_i^2)", _cmd_dim)
+    _command(sub, "bounds", "two-sided free Hausdorff entropy bounds",
+             _cmd_bounds)
+    _command(sub, "family-bounds", "entropy sandwich for a free family",
+             _cmd_family_bounds)
 
     p = _command(sub, "microstate", "diagonal microstate spectrum and pair "
-                                    "statistics", _CSV)
+                                    "statistics", _cmd_microstate, _CSV)
     p.add_argument("--k", type=int, required=True, help="matrix size")
     p.add_argument("--kind", choices=["upper", "lower"], required=True,
                    help="quantile-fill (upper) or separated (lower) variant")
@@ -158,7 +160,9 @@ def build_parser() -> _Parser:
                             "microstate"),
             ("packing-constant", "packing constants of the lower "
                                  "microstate")):
-        p = _command(kinds, kind, help_, _CSV, measure=kind != "gamma-ratio")
+        handler = _cmd_gamma_ratio if kind == "gamma-ratio" else _cmd_series
+        p = _command(kinds, kind, help_, handler, _CSV,
+                     measure=handler is _cmd_series)
         p.add_argument("--ks", type=_ks_arg, required=True,
                        help="comma-separated strictly increasing k values")
     p = kinds.choices["regularized-product"]
@@ -167,7 +171,7 @@ def build_parser() -> _Parser:
                    help=_TOL_HELP + " target")
 
     p = _command(sub, "selberg", "Selberg product: closed form and Monte "
-                                 "Carlo check", measure=False)
+                                 "Carlo check", _cmd_selberg, measure=False)
     p.add_argument("--k", type=int, required=True, help="number of variables")
     p.add_argument("--eps", type=float,
                    help="half-width of the Monte Carlo cube (k <= 6 only)")
@@ -177,7 +181,7 @@ def build_parser() -> _Parser:
                    help="Monte Carlo seed (k <= 6 only)")
 
     _command(sub, "report", "comprehensive report over one or more measures",
-             ("json", "text"))
+             _cmd_report, ("json", "text"))
     return parser
 
 
@@ -293,12 +297,8 @@ def _fail(code: int, category: str, message: str) -> int:
 
 
 def _envelope(ns: argparse.Namespace, inputs: dict, body: dict) -> dict:
-    return {
-        "tool": {"name": "freeprob", "version": __version__},
-        "command": ns.command,
-        "inputs": inputs,
-        **body,
-    }
+    return {"tool": {"name": "freeprob", "version": __version__},
+            "command": ns.command, "inputs": inputs, **body}
 
 
 def _statuses(obj: Any):
@@ -315,40 +315,23 @@ def _statuses(obj: Any):
 
 
 def _energy_dict(res: EnergyResult) -> dict:
-    out = {
-        "value": res.value,
-        "abs_error_estimate": res.abs_error_estimate,
-        "components": {
-            "diffuse_diffuse": res.components.diffuse_diffuse,
-            "atom_diffuse": res.components.atom_diffuse,
-            "atom_atom": res.components.atom_atom,
-        },
-        "status": res.status,
-    }
-    if res.truncation_note is not None:
-        out["truncation_bound"] = res.truncation_bound
-        out["truncation_note"] = res.truncation_note
+    out = {**res._asdict(), "components": res.components._asdict()}
+    if res.truncation_note is None:
+        del out["truncation_bound"], out["truncation_note"]
     return out
 
 
-def _series_dict(kind: str, report: SeriesReport) -> dict:
-    out = {
-        "kind": kind,
-        "ks": list(report.ks),
-        "values": list(report.values),
-        "target": report.target,
-        "relation": report.relation,
-        "achieved_gap": report.achieved_gap,
-        "status": report.status,
-    }
-    if report.extras:
-        out["extras"] = dict(report.extras)
-    return out
+def _above_underflow(block: dict) -> dict:
+    """``block`` without the Selberg values that underflow to 0.0 or a
+    subnormal, which would print as a number they are not."""
+    return {key: val for key, val in block.items()
+            if key not in ("product", "closed_form", "mc_estimate")
+            or val >= sys.float_info.min}
 
 
 # ---------------------------------------------------------------------------
-# Command handlers.  Each takes the namespace and the loaded [(path,
-# measure)] and returns the payload.
+# Command handlers, each declared with its parser.  Each takes the
+# namespace and the loaded [(path, measure)] and returns the payload.
 
 
 Loaded = list[tuple[str, SpectralMeasure]]
@@ -374,86 +357,62 @@ def _load_all(ns: argparse.Namespace) -> Loaded:
     return loaded
 
 
+def _rows(ns, loaded: Loaded, row, **inputs) -> dict:
+    """The payload of a command that reports ``row(measure)`` per measure."""
+    results = [{"measure": path, **row(measure)} for path, measure in loaded]
+    return _envelope(ns, {"measures": ns.measure, **inputs},
+                     {"results": results})
+
+
 def _cmd_validate(ns, loaded: Loaded):
-    results = []
-    for path, measure in loaded:
-        report = validate(measure)
-        results.append({
-            "measure": path,
-            "ok": report.ok,
-            "problems": list(report.problems),
-            "total_mass": report.total_mass,
-            "mass_defect": report.mass_defect,
-            "tail_mass": report.tail_mass,
-        })
-    return _envelope(ns, {"measures": ns.measure}, {"results": results})
+    return _rows(ns, loaded, lambda m: validate(m)._asdict())
 
 
 def _cmd_energy(ns, loaded: Loaded):
     eps_list = [ns.eps] if ns.eps is not None else list(EPS_SWEEP)
-    results = [{
-        "measure": path,
-        "offdiag_energy": _energy_dict(offdiag_energy(measure)),
+    return _rows(ns, loaded, lambda m: {
+        "offdiag_energy": _energy_dict(offdiag_energy(m)),
         "regularized": [
-            {"eps": e,
-             **_energy_dict(regularized_energy(measure, e, ns.tol))}
-            for e in eps_list
-        ],
-    } for path, measure in loaded]
-    inputs = {"measures": ns.measure, "tol": ns.tol, "eps": eps_list}
-    return _envelope(ns, inputs, {"results": results})
+            {"eps": e, **_energy_dict(regularized_energy(m, e, ns.tol))}
+            for e in eps_list],
+    }, tol=ns.tol, eps=eps_list)
 
 
 def _cmd_chi(ns, loaded: Loaded):
-    results = [{"measure": path, "chi": chi(measure),
-                "formula": FORMULAS["chi"]} for path, measure in loaded]
-    inputs = {"measures": ns.measure, "tol": ns.tol}
-    return _envelope(ns, inputs, {"results": results})
+    return _rows(ns, loaded, lambda m: {"chi": chi(m),
+                                        "formula": FORMULAS["chi"]},
+                 tol=ns.tol)
 
 
 def _cmd_dim(ns, loaded: Loaded):
-    results = [{
-        "measure": path,
-        "alpha": free_hausdorff_dimension(measure),
-        "truncation_bound": dimension_truncation_bound(measure),
-        "formula": FORMULAS["alpha"],
-    } for path, measure in loaded]
-    return _envelope(ns, {"measures": ns.measure}, {"results": results})
+    return _rows(ns, loaded, lambda m: {
+        "alpha": free_hausdorff_dimension(m),
+        "truncation_bound": dimension_truncation_bound(m),
+        "formula": FORMULAS["alpha"]})
+
+
+def _bounds_row(measure: SpectralMeasure) -> dict:
+    bounds = hausdorff_entropy_bounds(measure)
+    return {**bounds._asdict(), "energy": _energy_dict(bounds.energy),
+            "width": sandwich_width(bounds.alpha),
+            "formulas": {key: FORMULAS[key]
+                         for key in ("lower", "upper", "width")}}
 
 
 def _cmd_bounds(ns, loaded: Loaded):
-    results = []
-    for path, measure in loaded:
-        bounds = hausdorff_entropy_bounds(measure)
-        results.append({
-            "measure": path,
-            "alpha": bounds.alpha,
-            "energy": _energy_dict(bounds.energy),
-            "lower": bounds.lower,
-            "upper": bounds.upper,
-            "width": sandwich_width(bounds.alpha),
-            "formulas": {key: FORMULAS[key]
-                         for key in ("lower", "upper", "width")},
-        })
-    return _envelope(ns, {"measures": ns.measure}, {"results": results})
+    return _rows(ns, loaded, _bounds_row)
+
+
+def _family(loaded: Loaded) -> dict:
+    family = free_family_bounds([m for _, m in loaded])
+    return {"n": len(loaded), **family._asdict(), "energies": [
+        {"measure": path, **_energy_dict(energy)}
+        for (path, _), energy in zip(loaded, family.energies)]}
 
 
 def _cmd_family_bounds(ns, loaded: Loaded):
-    family = free_family_bounds([m for _, m in loaded])
-    body = {
-        "n": len(loaded),
-        "alphas": list(family.alphas),
-        "beta": family.beta,
-        "k1": family.k1,
-        "k2": family.k2,
-        "lower": family.lower,
-        "upper": family.upper,
-        "energies": [
-            {"measure": path, **_energy_dict(energy)}
-            for (path, _), energy in zip(loaded, family.energies)
-        ],
-        "formulas": {key: FORMULAS[key] for key in ("k1", "k2")},
-    }
+    body = {**_family(loaded),
+            "formulas": {key: FORMULAS[key] for key in ("k1", "k2")}}
     return _envelope(ns, {"measures": ns.measure}, {"result": body})
 
 
@@ -493,107 +452,74 @@ def _cmd_microstate(ns, loaded: Loaded):
     if ns.eps is not None:
         body["volume_upper_bound_log"] = volume_upper_bound_log(
             ms, ns.eps, ns.t)
-        inputs["eps"] = ns.eps
-        inputs["t"] = ns.t
+        inputs.update(eps=ns.eps, t=ns.t)
     return _envelope(ns, inputs, {"result": body})
 
 
-def _cmd_series(ns, loaded: Loaded):
-    kind = ns.kind
-    inputs: dict[str, Any] = {"ks": list(ns.ks)}
-    if kind == "gamma-ratio":
-        gs = gamma_ratio_limit_series(ns.ks)
-        body = {
-            "kind": kind,
-            "ks": list(gs.ks),
-            "values": list(gs.normalized_values),
-            "target": gs.limit,
-            "relation": "converges_to",
-            "achieved_gap": gs.normalized_values[-1] - gs.limit,
-            "approach_side": gs.approach_side,
-        }
-        return _envelope(ns, inputs, {"result": body})
+def _cmd_gamma_ratio(ns, loaded: Loaded):
+    gs = gamma_ratio_limit_series(ns.ks)
+    body = {
+        "kind": ns.kind,
+        "ks": list(gs.ks),
+        "values": list(gs.normalized_values),
+        "target": gs.limit,
+        "relation": "converges_to",
+        "achieved_gap": gs.normalized_values[-1] - gs.limit,
+        "approach_side": gs.approach_side,
+    }
+    return _envelope(ns, {"ks": list(ns.ks)}, {"result": body})
 
+
+def _cmd_series(ns, loaded: Loaded):
     [(path, measure)] = loaded
-    inputs["measures"] = [path]
-    if kind == "regularized-product":
+    inputs: dict[str, Any] = {"ks": list(ns.ks), "measures": [path]}
+    if ns.kind == "regularized-product":
         inputs.update(tol=ns.tol, eps=ns.eps)
         report = regularized_product_series(measure, ns.eps, ns.ks, ns.tol)
-    elif kind == "offdiag-sum":
+    elif ns.kind == "offdiag-sum":
         report = offdiag_sum_series(measure, ns.ks)
     else:
         report = packing_constant_series(measure, ns.ks)
-    return _envelope(ns, inputs, {"result": _series_dict(kind, report)})
+    body = {"kind": ns.kind, **report._asdict()}
+    if not report.extras:
+        del body["extras"]
+    return _envelope(ns, inputs, {"result": body})
 
 
 def _cmd_selberg(ns, loaded: Loaded):
     log_value = selberg_log(ns.k)
-    body: dict[str, Any] = {
-        "k": ns.k,
-        "selberg_log": log_value,
-        "product": math.exp(log_value),
-    }
+    body: dict[str, Any] = {"k": ns.k, "selberg_log": log_value,
+                            "product": math.exp(log_value)}
     inputs: dict[str, Any] = {"k": ns.k}
     if ns.k <= 6:
+        knobs = {"eps": ns.eps, "samples": ns.samples, "seed": ns.seed}
         mc = selberg_mc_check(ns.k, ns.eps, ns.samples, ns.seed)
-        body["monte_carlo"] = {
-            "eps": ns.eps,
-            "samples": ns.samples,
-            "seed": ns.seed,
-            "mc_estimate": mc.mc_estimate,
-            "closed_form": mc.closed_form,
-            "z_score": mc.z_score,
-        }
-        inputs.update(eps=ns.eps, samples=ns.samples, seed=ns.seed)
-    return _envelope(ns, inputs, {"result": body})
+        body["monte_carlo"] = _above_underflow({**knobs, **mc._asdict()})
+        inputs.update(knobs)
+    return _envelope(ns, inputs, {"result": _above_underflow(body)})
+
+
+def _report_row(measure: SpectralMeasure) -> dict:
+    bounds = hausdorff_entropy_bounds(measure)
+    return {
+        "dimension": {"alpha": bounds.alpha,
+                      "truncation_bound": dimension_truncation_bound(measure)},
+        "energy": _energy_dict(bounds.energy),
+        "chi": chi(measure),
+        "h1_identity": h1_identity(measure),
+        "bounds": {"lower": bounds.lower, "upper": bounds.upper,
+                   "width": sandwich_width(bounds.alpha)},
+    }
 
 
 def _cmd_report(ns, loaded: Loaded):
-    results = []
-    for path, measure in loaded:
-        bounds = hausdorff_entropy_bounds(measure)
-        results.append({
-            "measure": path,
-            "dimension": {
-                "alpha": bounds.alpha,
-                "truncation_bound": dimension_truncation_bound(measure),
-            },
-            "energy": _energy_dict(bounds.energy),
-            "chi": chi(measure),
-            "h1_identity": h1_identity(measure),
-            "bounds": {
-                "lower": bounds.lower,
-                "upper": bounds.upper,
-                "width": sandwich_width(bounds.alpha),
-            },
-        })
-    body: dict[str, Any] = {"results": results,
-                            "formulas": dict(FORMULAS)}
+    payload = _rows(ns, loaded, _report_row)
+    payload["formulas"] = dict(FORMULAS)
     if len(loaded) >= 2:
-        family = free_family_bounds([m for _, m in loaded])
-        body["family"] = {
-            "n": len(loaded),
-            "beta": family.beta,
-            "k1": family.k1,
-            "k2": family.k2,
-            "lower": family.lower,
-            "upper": family.upper,
-        }
-    return _envelope(ns, {"measures": ns.measure}, body)
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "energy": _cmd_energy,
-    "chi": _cmd_chi,
-    "dim": _cmd_dim,
-    "bounds": _cmd_bounds,
-    "family-bounds": _cmd_family_bounds,
-    "microstate": _cmd_microstate,
-    "series": _cmd_series,
-    "selberg": _cmd_selberg,
-    "report": _cmd_report,
-}
+        family = _family(loaded)
+        del family["alphas"], family["energies"]
+        payload["family"] = family
+    return payload
 
 
 def run(ns: argparse.Namespace) -> int:
@@ -604,7 +530,7 @@ def run(ns: argparse.Namespace) -> int:
     """
     try:
         loaded = _load_all(ns)
-        payload = _HANDLERS[ns.command](ns, loaded)
+        payload = ns.handler(ns, loaded)
     except _UsageError as exc:
         return _fail(1, "usage", str(exc))
     except MeasureSpecError as exc:

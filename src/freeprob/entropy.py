@@ -81,7 +81,7 @@ class FamilyBounds(Record):
     bounds are sum(E_i) + K1 and sum(E_i) + K2.
     """
 
-    __slots__ = ("alphas", "beta", "energies", "k1", "k2", "lower", "upper")
+    __slots__ = ("alphas", "beta", "k1", "k2", "lower", "upper", "energies")
 
 
 def free_hausdorff_dimension(measure: SpectralMeasure) -> float:

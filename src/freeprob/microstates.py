@@ -154,13 +154,13 @@ class SeriesReport(Record):
     former, ``achieved_gap`` is the signed gap at the largest k; for the
     latter it is the worst (minimum) value-minus-target over the largest
     quartile of the sampled ks, the finite stand-in for a liminf claim.
-    ``extras`` carries alternative-normalization diagnostics.
     ``status`` is "not_converged" when the target is a regularized
-    energy that did not meet its tolerance, else "ok".
+    energy that did not meet its tolerance, else "ok".  ``extras``
+    carries alternative-normalization diagnostics.
     """
 
     __slots__ = ("ks", "values", "target", "relation", "achieved_gap",
-                 "extras", "status")
+                 "status", "extras")
     _defaults = {"extras": dict, "status": "ok"}
 
 

@@ -76,6 +76,16 @@ class TestSelbergLog:
         with pytest.raises(ValueError):
             fp.selberg_log(True)
 
+    @pytest.mark.parametrize("k", [np.int64(4), True, 3.0, "3"])
+    def test_k_is_any_integer_but_bool(self, k):
+        # k is read through operator.index, which numpy integers support
+        # and floats and strings do not; bool is refused on its own
+        if isinstance(k, np.integer):
+            assert fp.selberg_log(k) == fp.selberg_log(4)
+        else:
+            with pytest.raises(ValueError, match="positive integer"):
+                fp.selberg_log(k)
+
 
 class TestSelbergMonteCarlo:
     def test_reproducible(self):
@@ -228,3 +238,8 @@ class TestMehtaLogDensity:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             fp.mehta_log_density(np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("evals", [np.zeros((2, 2)), np.array([]), []])
+    def test_rejects_two_dimensional_or_empty(self, evals):
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            fp.mehta_log_density(evals)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, knob discipline."""
 
+import argparse
 import json
 import math
 import re
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import freeprob as fp
 from conftest import (chebyshev_reference, perfbench_module, run_cli,
                       uniform_regularized_energy)
-from freeprob.cli import parse_args
+from freeprob.cli import build_parser, parse_args
 
 
 @pytest.fixture()
@@ -728,6 +729,29 @@ class TestCommandPayloads:
         res = run_cli("selberg", "--k", "50", "--format", "json")
         assert "monte_carlo" not in res.json["result"]
 
+    def test_selberg_product_that_underflows_is_left_out(self):
+        # exp(selberg_log(25)) is about 1e-332, below the smallest normal
+        # float; exp(selberg_log(24)) is about 4e-305, above it
+        def result(k):
+            res = run_cli("selberg", "--k", k, "--format", "json")
+            assert res.code == 0
+            return res.json["result"]
+        above, below = result("24"), result("25")
+        assert above["product"] == math.exp(above["selberg_log"]) > 0.0
+        assert below["selberg_log"] == fp.selberg_log(25)
+        assert "product" not in below
+
+    def test_selberg_mc_values_that_underflow_are_left_out(self):
+        # (2e-12)^36 underflows both the closed form and the estimate;
+        # z is computed on the unit cube and stays
+        res = run_cli("selberg", "--k", "6", "--eps", "1e-12",
+                      "--samples", "1000", "--format", "json")
+        assert res.code == 0
+        mc = res.json["result"]["monte_carlo"]
+        assert math.isfinite(mc["z_score"])
+        assert "closed_form" not in mc and "mc_estimate" not in mc
+        assert res.json["result"]["product"] > 0.0
+
     def test_report_single_measure(self, uniform_path):
         res = run_cli("report", "--measure", uniform_path)
         doc = res.json  # report defaults to json
@@ -756,6 +780,89 @@ class TestCommandPayloads:
         res = run_cli("--version")
         assert res.code == 0
         assert fp.__version__ in res.stdout
+
+
+def _leaf_parsers(parser, name=()):
+    """(command words, parser) of every parser without subcommands."""
+    subs = [action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(name), parser
+    for action in subs:
+        for word, child in action.choices.items():
+            yield from _leaf_parsers(child, name + (word,))
+
+
+def _fields(record, *added):
+    return set(record.__slots__) | set(added)
+
+
+_TRUNCATION = {"truncation_bound", "truncation_note"}
+
+
+class TestRecordPayloads:
+    """Each command's handler is declared with its parser, and a payload
+    block that mirrors a record carries exactly the record's fields plus
+    the documented additions."""
+
+    def test_every_command_declares_its_handler(self):
+        leaves = dict(_leaf_parsers(build_parser()))
+        assert set(leaves) == {
+            "validate", "energy", "chi", "dim", "bounds", "family-bounds",
+            "microstate", "series gamma-ratio", "series regularized-product",
+            "series offdiag-sum", "series packing-constant", "selberg",
+            "report"}
+        for name, parser in leaves.items():
+            assert callable(parser.get_default("handler")), name
+
+    def test_validate_energy_and_bounds_rows(self, mixed_path, m42_path):
+        [row] = run_cli("validate", "--measure", mixed_path,
+                        "--format", "json").json["results"]
+        assert set(row) == _fields(fp.ValidationReport, "measure")
+        energy = _fields(fp.EnergyResult)
+        for path, offdiag in ((mixed_path, energy - _TRUNCATION),
+                              (m42_path, energy)):
+            [row] = run_cli("energy", "--measure", path,
+                            "--format", "json").json["results"]
+            assert set(row["offdiag_energy"]) == offdiag
+            assert set(row["offdiag_energy"]["components"]) == _fields(
+                fp.EnergyComponents)
+            for reg in row["regularized"]:
+                assert set(reg) == energy - _TRUNCATION | {"eps"}
+            [row] = run_cli("bounds", "--measure", path,
+                            "--format", "json").json["results"]
+            assert set(row) == _fields(fp.EntropyBounds, "measure", "width",
+                                       "formulas")
+            assert set(row["energy"]) == offdiag
+
+    def test_family_blocks(self, mixed_path, m42_path):
+        argv = ("--measure", mixed_path, "--measure", m42_path)
+        body = run_cli("family-bounds", *argv,
+                       "--format", "json").json["result"]
+        assert set(body) == _fields(fp.FamilyBounds, "n", "formulas")
+        assert [set(e) for e in body["energies"]] == [
+            _fields(fp.EnergyResult, "measure") - _TRUNCATION,
+            _fields(fp.EnergyResult, "measure")]
+        family = run_cli("report", *argv).json["family"]
+        assert set(family) == _fields(fp.FamilyBounds, "n") - {"alphas",
+                                                               "energies"}
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("offdiag-sum", ()), ("packing-constant", ()),
+        ("regularized-product", ("--eps", "0.1"))])
+    def test_series_result(self, mixed_path, kind, extra):
+        body = run_cli("series", kind, "--ks", "10,20", *extra, "--measure",
+                       mixed_path, "--format", "json").json["result"]
+        fields = _fields(fp.SeriesReport, "kind")
+        # extras is left out when empty; only offdiag-sum fills it
+        assert set(body) == (fields if kind == "offdiag-sum"
+                             else fields - {"extras"})
+
+    def test_selberg_monte_carlo(self):
+        res = run_cli("selberg", "--k", "3", "--samples", "1000",
+                      "--format", "json")
+        assert set(res.json["result"]["monte_carlo"]) == set(
+            fp.SelbergMonteCarlo._fields) | {"eps", "samples", "seed"}
 
 
 class TestTextOutput:

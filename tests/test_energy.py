@@ -645,6 +645,24 @@ class TestTruncationReporting:
         assert res.truncation_note is not None
         assert 0.0 < res.truncation_bound < 1e-8
 
+    def test_regularized_tail_is_a_point_mass(self):
+        # The tail of mass 2^-20 sits at its accumulation point 0 and
+        # pairs with every atom and with itself, diagonal included.
+        m = fp.example42_measure(1e-6)
+        assert m.truncated_tail > 0.0 and m.truncated_tail_location == 0.0
+        points = [(a.location, a.weight) for a in m.atoms]
+        points.append((0.0, m.truncated_tail))
+        eps = 1e-3
+        want = math.fsum(wy * wz * math.log((y - z) ** 2 + eps)
+                         for y, wy in points for z, wz in points)
+        res = fp.regularized_energy(m, eps)
+        assert res.status == "ok"
+        assert res.value == pytest.approx(want, rel=1e-13, abs=1e-15)
+        atoms_only = math.fsum(wy * wz * math.log((y - z) ** 2 + eps)
+                               for y, wy in points[:-1]
+                               for z, wz in points[:-1])
+        assert abs(res.value - atoms_only) > 1e-9
+
     def test_tail_bound_scales_with_tail(self):
         coarse = fp.example42_measure(1e-4)
         fine = fp.example42_measure(1e-12)

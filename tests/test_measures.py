@@ -449,6 +449,32 @@ class TestAffinePushforward:
         assert fp.validate(t).ok
         assert t.cdf(-1.5) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("scale", [-1.0, -3.0])
+    def test_reflected_knots(self, scale):
+        # a negative scale reverses the knots and flips the cumulative
+        # masses to mass - c; energies follow the scale law of |scale|
+        m = fp.SpectralMeasure(
+            support=(-1.0, 3.0), atoms=(fp.Atom(-0.5, 0.25),),
+            diffuse=fp.DiffusePart("piecewise_linear_cdf", 0.75, {
+                "knots": [[0.0, 0.0], [0.5, 0.2], [1.5, 0.6], [2.0, 0.75]]}))
+        t = fp.affine_pushforward(m, scale, 1.0)
+        assert fp.validate(t).ok
+        knots = t.diffuse.params["knots"]
+        assert [x for x, _ in knots] == [scale * x + 1.0
+                                         for x in (2.0, 1.5, 0.5, 0.0)]
+        masses = [c for _, c in knots]
+        assert masses[0] == 0.0 and masses[-1] == 0.75
+        assert masses == sorted(set(masses))
+        log_s = math.log(abs(scale))
+        alpha = fp.free_hausdorff_dimension(m)
+        assert fp.offdiag_energy(t).value == pytest.approx(
+            fp.offdiag_energy(m).value + alpha * log_s, abs=1e-12)
+        # the regularized energy includes the diagonal: the whole mass
+        # scales, with eps scaled by scale^2
+        assert fp.regularized_energy(t, 0.01 * scale * scale).value == \
+            pytest.approx(fp.regularized_energy(m, 0.01).value + 2 * log_s,
+                          abs=1e-10)
+
     def test_non_finite_scale_or_shift_refused(self, uniform01):
         # an infinite scale gave the support (nan, inf) without an error
         for scale, shift in ((math.inf, 0.0), (math.nan, 0.0),

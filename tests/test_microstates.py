@@ -667,6 +667,17 @@ class TestRecords:
         assert rep.extras is not other.extras
         assert rep._replace(status="not_converged").status == "not_converged"
         assert pickle.loads(pickle.dumps(rep)) == rep
+
+    def test_asdict_in_slot_order(self):
+        rep = fp.SeriesReport(ks=(1,), values=(0.0,), target=0.0,
+                              relation="converges_to", achieved_gap=0.0)
+        assert list(rep._asdict().items()) == [
+            ("ks", (1,)), ("values", (0.0,)), ("target", 0.0),
+            ("relation", "converges_to"), ("achieved_gap", 0.0),
+            ("status", "ok"), ("extras", {})]
+        changed = rep._replace(status="not_converged", target=1.0)
+        assert list(changed._asdict().values()) == [
+            (1,), (0.0,), 1.0, "converges_to", 0.0, "not_converged", {}]
         with pytest.raises(TypeError, match="missing"):
             fp.PairPartition(k=1, s_count=0)
         with pytest.raises(TypeError, match="unexpected"):

@@ -46,7 +46,7 @@ for argv in json.loads(sys.argv[1]):
         except SystemExit as exc:  # --version
             code = exc.code
     print(json.dumps([argv, code, "numpy" in sys.modules,
-                      "dataclasses" in sys.modules]))
+                      "dataclasses" in sys.modules, "numbers" in sys.modules]))
 """
 
 
@@ -76,8 +76,11 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path):
             for line in _fresh_python(_RUN_COMMANDS,
                                       json.dumps(argvs)).splitlines()]
     assert [row[0] for row in rows] == argvs
-    assert all(code == 0 for _, code, _, _ in rows)
-    assert [argv for argv, _, loaded, _ in rows if loaded] == argvs[-1:]
+    assert all(code == 0 for _, code, _, _, _ in rows)
+    assert [argv for argv, _, loaded, _, _ in rows if loaded] == argvs[-1:]
+    # numpy imports numbers itself; no closed-form command needs it
+    assert [argv for argv, _, loaded, _, numbers in rows
+            if numbers and not loaded] == []
 
 
 def _imported_names(tree):
@@ -140,10 +143,10 @@ def test_atom_only_microstates_do_not_import_numpy(tmp_path):
             for line in _fresh_python(_RUN_COMMANDS,
                                       json.dumps(argvs)).splitlines()]
     assert [row[0] for row in rows] == argvs
-    assert [code for _, code, _, _ in rows] == [0] * len(argvs)
-    assert [loaded for _, _, loaded, _ in rows[:3]] == [False] * 3
+    assert [code for _, code, _, _, _ in rows] == [0] * len(argvs)
+    assert [loaded for _, _, loaded, _, _ in rows[:3]] == [False] * 3
     assert rows[3][2]  # the probe sees numpy once a quantile is built
-    assert [argv for argv, _, _, dc in rows if dc] == []
+    assert [argv for argv, _, _, dc, _ in rows if dc] == []
 
 
 def test_atom_only_pair_sums_load_numpy_past_the_math_threshold(tmp_path):
@@ -157,7 +160,7 @@ def test_atom_only_pair_sums_load_numpy_past_the_math_threshold(tmp_path):
     rows = [json.loads(line)
             for line in _fresh_python(_RUN_COMMANDS,
                                       json.dumps(argvs)).splitlines()]
-    assert [(code, loaded) for _, code, loaded, _ in rows] == [(0, False),
+    assert [(code, loaded) for _, code, loaded, _, _ in rows] == [(0, False),
                                                                (0, True)]
 
 
