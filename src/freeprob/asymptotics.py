@@ -1,8 +1,8 @@
 """Log-domain special functions and their asymptotic diagnostics.
 
 Everything Gamma-laden is evaluated exclusively in log space: the raw
-products (factorial towers, Vandermonde-squared integrals, ball volumes
-in dimension k^2) overflow float64 around k = 20.  The module provides
+products (factorial towers, Vandermonde-squared integrals) overflow
+float64 around k = 20.  The module provides
 
 * ``log_gamma``: ``math.lgamma`` restricted to x > 0;
 * ``selberg_log``: the closed-form squared-Vandermonde integral over the
@@ -10,10 +10,7 @@ in dimension k^2) overflow float64 around k = 20.  The module provides
 * ``selberg_mc_check``: a seeded Monte Carlo cross-check of that
   closed form on small cubes;
 * ``gamma_ratio_limit_series``: the normalized sequence
-  k^{-2} selberg_log(k), which tends to -log 4;
-* ``log_ball_volume``: log volume of the radius-sqrt(k) ball in R^{k^2};
-* ``mehta_log_density``: the log joint eigenvalue density of the
-  Gaussian Hermitian ensemble's Vandermonde-squared weight.
+  k^{-2} selberg_log(k), which tends to -log 4.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from collections import namedtuple
 from itertools import chain
 from operator import index, mul
 
-from ._kernels import _check_eps, pair_log_sq_skip, vandermonde_sq_moments
+from ._kernels import _check_eps, vandermonde_sq_moments
 from ._record import Record
 
 TYPE_CHECKING = False
@@ -38,8 +35,6 @@ __all__ = [
     "selberg_log",
     "selberg_mc_check",
     "gamma_ratio_limit_series",
-    "log_ball_volume",
-    "mehta_log_density",
 ]
 
 GAMMA_RATIO_LIMIT = -math.log(4.0)
@@ -111,7 +106,7 @@ def selberg_mc_check(k: int, eps: float, samples: int,
     Returns the estimate and the closed form on [-eps, eps]^k, and the
     standardized discrepancy z of the unit-cube moments, which does not
     depend on eps.  ValueError when (2 eps)^{k^2} times either value
-    overflows.
+    overflows, and for fewer than 2 samples, which have no variance.
 
     The integrand's variance explodes with k, so k is capped at 6.
     """
@@ -121,6 +116,9 @@ def selberg_mc_check(k: int, eps: float, samples: int,
         raise ValueError(f"selberg_mc_check supports k <= 6, got {k}")
     _check_eps(eps)
     samples = _check_positive_int(samples, "samples")
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2 to estimate a "
+                         f"variance, got {samples}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         (int(seed) & 0xFFFFFFFFFFFFFFFF, k))))
     s1_parts: list[float] = []
@@ -186,38 +184,3 @@ def gamma_ratio_limit_series(ks: Iterable[int]) -> GammaSeries:
         side = "mixed"
     return GammaSeries(ks=ks, normalized_values=values,
                        limit=GAMMA_RATIO_LIMIT, gaps=gaps, approach_side=side)
-
-
-def log_ball_volume(k: int) -> float:
-    """log of the Lebesgue volume of the radius-sqrt(k) ball in R^{k^2}.
-
-    log L_k = (k^2/2) log(pi k) - log Gamma(k^2/2 + 1).  The normalized
-    quantity k^{-2} log L_k + (1/2) log k tends to (1/2) log 2 pi e.
-    """
-    k = _check_positive_int(k)
-    half_dim = 0.5 * k * k
-    return half_dim * math.log(math.pi * k) - log_gamma(half_dim + 1.0)
-
-
-def mehta_log_density(eigenvalues) -> float:
-    """log of D_k prod_{i<j} (t_j - t_i)^2 at the given sorted eigenvalues.
-
-    D_k = pi^{k(k-1)/2} / prod_{j<=k} j! is the normalizer of the joint
-    eigenvalue density of the Gaussian Hermitian ensemble on the ordered
-    simplex.  Repeated eigenvalues give -inf (a value, not an error);
-    unsorted input is rejected.
-    """
-    import numpy as np
-    evals = np.ascontiguousarray(eigenvalues, dtype=float)
-    if evals.ndim != 1 or evals.size < 1:
-        raise ValueError("eigenvalues must be a nonempty 1-D sequence")
-    k = int(evals.size)
-    if k > 1 and np.any(np.diff(evals) < 0.0):
-        raise ValueError("eigenvalues must be sorted ascending")
-    log_dk = 0.5 * k * (k - 1) * math.log(math.pi) - _sum_log_factorials(k)
-    if k == 1:
-        return log_dk
-    pair_sum, skipped = pair_log_sq_skip(evals)
-    if skipped > 0:
-        return -math.inf
-    return log_dk + pair_sum

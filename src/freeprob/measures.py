@@ -33,10 +33,7 @@ __all__ = [
     "ValidationReport",
     "MeasureSpecError",
     "validate",
-    "diffuse_quantile",
     "diffuse_quantile_batch",
-    "truncate_atoms",
-    "affine_pushforward",
     "measure_from_dict",
     "measure_to_dict",
     "load_measure",
@@ -127,37 +124,7 @@ class DiffusePart(Record):
         cs = np.array([float(p[1]) for p in knots])
         return xs, cs
 
-    # -- CDF / quantile -----------------------------------------------------
-
-    def cdf_mass(self, x):
-        """nu((-inf, x]) in measure units (ranges over [0, mass])."""
-        import numpy as np
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        if self.kind == "empty":
-            out = np.zeros_like(x)
-        elif self.kind == "uniform":
-            lo, hi = self.interval()
-            frac = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
-            out = self.mass * frac
-        elif self.kind == "arcsine":
-            lo, hi = self.interval()
-            frac = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
-            out = self.mass * (2.0 / math.pi) * np.arcsin(np.sqrt(frac))
-        elif self.kind == "semicircle":
-            c = float(self.params["center"])
-            r = float(self.params["radius"])
-            z = np.clip((x - c) / r, -1.0, 1.0)
-            unit = 0.5 + (z * np.sqrt(np.maximum(0.0, 1.0 - z * z))
-                          + np.arcsin(z)) / math.pi
-            out = self.mass * unit
-        elif self.kind == "piecewise_linear_cdf":
-            xs, cs = self._knot_arrays()
-            out = np.interp(x, xs, cs, left=0.0, right=cs[-1])
-        else:
-            raise ValueError(f"unknown diffuse kind {self.kind!r}")
-        return float(out[0]) if scalar else out
+    # -- quantiles ----------------------------------------------------------
 
     def quantile_unit(self, p):
         """Quantile at normalized probabilities ``p`` in [0, 1].
@@ -232,9 +199,9 @@ class SpectralMeasure(Record):
 
     ``family`` records a named infinite atom family the explicit atoms
     were expanded from (with the expansion tolerance ``family_tol``);
-    ``truncated_tail`` is mass not represented by any atom, attributed to
-    the family's accumulation point ``truncated_tail_location`` for CDF
-    purposes.
+    ``truncated_tail`` is mass not represented by any atom, placed at the
+    family's accumulation point ``truncated_tail_location`` for the
+    regularized energy and the truncation bound.
     """
 
     __slots__ = ("support", "atoms", "diffuse", "family", "family_tol",
@@ -259,9 +226,6 @@ class SpectralMeasure(Record):
     def atoms_by_weight(self) -> tuple[Atom, ...]:
         """Atoms in decreasing-weight order (ties broken by location)."""
         return tuple(sorted(self.atoms, key=lambda a: (-a.weight, a.location)))
-
-    def cdf(self, x):
-        return cdf(self, x)
 
 
 class ValidationReport(Record):
@@ -357,25 +321,6 @@ def _rule_problems(measure: SpectralMeasure) -> list[str]:
     return problems
 
 
-def cdf(measure: SpectralMeasure, x):
-    """mu((-inf, x]); right-continuous, so an atom at x is included.
-
-    Truncated family tail mass counts from its accumulation point on, so
-    cdf(b) = 1 within 1e-12 for every valid measure.
-    """
-    import numpy as np
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    out = np.zeros_like(x_arr)
-    for atom in measure.atoms:
-        out += atom.weight * (x_arr >= atom.location)
-    out += measure.diffuse.cdf_mass(x_arr)
-    if measure.truncated_tail > 0.0 and measure.truncated_tail_location is not None:
-        out += measure.truncated_tail * (x_arr >= measure.truncated_tail_location)
-    return float(out[0]) if scalar else out
-
-
 # ---------------------------------------------------------------------------
 # Quantiles.
 
@@ -403,104 +348,6 @@ def diffuse_quantile_batch(measure: SpectralMeasure, k: int) -> np.ndarray:
     if inner.any():
         out[inner] = measure.diffuse.quantile_unit(levels[inner] / c)
     return out
-
-
-def diffuse_quantile(measure: SpectralMeasure, j: int, k: int) -> float:
-    """The j/k diffuse quantile; defined only for 1 <= j <= floor(c k)."""
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    c = measure.diffuse.mass
-    q = _int_part(c * k)
-    if not 1 <= j <= q:
-        raise ValueError(
-            f"diffuse quantile undefined for j={j}: requires 1 <= j <= "
-            f"floor(c*k) = {q} (diffuse mass c = {c})")
-    return float(diffuse_quantile_batch(measure, k)[j - 1])
-
-
-def truncate_atoms(measure: SpectralMeasure, tol: float) -> SpectralMeasure:
-    """Keep atoms in decreasing-weight order until the rest weighs < tol.
-
-    Dropped mass is added to the measure's reported truncated tail (never
-    renormalized away); for finite lists with no droppable tail this is
-    the identity.
-    """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    ranked = measure.atoms_by_weight()
-    suffix = 0.0
-    keep = len(ranked)
-    # walk from the lightest atom inward while the dropped tail stays < tol
-    for idx in range(len(ranked) - 1, -1, -1):
-        if suffix + ranked[idx].weight < tol:
-            suffix += ranked[idx].weight
-            keep = idx
-        else:
-            break
-    kept = ranked[:keep]
-    dropped = ranked[keep:]
-    if not dropped:
-        return measure
-    tail_loc = dropped[0].location
-    if measure.truncated_tail_location is not None:
-        tail_loc = measure.truncated_tail_location
-    return measure._replace(atoms=tuple(kept),
-                            family=None,
-                            family_tol=None,
-                            truncated_tail=measure.truncated_tail + suffix,
-                            truncated_tail_location=tail_loc)
-
-
-def affine_pushforward(measure: SpectralMeasure, scale: float,
-                       shift: float = 0.0) -> SpectralMeasure:
-    """Pushforward under x -> scale * x + shift (scale nonzero).
-
-    Energies transform as E -> E + log|scale|; a negative scale also
-    reflects the measure, which leaves energies unchanged.  Moved atoms
-    are no longer the named family's, so ``family`` is cleared unless
-    the map is the identity.
-    """
-    if scale == 0.0:
-        raise ValueError("scale must be nonzero")
-    if not (math.isfinite(scale) and math.isfinite(shift)):
-        raise ValueError(f"scale and shift must be finite, got {scale!r}, "
-                         f"{shift!r}")
-
-    def mv(x: float) -> float:
-        return scale * x + shift
-
-    a, b = measure.support
-    support = (mv(a), mv(b)) if scale > 0 else (mv(b), mv(a))
-    atoms = tuple(Atom(mv(at.location), at.weight) for at in measure.atoms)
-    d = measure.diffuse
-    if d.kind == "empty":
-        diffuse = d
-    elif d.kind in ("uniform", "arcsine"):
-        lo, hi = d.interval()
-        lo2, hi2 = (mv(lo), mv(hi)) if scale > 0 else (mv(hi), mv(lo))
-        diffuse = DiffusePart(d.kind, d.mass, {"lo": lo2, "hi": hi2})
-    elif d.kind == "semicircle":
-        diffuse = DiffusePart("semicircle", d.mass,
-                              {"center": mv(float(d.params["center"])),
-                               "radius": abs(scale) * float(d.params["radius"])})
-    else:
-        knots = d.params["knots"]
-        if scale > 0:
-            new = [[mv(float(x)), float(c)] for x, c in knots]
-        else:
-            # reflection reverses the points; cumulative masses flip to
-            # mass - c so they stay strictly increasing from 0
-            new = [[mv(float(x)), d.mass - float(c)] for x, c in reversed(knots)]
-            new[0][1] = 0.0
-            new[-1][1] = d.mass
-        diffuse = DiffusePart("piecewise_linear_cdf", d.mass, {"knots": new})
-    tail_loc = measure.truncated_tail_location
-    moved = not (scale == 1.0 and shift == 0.0)
-    return measure._replace(
-        support=support, atoms=atoms, diffuse=diffuse,
-        family=None if moved else measure.family,
-        family_tol=None if moved else measure.family_tol,
-        truncated_tail_location=None if tail_loc is None else mv(tail_loc))
 
 
 # ---------------------------------------------------------------------------
@@ -688,9 +535,9 @@ def measure_from_dict(spec: dict) -> SpectralMeasure:
 def measure_to_dict(measure: SpectralMeasure) -> dict:
     """Inverse of measure_from_dict (family measures keep their family form).
 
-    A spec has no key for a truncated tail, so a measure that carries one
-    without its family (``truncate_atoms``, or a moved family) raises
-    ValueError: its spec would reload as a different measure.
+    A spec has no key for a truncated tail, so a measure built with one
+    but without its family raises ValueError: its spec would reload as a
+    different measure.
     """
     if measure.truncated_tail > 0.0 and measure.family is None:
         raise ValueError(

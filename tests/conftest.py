@@ -63,6 +63,71 @@ def two_atoms():
     return fp.atomic_measure([(0.0, 0.5), (1.0, 0.5)])
 
 
+def affine_pushforward(measure: fp.SpectralMeasure, scale: float,
+                       shift: float = 0.0) -> fp.SpectralMeasure:
+    """Pushforward under x -> scale * x + shift (scale nonzero).
+
+    Energies transform as E -> E + log|scale|; a negative scale also
+    reflects the measure, which leaves energies unchanged.  Moved atoms
+    are no longer the named family's, so ``family`` is cleared unless
+    the map is the identity.
+    """
+    if scale == 0.0:
+        raise ValueError("scale must be nonzero")
+    if not (math.isfinite(scale) and math.isfinite(shift)):
+        raise ValueError(f"scale and shift must be finite, got {scale!r}, "
+                         f"{shift!r}")
+
+    def mv(x: float) -> float:
+        return scale * x + shift
+
+    a, b = measure.support
+    support = (mv(a), mv(b)) if scale > 0 else (mv(b), mv(a))
+    atoms = tuple(fp.Atom(mv(at.location), at.weight) for at in measure.atoms)
+    d = measure.diffuse
+    if d.kind == "empty":
+        diffuse = d
+    elif d.kind in ("uniform", "arcsine"):
+        lo, hi = d.interval()
+        lo2, hi2 = (mv(lo), mv(hi)) if scale > 0 else (mv(hi), mv(lo))
+        diffuse = fp.DiffusePart(d.kind, d.mass, {"lo": lo2, "hi": hi2})
+    elif d.kind == "semicircle":
+        diffuse = fp.DiffusePart(
+            "semicircle", d.mass,
+            {"center": mv(float(d.params["center"])),
+             "radius": abs(scale) * float(d.params["radius"])})
+    else:
+        knots = d.params["knots"]
+        if scale > 0:
+            new = [[mv(float(x)), float(c)] for x, c in knots]
+        else:
+            # reflection reverses the points; cumulative masses flip to
+            # mass - c so they stay strictly increasing from 0
+            new = [[mv(float(x)), d.mass - float(c)]
+                   for x, c in reversed(knots)]
+            new[0][1] = 0.0
+            new[-1][1] = d.mass
+        diffuse = fp.DiffusePart("piecewise_linear_cdf", d.mass,
+                                 {"knots": new})
+    tail_loc = measure.truncated_tail_location
+    moved = not (scale == 1.0 and shift == 0.0)
+    return measure._replace(
+        support=support, atoms=atoms, diffuse=diffuse,
+        family=None if moved else measure.family,
+        family_tol=None if moved else measure.family_tol,
+        truncated_tail_location=None if tail_loc is None else mv(tail_loc))
+
+
+def log_ball_volume(k: int) -> float:
+    """log of the Lebesgue volume of the radius-sqrt(k) ball in R^{k^2}.
+
+    log L_k = (k^2/2) log(pi k) - log Gamma(k^2/2 + 1).  The normalized
+    quantity k^{-2} log L_k + (1/2) log k tends to (1/2) log 2 pi e.
+    """
+    half_dim = 0.5 * k * k
+    return half_dim * math.log(math.pi * k) - math.lgamma(half_dim + 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis strategies.  Weights are dyadic so masses sum exactly in floats.
 

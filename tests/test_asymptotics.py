@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 import freeprob as fp
-from conftest import selberg_exact
+from conftest import log_ball_volume, selberg_exact
 
 
 class TestLogGamma:
@@ -156,6 +156,13 @@ class TestSelbergMonteCarlo:
         with pytest.raises(ValueError, match=r"eps = 10000000000.0, k = 6"):
             fp.selberg_mc_check(6, 1e10, 1000)
 
+    def test_rejects_fewer_than_two_samples(self):
+        # one sample's variance is 0, which made z infinite
+        for samples in (1, 0):
+            with pytest.raises(ValueError):
+                fp.selberg_mc_check(3, 0.5, samples)
+        assert math.isfinite(fp.selberg_mc_check(3, 0.5, 2).z_score)
+
     def test_rejects_large_k(self):
         with pytest.raises(ValueError):
             fp.selberg_mc_check(7, 0.5, 100)
@@ -189,17 +196,17 @@ class TestGammaRatioSeries:
 class TestBallVolume:
     def test_k2_closed_form(self):
         # Ball of radius sqrt(2) in R^4: pi^2 r^4 / 2 = 2 pi^2.
-        assert fp.log_ball_volume(2) == pytest.approx(
+        assert log_ball_volume(2) == pytest.approx(
             math.log(2.0 * math.pi**2), abs=1e-12)
 
     def test_k1_closed_form(self):
         # Interval [-1, 1] has length 2.
-        assert fp.log_ball_volume(1) == pytest.approx(math.log(2.0),
-                                                      abs=1e-12)
+        assert log_ball_volume(1) == pytest.approx(math.log(2.0),
+                                                   abs=1e-12)
 
     @pytest.mark.parametrize("k", [10, 20, 50, 120, 200])
     def test_normalization_envelope(self, k):
-        value = fp.log_ball_volume(k) / k**2 + 0.5 * math.log(k)
+        value = log_ball_volume(k) / k**2 + 0.5 * math.log(k)
         target = 0.5 * math.log(2.0 * math.pi * math.e)
         assert abs(value - target) <= 10.0 * math.log(k) / k**2
 
@@ -207,39 +214,4 @@ class TestBallVolume:
         k = 37
         want = float((k**2 / mpmath.mpf(2)) * mpmath.log(mpmath.pi * k)
                      - mpmath.loggamma(k**2 / mpmath.mpf(2) + 1))
-        assert fp.log_ball_volume(k) == pytest.approx(want, rel=1e-13)
-
-
-class TestMehtaLogDensity:
-    def test_matches_direct_formula(self):
-        rng = np.random.default_rng(3)
-        lam = np.sort(rng.normal(size=6))
-        k = lam.size
-        pair = math.fsum(
-            2.0 * math.log(abs(lam[j] - lam[i]))
-            for i in range(k) for j in range(i + 1, k))
-        norm = 0.5 * k * (k - 1) * math.log(math.pi) \
-            - math.fsum(math.log(math.factorial(j)) for j in range(1, k + 1))
-        want = norm + pair
-        assert fp.mehta_log_density(lam) == pytest.approx(want, rel=1e-12)
-
-    def test_two_point_hand_value(self):
-        # D_2 = pi / (1! 2!) and the pair factor at (0, 1) is 1.
-        got = fp.mehta_log_density(np.array([0.0, 1.0]))
-        assert got == pytest.approx(math.log(math.pi / 2.0), abs=1e-12)
-
-    def test_single_eigenvalue_is_flat(self):
-        assert fp.mehta_log_density(np.array([3.7])) == pytest.approx(
-            0.0, abs=1e-12)
-
-    def test_repeats_give_minus_inf(self):
-        assert fp.mehta_log_density(np.array([1.0, 1.0, 2.0])) == -math.inf
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            fp.mehta_log_density(np.array([2.0, 1.0]))
-
-    @pytest.mark.parametrize("evals", [np.zeros((2, 2)), np.array([]), []])
-    def test_rejects_two_dimensional_or_empty(self, evals):
-        with pytest.raises(ValueError, match="nonempty 1-D"):
-            fp.mehta_log_density(evals)
+        assert log_ball_volume(k) == pytest.approx(want, rel=1e-13)

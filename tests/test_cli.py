@@ -717,6 +717,17 @@ class TestCommandPayloads:
         assert "overflows" in res.stderr and "k = 6" in res.stderr
         assert "Traceback" not in res.stderr and res.stdout == ""
 
+    def test_selberg_one_sample_is_a_usage_error(self):
+        # one sample has no variance: its z was printed as "inf", exit 0
+        res = run_cli("selberg", "--k", "3", "--samples", "1",
+                      "--format", "json")
+        assert res.code == 1
+        assert "at least 2" in res.stderr and res.stdout == ""
+        res = run_cli("selberg", "--k", "3", "--samples", "2",
+                      "--format", "json")
+        assert res.code == 0
+        assert math.isfinite(res.json["result"]["monte_carlo"]["z_score"])
+
     def test_selberg_tiny_eps_keeps_z(self):
         def z(eps):
             res = run_cli("selberg", "--k", "6", "--eps", eps,

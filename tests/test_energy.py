@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from scipy import integrate
 
 import freeprob as fp
-from conftest import (MIXED_ENERGY, atomic_plus_uniform, chebyshev_reference,
-                      purely_atomic, uniform_regularized_energy)
+from conftest import (MIXED_ENERGY, affine_pushforward, atomic_plus_uniform,
+                      chebyshev_reference, purely_atomic,
+                      uniform_regularized_energy)
 from freeprob import energy
 
 TOL = 1e-6
@@ -446,7 +447,7 @@ class TestInvariances:
         # atomic case up to fsum rounding.
         base = fp.offdiag_energy(m).value
         alpha = fp.free_hausdorff_dimension(m)
-        moved = fp.affine_pushforward(m, -2.0, 5.0)
+        moved = affine_pushforward(m, -2.0, 5.0)
         got = fp.offdiag_energy(moved).value
         assert got == pytest.approx(base + alpha * math.log(2.0),
                                     abs=1e-10, rel=1e-10)
@@ -455,19 +456,19 @@ class TestInvariances:
     @settings(max_examples=10, deadline=None)
     def test_translation_invariance_mixed(self, m):
         base = fp.offdiag_energy(m).value
-        moved = fp.affine_pushforward(m, 1.0, 10.0)
+        moved = affine_pushforward(m, 1.0, 10.0)
         got = fp.offdiag_energy(moved).value
         assert got == pytest.approx(base, abs=5e-6)
 
     def test_scaling_rule_diffuse(self, semicircle2):
         base = energy_value(semicircle2)
-        doubled = fp.affine_pushforward(semicircle2, 2.0, 0.0)
+        doubled = affine_pushforward(semicircle2, 2.0, 0.0)
         assert energy_value(doubled) == pytest.approx(
             base + math.log(2.0), abs=5e-6)
 
     def test_reflection_invariance(self, mixed_measure):
         base = fp.offdiag_energy(mixed_measure).value
-        flipped = fp.affine_pushforward(mixed_measure, -1.0, 0.0)
+        flipped = affine_pushforward(mixed_measure, -1.0, 0.0)
         got = fp.offdiag_energy(flipped).value
         assert got == pytest.approx(base, abs=5e-6)
 
@@ -486,7 +487,7 @@ class TestExtremeScales:
                                atoms=(fp.Atom(-3.0, 0.125),
                                       fp.Atom(1.0, 0.125)),
                                diffuse=_diffuse(kind, 0.75))
-        scaled = fp.affine_pushforward(m, scale, 0.0)
+        scaled = affine_pushforward(m, scale, 0.0)
         assert fp.validate(scaled).ok
         alpha = fp.free_hausdorff_dimension(m)
         want = energy_value(m) + alpha * math.log(scale)
@@ -517,7 +518,7 @@ class TestExtremeScales:
                                atoms=(fp.Atom(-3.0, 0.125),
                                       fp.Atom(1.0, 0.125)),
                                diffuse=_diffuse(kind, 0.75))
-        scaled = fp.affine_pushforward(m, scale, 0.0)
+        scaled = affine_pushforward(m, scale, 0.0)
         assert fp.validate(scaled).ok
         base = fp.regularized_energy(m, 0.01, 1e-10)
         got = fp.regularized_energy(scaled, 0.01 * scale * scale, 1e-10)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import freeprob as fp
-from conftest import MIXED_ENERGY, atomic_plus_uniform, purely_atomic
+from conftest import affine_pushforward, atomic_plus_uniform, purely_atomic
 
 
 class TestConstants:
@@ -72,7 +72,7 @@ class TestChi:
             "uniform": (uniform01, 1.0 / 12.0),   # length^2 / 12
         }
         values = {
-            kind: fp.chi(fp.affine_pushforward(m, 1.0 / math.sqrt(var), 0.0))
+            kind: fp.chi(affine_pushforward(m, 1.0 / math.sqrt(var), 0.0))
             for kind, (m, var) in variances.items()
         }
         assert values["semicircle"] > values["arcsine"]

@@ -574,3 +574,33 @@ class TestSmoothClusters:
             got = _kernels.pair_log_reg_sum(values, eps, counts)
             want = fsum_reg_distinct(values, counts, eps)
             assert 2.0 * abs(got - want) / (n * n) <= 1e-14, eps
+
+
+# ---------------------------------------------------------------------------
+# Grid identities: spectra too large for an fsum over pairs.
+
+
+def _grid_pair_sum(n, h, eps):
+    """The pair sum of the grid j h, j < n, from its n - d gaps d h: every
+    d^2 h^2 is an exact float, so the sum is sum_d (n - d) log(d^2 h^2 +
+    eps), which at eps = 0 is 2 (C(n, 2) log h + sum_d (n - d) log d)."""
+    d = np.arange(1, n, dtype=float)
+    return math.fsum((n - d) * np.log(d * d * (h * h) + eps))
+
+
+class TestGridIdentities:
+    @pytest.mark.parametrize("eps", [0.0, 1e-4, 0.1])
+    @pytest.mark.parametrize("n", [20_000, 40_000])
+    def test_pair_sum_matches_the_gap_count(self, n, eps):
+        # every point j h and every gap is an exact float, so each pair
+        # term is known from its gap alone
+        h = 2.0 ** -14
+        values = np.arange(n) * h
+        counts = np.ones(n, dtype=np.int64)
+        if eps == 0.0:
+            got, equal = _kernels.pair_log_sq_skip(values, counts)
+            assert equal == 0
+        else:
+            got = _kernels.pair_log_reg_sum(values, eps, counts)
+        want = _grid_pair_sum(n, h, eps)
+        assert 2.0 * abs(got - want) / (n * n) <= 1e-14

@@ -220,6 +220,39 @@ def test_package_all_resolves_to_defining_modules():
             if getattr(fp, name) is not getattr(module, name)] == []
 
 
+# Public writers and constructors that a library caller reaches without
+# a command or the quick start.
+_KEPT_ENTRY_POINTS = {"uniform_measure", "arcsine_measure", "atomic_measure",
+                      "example42_measure", "dump_measure"}
+
+
+def _identifiers(node):
+    """Every name and attribute identifier under ``node``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_function_is_reached():
+    # A public function stays only while another function of the package
+    # calls it, the README's library quick start uses it, or it is a kept
+    # constructor or writer; code that only tests reach goes.
+    used = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                used |= _identifiers(node) - {node.name}
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    quick_start = readme.split("## Library quick start", 1)[1]
+    code = quick_start.split("```python\n", 1)[1].split("```", 1)[0]
+    used |= _identifiers(ast.parse(code))
+    functions = [name for name in fp.__all__
+                 if callable(getattr(fp, name))
+                 and not isinstance(getattr(fp, name), type)]
+    assert functions
+    assert [name for name in functions
+            if name not in used | _KEPT_ENTRY_POINTS] == []
+
+
 _CLI = "import sys; from freeprob.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
