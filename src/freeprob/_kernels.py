@@ -43,9 +43,6 @@ for eps > 0.  Two methods sum it:
   against 0.13 ms single-threaded).  It is the one-level fast multipole
   split (Greengard & Rokhlin, J. Comput. Phys. 73, 1987) with a
   Chebyshev far field (Fong & Darve, J. Comput. Phys. 228, 2009).
-
-``shifted_log_sum`` is the cross term between values and a microstate's
-evenly spaced fillers; it carries the fillers onto Chebyshev points too.
 """
 
 from __future__ import annotations
@@ -316,25 +313,6 @@ def pair_log_sq_skip(values, counts=None) -> tuple[float, int]:
     together with the number of equal pairs skipped.
     """
     return _distinct_pair_log_sum(*_distinct(values, counts), 0.0)
-
-
-def shifted_log_sum(offsets, counts, n: int) -> float:
-    """Sum of c_a log(t_a + j/n) over the offsets t_a >= 3 and j = 1 .. n.
-
-    The n steps are carried onto _FAR_DEGREE Chebyshev points of [0, 1]
-    (``_carry``).  log(t + s) is analytic in s off s = -t <= -3, inside
-    the Bernstein ellipse of rho = 7 + sqrt(48), about 13.9, so the
-    carried sum errs by about rho^-_FAR_DEGREE, 1e-23, relative.
-    """
-    import numpy as np
-    offsets = np.asarray(offsets, dtype=float)
-    if offsets.size and not offsets.min() >= 3.0:
-        raise ValueError(f"offsets must be at least 3, got {offsets.min()!r}")
-    basis = _chebyshev_basis(_FAR_DEGREE)
-    steps = np.arange(1, n + 1) * (2.0 / n) - 1.0
-    carried = _carry(steps, np.ones(n), basis)
-    table = np.log(np.add.outer(offsets, 0.5 + 0.5 * basis[1]))
-    return float(np.asarray(counts, dtype=float) @ (table @ carried))
 
 
 def vandermonde_sq_moments(t) -> tuple[float, float]:

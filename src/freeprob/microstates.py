@@ -18,12 +18,13 @@ A microstate stores its spectrum as sorted distinct values with counts,
 and a lower one keeps its fillers symbolic as (F, b); only
 ``eigenvalues`` expands them to floats.  Pair sums over the U distinct
 values take O(U^2) terms in the numpy kernel (each atom value counts
-once, however often it repeats).  The fillers add U F terms
-c_v 2 log((b - v) + 3 + j/F) and, because their gaps are (j - i)/F, a
-closed-form filler x filler sum 2 (sum_{m<F} log m! - C(F, 2) log F).
-An atom-only lower microstate has a few atoms and about sqrt(k)
-fillers, so its pair sums run in ``math`` and never load numpy (up to
-2^19 log terms).  k is capped at K_CAP = 5000.
+once, however often it repeats).  The fillers add one log-gamma
+difference per value (``_filler_log_sum``) and, because their gaps are
+(j - i)/F, a closed-form filler x filler sum.  An atom-only lower
+microstate has a few atoms and about sqrt(k) fillers, so its pair sums
+run in ``math`` (up to 2^19 log terms).  A uniform diffuse part's
+quantiles are a grid lo + j h whose pair sums are closed forms in the
+levels j, so neither loads numpy.  k is capped at K_CAP = 5000.
 
 Sums over the distinct-value pair set are taken over ordered pairs
 (both (i, j) and (j, i)), which is the normalization under which k^{-2}
@@ -35,14 +36,12 @@ both readings are visible.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from itertools import accumulate, chain, repeat
+from operator import mul
 
-from ._kernels import (
-    _check_eps,
-    pair_log_reg_sum,
-    pair_log_sq_skip,
-    shifted_log_sum,
-)
+from ._kernels import _check_eps, pair_log_reg_sum, pair_log_sq_skip
 from ._record import Record
 from .asymptotics import (
     _check_positive_int,
@@ -103,14 +102,20 @@ class DiagonalMicrostate(Record):
     order) with their entry counts.  A "lower" microstate also holds
     ``filler_count`` = F fillers b + 3 + j/F, j = 1..F, above
     ``filler_base`` = b; ``zero_count`` counts the zero padding of an
-    "upper" microstate (one of its ``values``).
+    "upper" microstate (one of its ``values``).  A uniform diffuse part
+    has ``grid`` = (lo, h, first, last, holes): one quantile at each level
+    j = first .. last but the holes, lo + j h with h = (hi - lo)/(c k).
+    ``off_grid`` is then (values, counts) of the entries besides these
+    and the fillers: atoms, zeros and a top quantile at b.
     """
 
     __slots__ = ("kind", "k", "values", "counts", "atom_multiplicity_map",
                  "quantile_count", "zero_count", "filler_count",
-                 "filler_base", "excluded_quantile_count")
+                 "filler_base", "excluded_quantile_count", "grid",
+                 "off_grid")
     _defaults = {"zero_count": 0, "filler_count": 0, "filler_base": None,
-                 "excluded_quantile_count": 0}
+                 "excluded_quantile_count": 0, "grid": None,
+                 "off_grid": ((), ())}
 
     @property
     def filler_range(self) -> tuple[float, float] | None:
@@ -182,29 +187,33 @@ def _validated_series_ks(ks: Iterable[int]) -> tuple[int, ...]:
 # Constructions.
 
 
-def _spectrum(pairs, quantiles=()) -> tuple[tuple, tuple]:
-    """Ascending distinct values and their counts.
+def _spectrum(entries, pairs=()) -> tuple[tuple, tuple]:
+    """Ascending distinct values and counts of single ``entries`` and
+    (value, count) ``pairs``; equal values merge, zero counts drop out."""
+    merged = Counter(entries)
+    for value, count in pairs:
+        if count:
+            merged[value] += count
+    values = sorted(merged)
+    return tuple(values), tuple(map(merged.__getitem__, values))
 
-    ``pairs`` are (value, count) and ``quantiles`` an array of single
-    entries; equal values merge and zero counts drop out.
-    """
-    if not len(quantiles):
-        merged: dict[float, int] = {}
-        for value, count in pairs:
-            if count:
-                merged[value] = merged.get(value, 0) + count
-        values = sorted(merged)
-        return tuple(values), tuple(merged[v] for v in values)
-    import numpy as np
-    pairs = [(v, m) for v, m in pairs if m]
-    vals = np.concatenate([quantiles, [v for v, _ in pairs]])
-    cnts = np.concatenate([np.ones(len(quantiles), dtype=np.int64),
-                           np.array([m for _, m in pairs], dtype=np.int64)])
-    order = np.argsort(vals, kind="stable")
-    vals, cnts = vals[order], cnts[order]
-    first = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
-    return (tuple(vals[first].tolist()),
-            tuple(np.add.reduceat(cnts, first).tolist()))
+
+def _quantiles(measure: SpectralMeasure, k: int) -> tuple[list, tuple]:
+    """``diffuse_quantile_batch(measure, k)`` as a list, and for a uniform
+    part the grid (lo, h, 1, g, ()) of all levels but one at the top, b;
+    its floats come from ``math``, with the batch's expressions."""
+    diffuse = measure.diffuse
+    if diffuse.kind != "uniform":
+        return diffuse_quantile_batch(measure, k).tolist(), ()
+    c, b = diffuse.mass, float(measure.support[1])
+    lo, hi = diffuse.interval()
+    out = [lo + (hi - lo) * ((j / k) / c)
+           for j in range(1, _int_part(c * k) + 1)]
+    g = len(out)
+    while g and g / k >= c - 1e-14:
+        g -= 1
+        out[g] = b  # the top level: see ``diffuse_quantile_batch``
+    return out, (lo, (hi - lo) / (c * k), 1, g, ())
 
 
 def build_upper_microstate(measure: SpectralMeasure,
@@ -221,20 +230,25 @@ def build_upper_microstate(measure: SpectralMeasure,
     """
     k = _check_k(k)
     ranked = measure.atoms_by_weight()
-    quantiles = diffuse_quantile_batch(measure, k)
-    repeats = int((quantiles[1:] == quantiles[:-1]).sum())
+    quantiles, grid = _quantiles(measure, k)
+    repeats = sum(map(float.__eq__, quantiles, quantiles[1:]))
     if repeats:
         raise ValueError(
-            f"k = {k}: {repeats} of the {quantiles.size} diffuse quantiles "
+            f"k = {k}: {repeats} of the {len(quantiles)} diffuse quantiles "
             f"round onto their neighbour; the diffuse part is too narrow "
             f"for its location at this k")
     mults = tuple((a.location, _int_part(a.weight * k)) for a in ranked)
-    zero_count = k - quantiles.size - sum(m for _, m in mults)
-    values, counts = _spectrum(mults + ((0.0, zero_count),), quantiles)
+    zero_count = k - len(quantiles) - sum(m for _, m in mults)
+    rest = mults + ((0.0, zero_count),)
+    values, counts = _spectrum(quantiles, rest)
+    extra = {}
+    if grid and grid[3]:
+        extra = {"grid": grid,
+                 "off_grid": _spectrum(quantiles[grid[3]:], rest)}
     return DiagonalMicrostate(kind="upper", k=k, values=values, counts=counts,
                               atom_multiplicity_map=mults,
-                              quantile_count=int(quantiles.size),
-                              zero_count=zero_count)
+                              quantile_count=len(quantiles),
+                              zero_count=zero_count, **extra)
 
 
 def build_lower_microstate(measure: SpectralMeasure,
@@ -247,9 +261,10 @@ def build_lower_microstate(measure: SpectralMeasure,
     levels 2/k .. (floor(c k) - 1)/k are kept except the nearest one on
     each side of every contributing atom, and the remaining F slots hold
     fillers b + 3 + j/F strictly above the support.  The slot identity
-    multiplicities + kept quantiles + fillers = k is exact.  Without
-    interior quantiles no numpy is loaded.  Kept quantiles that round onto
-    each other or an atom raise ValueError: pair sums would skip them.
+    multiplicities + kept quantiles + fillers = k is exact.  numpy is
+    loaded only for interior quantiles of a diffuse part that is not
+    uniform.  Kept quantiles that round onto each other or an atom raise
+    ValueError: pair sums would skip them.
     """
     k = _check_k(k)
     ranked = measure.atoms_by_weight()
@@ -267,20 +282,21 @@ def build_lower_microstate(measure: SpectralMeasure,
     mults = tuple(mults)
 
     q = _int_part(measure.diffuse.mass * k)
-    kept, excluded = (), set()
+    kept, excluded, extra = [], set(), {}
     if q >= 3:
-        import numpy as np
-        interior = diffuse_quantile_batch(measure, k)[1:q - 1]
-        for loc, _ in mults:
-            below = np.searchsorted(interior, loc, side="right") - 1
-            if below >= 0:
-                excluded.add(int(below))
-            above = np.searchsorted(interior, loc, side="left")
-            if above < interior.size:
-                excluded.add(int(above))
-        kept = np.delete(interior, sorted(excluded))
+        quantiles, grid = _quantiles(measure, k)
+        interior = quantiles[1:q - 1]  # levels 2 .. q - 1, below the top
+        for loc, _ in mults:  # the nearest level on each side
+            excluded |= {bisect_right(interior, loc) - 1,
+                         bisect_left(interior, loc)}
+        excluded &= set(range(len(interior)))
+        kept = [v for i, v in enumerate(interior) if i not in excluded]
+        if grid and kept:
+            holes = tuple(sorted(i + 2 for i in excluded))
+            extra = {"grid": (grid[0], grid[1], 2, q - 1, holes),
+                     "off_grid": _spectrum((), mults)}
 
-    values, counts = _spectrum(mults, kept)
+    values, counts = _spectrum(kept, mults)
     entries = len(kept) + sum(1 for _, m in mults if m)
     if len(values) < entries:
         raise ValueError(
@@ -292,7 +308,7 @@ def build_lower_microstate(measure: SpectralMeasure,
                               quantile_count=len(kept),
                               filler_count=k - sum(counts),
                               filler_base=measure.support[1],
-                              excluded_quantile_count=len(excluded))
+                              excluded_quantile_count=len(excluded), **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -303,37 +319,124 @@ def _equal_pairs(microstate: DiagonalMicrostate) -> int:
     return sum(c * (c - 1) // 2 for c in microstate.counts)
 
 
+def _stirling_tail(z: float) -> float:
+    # B_2i / (2i (2i - 1) z^(2i - 1)), i = 1 .. 7, of Stirling's series
+    # for log Gamma(z); from z = 10 up the next term is below 3e-17
+    r = 1.0 / z
+    s = r * r
+    return r * (1 / 12 + s * (-1 / 360 + s * (1 / 1260 + s * (
+        -1 / 1680 + s * (1 / 1188 + s * (-691 / 360360 + s / 156))))))
+
+
+def _log_steps(offset: float, n: int) -> float:
+    """Sum of log(offset + j/n) over j = 1 .. n, for offset > -1/n: up to
+    16 steps one by one, else lgamma(z + n) - lgamma(z) - n log n at
+    z = offset n + 1.  From z = 10 up, where that difference cancels,
+    Stirling's series is differenced term by term instead:
+    n ((offset + 1/(2n)) log1p(1/(offset + 1/n)) + log(offset + 1 + 1/n)
+    - 1) plus the tails, which neither cancel nor overflow."""
+    if n <= 16:
+        return math.fsum(math.log(offset + j / n) for j in range(1, n + 1))
+    z = offset * n + 1.0
+    if z < 10.0:
+        return math.lgamma(z + n) - math.lgamma(z) - n * math.log(n)
+    inner = offset + 1.0 / n
+    return (n * ((offset + 0.5 / n) * math.log1p(1.0 / inner)
+                 + math.log(inner + 1.0) - 1.0)
+            + (_stirling_tail(z + n) - _stirling_tail(z)))
+
+
+def _filler_log_sum(offsets, counts, f: int) -> float:
+    """Sum of c_a log(t_a + j/f), j = 1 .. f: from values v to the fillers
+    at offsets t = (b - v) + 3, which are at least 3 (else ValueError)."""
+    if offsets and not min(offsets) >= 3.0:
+        raise ValueError(f"offsets must be at least 3, got {min(offsets)!r}")
+    return math.fsum(map(mul, counts, map(_log_steps, offsets, repeat(f))))
+
+
+def _grid_log_sums(microstate: DiagonalMicrostate) -> list[float]:
+    """Terms of the sum of log|x - y| over the pairs of a lower
+    microstate with a grid entry x.  The n levels first .. last pair to
+    C(n, 2) log h + sum_{m<n} log m!; a hole p takes away its pairs, log h
+    and log (p - first)! + log (last - p)!, and two holes give back theirs.
+    From a value or filler at level t, a run of n levels a .. z below t
+    sums to n log h + sum_{i=1..n} log(t - z - 1 + i) (``_log_steps``),
+    and likewise above t; no run straddles an atom, whose neighbours are
+    holes."""
+    lo, h, first, last, holes = microstate.grid
+    log_h, n = math.log(h), last - first + 1
+    terms = [math.comb(n - len(holes), 2) * log_h, _sum_log_factorials(n - 1)]
+    for i, p in enumerate(holes):
+        terms += [-math.lgamma(p - first + 1), -math.lgamma(last - p + 1)]
+        terms.extend(math.log(r - p) for r in holes[i + 1:])
+    edges = (first - 1, *holes, last + 1)
+    runs = [(a + 1, z - 1) for a, z in zip(edges, edges[1:]) if z - a > 1]
+
+    def from_level(t: float) -> float:
+        return math.fsum(
+            (z - a + 1) * (log_h + math.log(z - a + 1))
+            + _log_steps((t - z - 1 if z < t else a - t - 1) / (z - a + 1),
+                         z - a + 1) for a, z in runs)
+
+    terms.extend(c * from_level((v - lo) / h)
+                 for v, c in zip(*microstate.off_grid))
+    f, top = microstate.filler_count, (microstate.filler_base - lo) + 3.0
+    terms.extend(from_level((top + j / f) / h) for j in range(1, f + 1))
+    return terms
+
+
 def _pair_log_sq_sum(microstate: DiagonalMicrostate) -> float:
     """Sum of log(b_i - b_j)^2 over unordered pairs with b_i != b_j.
 
     Fillers enter through their exact gaps, never as floats: (j - i)/F
     among themselves, summed in closed form, and (b - v) + 3 + j/F from
-    a value v.  The values go to ``math`` when the microstate has no
-    quantiles and at most ``_MATH_TERMS`` log terms, else to the numpy
-    kernel.
+    a value v (``_filler_log_sum``).  Grid entries enter through their
+    levels (``_grid_log_sums``).  The other values go to ``math`` when
+    they hold no quantiles and make at most ``_MATH_TERMS`` log terms,
+    else to the numpy kernel.
     """
-    values, counts = microstate.values, microstate.counts
-    f = microstate.filler_count
-    offsets = [(microstate.filler_base - v) + 3.0 for v in values] if f else []
-    terms = []
+    grid, f = microstate.grid, microstate.filler_count
+    values, counts = (microstate.off_grid if grid
+                      else (microstate.values, microstate.counts))
+    terms = _grid_log_sums(microstate) if grid else []  # of log|gap|
     if f:
-        terms.append(2.0 * (_sum_log_factorials(f - 1)
-                            - math.comb(f, 2) * math.log(f)))
+        terms.append(_sum_log_factorials(f - 1)
+                     - math.comb(f, 2) * math.log(f))
+        offsets = [(microstate.filler_base - v) + 3.0 for v in values]
+        terms.append(_filler_log_sum(offsets, counts, f))
     n = len(values)
-    if microstate.quantile_count or n * (n - 1) // 2 + n * f > _MATH_TERMS:
-        terms.append(pair_log_sq_skip(values, counts)[0])
-        if f:
-            terms.append(2.0 * shifted_log_sum(offsets, counts, f))
-        return math.fsum(terms)
-    steps = [j / f for j in range(1, f + 1)]
-    for a in range(n):
-        va, ca = values[a], counts[a]
-        terms.extend(2.0 * ca * counts[b] * math.log(abs(va - values[b]))
-                     for b in range(a + 1, n))
-        if f:
-            terms.append(2.0 * ca * math.fsum(
-                map(math.log, [offsets[a] + s for s in steps])))
-    return math.fsum(terms)
+    if (microstate.quantile_count and not grid
+            or n * (n - 1) // 2 + n * f > _MATH_TERMS):
+        terms.append(0.5 * pair_log_sq_skip(values, counts)[0])
+    else:
+        for a in range(n):
+            va, ca = values[a], counts[a]
+            terms.extend(ca * counts[b] * math.log(abs(va - values[b]))
+                         for b in range(a + 1, n))
+    return 2.0 * math.fsum(terms)
+
+
+def _pair_log_reg_sum(microstate: DiagonalMicrostate, eps: float) -> float:
+    """Sum of log((b_i - b_j)^2 + eps) over unordered pairs i < j: over
+    grid pairs sum_d (n - d) log(d^2 h^2 + eps), with every other entry
+    paired one by one; without a grid, by the numpy kernel."""
+    if microstate.grid is None:
+        return pair_log_reg_sum(microstate.values, eps, microstate.counts)
+    lo, h, first, last, _ = microstate.grid  # an upper grid has no holes
+    root = math.sqrt(eps)  # log hypot(d, root) is half the log
+    n = last - first + 1
+    gaps = [d * h for d in range(1, n)]
+    terms = list(map(mul, range(n - 1, 0, -1),
+                     map(math.log, map(math.hypot, gaps, repeat(root)))))
+    rest = list(zip(*microstate.off_grid))
+    for a, (v, c) in enumerate(rest):
+        gaps = [(v - lo) - j * h for j in range(first, last + 1)]
+        terms.append(c * math.fsum(map(math.log, map(math.hypot, gaps,
+                                                     repeat(root)))))
+        terms.append(c * (c - 1) // 2 * (0.5 * math.log(eps)))
+        terms.extend(c * m * math.log(math.hypot(v - w, root))
+                     for w, m in rest[a + 1:])
+    return 2.0 * math.fsum(terms)
 
 
 def pair_partition(microstate: DiagonalMicrostate) -> PairPartition:
@@ -381,8 +484,7 @@ def regularized_product_series(measure: SpectralMeasure, eps: float,
     values = []
     for k in ks:
         ms = build_upper_microstate(measure, k)
-        values.append(2.0 * pair_log_reg_sum(ms.values, eps, ms.counts)
-                      / (k * k))
+        values.append(2.0 * _pair_log_reg_sum(ms, eps) / (k * k))
     return SeriesReport(ks=tuple(ks), values=tuple(values),
                         target=target.value, relation="converges_to",
                         achieved_gap=values[-1] - target.value,
@@ -459,7 +561,7 @@ def volume_upper_bound_log(microstate: DiagonalMicrostate, eps: float,
             f"(0, {_INNER_SUP:.6f}); no inner radius ratio in (0, 1/2) exists")
     alpha = _inner_alpha(ratio)
     k = microstate.k
-    pair_sum = pair_log_reg_sum(microstate.values, eps, microstate.counts)
+    pair_sum = _pair_log_reg_sum(microstate, eps)
     return math.fsum([
         0.5 * k * math.log(k),
         k * math.log(eps),

@@ -178,16 +178,6 @@ class TestValuesWithCounts:
         assert _kernels.pair_log_reg_sum(values[:40], 0.2, counts[:40]) == \
             pytest.approx(fsum_reg(few, 0.2), rel=1e-13)
 
-    def test_shifted_log_sum(self):
-        offsets = [3.0, 3.5, 4.25, 1e300]
-        counts = [5, 1, 2, 3]
-        for n in (1, 7, 70000):
-            want = math.fsum(c * math.log(t + j / n)
-                             for t, c in zip(offsets, counts)
-                             for j in range(1, n + 1))
-            got = _kernels.shifted_log_sum(offsets, counts, n)
-            assert got == pytest.approx(want, rel=1e-13)
-
     def test_counts_need_strictly_ascending_values(self):
         # the cluster sum reads a leaf's span from its first and last value
         for values in ([0.5, -0.25, 1.0], [0.5, 0.5, 1.0]):
@@ -195,12 +185,6 @@ class TestValuesWithCounts:
                 _kernels.pair_log_sq_skip(values, [1, 2, 1])
             with pytest.raises(ValueError, match="strictly ascending"):
                 _kernels.pair_log_reg_sum(values, 0.1, [1, 2, 1])
-
-    def test_shifted_log_sum_refuses_offsets_below_three(self):
-        # carrying the fillers needs log(t + s) analytic well beyond
-        # s in [0, 1]: t >= 3 puts its singularity at s <= -3
-        with pytest.raises(ValueError, match="at least 3"):
-            _kernels.shifted_log_sum([2.5, 4.0], [1, 1], 10)
 
     def test_reg_sum_rejects_infinite_eps(self):
         for eps in (math.inf, math.nan):

@@ -649,6 +649,149 @@ class TestClosedFormPairSums:
         assert len(ms.eigenvalues) == 100
 
 
+def _atoms_plus_uniform(atoms, lo, hi, support=None):
+    mass = 1.0 - math.fsum(w for _, w in atoms)
+    return fp.SpectralMeasure(
+        support=support or (lo, hi),
+        atoms=tuple(fp.Atom(x, w) for x, w in atoms),
+        diffuse=fp.DiffusePart("uniform", mass, {"lo": lo, "hi": hi}))
+
+
+def _fsum_distinct_pairs(values, counts, eps=0.0):
+    """math.fsum of log((v_a - v_b)^2 + eps) over index pairs with
+    distinct values (plus C(c, 2) log eps for each value at eps > 0)."""
+    values = np.asarray(values, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    terms = []
+    for a in range(values.size - 1):
+        d = values[a + 1:] - values[a]
+        logs = np.log(d * d + eps) if eps else 2.0 * np.log(d)
+        terms.extend((counts[a] * counts[a + 1:] * logs).tolist())
+    if eps:
+        terms.append(float(np.sum(counts * (counts - 1) / 2)) * math.log(eps))
+    return math.fsum(terms)
+
+
+def _fsum_lower(ms):
+    """The lower microstate's pair sum over explicit pairs: its values from
+    ``eigenvalues``, and the fillers b + 3 + j/F by their gaps, which stay
+    apart however large b is."""
+    f, b = ms.filler_count, ms.filler_base
+    values, counts = np.unique(ms.eigenvalues[:ms.k - f], return_counts=True)
+    terms = [_fsum_distinct_pairs(values, counts)]
+    if f:
+        steps = np.arange(1, f + 1) / f
+        gaps = np.add.outer((b - values) + 3.0, steps)
+        terms.extend((2.0 * counts[:, None] * np.log(gaps)).ravel().tolist())
+        terms.extend(2.0 * math.log((j - i) / f)
+                     for i in range(1, f + 1) for j in range(i + 1, f + 1))
+    return math.fsum(terms)
+
+
+class TestUniformGrid:
+    """A uniform part's quantiles are a grid, whose pair sums come in
+    closed form; the oracle is math.fsum over explicit pairs."""
+
+    TWO_ATOMS = [(0.4, 0.3), (1.0, 0.1)]
+
+    @pytest.mark.parametrize("k", [500, 5000])
+    def test_lower_matches_explicit_pairs(self, k):
+        m = _atoms_plus_uniform(self.TWO_ATOMS, -0.7, 1.3)
+        ms = fp.build_lower_microstate(m, k)
+        assert ms.grid is not None and len(ms.grid[4]) == 4
+        assert ms.excluded_quantile_count == 4
+        got = _pair_log_sq_sum(ms)
+        assert 2.0 * abs(got - _fsum_lower(ms)) / k ** 2 <= 1e-14
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5])
+    def test_upper_matches_explicit_pairs(self, eps):
+        k = 1000
+        for m in (fp.uniform_measure(-0.3, 1.7),
+                  _atoms_plus_uniform([(0.25, 0.25)], -0.3, 1.7)):
+            ms = fp.build_upper_microstate(m, k)
+            assert ms.grid is not None
+            want = _fsum_distinct_pairs(*np.unique(ms.eigenvalues,
+                                                   return_counts=True), eps)
+            got = microstates._pair_log_reg_sum(ms, eps)
+            assert 2.0 * abs(got - want) / k ** 2 <= 1e-14
+            [value] = fp.regularized_product_series(m, eps, (k,)).values
+            assert abs(value - 2.0 * want / k ** 2) <= 1e-14
+
+    def test_atom_on_a_quantile_level_merges(self):
+        # level 25 of k = 100 at mass 1/2 on [0, 1] is the float 0.5
+        m = _atoms_plus_uniform([(0.5, 0.5)], 0.0, 1.0)
+        ms = fp.build_upper_microstate(m, 100)
+        assert ms.counts[ms.values.index(0.5)] == 51
+        for eps in (0.1, 0.5):
+            want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
+            got = microstates._pair_log_reg_sum(ms, eps)
+            assert 2.0 * abs(got - want) / 100 ** 2 <= 1e-14
+
+    def test_top_level_is_b_above_the_grid(self):
+        # c k = 50 is an integer: level 50 is the top, at b = 2, which is
+        # the atom's value, not the grid point 1
+        m = _atoms_plus_uniform([(2.0, 0.5)], 0.0, 1.0, support=(0.0, 2.0))
+        ms = fp.build_upper_microstate(m, 100)
+        assert ms.grid[2:4] == (1, 49)
+        assert ms.values[-2:] == (0.98, 2.0) and ms.counts[-1] == 51
+        want = _fsum_distinct_pairs(ms.values, ms.counts, 0.1)
+        got = microstates._pair_log_reg_sum(ms, 0.1)
+        assert 2.0 * abs(got - want) / 100 ** 2 <= 1e-14
+        lower = fp.build_lower_microstate(m, 100)
+        assert lower.grid[2:] == (2, 49, (49,))
+        got = _pair_log_sq_sum(lower)
+        assert 2.0 * abs(got - _fsum_lower(lower)) / 100 ** 2 <= 1e-14
+
+    def test_atom_at_1e16(self):
+        m = _atoms_plus_uniform([(1e16, 0.5)], 0.0, 1.0,
+                                support=(0.0, 1e16))
+        k = 500
+        lower = fp.build_lower_microstate(m, k)
+        assert lower.grid is not None
+        got = _pair_log_sq_sum(lower)
+        assert 2.0 * abs(got - _fsum_lower(lower)) / k ** 2 <= 1e-14
+        upper = fp.build_upper_microstate(m, k)
+        want = _fsum_distinct_pairs(upper.values, upper.counts, 0.1)
+        got = microstates._pair_log_reg_sum(upper, 0.1)
+        assert 2.0 * abs(got - want) / k ** 2 <= 1e-14
+
+    def test_quantiles_keep_the_batch_bits(self):
+        m = _atoms_plus_uniform(self.TWO_ATOMS, -0.7, 1.3)
+        for k in (7, 500, 5000):
+            quantiles, _ = microstates._quantiles(m, k)
+            assert quantiles == fp.diffuse_quantile_batch(m, k).tolist()
+
+
+class TestFillerLogSum:
+    @pytest.mark.parametrize("offset", [3.0, 1e3, 1e6, 1e16])
+    @pytest.mark.parametrize("f", [1, 70, 5000])
+    def test_matches_mpmath(self, offset, f):
+        with mpmath.workdps(30):
+            want = mpmath.fsum(mpmath.log(mpmath.mpf(offset)
+                                          + mpmath.mpf(j) / f)
+                               for j in range(1, f + 1))
+        got = microstates._filler_log_sum([offset], [1], f)
+        assert abs(got - float(want)) <= 4e-16 * abs(float(want))
+
+    @pytest.mark.parametrize("offset, n", [(0.0, 5000), (1e-3, 70),
+                                           (-0.9 / 5000, 5000), (0.5, 17),
+                                           (100.0, 20)])
+    def test_grid_runs_match_mpmath(self, offset, n):
+        # runs next to an atom start within a level of it: z = offset n + 1
+        # below 10 takes the log-gamma difference itself
+        with mpmath.workdps(30):
+            logs = [mpmath.log(mpmath.mpf(offset) + mpmath.mpf(j) / n)
+                    for j in range(1, n + 1)]
+            want, size = mpmath.fsum(logs), mpmath.fsum(map(abs, logs))
+        got = microstates._log_steps(offset, n)
+        assert abs(got - float(want)) <= 2e-15 * float(size)
+
+    def test_refuses_offsets_below_three(self):
+        # every value lies at or below b, so its fillers are at least 3 away
+        with pytest.raises(ValueError, match="at least 3"):
+            microstates._filler_log_sum([2.5, 4.0], [1, 1], 10)
+
+
 class TestRecords:
     def test_immutable_with_value_equality(self, mixed_measure):
         ms = fp.build_lower_microstate(mixed_measure, 16)

@@ -117,20 +117,38 @@ def test_no_dataclasses_and_typing_only_for_type_checkers():
 def test_atom_only_microstates_do_not_import_numpy(tmp_path):
     atomic = tmp_path / "atomic.json"
     mixed = tmp_path / "mixed.json"
+    uniform = tmp_path / "uniform.json"
+    atom_uniform = tmp_path / "atom_uniform.json"
     fp.dump_measure(fp.atomic_measure([(0.0, 0.5), (0.4, 0.25),
                                        (1.0, 0.25)]), str(atomic))
     fp.dump_measure(fp.SpectralMeasure(
         support=(-2.0, 3.0), atoms=(fp.Atom(2.5, 0.5),),
         diffuse=fp.DiffusePart("semicircle", 0.5,
                                {"center": 0.0, "radius": 2.0})), str(mixed))
+    fp.dump_measure(fp.uniform_measure(-0.5, 1.5), str(uniform))
+    fp.dump_measure(fp.SpectralMeasure(
+        support=(-0.5, 1.5), atoms=(fp.Atom(0.3, 0.4),),
+        diffuse=fp.DiffusePart("uniform", 0.6, {"lo": -0.5, "hi": 1.5})),
+        str(atom_uniform))
     atom_only = [["microstate", "--kind", "lower", "--k", "400",
                   "--measure", str(atomic), "--format", "json"],
                  ["series", "offdiag-sum", "--ks", "100,400",
                   "--measure", str(atomic)],
                  ["series", "packing-constant", "--ks", "100,400",
                   "--measure", str(atomic)]]
+    # a uniform part's quantiles are a grid with closed-form pair sums
+    uniform_part = [["microstate", "--kind", "lower", "--k", "400",
+                     "--measure", str(atom_uniform), "--format", "json"],
+                    ["series", "offdiag-sum", "--ks", "100,400",
+                     "--measure", str(atom_uniform)],
+                    ["series", "packing-constant", "--ks", "100,400",
+                     "--measure", str(atom_uniform)],
+                    ["series", "regularized-product", "--eps", "0.1",
+                     "--ks", "10,400", "--measure", str(uniform)],
+                    ["microstate", "--kind", "upper", "--k", "400", "--eps",
+                     "0.5", "--t", "0.05", "--measure", str(uniform)]]
     # then every command that loads numpy, to probe dataclasses
-    argvs = atom_only + [
+    argvs = atom_only + uniform_part + [
         ["microstate", "--kind", "lower", "--k", "100", "--measure",
          str(mixed)],
         ["microstate", "--kind", "upper", "--k", "50", "--eps", "0.5",
@@ -144,8 +162,8 @@ def test_atom_only_microstates_do_not_import_numpy(tmp_path):
                                       json.dumps(argvs)).splitlines()]
     assert [row[0] for row in rows] == argvs
     assert [code for _, code, _, _, _ in rows] == [0] * len(argvs)
-    assert [loaded for _, _, loaded, _, _ in rows[:3]] == [False] * 3
-    assert rows[3][2]  # the probe sees numpy once a quantile is built
+    assert [loaded for _, _, loaded, _, _ in rows[:8]] == [False] * 8
+    assert rows[8][2]  # the probe sees numpy once a semicircle is sampled
     assert [argv for argv, _, _, dc, _ in rows if dc] == []
 
 
