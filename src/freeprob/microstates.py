@@ -370,13 +370,12 @@ def _grid_log_sums(microstate: DiagonalMicrostate) -> list[float]:
         terms += [-math.lgamma(p - first + 1), -math.lgamma(last - p + 1)]
         terms.extend(math.log(r - p) for r in holes[i + 1:])
     edges = (first - 1, *holes, last + 1)
-    runs = [(a + 1, z - 1) for a, z in zip(edges, edges[1:]) if z - a > 1]
+    runs = [(a + 1, z - 1, z - a - 1)
+            for a, z in zip(edges, edges[1:]) if z - a > 1]
 
-    def from_level(t: float) -> float:
-        return math.fsum(
-            (z - a + 1) * (log_h + math.log(z - a + 1))
-            + _log_steps((t - z - 1 if z < t else a - t - 1) / (z - a + 1),
-                         z - a + 1) for a, z in runs)
+    def from_level(t: float) -> float:  # over runs a .. z of m levels
+        return math.fsum(m * (log_h + math.log(m)) + _log_steps(
+            (t - z - 1 if z < t else a - t - 1) / m, m) for a, z, m in runs)
 
     terms.extend(c * from_level((v - lo) / h)
                  for v, c in zip(*microstate.off_grid))
