@@ -55,10 +55,6 @@ class Record:
         """The fields by name, in ``__slots__`` order."""
         return dict(zip(self.__slots__, self._fields()))
 
-    def _replace(self, **changes):
-        """A copy with the given fields changed."""
-        return type(self)(**{**self._asdict(), **changes})
-
     def __setattr__(self, key, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 

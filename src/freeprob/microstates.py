@@ -22,9 +22,13 @@ once, however often it repeats).  The fillers add one log-gamma
 difference per value (``_filler_log_sum``) and, because their gaps are
 (j - i)/F, a closed-form filler x filler sum.  An atom-only lower
 microstate has a few atoms and about sqrt(k) fillers, so its pair sums
-run in ``math`` (up to 2^19 log terms).  A uniform diffuse part's
+run in ``math`` (up to 2^18 log terms).  A uniform diffuse part's
 quantiles are a grid lo + j h whose pair sums are closed forms in the
-levels j, so neither loads numpy.  k is capped at K_CAP = 5000.
+levels j.  An arcsine part's quantiles lo + w sin^2(pi j/2n) with c k an
+integer n are the interior Chebyshev-Lobatto nodes of its interval, and
+its upper microstate's regularized pair sum is n/2 closed-form row
+products (``_arcsine_rows``).  Neither loads numpy.  k is capped at
+K_CAP = 5000.
 
 Sums over the distinct-value pair set are taken over ordered pairs
 (both (i, j) and (j, i)), which is the normalization under which k^{-2}
@@ -35,6 +39,7 @@ both readings are visible.
 
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -78,15 +83,16 @@ __all__ = [
 K_CAP = 5000
 # A pair sum without quantiles runs in plain math up to this many log
 # terms, whether or not numpy is loaded, so its bits depend on the
-# microstate alone.  Atom-only specs at k = 5000 (2-core box, Python
-# 3.11, numpy 2.4) took 0.30-0.43 us a term in math against 5-30 ns in
-# the numpy kernel, and importing numpy took about 170 ms, so
-# math is quicker up to about 2^19 terms.  `series offdiag-sum --ks 5000`
-# in a fresh process took 0.36 s in math against 0.48 s with numpy at
-# 2.5e5 terms, 0.68 against 0.70 s at 5.8e5 and 1.09 against 0.92 s at
-# 1.1e6.  Once numpy is loaded the kernel is quicker from about 200 terms
-# and at most 35 us slower below; the library keeps math there anyway.
-_MATH_TERMS = 1 << 19
+# microstate alone.  n values count n (n - 1)/2 pair terms and at most 16
+# each for their fillers (``_log_steps``).  On a 2-core box (Python
+# 3.11, numpy 2.4), `series offdiag-sum --ks 5000` in a fresh process on
+# one atom of weight 1/2 and n - 1 equal ones took 0.29 s in math against
+# 0.32 s with numpy at n = 600 (1.9e5 terms), 0.39 against 0.37 s at 800
+# (3.3e5) and 0.52 against 0.48 s at 1000 (5.1e5), medians of 9
+# interleaved runs.  Once numpy is loaded the kernel is quicker from about
+# 200 terms and at most 35 us slower below; the library keeps math there
+# anyway.
+_MATH_TERMS = 1 << 18
 
 
 class NoSolutionError(ValueError):
@@ -102,9 +108,12 @@ class DiagonalMicrostate(Record):
     order) with their entry counts.  A "lower" microstate also holds
     ``filler_count`` = F fillers b + 3 + j/F, j = 1..F, above
     ``filler_base`` = b; ``zero_count`` counts the zero padding of an
-    "upper" microstate (one of its ``values``).  A uniform diffuse part
-    has ``grid`` = (lo, h, first, last, holes): one quantile at each level
-    j = first .. last but the holes, lo + j h with h = (hi - lo)/(c k).
+    "upper" microstate (one of its ``values``).  A uniform diffuse part,
+    and in an upper microstate an arcsine part with c k an integer, has
+    ``grid`` = (kind, lo, hi, c, k, first, last, holes): one quantile at
+    each level j = first .. last but the holes, at p = j/(c k) of the
+    part's quantile function, lo + (hi - lo) p or
+    lo + (hi - lo) sin(pi p/2)^2; ``_grid_values`` renders their floats.
     ``off_grid`` is then (values, counts) of the entries besides these
     and the fillers: atoms, zeros and a top quantile at b.
     """
@@ -198,22 +207,37 @@ def _spectrum(entries, pairs=()) -> tuple[tuple, tuple]:
     return tuple(values), tuple(map(merged.__getitem__, values))
 
 
-def _quantiles(measure: SpectralMeasure, k: int) -> tuple[list, tuple]:
+def _grid_values(grid: tuple, levels) -> list[float]:
+    """The floats of ``levels`` j of a uniform or arcsine part's grid,
+    with ``diffuse_quantile_batch``'s expressions at p = (j / k) / c:
+    lo + (hi - lo) p, or lo + (hi - lo) sin(pi p / 2)^2."""
+    kind, lo, hi, c, k = grid[:5]
+    ps = [(j / k) / c for j in levels]
+    if kind == "uniform":
+        return [lo + (hi - lo) * p for p in ps]
+    return [lo + (hi - lo) * s * s
+            for s in map(math.sin, [0.5 * math.pi * p for p in ps])]
+
+
+def _quantiles(measure: SpectralMeasure, k: int) -> tuple[list, tuple | None]:
     """``diffuse_quantile_batch(measure, k)`` as a list, and for a uniform
-    part the grid (lo, h, 1, g, ()) of all levels but one at the top, b;
-    its floats come from ``math``, with the batch's expressions."""
+    or arcsine part its grid (kind, lo, hi, c, k, 1, g, ()) of the levels
+    1 .. g below the top, whose value is b.  An arcsine part has a grid
+    only when c k = g + 1 exactly, so that its levels are Chebyshev-
+    Lobatto nodes.  These parts' floats come from ``math``."""
     diffuse = measure.diffuse
-    if diffuse.kind != "uniform":
-        return diffuse_quantile_batch(measure, k).tolist(), ()
+    if diffuse.kind not in ("uniform", "arcsine"):
+        return diffuse_quantile_batch(measure, k).tolist(), None
     c, b = diffuse.mass, float(measure.support[1])
-    lo, hi = diffuse.interval()
-    out = [lo + (hi - lo) * ((j / k) / c)
-           for j in range(1, _int_part(c * k) + 1)]
+    grid = (diffuse.kind, *diffuse.interval(), c, k)
+    out = _grid_values(grid, range(1, _int_part(c * k) + 1))
     g = len(out)
     while g and g / k >= c - 1e-14:
         g -= 1
         out[g] = b  # the top level: see ``diffuse_quantile_batch``
-    return out, (lo, (hi - lo) / (c * k), 1, g, ())
+    if not g or diffuse.kind == "arcsine" and c * k != g + 1:
+        return out, None
+    return out, grid + (1, g, ())
 
 
 def build_upper_microstate(measure: SpectralMeasure,
@@ -242,9 +266,9 @@ def build_upper_microstate(measure: SpectralMeasure,
     rest = mults + ((0.0, zero_count),)
     values, counts = _spectrum(quantiles, rest)
     extra = {}
-    if grid and grid[3]:
+    if grid:
         extra = {"grid": grid,
-                 "off_grid": _spectrum(quantiles[grid[3]:], rest)}
+                 "off_grid": _spectrum(quantiles[grid[6]:], rest)}
     return DiagonalMicrostate(kind="upper", k=k, values=values, counts=counts,
                               atom_multiplicity_map=mults,
                               quantile_count=len(quantiles),
@@ -262,9 +286,9 @@ def build_lower_microstate(measure: SpectralMeasure,
     each side of every contributing atom, and the remaining F slots hold
     fillers b + 3 + j/F strictly above the support.  The slot identity
     multiplicities + kept quantiles + fillers = k is exact.  numpy is
-    loaded only for interior quantiles of a diffuse part that is not
-    uniform.  Kept quantiles that round onto each other or an atom raise
-    ValueError: pair sums would skip them.
+    loaded only for interior quantiles of a diffuse part that is neither
+    uniform nor arcsine.  Kept quantiles that round onto each other or an
+    atom raise ValueError: pair sums would skip them.
     """
     k = _check_k(k)
     ranked = measure.atoms_by_weight()
@@ -291,9 +315,9 @@ def build_lower_microstate(measure: SpectralMeasure,
                          bisect_left(interior, loc)}
         excluded &= set(range(len(interior)))
         kept = [v for i, v in enumerate(interior) if i not in excluded]
-        if grid and kept:
+        if grid and kept and grid[0] == "uniform":
             holes = tuple(sorted(i + 2 for i in excluded))
-            extra = {"grid": (grid[0], grid[1], 2, q - 1, holes),
+            extra = {"grid": grid[:5] + (2, q - 1, holes),
                      "off_grid": _spectrum((), mults)}
 
     values, counts = _spectrum(kept, mults)
@@ -363,7 +387,8 @@ def _grid_log_sums(microstate: DiagonalMicrostate) -> list[float]:
     sums to n log h + sum_{i=1..n} log(t - z - 1 + i) (``_log_steps``),
     and likewise above t; no run straddles an atom, whose neighbours are
     holes."""
-    lo, h, first, last, holes = microstate.grid
+    _, lo, hi, c, k, first, last, holes = microstate.grid
+    h = (hi - lo) / (c * k)
     log_h, n = math.log(h), last - first + 1
     terms = [math.comb(n - len(holes), 2) * log_h, _sum_log_factorials(n - 1)]
     for i, p in enumerate(holes):
@@ -405,7 +430,7 @@ def _pair_log_sq_sum(microstate: DiagonalMicrostate) -> float:
         terms.append(_filler_log_sum(offsets, counts, f))
     n = len(values)
     if (microstate.quantile_count and not grid
-            or n * (n - 1) // 2 + n * f > _MATH_TERMS):
+            or n * (n - 1) // 2 + n * min(f, 16) > _MATH_TERMS):
         terms.append(0.5 * pair_log_sq_skip(values, counts)[0])
     else:
         for a in range(n):
@@ -415,23 +440,119 @@ def _pair_log_sq_sum(microstate: DiagonalMicrostate) -> float:
     return 2.0 * math.fsum(terms)
 
 
-def _pair_log_reg_sum(microstate: DiagonalMicrostate, eps: float) -> float:
-    """Sum of log((b_i - b_j)^2 + eps) over unordered pairs i < j: over
-    grid pairs sum_d (n - d) log(d^2 h^2 + eps), with every other entry
-    paired one by one; without a grid, by the numpy kernel."""
-    if microstate.grid is None:
-        return pair_log_reg_sum(microstate.values, eps, microstate.counts)
-    lo, h, first, last, _ = microstate.grid  # an upper grid has no holes
-    root = math.sqrt(eps)  # log hypot(d, root) is half the log
-    n = last - first + 1
+def _uniform_rows(grid: tuple, root: float):
+    """Half the pair sum of log(d^2 + root^2) over a uniform grid, as
+    terms (n - d) log|d h + i root|, and the row function of a value v:
+    the sum of log|v - x + i root| over the grid's entries x."""
+    _, lo, hi, c, k, first, last, _ = grid  # an upper grid has no holes
+    h, n = (hi - lo) / (c * k), last - first + 1
     gaps = [d * h for d in range(1, n)]
     terms = list(map(mul, range(n - 1, 0, -1),
                      map(math.log, map(math.hypot, gaps, repeat(root)))))
+
+    def row(v: float) -> float:
+        gaps = [(v - lo) - j * h for j in range(first, last + 1)]
+        return math.fsum(map(math.log, map(math.hypot, gaps, repeat(root))))
+
+    return terms, row
+
+
+def _lobatto_near(n: int, r: float, m: int, u: complex) -> float:
+    """log((r/2)^(n-1) |U_{n-1}(t)|) at t = cos(theta) + u near the node
+    theta = pi m/n, less log|r u|, the node's own factor, when 0 < m < n.
+    With t = cos(theta + e), U_{n-1}(t) is +-sin(n e) / sin(theta + e),
+    and T = tan(e/2) is the root of
+    (u + 2 cos theta) T^2 + 2 sin(theta) T + u = 0 nearest 0:
+    T = -u/d, d = sin theta + sqrt(sin^2 theta - u (2 cos theta + u)).
+    So sin(n e) = T W with W = sin(2n atan T)/T, which tends to 2n as u
+    does, and |T| / |u| = 1 / |d|: the node's factor divides out exactly,
+    also where u underflows."""
+    h = math.sin(0.5 * math.pi * m / n)
+    g = math.sin(0.5 * math.pi * (n - m) / n)  # cos(theta / 2)
+    c, s = (g - h) * (g + h), 2.0 * h * g
+    d = s + cmath.sqrt(s * s - u * (2.0 * c + u))
+    t = -u / d if u else 0j
+    wave = abs(cmath.sin(2.0 * n * cmath.atan(t)) / t) if t else 2.0 * n
+    if 0 < m < n:
+        sine = (s * (1.0 - t * t) + 2.0 * c * t) / (1.0 + t * t)
+        ratio = wave / (r * abs(d) * abs(sine))
+    else:  # sin(theta + e) = +-2T / (1 + T^2)
+        ratio = 0.5 * wave * abs(1.0 + t * t)
+    return (n - 1) * math.log(0.5 * r) + math.log(ratio)
+
+
+def _arcsine_rows(grid: tuple, root: float):
+    """``_uniform_rows`` for an arcsine part with c k = n.
+
+    Its levels j = 1 .. n - 1 sit at lo + r (1 - cos(pi j/n)),
+    r = (hi - lo)/2: the interior Chebyshev-Lobatto nodes, whose monic
+    polynomial is (r/2)^(n-1) U_{n-1}(x/r) about the centre.  So a row,
+    the sum over the levels of log|w - x| at w = z + i root (z from the
+    centre), is log((r/2)^(n-1) |sin(n phi) / sin(phi)|) with
+    cos(phi) = w/r.  With s = sqrt(w - r) sqrt(w + r) (no overflow up to
+    root = 1e150) and zeta = (w + s)/r, |zeta| >= 1, that is
+    n log|(w + s)/2| - log|s| + log|1 - zeta^(-2n)|: n times the arcsine
+    potential of ``energy._centered_potential`` and a correction.  From
+    |zeta| >= e^(1/n) the correction cannot cancel, and from
+    |zeta| >= e^(20/n) it is below 5e-18 and left out.  Closer to the
+    levels a row is ``_lobatto_near`` at the nearest node.  A level's own
+    row takes its node from the exact angle pi j/n and leaves out its
+    factor root, and levels j and n - j have the same row.  A value next
+    to level j takes its gap from the float of level j, so that a value
+    equal to that float pairs with it at gap 0.
+    """
+    _, lo, hi, _, _, _, last, _ = grid
+    n, r = last + 1, 0.5 * (hi - lo)
+    near, full = r * math.exp(1.0 / n), r * math.exp(20.0 / n)
+    log_root = math.log(root)
+
+    def far(a: complex, s: complex) -> float:
+        value = n * math.log(0.5 * abs(a)) - math.log(abs(s))
+        if abs(a) < full:
+            value += math.log(abs(1.0 - cmath.exp(-2 * n * cmath.log(a / r))))
+        return value
+
+    def own_row(m: int) -> float:  # at node m's level, less log root
+        h = math.sin(0.5 * math.pi * m / n)
+        g = math.sin(0.5 * math.pi * (n - m) / n)  # cos(pi m/2n)
+        s = (cmath.sqrt(complex(-2.0 * r * h * h, root))
+             * cmath.sqrt(complex(2.0 * r * g * g, root)))
+        a = complex(r * ((g - h) * (g + h)), root) + s
+        if abs(a) >= near:
+            return far(a, s) - log_root
+        return _lobatto_near(n, r, m, complex(0.0, root / r))
+
+    def row(v: float) -> float:
+        w = complex((v - lo) - r, root)
+        s = cmath.sqrt(w - r) * cmath.sqrt(w + r)
+        if abs(w + s) >= near:
+            return far(w + s, s)
+        m = round(n * cmath.phase(w + s) / math.pi)
+        [x] = _grid_values(grid, [n - m])
+        own = math.log(math.hypot(v - x, root)) if 0 < m < n else 0.0
+        return _lobatto_near(n, r, m, complex(v - x, root) / r) + own
+
+    # each row holds each of its pairs once, so a row is half its pairs
+    terms = list(map(own_row, range(1, n // 2 + 1)))
+    if n % 2 == 0:
+        terms[-1] *= 0.5
+    return terms, row
+
+
+def _pair_log_reg_sum(microstate: DiagonalMicrostate, eps: float) -> float:
+    """Sum of log((b_i - b_j)^2 + eps) over unordered pairs i < j: over a
+    grid by ``_uniform_rows`` or ``_arcsine_rows``, each other entry
+    paired with the grid by a row and with the rest one by one; without a
+    grid, by the numpy kernel."""
+    grid = microstate.grid
+    if grid is None:
+        return pair_log_reg_sum(microstate.values, eps, microstate.counts)
+    root = math.sqrt(eps)  # log|d + i root| is half the log
+    rows = _uniform_rows if grid[0] == "uniform" else _arcsine_rows
+    terms, row = rows(grid, root)
     rest = list(zip(*microstate.off_grid))
     for a, (v, c) in enumerate(rest):
-        gaps = [(v - lo) - j * h for j in range(first, last + 1)]
-        terms.append(c * math.fsum(map(math.log, map(math.hypot, gaps,
-                                                     repeat(root)))))
+        terms.append(c * row(v))
         terms.append(c * (c - 1) // 2 * (0.5 * math.log(eps)))
         terms.extend(c * m * math.log(math.hypot(v - w, root))
                      for w, m in rest[a + 1:])

@@ -111,10 +111,11 @@ def affine_pushforward(measure: fp.SpectralMeasure, scale: float,
                                  {"knots": new})
     tail_loc = measure.truncated_tail_location
     moved = not (scale == 1.0 and shift == 0.0)
-    return measure._replace(
+    return fp.SpectralMeasure(
         support=support, atoms=atoms, diffuse=diffuse,
         family=None if moved else measure.family,
         family_tol=None if moved else measure.family_tol,
+        truncated_tail=measure.truncated_tail,
         truncated_tail_location=None if tail_loc is None else mv(tail_loc))
 
 

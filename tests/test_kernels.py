@@ -588,3 +588,26 @@ class TestGridIdentities:
             got = _kernels.pair_log_reg_sum(values, eps, counts)
         want = _grid_pair_sum(n, h, eps)
         assert 2.0 * abs(got - want) / (n * n) <= 1e-14
+
+    @pytest.mark.parametrize("n", [20_000, 40_000])
+    def test_arcsine_grid_matches_the_sine_sums(self, n):
+        # x_j = w sin^2(pi j/2n), j = 0 .. n, the Chebyshev-Lobatto nodes
+        # of [0, w]: x_j - x_i = w sin(pi (j + i)/2n) sin(pi (j - i)/2n),
+        # so the pairs sum to a Toeplitz sum over the differences d and a
+        # Hankel sum over the sums t of the levels
+        w = 2.0
+        j = np.arange(n + 1)
+        s = np.sin(np.pi * j / (2 * n))
+        values = w * s * s
+        got, equal = _kernels.pair_log_sq_skip(values,
+                                               np.ones(n + 1, dtype=np.int64))
+        assert equal == 0
+        d = np.arange(1, n + 1)
+        t = np.arange(1, 2 * n)
+        by_sum = (t + 1) // 2 - np.maximum(0, t - n)  # pairs i < j, i + j = t
+        log_sine = np.log(np.sin(np.pi * np.minimum(t, 2 * n - t) / (2 * n)))
+        want = 2.0 * math.fsum([
+            math.comb(n + 1, 2) * math.log(w),
+            *((n + 1 - d) * log_sine[d - 1]).tolist(),
+            *(by_sum * log_sine).tolist()])
+        assert 2.0 * abs(got - want) / (n + 1) ** 2 <= 1e-14

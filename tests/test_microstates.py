@@ -560,12 +560,13 @@ class TestClosedFormPairSums:
                 math.fsum(terms), rel=1e-13)
 
     def test_paths_agree_past_the_math_threshold(self, monkeypatch):
-        # 700 atoms at k = 5000 give about 5.8e5 log terms, more than the
+        # 1100 atoms at k = 5000 give about 6.2e5 log terms, more than the
         # math path takes
-        atoms = [(0.0, 0.5)] + [(i / 700, 0.5 / 699) for i in range(1, 700)]
+        atoms = [(0.0, 0.5)] + [(i / 1100, 0.5 / 1099)
+                                for i in range(1, 1100)]
         ms = fp.build_lower_microstate(fp.atomic_measure(atoms), 5000)
         n, f = len(ms.values), ms.filler_count
-        assert n * (n - 1) // 2 + n * f > _MATH_TERMS
+        assert n * (n - 1) // 2 + n * min(f, 16) > _MATH_TERMS
         kernel = _pair_log_sq_sum(ms)
         monkeypatch.setattr(microstates, "_MATH_TERMS", 1 << 30)
         assert _pair_log_sq_sum(ms) == pytest.approx(kernel, rel=1e-13)
@@ -698,7 +699,7 @@ class TestUniformGrid:
     def test_lower_matches_explicit_pairs(self, k):
         m = _atoms_plus_uniform(self.TWO_ATOMS, -0.7, 1.3)
         ms = fp.build_lower_microstate(m, k)
-        assert ms.grid is not None and len(ms.grid[4]) == 4
+        assert ms.grid is not None and len(ms.grid[-1]) == 4
         assert ms.excluded_quantile_count == 4
         got = _pair_log_sq_sum(ms)
         assert 2.0 * abs(got - _fsum_lower(ms)) / k ** 2 <= 1e-14
@@ -732,13 +733,13 @@ class TestUniformGrid:
         # the atom's value, not the grid point 1
         m = _atoms_plus_uniform([(2.0, 0.5)], 0.0, 1.0, support=(0.0, 2.0))
         ms = fp.build_upper_microstate(m, 100)
-        assert ms.grid[2:4] == (1, 49)
+        assert ms.grid[-3:-1] == (1, 49)
         assert ms.values[-2:] == (0.98, 2.0) and ms.counts[-1] == 51
         want = _fsum_distinct_pairs(ms.values, ms.counts, 0.1)
         got = microstates._pair_log_reg_sum(ms, 0.1)
         assert 2.0 * abs(got - want) / 100 ** 2 <= 1e-14
         lower = fp.build_lower_microstate(m, 100)
-        assert lower.grid[2:] == (2, 49, (49,))
+        assert lower.grid[-3:] == (2, 49, (49,))
         got = _pair_log_sq_sum(lower)
         assert 2.0 * abs(got - _fsum_lower(lower)) / 100 ** 2 <= 1e-14
 
@@ -760,6 +761,151 @@ class TestUniformGrid:
         for k in (7, 500, 5000):
             quantiles, _ = microstates._quantiles(m, k)
             assert quantiles == fp.diffuse_quantile_batch(m, k).tolist()
+
+
+EPS_RANGE = [5e-324, 1e-300, 1e-40, 1e-16, 1e-8, 1e-4, 0.1, 0.5, 1e3, 1e300]
+
+
+def _reg_tol(want, k):
+    # at eps = 1e300 every pair term is about 690.8, and its float alone
+    # carries up to 6e-14: the bound grows with the value there
+    return 1e-14 + 4e-16 * abs(2.0 * want / k ** 2)
+
+
+def _arcsine_with_atoms():
+    # c k is an integer at every k divisible by 5; at k = 5, 10, 505 and
+    # 2995 the atoms' integer parts leave one zero, and b is above hi
+    return fp.SpectralMeasure(
+        support=(-0.4, 2.5), atoms=(fp.Atom(0.9, 0.25), fp.Atom(2.5, 0.15)),
+        diffuse=fp.DiffusePart("arcsine", 0.6, {"lo": -0.4, "hi": 1.6}))
+
+
+def _mp_reg_sum(ms, eps):
+    """The pair sum over the microstate's exact entries, at 40 digits: its
+    arcsine levels lo + w sin(pi j/2n)^2 and its other values' floats."""
+    _, lo, hi, c, k, first, last, _ = ms.grid
+    with mpmath.workdps(40):
+        w, n = mpmath.mpf(hi) - mpmath.mpf(lo), last + 1
+        entries = [(mpmath.mpf(lo) + w * mpmath.sin(mpmath.pi * j / (2 * n))
+                    ** 2, 1) for j in range(first, last + 1)]
+        entries += [(mpmath.mpf(v), m) for v, m in zip(*ms.off_grid)]
+        e = mpmath.mpf(eps)
+        terms = []
+        for a, (x, ca) in enumerate(entries):
+            terms.append(ca * (ca - 1) // 2 * mpmath.log(e))
+            terms.extend(ca * cb * mpmath.log((x - y) ** 2 + e)
+                         for y, cb in entries[a + 1:])
+        return float(mpmath.fsum(terms))
+
+
+class TestArcsineGrid:
+    """An arcsine part with c k = n has the interior Chebyshev-Lobatto
+    nodes as its levels, and its regularized pair sums are row products;
+    the oracles are fsum over explicit pairs, mpmath and the kernel."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 60, 501])
+    def test_pure_matches_explicit_pairs(self, k):
+        ms = fp.build_upper_microstate(fp.arcsine_measure(-0.7, 1.3), k)
+        assert (ms.grid is None) == (k == 1)
+        for eps in EPS_RANGE:
+            want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
+            got = microstates._pair_log_reg_sum(ms, eps)
+            assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
+
+    @pytest.mark.parametrize("k", [5, 10, 505])
+    def test_atoms_zeros_and_b_match_explicit_pairs(self, k):
+        ms = fp.build_upper_microstate(_arcsine_with_atoms(), k)
+        assert ms.grid is not None and ms.zero_count == 1
+        assert ms.off_grid[0][-1] == 2.5 and 0.0 in ms.off_grid[0]
+        for eps in EPS_RANGE:
+            want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
+            got = microstates._pair_log_reg_sum(ms, eps)
+            assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
+            [value] = fp.regularized_product_series(
+                _arcsine_with_atoms(), eps, (k,)).values
+            assert value == 2.0 * got / k ** 2
+
+    @pytest.mark.parametrize("m, k", [(fp.arcsine_measure(-0.7, 1.3), 3000),
+                                      (_arcsine_with_atoms(), 2995)])
+    def test_matches_explicit_pairs_at_k_3000(self, m, k):
+        ms = fp.build_upper_microstate(m, k)
+        for eps in EPS_RANGE:
+            want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
+            got = microstates._pair_log_reg_sum(ms, eps)
+            assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
+
+    @pytest.mark.parametrize("m, ks", [
+        (fp.arcsine_measure(-0.7, 1.3), (2, 3, 4, 7)),
+        (_arcsine_with_atoms(), (5, 10)),
+        (fp.arcsine_measure(1e6 - 1.0, 1e6 + 1.0), (3, 8))])
+    def test_matches_mpmath(self, m, ks):
+        for k in ks:
+            ms = fp.build_upper_microstate(m, k)
+            for eps in EPS_RANGE:
+                want = _mp_reg_sum(ms, eps)
+                got = microstates._pair_log_reg_sum(ms, eps)
+                assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), \
+                    (k, eps)
+
+    @pytest.mark.parametrize("m, k", [(fp.arcsine_measure(-0.7, 1.3), 5000),
+                                      (_arcsine_with_atoms(), 4995)])
+    def test_agrees_with_the_kernel_at_k_5000(self, m, k):
+        ms = fp.build_upper_microstate(m, k)
+        for eps in EPS_RANGE:
+            want = _kernels.pair_log_reg_sum(ms.values, eps, ms.counts)
+            got = microstates._pair_log_reg_sum(ms, eps)
+            assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
+
+    @pytest.mark.parametrize("k", [7, 500, 5000])
+    def test_centred_at_1e6_sums_the_levels_at_0(self, k):
+        # The floats at 1e6 are off their levels by up to half an ulp of
+        # 1e6; the sum is over the levels, which the move leaves alone.
+        far = fp.build_upper_microstate(
+            fp.arcsine_measure(1e6 - 1.0, 1e6 + 1.0), k)
+        near = fp.build_upper_microstate(fp.arcsine_measure(-1.0, 1.0), k)
+        for eps in EPS_RANGE:
+            want = microstates._pair_log_reg_sum(near, eps)
+            got = microstates._pair_log_reg_sum(far, eps)
+            assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
+            if k == 500:
+                want = _fsum_distinct_pairs(near.values, near.counts, eps)
+                assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k)
+
+    @pytest.mark.parametrize("width", [1e-300, 1e160, 1e300])
+    def test_extreme_widths_match_the_kernel(self, width):
+        # sqrt(eps) / r underflows at width 1e300 and eps 5e-324
+        ms = fp.build_upper_microstate(fp.arcsine_measure(0.0, width), 8)
+        for eps in EPS_RANGE:
+            want = _kernels.pair_log_reg_sum(ms.values, eps, ms.counts)
+            got = microstates._pair_log_reg_sum(ms, eps)
+            assert 2.0 * abs(got - want) / 64 <= _reg_tol(want, 8), eps
+
+    def test_value_on_a_level_float_pairs_at_gap_zero(self):
+        # an atom at the float of level 2 merges with it, so the pair adds
+        # log eps, as the kernel and pair_partition count it
+        k = 10
+        [x] = microstates._grid_values(("arcsine", -1.0, 1.0, 0.5, k), [2])
+        m = fp.SpectralMeasure(
+            support=(-1.0, 1.0), atoms=(fp.Atom(x, 0.5),),
+            diffuse=fp.DiffusePart("arcsine", 0.5, {"lo": -1.0, "hi": 1.0}))
+        ms = fp.build_upper_microstate(m, k)
+        assert ms.grid is not None and ms.counts[ms.values.index(x)] == 6
+        for eps in EPS_RANGE:
+            want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
+            got = microstates._pair_log_reg_sum(ms, eps)
+            assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
+
+    def test_c_k_not_an_integer_stays_on_the_kernel(self):
+        ms = fp.build_upper_microstate(_arcsine_with_atoms(), 401)
+        assert ms.grid is None and ms.quantile_count == 240
+
+    def test_quantiles_within_two_ulps_of_the_batch(self):
+        for m in (fp.arcsine_measure(-0.7, 1.3), _arcsine_with_atoms()):
+            for k in (5, 500, 5000):
+                quantiles, _ = microstates._quantiles(m, k)
+                batch = fp.diffuse_quantile_batch(m, k).tolist()
+                assert max(abs(a - b) / math.ulp(b)
+                           for a, b in zip(quantiles, batch)) <= 2
 
 
 class TestFillerLogSum:
@@ -808,7 +954,6 @@ class TestRecords:
         other = fp.SeriesReport((1,), (0.0,), 0.0, "converges_to", 0.0)
         assert rep == other and rep.extras == {} and rep.status == "ok"
         assert rep.extras is not other.extras
-        assert rep._replace(status="not_converged").status == "not_converged"
         assert pickle.loads(pickle.dumps(rep)) == rep
 
     def test_asdict_in_slot_order(self):
@@ -818,7 +963,8 @@ class TestRecords:
             ("ks", (1,)), ("values", (0.0,)), ("target", 0.0),
             ("relation", "converges_to"), ("achieved_gap", 0.0),
             ("status", "ok"), ("extras", {})]
-        changed = rep._replace(status="not_converged", target=1.0)
+        changed = fp.SeriesReport((1,), (0.0,), 1.0, "converges_to", 0.0,
+                                  "not_converged")
         assert list(changed._asdict().values()) == [
             (1,), (0.0,), 1.0, "converges_to", 0.0, "not_converged", {}]
         with pytest.raises(TypeError, match="missing"):

@@ -167,11 +167,38 @@ def test_atom_only_microstates_do_not_import_numpy(tmp_path):
     assert [argv for argv, _, _, dc, _ in rows if dc] == []
 
 
+def test_arcsine_upper_microstates_do_not_import_numpy(tmp_path):
+    # an arcsine part with c k an integer n has Chebyshev-Lobatto levels,
+    # whose regularized pair sums are closed-form row products
+    arcsine = tmp_path / "arcsine.json"
+    atom_arcsine = tmp_path / "atom_arcsine.json"
+    fp.dump_measure(fp.arcsine_measure(-0.7, 1.3), str(arcsine))
+    fp.dump_measure(fp.SpectralMeasure(
+        support=(-0.4, 2.5), atoms=(fp.Atom(0.9, 0.25), fp.Atom(2.5, 0.15)),
+        diffuse=fp.DiffusePart("arcsine", 0.6, {"lo": -0.4, "hi": 1.6})),
+        str(atom_arcsine))
+    argvs = []
+    for spec in (arcsine, atom_arcsine):
+        argvs += [["microstate", "--kind", "upper", "--k", "400", "--eps",
+                   "0.5", "--t", "0.05", "--measure", str(spec)],
+                  ["series", "regularized-product", "--eps", "0.1", "--ks",
+                   "10,400", "--measure", str(spec)]]
+    # c k = 240.6 is no integer: the kernel sums the pairs
+    argvs.append(["microstate", "--kind", "upper", "--k", "401", "--eps",
+                  "0.5", "--t", "0.05", "--measure", str(atom_arcsine)])
+    rows = [json.loads(line)
+            for line in _fresh_python(_RUN_COMMANDS,
+                                      json.dumps(argvs)).splitlines()]
+    assert [row[0] for row in rows] == argvs
+    assert [(code, loaded) for _, code, loaded, _, _ in rows] == \
+        [(0, False)] * 4 + [(0, True)]
+
+
 def test_atom_only_pair_sums_load_numpy_past_the_math_threshold(tmp_path):
-    # 700 atoms: at k = 1000 only the heaviest is live and math sums the
-    # pairs; at k = 5000 about 5.8e5 log terms go to the numpy kernel
+    # 1100 atoms: at k = 1000 only the heaviest is live and math sums the
+    # pairs; at k = 5000 about 6.2e5 log terms go to the numpy kernel
     spec = tmp_path / "many.json"
-    atoms = [(0.0, 0.5)] + [(i / 700, 0.5 / 699) for i in range(1, 700)]
+    atoms = [(0.0, 0.5)] + [(i / 1100, 0.5 / 1099) for i in range(1, 1100)]
     fp.dump_measure(fp.atomic_measure(atoms), str(spec))
     argvs = [["series", "offdiag-sum", "--ks", str(k), "--measure", str(spec)]
              for k in (1000, 5000)]
