@@ -443,15 +443,17 @@ def _pair_log_sq_sum(microstate: DiagonalMicrostate) -> float:
 def _uniform_rows(grid: tuple, root: float):
     """Half the pair sum of log(d^2 + root^2) over a uniform grid, as
     terms (n - d) log|d h + i root|, and the row function of a value v:
-    the sum of log|v - x + i root| over the grid's entries x."""
+    the sum of log|v - x + i root| over the grid's floats x, so that a
+    value equal to one of them pairs with it at gap 0."""
     _, lo, hi, c, k, first, last, _ = grid  # an upper grid has no holes
     h, n = (hi - lo) / (c * k), last - first + 1
     gaps = [d * h for d in range(1, n)]
     terms = list(map(mul, range(n - 1, 0, -1),
                      map(math.log, map(math.hypot, gaps, repeat(root)))))
+    floats = _grid_values(grid, range(first, last + 1))
 
     def row(v: float) -> float:
-        gaps = [(v - lo) - j * h for j in range(first, last + 1)]
+        gaps = [v - x for x in floats]
         return math.fsum(map(math.log, map(math.hypot, gaps, repeat(root))))
 
     return terms, row

@@ -728,6 +728,19 @@ class TestUniformGrid:
             got = microstates._pair_log_reg_sum(ms, eps)
             assert 2.0 * abs(got - want) / 100 ** 2 <= 1e-14
 
+    def test_atom_on_a_level_float_pairs_at_gap_zero(self):
+        # (x - lo) - 3 h is -2.2e-16 for the float x of level 3 here; an
+        # atom at x merges with it, and the pair adds log eps
+        k = 10
+        [x] = microstates._grid_values(("uniform", -0.7, 1.3, 0.5, k), [3])
+        m = _atoms_plus_uniform([(x, 0.5)], -0.7, 1.3)
+        ms = fp.build_upper_microstate(m, k)
+        assert ms.grid is not None and ms.counts[ms.values.index(x)] == 6
+        for eps in EPS_RANGE:
+            want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
+            got = microstates._pair_log_reg_sum(ms, eps)
+            assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
+
     def test_top_level_is_b_above_the_grid(self):
         # c k = 50 is an integer: level 50 is the top, at b = 2, which is
         # the atom's value, not the grid point 1
