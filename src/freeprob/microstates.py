@@ -16,19 +16,19 @@ Two explicit diagonal-matrix approximants of a spectral measure:
 
 A microstate stores its spectrum as sorted distinct values with counts,
 and a lower one keeps its fillers symbolic as (F, b); only
-``eigenvalues`` expands them to floats.  Pair sums over the U distinct
-values take O(U^2) terms in the numpy kernel (each atom value counts
-once, however often it repeats).  The fillers add one log-gamma
-difference per value (``_filler_log_sum``) and, because their gaps are
-(j - i)/F, a closed-form filler x filler sum.  An atom-only lower
-microstate has a few atoms and about sqrt(k) fillers, so its pair sums
-run in ``math`` (up to 2^18 log terms).  A uniform diffuse part's
-quantiles are a grid lo + j h whose pair sums are closed forms in the
-levels j.  An arcsine part's quantiles lo + w sin^2(pi j/2n) with c k an
-integer n are the interior Chebyshev-Lobatto nodes of its interval, and
-its upper microstate's regularized pair sum is n/2 closed-form row
-products (``_arcsine_rows``).  Neither loads numpy.  k is capped at
-K_CAP = 5000.
+``eigenvalues`` expands them to floats.  One pair sum serves both kinds,
+at eps = 0 and at eps > 0 (``_pair_log_sum``).  Over U distinct values
+the numpy kernel takes O(U^2) terms (an atom counts once, however often
+it repeats).  The fillers add one log-gamma difference per value
+(``_filler_log_sum``) and, because their gaps are (j - i)/F, a
+closed-form filler x filler sum.  An atom-only microstate has a few
+values (a lower one also about sqrt(k) fillers), so its pair sums run in
+``math`` (up to 2^18 log terms).  A uniform diffuse part's quantiles are
+a grid lo + j h whose pair sums are closed forms in the levels j.  An
+arcsine part's quantiles lo + w sin^2(pi j/2n) with c k an integer n are
+the interior Chebyshev-Lobatto nodes of its interval, and its upper
+microstate's pair sum is n/2 closed-form row products
+(``_arcsine_rows``).  None of these loads numpy.  k is at most K_CAP.
 
 Sums over the distinct-value pair set are taken over ordered pairs
 (both (i, j) and (j, i)), which is the normalization under which k^{-2}
@@ -81,17 +81,17 @@ __all__ = [
 ]
 
 K_CAP = 5000
-# A pair sum without quantiles runs in plain math up to this many log
-# terms, whether or not numpy is loaded, so its bits depend on the
-# microstate alone.  n values count n (n - 1)/2 pair terms and at most 16
-# each for their fillers (``_log_steps``).  On a 2-core box (Python
-# 3.11, numpy 2.4), `series offdiag-sum --ks 5000` in a fresh process on
-# one atom of weight 1/2 and n - 1 equal ones took 0.29 s in math against
-# 0.32 s with numpy at n = 600 (1.9e5 terms), 0.39 against 0.37 s at 800
-# (3.3e5) and 0.52 against 0.48 s at 1000 (5.1e5), medians of 9
-# interleaved runs.  Once numpy is loaded the kernel is quicker from about
-# 200 terms and at most 35 us slower below; the library keeps math there
-# anyway.
+# The block of values outside a grid, when it holds no quantiles, runs in
+# plain math up to this many log terms, at eps = 0 and eps > 0 alike and
+# whether or not numpy is loaded, so its bits depend on the microstate
+# alone.  n values count n (n - 1)/2 pair terms and at most 16 each for
+# their fillers (``_log_steps``).  On a 2-core box (Python 3.11, numpy
+# 2.4), `series offdiag-sum --ks 5000` in a fresh process on one atom of
+# weight 1/2 and n - 1 equal ones took 0.29 s in math against 0.32 s with
+# numpy at n = 600 (1.9e5 terms), 0.39 against 0.37 s at 800 (3.3e5) and
+# 0.52 against 0.48 s at 1000 (5.1e5), medians of 9 interleaved runs.
+# Once numpy is loaded the kernel is quicker from about 200 terms and at
+# most 35 us slower below; the library keeps math there anyway.
 _MATH_TERMS = 1 << 18
 
 
@@ -223,9 +223,11 @@ def _quantiles(measure: SpectralMeasure, k: int) -> tuple[list, tuple | None]:
     """``diffuse_quantile_batch(measure, k)`` as a list, and for a uniform
     or arcsine part its grid (kind, lo, hi, c, k, 1, g, ()) of the levels
     1 .. g below the top, whose value is b.  An arcsine part has a grid
-    only when c k = g + 1 exactly, so that its levels are Chebyshev-
-    Lobatto nodes.  These parts' floats come from ``math``."""
+    only when c k = g + 1 exactly.  Only semicircle and piecewise parts
+    load numpy, in ``diffuse_quantile_batch``; the rest use ``math``."""
     diffuse = measure.diffuse
+    if diffuse.kind == "empty":
+        return [], None
     if diffuse.kind not in ("uniform", "arcsine"):
         return diffuse_quantile_batch(measure, k).tolist(), None
     c, b = diffuse.mass, float(measure.support[1])
@@ -409,20 +411,30 @@ def _grid_log_sums(microstate: DiagonalMicrostate) -> list[float]:
     return terms
 
 
-def _pair_log_sq_sum(microstate: DiagonalMicrostate) -> float:
-    """Sum of log(b_i - b_j)^2 over unordered pairs with b_i != b_j.
+def _pair_log_sum(microstate: DiagonalMicrostate, eps: float = 0.0) -> float:
+    """Sum of log((b_i - b_j)^2 + eps) over unordered pairs i < j, of a
+    lower microstate at eps = 0, whose equal pairs drop out, or of an
+    upper one at eps > 0, whose equal pairs add log eps each.
 
-    Fillers enter through their exact gaps, never as floats: (j - i)/F
-    among themselves, summed in closed form, and (b - v) + 3 + j/F from
-    a value v (``_filler_log_sum``).  Grid entries enter through their
-    levels (``_grid_log_sums``).  The other values go to ``math`` when
-    they hold no quantiles and make at most ``_MATH_TERMS`` log terms,
-    else to the numpy kernel.
+    A grid sums in closed form: a lower one by ``_grid_log_sums``, which
+    also pairs it with the other entries, an upper one by the rows of
+    ``_uniform_rows`` or ``_arcsine_rows``.  Fillers enter through their
+    exact gaps (j - i)/F, summed in closed form, and (b - v) + 3 + j/F
+    from a value v (``_filler_log_sum``).  The other values are one
+    block, summed a pair at a time in ``math`` when it holds no quantiles
+    outside a grid and makes at most ``_MATH_TERMS`` log terms, else by
+    the numpy kernel.
     """
     grid, f = microstate.grid, microstate.filler_count
+    root = math.sqrt(eps)  # log|d + i root| is half the log
     values, counts = (microstate.off_grid if grid
                       else (microstate.values, microstate.counts))
-    terms = _grid_log_sums(microstate) if grid else []  # of log|gap|
+    if grid and microstate.kind == "upper":  # terms of log|gap + i root|
+        rows = _uniform_rows if grid[0] == "uniform" else _arcsine_rows
+        terms, row = rows(grid, root)
+        terms.extend(map(mul, counts, map(row, values)))
+    else:
+        terms = _grid_log_sums(microstate) if grid else []
     if f:
         terms.append(_sum_log_factorials(f - 1)
                      - math.comb(f, 2) * math.log(f))
@@ -431,11 +443,16 @@ def _pair_log_sq_sum(microstate: DiagonalMicrostate) -> float:
     n = len(values)
     if (microstate.quantile_count and not grid
             or n * (n - 1) // 2 + n * min(f, 16) > _MATH_TERMS):
-        terms.append(0.5 * pair_log_sq_skip(values, counts)[0])
+        terms.append(0.5 * (pair_log_reg_sum(values, eps, counts) if eps
+                            else pair_log_sq_skip(values, counts)[0]))
     else:
+        if eps:
+            terms.extend(c * (c - 1) // 2 * (0.5 * math.log(eps))
+                         for c in counts)
         for a in range(n):
             va, ca = values[a], counts[a]
-            terms.extend(ca * counts[b] * math.log(abs(va - values[b]))
+            terms.extend(ca * counts[b]
+                         * math.log(math.hypot(va - values[b], root))
                          for b in range(a + 1, n))
     return 2.0 * math.fsum(terms)
 
@@ -541,26 +558,6 @@ def _arcsine_rows(grid: tuple, root: float):
     return terms, row
 
 
-def _pair_log_reg_sum(microstate: DiagonalMicrostate, eps: float) -> float:
-    """Sum of log((b_i - b_j)^2 + eps) over unordered pairs i < j: over a
-    grid by ``_uniform_rows`` or ``_arcsine_rows``, each other entry
-    paired with the grid by a row and with the rest one by one; without a
-    grid, by the numpy kernel."""
-    grid = microstate.grid
-    if grid is None:
-        return pair_log_reg_sum(microstate.values, eps, microstate.counts)
-    root = math.sqrt(eps)  # log|d + i root| is half the log
-    rows = _uniform_rows if grid[0] == "uniform" else _arcsine_rows
-    terms, row = rows(grid, root)
-    rest = list(zip(*microstate.off_grid))
-    for a, (v, c) in enumerate(rest):
-        terms.append(c * row(v))
-        terms.append(c * (c - 1) // 2 * (0.5 * math.log(eps)))
-        terms.extend(c * m * math.log(math.hypot(v - w, root))
-                     for w, m in rest[a + 1:])
-    return 2.0 * math.fsum(terms)
-
-
 def pair_partition(microstate: DiagonalMicrostate) -> PairPartition:
     """Split the C(k, 2) index pairs into equal-value and distinct-value."""
     k = microstate.k
@@ -606,7 +603,7 @@ def regularized_product_series(measure: SpectralMeasure, eps: float,
     values = []
     for k in ks:
         ms = build_upper_microstate(measure, k)
-        values.append(2.0 * _pair_log_reg_sum(ms, eps) / (k * k))
+        values.append(2.0 * _pair_log_sum(ms, eps) / (k * k))
     return SeriesReport(ks=tuple(ks), values=tuple(values),
                         target=target.value, relation="converges_to",
                         achieved_gap=values[-1] - target.value,
@@ -633,7 +630,7 @@ def offdiag_sum_series(measure: SpectralMeasure,
     values = []
     for k in ks:
         ms = build_lower_microstate(measure, k)
-        values.append(2.0 * _pair_log_sq_sum(ms) / (k * k))
+        values.append(2.0 * _pair_log_sum(ms) / (k * k))
     tail = values[-_top_quartile(len(ks)):]
     achieved = min(v - target for v in tail)
     half = min(0.5 * v - target for v in tail)
@@ -683,7 +680,7 @@ def volume_upper_bound_log(microstate: DiagonalMicrostate, eps: float,
             f"(0, {_INNER_SUP:.6f}); no inner radius ratio in (0, 1/2) exists")
     alpha = _inner_alpha(ratio)
     k = microstate.k
-    pair_sum = _pair_log_reg_sum(microstate, eps)
+    pair_sum = _pair_log_sum(microstate, eps)
     return math.fsum([
         0.5 * k * math.log(k),
         k * math.log(eps),
@@ -742,7 +739,7 @@ def _packing_log(microstate: DiagonalMicrostate, sums) -> float:
     high = float(total)
     return math.fsum((
         0.5 * k * (k - 1) * math.log(math.pi),
-        2.0 * _pair_log_sq_sum(microstate),
+        2.0 * _pair_log_sum(microstate),
         (2 * _equal_pairs(microstate) + k - k * k) * math.log(2.0),
         math.ldexp(high, -53), math.ldexp(float(total - int(high)), -53)))
 

@@ -355,6 +355,33 @@ class TestRegularizedOracles:
         assert res.value == pytest.approx(
             uniform_regularized_energy(width, 1.0), abs=1e-12)
 
+    @pytest.mark.parametrize("r", [0.5, 1.3, 7.0])
+    def test_arcsine_matches_the_elliptic_integral(self, r):
+        # For the arcsine law on [c - r, c + r], the mean of
+        # log|y - z + i delta| is log(r/2) plus the integral over t from 0
+        # to delta of (2/pi) K / sqrt(t^2 + 4 r^2), K the complete elliptic
+        # integral of the first kind with complementary modulus
+        # k' = t / sqrt(t^2 + 4 r^2): a Laplace transform of J_0^2
+        # (Gradshteyn & Ryzhik, section 6.61).  K = pi / (2 agm(1, k'))
+        # keeps its digits near t = 0, where k^2 rounds to 1.  This shares
+        # no code with the Gauss-Chebyshev rule.
+        c = 0.2
+        m = fp.arcsine_measure(c - r, c + r)
+        for eps in (10.0, 0.5, 1e-2, 1e-4, 1e-8, 1e-12):
+            with mpmath.workdps(30):
+                two_r = 2 * mpmath.mpf(r)
+
+                def slope(t):  # (2/pi) K / sqrt(t^2 + 4 r^2)
+                    s = mpmath.hypot(t, two_r)
+                    return 1 / (mpmath.agm(1, t / s) * s)
+
+                mean = mpmath.log(two_r / 4) + mpmath.quad(
+                    slope, [0, mpmath.sqrt(mpmath.mpf(eps))])
+                want = float(2 * mean)
+            res = fp.regularized_energy(m, eps, tol=1e-12)
+            bound = 1e-14 if res.status == "ok" else res.abs_error_estimate
+            assert abs(res.value - want) <= bound, (eps, res.status)
+
     @pytest.mark.filterwarnings(
         "ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("eps", REG_EPS)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import freeprob as fp
 from freeprob import _kernels, microstates
-from freeprob.microstates import K_CAP, _MATH_TERMS, _pair_log_sq_sum
+from freeprob.microstates import K_CAP, _MATH_TERMS, _pair_log_sum
 from conftest import atomic_plus_uniform, purely_atomic, run_cli
 
 TOL = 1e-6
@@ -437,7 +437,7 @@ class TestPackingConstant:
         m = fp.atomic_measure([(0.0, 1.0)])
         ms = fp.build_lower_microstate(m, k)
         head = [0.5 * k * (k - 1) * math.log(math.pi),
-                2.0 * _pair_log_sq_sum(ms),
+                2.0 * _pair_log_sum(ms),
                 (2 * microstates._equal_pairs(ms) + k - k * k)
                 * math.log(2.0)]
         weights = [k - 1 - 2 * i for i in range(1, k + 1)] \
@@ -556,7 +556,7 @@ class TestClosedFormPairSums:
         ms = fp.build_lower_microstate(m, k)
         for math_terms in (_MATH_TERMS, 0):  # math, then the numpy kernel
             monkeypatch.setattr(microstates, "_MATH_TERMS", math_terms)
-            assert _pair_log_sq_sum(ms) == pytest.approx(
+            assert _pair_log_sum(ms) == pytest.approx(
                 math.fsum(terms), rel=1e-13)
 
     def test_paths_agree_past_the_math_threshold(self, monkeypatch):
@@ -567,9 +567,15 @@ class TestClosedFormPairSums:
         ms = fp.build_lower_microstate(fp.atomic_measure(atoms), 5000)
         n, f = len(ms.values), ms.filler_count
         assert n * (n - 1) // 2 + n * min(f, 16) > _MATH_TERMS
-        kernel = _pair_log_sq_sum(ms)
+        kernel = _pair_log_sum(ms)
+        # the upper microstate's 1100 values (the zeros join the atom at 0)
+        upper = fp.build_upper_microstate(fp.atomic_measure(atoms), 5000)
+        assert len(upper.values) == 1100 and upper.zero_count == 302
+        upper_kernel = _pair_log_sum(upper, 0.5)
         monkeypatch.setattr(microstates, "_MATH_TERMS", 1 << 30)
-        assert _pair_log_sq_sum(ms) == pytest.approx(kernel, rel=1e-13)
+        assert _pair_log_sum(ms) == pytest.approx(kernel, rel=1e-13)
+        assert _pair_log_sum(upper, 0.5) == pytest.approx(upper_kernel,
+                                                          rel=1e-13)
 
     @pytest.mark.parametrize("k", [16, 100])
     def test_packing_constant_matches_mpmath(self, case, k):
@@ -701,7 +707,7 @@ class TestUniformGrid:
         ms = fp.build_lower_microstate(m, k)
         assert ms.grid is not None and len(ms.grid[-1]) == 4
         assert ms.excluded_quantile_count == 4
-        got = _pair_log_sq_sum(ms)
+        got = _pair_log_sum(ms)
         assert 2.0 * abs(got - _fsum_lower(ms)) / k ** 2 <= 1e-14
 
     @pytest.mark.parametrize("eps", [0.1, 0.5])
@@ -713,7 +719,7 @@ class TestUniformGrid:
             assert ms.grid is not None
             want = _fsum_distinct_pairs(*np.unique(ms.eigenvalues,
                                                    return_counts=True), eps)
-            got = microstates._pair_log_reg_sum(ms, eps)
+            got = microstates._pair_log_sum(ms, eps)
             assert 2.0 * abs(got - want) / k ** 2 <= 1e-14
             [value] = fp.regularized_product_series(m, eps, (k,)).values
             assert abs(value - 2.0 * want / k ** 2) <= 1e-14
@@ -725,7 +731,7 @@ class TestUniformGrid:
         assert ms.counts[ms.values.index(0.5)] == 51
         for eps in (0.1, 0.5):
             want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
-            got = microstates._pair_log_reg_sum(ms, eps)
+            got = microstates._pair_log_sum(ms, eps)
             assert 2.0 * abs(got - want) / 100 ** 2 <= 1e-14
 
     def test_atom_on_a_level_float_pairs_at_gap_zero(self):
@@ -738,7 +744,7 @@ class TestUniformGrid:
         assert ms.grid is not None and ms.counts[ms.values.index(x)] == 6
         for eps in EPS_RANGE:
             want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
-            got = microstates._pair_log_reg_sum(ms, eps)
+            got = microstates._pair_log_sum(ms, eps)
             assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
 
     def test_top_level_is_b_above_the_grid(self):
@@ -749,11 +755,11 @@ class TestUniformGrid:
         assert ms.grid[-3:-1] == (1, 49)
         assert ms.values[-2:] == (0.98, 2.0) and ms.counts[-1] == 51
         want = _fsum_distinct_pairs(ms.values, ms.counts, 0.1)
-        got = microstates._pair_log_reg_sum(ms, 0.1)
+        got = microstates._pair_log_sum(ms, 0.1)
         assert 2.0 * abs(got - want) / 100 ** 2 <= 1e-14
         lower = fp.build_lower_microstate(m, 100)
         assert lower.grid[-3:] == (2, 49, (49,))
-        got = _pair_log_sq_sum(lower)
+        got = _pair_log_sum(lower)
         assert 2.0 * abs(got - _fsum_lower(lower)) / 100 ** 2 <= 1e-14
 
     def test_atom_at_1e16(self):
@@ -762,11 +768,11 @@ class TestUniformGrid:
         k = 500
         lower = fp.build_lower_microstate(m, k)
         assert lower.grid is not None
-        got = _pair_log_sq_sum(lower)
+        got = _pair_log_sum(lower)
         assert 2.0 * abs(got - _fsum_lower(lower)) / k ** 2 <= 1e-14
         upper = fp.build_upper_microstate(m, k)
         want = _fsum_distinct_pairs(upper.values, upper.counts, 0.1)
-        got = microstates._pair_log_reg_sum(upper, 0.1)
+        got = microstates._pair_log_sum(upper, 0.1)
         assert 2.0 * abs(got - want) / k ** 2 <= 1e-14
 
     def test_quantiles_keep_the_batch_bits(self):
@@ -822,7 +828,7 @@ class TestArcsineGrid:
         assert (ms.grid is None) == (k == 1)
         for eps in EPS_RANGE:
             want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
-            got = microstates._pair_log_reg_sum(ms, eps)
+            got = microstates._pair_log_sum(ms, eps)
             assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
 
     @pytest.mark.parametrize("k", [5, 10, 505])
@@ -832,7 +838,7 @@ class TestArcsineGrid:
         assert ms.off_grid[0][-1] == 2.5 and 0.0 in ms.off_grid[0]
         for eps in EPS_RANGE:
             want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
-            got = microstates._pair_log_reg_sum(ms, eps)
+            got = microstates._pair_log_sum(ms, eps)
             assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
             [value] = fp.regularized_product_series(
                 _arcsine_with_atoms(), eps, (k,)).values
@@ -844,7 +850,7 @@ class TestArcsineGrid:
         ms = fp.build_upper_microstate(m, k)
         for eps in EPS_RANGE:
             want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
-            got = microstates._pair_log_reg_sum(ms, eps)
+            got = microstates._pair_log_sum(ms, eps)
             assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
 
     @pytest.mark.parametrize("m, ks", [
@@ -856,7 +862,7 @@ class TestArcsineGrid:
             ms = fp.build_upper_microstate(m, k)
             for eps in EPS_RANGE:
                 want = _mp_reg_sum(ms, eps)
-                got = microstates._pair_log_reg_sum(ms, eps)
+                got = microstates._pair_log_sum(ms, eps)
                 assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), \
                     (k, eps)
 
@@ -866,7 +872,7 @@ class TestArcsineGrid:
         ms = fp.build_upper_microstate(m, k)
         for eps in EPS_RANGE:
             want = _kernels.pair_log_reg_sum(ms.values, eps, ms.counts)
-            got = microstates._pair_log_reg_sum(ms, eps)
+            got = microstates._pair_log_sum(ms, eps)
             assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
 
     @pytest.mark.parametrize("k", [7, 500, 5000])
@@ -877,8 +883,8 @@ class TestArcsineGrid:
             fp.arcsine_measure(1e6 - 1.0, 1e6 + 1.0), k)
         near = fp.build_upper_microstate(fp.arcsine_measure(-1.0, 1.0), k)
         for eps in EPS_RANGE:
-            want = microstates._pair_log_reg_sum(near, eps)
-            got = microstates._pair_log_reg_sum(far, eps)
+            want = microstates._pair_log_sum(near, eps)
+            got = microstates._pair_log_sum(far, eps)
             assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
             if k == 500:
                 want = _fsum_distinct_pairs(near.values, near.counts, eps)
@@ -890,7 +896,7 @@ class TestArcsineGrid:
         ms = fp.build_upper_microstate(fp.arcsine_measure(0.0, width), 8)
         for eps in EPS_RANGE:
             want = _kernels.pair_log_reg_sum(ms.values, eps, ms.counts)
-            got = microstates._pair_log_reg_sum(ms, eps)
+            got = microstates._pair_log_sum(ms, eps)
             assert 2.0 * abs(got - want) / 64 <= _reg_tol(want, 8), eps
 
     def test_value_on_a_level_float_pairs_at_gap_zero(self):
@@ -905,7 +911,7 @@ class TestArcsineGrid:
         assert ms.grid is not None and ms.counts[ms.values.index(x)] == 6
         for eps in EPS_RANGE:
             want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
-            got = microstates._pair_log_reg_sum(ms, eps)
+            got = microstates._pair_log_sum(ms, eps)
             assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
 
     def test_c_k_not_an_integer_stays_on_the_kernel(self):
@@ -919,6 +925,43 @@ class TestArcsineGrid:
                 batch = fp.diffuse_quantile_batch(m, k).tolist()
                 assert max(abs(a - b) / math.ulp(b)
                            for a, b in zip(quantiles, batch)) <= 2
+
+
+
+class TestAtomOnlyUpper:
+    """An atom-only upper microstate sums its pairs in math, as its lower
+    twin does; the oracles are fsum over the explicit pairs of its
+    eigenvalues and the kernel."""
+
+    @pytest.fixture(params=["three_atoms", "example42", "atom_at_zero"])
+    def measure(self, request, example42):
+        if request.param == "example42":
+            return example42
+        if request.param == "three_atoms":
+            return fp.atomic_measure(THREE_ATOMS)
+        # weights 1/3 leave zero padding, which merges with the atom at 0
+        return fp.atomic_measure([(0.0, 1 / 3), (0.5, 1 / 3), (1.2, 1 / 3)])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 500, 3000])
+    def test_matches_explicit_pairs(self, measure, k):
+        ms = fp.build_upper_microstate(measure, k)
+        assert ms.quantile_count == 0 and ms.grid is None
+        at_zero = dict(ms.atom_multiplicity_map).get(0.0, 0)
+        if at_zero and ms.zero_count:  # one value, at k = 7 and 500
+            assert ms.counts[ms.values.index(0.0)] == at_zero + ms.zero_count
+        values, counts = np.unique(ms.eigenvalues, return_counts=True)
+        for eps in EPS_RANGE:
+            want = _fsum_distinct_pairs(values, counts, eps)
+            got = microstates._pair_log_sum(ms, eps)
+            assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
+
+    def test_agrees_with_the_kernel_at_k_5000(self, measure):
+        ms = fp.build_upper_microstate(measure, 5000)
+        for eps in EPS_RANGE:
+            want = _kernels.pair_log_reg_sum(ms.values, eps, ms.counts)
+            got = microstates._pair_log_sum(ms, eps)
+            assert 2.0 * abs(got - want) / 5000 ** 2 <= _reg_tol(want, 5000), \
+                eps
 
 
 class TestFillerLogSum:

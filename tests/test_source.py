@@ -194,12 +194,41 @@ def test_arcsine_upper_microstates_do_not_import_numpy(tmp_path):
         [(0, False)] * 4 + [(0, True)]
 
 
+_MANY_ATOMS = [(0.0, 0.5)] + [(i / 1100, 0.5 / 1099) for i in range(1, 1100)]
+
+
+def test_atom_only_upper_microstates_do_not_import_numpy(tmp_path):
+    # an atom-only upper microstate has no quantiles to build, and sums its
+    # pairs in math as its lower twin does
+    three_atoms = tmp_path / "three_atoms.json"
+    example42 = tmp_path / "example42.json"
+    many = tmp_path / "many.json"
+    fp.dump_measure(fp.atomic_measure([(-0.7, 0.4375), (0.3, 0.3125),
+                                       (1.1, 0.25)]), str(three_atoms))
+    fp.dump_measure(fp.example42_measure(), str(example42))
+    fp.dump_measure(fp.atomic_measure(_MANY_ATOMS), str(many))
+    upper = ["microstate", "--kind", "upper"]
+    argvs = [upper + ["--k", "400", "--measure", str(three_atoms)],
+             upper + ["--k", "400", "--eps", "0.5", "--t", "0.05",
+                      "--measure", str(three_atoms)],
+             ["series", "regularized-product", "--eps", "0.1", "--ks",
+              "100,400", "--measure", str(example42)],
+             # 1100 values, about 6.0e5 log terms: the kernel sums them
+             upper + ["--k", "5000", "--eps", "0.5", "--t", "0.05",
+                      "--measure", str(many)]]
+    rows = [json.loads(line)
+            for line in _fresh_python(_RUN_COMMANDS,
+                                      json.dumps(argvs)).splitlines()]
+    assert [row[0] for row in rows] == argvs
+    assert [(code, loaded) for _, code, loaded, _, _ in rows] == \
+        [(0, False)] * 3 + [(0, True)]
+
+
 def test_atom_only_pair_sums_load_numpy_past_the_math_threshold(tmp_path):
     # 1100 atoms: at k = 1000 only the heaviest is live and math sums the
     # pairs; at k = 5000 about 6.2e5 log terms go to the numpy kernel
     spec = tmp_path / "many.json"
-    atoms = [(0.0, 0.5)] + [(i / 1100, 0.5 / 1099) for i in range(1, 1100)]
-    fp.dump_measure(fp.atomic_measure(atoms), str(spec))
+    fp.dump_measure(fp.atomic_measure(_MANY_ATOMS), str(spec))
     argvs = [["series", "offdiag-sum", "--ks", str(k), "--measure", str(spec)]
              for k in (1000, 5000)]
     rows = [json.loads(line)
@@ -296,6 +325,36 @@ def test_every_public_function_is_reached():
     assert functions
     assert [name for name in functions
             if name not in used | _KEPT_ENTRY_POINTS] == []
+
+
+def _units(tree):
+    """(name, identifiers) of each module-level statement of ``tree``, a
+    class's methods and the rest of its body apart; name is the function,
+    class or method that a unit defines, else None."""
+    for stmt in tree.body:
+        if not isinstance(stmt, ast.ClassDef):
+            yield getattr(stmt, "name", None), _identifiers(stmt)
+            continue
+        methods = [node for node in stmt.body if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        yield from ((node.name, _identifiers(node)) for node in methods)
+        rest = [*stmt.bases, *stmt.keywords, *stmt.decorator_list,
+                *(node for node in stmt.body if node not in methods)]
+        yield stmt.name, set().union(*map(_identifiers, rest))
+
+
+def test_every_private_helper_is_reached():
+    # The private twin of the gate above: a module-level function or class,
+    # or a method, whose name has one leading underscore stays only while
+    # another function, class body or module-level statement names it.
+    units = [unit for path in SOURCES
+             for unit in _units(ast.parse(path.read_text(), str(path)))]
+    private = [(i, name) for i, (name, _) in enumerate(units)
+               if name and name.startswith("_") and not name.startswith("__")]
+    assert private
+    assert [name for i, name in private
+            if not any(name in ids for j, (_, ids) in enumerate(units)
+                       if j != i)] == []
 
 
 _CLI = "import sys; from freeprob.cli import main; sys.exit(main(sys.argv[1:]))"
