@@ -4,7 +4,6 @@ Everything Gamma-laden is evaluated exclusively in log space: the raw
 products (factorial towers, Vandermonde-squared integrals) overflow
 float64 around k = 20.  The module provides
 
-* ``log_gamma``: ``math.lgamma`` restricted to x > 0;
 * ``selberg_log``: the closed-form squared-Vandermonde integral over the
   unit cube, assembled cancellation-free as one weighted sum of log i;
 * ``selberg_mc_check``: a seeded Monte Carlo cross-check of that
@@ -31,7 +30,6 @@ __all__ = [
     "GammaSeries",
     "SelbergMonteCarlo",
     "GAMMA_RATIO_LIMIT",
-    "log_gamma",
     "selberg_log",
     "selberg_mc_check",
     "gamma_ratio_limit_series",
@@ -42,14 +40,6 @@ GAMMA_RATIO_LIMIT = -math.log(4.0)
 # 2^16 8-10% and 2^12 17-19% slower (k = 4 and 6, 10^6 samples, medians
 # of 11 interleaved runs on 2 cores).
 _MC_CHUNK = 1 << 14
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0, by ``math.lgamma``."""
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def _sum_log_factorials(k: int) -> float:

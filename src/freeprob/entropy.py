@@ -11,8 +11,8 @@ logarithmic energy E:
   is sandwiched: E - alpha log 2 - (1/2) log(288 e) + 3/4 from below and
   E + log 16 + 1/4 from above; the gap is a constant depending only on
   alpha.
-* For families of n variables the same sandwich holds with aggregated
-  constants K1, K2 around the summed energies.
+* For n free variables the same sandwich holds with constants K1, K2
+  around the summed energies; the one-variable sandwich is its n = 1 case.
 
 All constants are evaluated from closed forms in double precision, never
 from truncated decimal literals.
@@ -46,8 +46,6 @@ __all__ = [
 ]
 
 CHI_SHIFT = 0.75 + 0.5 * math.log(2.0 * math.pi)
-UPPER_SHIFT = math.log(16.0) + 0.25
-HALF_LOG_288E = 0.5 * (math.log(288.0) + 1.0)
 DIM_ONE_SHIFT = 0.5 * (math.log(2.0) - 1.0 - math.log(math.pi))
 
 # formula provenance strings for machine-readable reports
@@ -127,21 +125,16 @@ def h1_identity(measure: SpectralMeasure) -> float:
 
 
 def sandwich_width(alpha: float) -> float:
-    """upper - lower: log 16 + 1/4 + alpha log 2 + (1/2) log(288 e) - 3/4."""
-    return UPPER_SHIFT + alpha * math.log(2.0) + HALF_LOG_288E - 0.75
+    """upper - lower = K2 - K1 of the one-variable family of ``alpha``."""
+    k1, k2 = family_constants((alpha,))
+    return k2 - k1
 
 
 def hausdorff_entropy_bounds(measure: SpectralMeasure) -> EntropyBounds:
-    """Sandwich the exponent-alpha free Hausdorff entropy around E."""
-    alpha = free_hausdorff_dimension(measure)
-    energy = offdiag_energy(measure)
-    e = energy.value
-    if e == -math.inf:
-        lower = upper = -math.inf
-    else:
-        upper = e + UPPER_SHIFT
-        lower = e - alpha * math.log(2.0) - HALF_LOG_288E + 0.75
-    return EntropyBounds(alpha=alpha, energy=energy, lower=lower, upper=upper)
+    """Sandwich the exponent-alpha free Hausdorff entropy: a family of 1."""
+    family = free_family_bounds([measure])
+    return EntropyBounds(alpha=family.beta, energy=family.energies[0],
+                         lower=family.lower, upper=family.upper)
 
 
 def family_constants(alphas: Sequence[float]) -> tuple[float, float]:
@@ -157,8 +150,8 @@ def free_family_bounds(measures: Iterable[SpectralMeasure]) -> FamilyBounds:
     """Entropy sandwich for n jointly free variables.
 
     Freeness is the caller's assertion; the computation only needs the
-    marginal measures.  With n = 1 this reproduces
-    ``hausdorff_entropy_bounds`` exactly.
+    marginal measures.  ``hausdorff_entropy_bounds`` is its n = 1 case,
+    so the two agree to the bit.
     """
     measures = list(measures)
     if not measures:

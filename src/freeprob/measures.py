@@ -139,13 +139,9 @@ class DiffusePart(Record):
         p = np.atleast_1d(p)
         if self.kind == "empty":
             raise ValueError("empty diffuse part has no quantiles")
-        if self.kind == "uniform":
-            lo, hi = self.interval()
-            out = lo + (hi - lo) * p
-        elif self.kind == "arcsine":
-            lo, hi = self.interval()
-            s = np.sin(0.5 * math.pi * p)
-            out = lo + (hi - lo) * s * s
+        if self.kind in ("uniform", "arcsine"):
+            out = np.reshape(_unit_quantiles(self.kind, *self.interval(),
+                                             p.ravel().tolist()), p.shape)
         elif self.kind == "semicircle":
             c = float(self.params["center"])
             r = float(self.params["radius"])
@@ -189,6 +185,15 @@ class DiffusePart(Record):
         else:
             raise ValueError(f"no quantile derivative for kind {self.kind!r}")
         return float(out[0]) if scalar else out
+
+
+def _unit_quantiles(kind: str, lo: float, hi: float, ps) -> list[float]:
+    """Quantiles at each p of ``ps`` of a uniform or arcsine part on
+    [lo, hi]: lo + (hi - lo) p, or lo + (hi - lo) sin(pi p / 2)^2."""
+    if kind == "uniform":
+        return [lo + (hi - lo) * p for p in ps]
+    return [lo + (hi - lo) * s * s
+            for s in map(math.sin, [0.5 * math.pi * p for p in ps])]
 
 
 _EMPTY_DIFFUSE = DiffusePart(kind="empty", mass=0.0)
@@ -335,19 +340,19 @@ def diffuse_quantile_batch(measure: SpectralMeasure, k: int) -> np.ndarray:
     """
     import numpy as np
     c = measure.diffuse.mass
-    q = _int_part(c * k)
-    if q < 1:
-        return np.empty(0)
-    b = measure.support[1]
-    levels = np.arange(1, q + 1, dtype=float) / k
-    at_top = levels >= c - 1e-14
-    out = np.empty(q)
-    out[at_top] = b  # the CDF is flat at mass c from the diffuse right
-    # endpoint to b, and "largest preimage" picks b
-    inner = ~at_top
-    if inner.any():
-        out[inner] = measure.diffuse.quantile_unit(levels[inner] / c)
+    q, g = _diffuse_levels(c, k)
+    out = np.full(q, measure.support[1], dtype=float)
+    if g:
+        out[:g] = measure.diffuse.quantile_unit(np.arange(1, g + 1) / k / c)
     return out
+
+
+def _diffuse_levels(c: float, k: int) -> tuple[int, int]:
+    """floor(c k) levels j/k of a diffuse part of mass c, and how many lie
+    below the top.  Levels from c - 1e-14 up sit at b: the CDF is flat at
+    mass c from the part's right end to b, and the largest preimage is b."""
+    q = _int_part(c * k)
+    return q, next((g for g in range(q, 0, -1) if g / k < c - 1e-14), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,16 @@ from .asymptotics import (
     _check_positive_int,
     _sum_log_factorials,
     _validated_ks,
-    log_gamma,
 )
 from .energy import offdiag_energy, regularized_energy
 from .entropy import free_hausdorff_dimension
-from .measures import SpectralMeasure, _int_part, diffuse_quantile_batch
+from .measures import (
+    SpectralMeasure,
+    _diffuse_levels,
+    _int_part,
+    _unit_quantiles,
+    diffuse_quantile_batch,
+)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -112,8 +117,7 @@ class DiagonalMicrostate(Record):
     and in an upper microstate an arcsine part with c k an integer, has
     ``grid`` = (kind, lo, hi, c, k, first, last, holes): one quantile at
     each level j = first .. last but the holes, at p = j/(c k) of the
-    part's quantile function, lo + (hi - lo) p or
-    lo + (hi - lo) sin(pi p/2)^2; ``_grid_values`` renders their floats.
+    part's quantile function; ``_grid_values`` renders their floats.
     ``off_grid`` is then (values, counts) of the entries besides these
     and the fillers: atoms, zeros and a top quantile at b.
     """
@@ -208,15 +212,10 @@ def _spectrum(entries, pairs=()) -> tuple[tuple, tuple]:
 
 
 def _grid_values(grid: tuple, levels) -> list[float]:
-    """The floats of ``levels`` j of a uniform or arcsine part's grid,
-    with ``diffuse_quantile_batch``'s expressions at p = (j / k) / c:
-    lo + (hi - lo) p, or lo + (hi - lo) sin(pi p / 2)^2."""
+    """The floats of ``levels`` j of a uniform or arcsine part's grid:
+    its quantiles at p = (j / k) / c."""
     kind, lo, hi, c, k = grid[:5]
-    ps = [(j / k) / c for j in levels]
-    if kind == "uniform":
-        return [lo + (hi - lo) * p for p in ps]
-    return [lo + (hi - lo) * s * s
-            for s in map(math.sin, [0.5 * math.pi * p for p in ps])]
+    return _unit_quantiles(kind, lo, hi, [(j / k) / c for j in levels])
 
 
 def _quantiles(measure: SpectralMeasure, k: int) -> tuple[list, tuple | None]:
@@ -230,14 +229,11 @@ def _quantiles(measure: SpectralMeasure, k: int) -> tuple[list, tuple | None]:
         return [], None
     if diffuse.kind not in ("uniform", "arcsine"):
         return diffuse_quantile_batch(measure, k).tolist(), None
-    c, b = diffuse.mass, float(measure.support[1])
-    grid = (diffuse.kind, *diffuse.interval(), c, k)
-    out = _grid_values(grid, range(1, _int_part(c * k) + 1))
-    g = len(out)
-    while g and g / k >= c - 1e-14:
-        g -= 1
-        out[g] = b  # the top level: see ``diffuse_quantile_batch``
-    if not g or diffuse.kind == "arcsine" and c * k != g + 1:
+    q, g = _diffuse_levels(diffuse.mass, k)
+    grid = (diffuse.kind, *diffuse.interval(), diffuse.mass, k)
+    out = _grid_values(grid, range(1, g + 1))
+    out += [float(measure.support[1])] * (q - g)
+    if not g or diffuse.kind == "arcsine" and diffuse.mass * k != g + 1:
         return out, None
     return out, grid + (1, g, ())
 
@@ -684,7 +680,7 @@ def volume_upper_bound_log(microstate: DiagonalMicrostate, eps: float,
     return math.fsum([
         0.5 * k * math.log(k),
         k * math.log(eps),
-        -log_gamma(0.5 * k + 1.0),
+        -math.lgamma(0.5 * k + 1.0),
         0.5 * k * (k - 1) * math.log1p(2.0 * alpha),
         2.0 * k * k * eps,
         0.5 * k * k * math.log(math.pi),

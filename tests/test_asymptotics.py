@@ -1,4 +1,4 @@
-"""Special-function backbone: log-Gamma, Selberg product, normalizers."""
+"""Special-function backbone: Selberg product, normalizers."""
 
 import math
 from fractions import Fraction
@@ -6,41 +6,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.special import gammaln
 
 import freeprob as fp
 from conftest import log_ball_volume, selberg_exact
-
-
-class TestLogGamma:
-    @given(st.floats(min_value=0.05, max_value=500.0))
-    def test_matches_scipy(self, x):
-        assert fp.log_gamma(x) == pytest.approx(gammaln(x), abs=1e-12,
-                                                rel=1e-13)
-
-    @pytest.mark.parametrize("x", [1.0, 2.0, 0.5, 10.0, 1e4, 1e8])
-    def test_matches_mpmath(self, x):
-        want = float(mpmath.loggamma(mpmath.mpf(x)))
-        assert fp.log_gamma(x) == pytest.approx(want, rel=1e-14, abs=1e-13)
-
-    def test_half_integer(self):
-        # Gamma(1/2) = sqrt(pi)
-        assert fp.log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi),
-                                                  abs=1e-13)
-
-    @given(st.floats(min_value=0.1, max_value=100.0))
-    def test_recurrence(self, x):
-        lhs = fp.log_gamma(x + 1.0)
-        rhs = fp.log_gamma(x) + math.log(x)
-        assert lhs == pytest.approx(rhs, abs=1e-11, rel=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            fp.log_gamma(0.0)
-        with pytest.raises(ValueError):
-            fp.log_gamma(-1.5)
 
 
 class TestSelbergLog:

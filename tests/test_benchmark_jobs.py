@@ -1,6 +1,6 @@
 """The benchmark's correctness gate, in-process.
 
-Every job of ``perfbench/workloads.py`` runs at seed 1 through
+Every job of ``perfbench/workloads.py`` runs at seeds 1, 2 and 3 through
 ``freeprob.cli.main``, and ``perfbench/oracle.py`` checks its exit code
 and output, as the benchmark does before it reports a run as correct.
 """
@@ -11,12 +11,11 @@ from conftest import perfbench_module, run_cli
 
 workloads = perfbench_module("workloads")
 oracle = perfbench_module("oracle")
-SEED = 1
 
 
-@pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    specs = workloads.make_specs(SEED)
+@pytest.fixture(scope="module", params=[1, 2, 3], ids="seed{}".format)
+def inputs(request, tmp_path_factory):
+    specs = workloads.make_specs(request.param)
     paths = workloads.write_specs(specs, str(tmp_path_factory.mktemp("specs")))
     return specs, paths
 

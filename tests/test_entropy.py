@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 
 import freeprob as fp
-from conftest import affine_pushforward, atomic_plus_uniform, purely_atomic
+from conftest import (
+    affine_pushforward,
+    atomic_plus_uniform,
+    perfbench_module,
+    purely_atomic,
+)
 
 
 class TestConstants:
@@ -139,12 +144,25 @@ class TestSandwich:
 
 class TestFamily:
     def test_single_variable_consistency(self, mixed_measure):
-        # n = 1 family constants must reproduce the scalar sandwich.
-        single = fp.free_family_bounds([mixed_measure])
-        scalar = fp.hausdorff_entropy_bounds(mixed_measure)
-        assert single.lower == pytest.approx(scalar.lower, abs=1e-12)
-        assert single.upper == pytest.approx(scalar.upper, abs=1e-12)
-        assert single.beta == pytest.approx(scalar.alpha, abs=0.0)
+        # n = 1 family constants must reproduce the scalar sandwich to the
+        # bit, here and on every valid benchmark measure at seeds 1-3
+        workloads = perfbench_module("workloads")
+        names = set(workloads.DIFFUSE_FAMILIES + workloads.ATOM_FAMILIES)
+        measures = {"mixed": mixed_measure}
+        for seed in (1, 2, 3):
+            specs = workloads.make_specs(seed)
+            for name in names:
+                measures[f"{name}-{seed}"] = fp.measure_from_dict(specs[name])
+        differ = {}
+        for key, measure in measures.items():
+            single = fp.free_family_bounds([measure])
+            scalar = fp.hausdorff_entropy_bounds(measure)
+            got = (single.lower, single.upper, single.beta)
+            want = (scalar.lower, scalar.upper, scalar.alpha)
+            if got != want:
+                differ[key] = (got, want)
+        assert len(measures) == 25
+        assert differ == {}
 
     def test_constants_formulas(self):
         alphas = (0.25, 0.75, 1.0)
