@@ -5,13 +5,14 @@ All kernels are plain numpy and accumulate in a fixed order, so results
 are deterministic run to run.  numpy is imported inside each kernel, so
 importing this module does not load it.
 
-The pair sums run over distinct values u_a with multiplicities c_a.
-Microstates store their spectra that way (each atom value repeats
-floor(c_i k) times), so the U distinct values are often far fewer than
-the k entries; a raw spectrum is compressed first.  Equal-value pairs
-are counted, not evaluated: there are sum c_a (c_a - 1) / 2 of them.
-The kernel of a gap d is K(d) = 2 log|d| at eps = 0 and log(d^2 + eps)
-for eps > 0.  Two methods sum it:
+The pair sums take a spectrum only as (values, counts): strictly
+ascending distinct values u_a with multiplicities c_a.  Microstates
+store their spectra that way (each atom value repeats floor(c_i k)
+times), so the U distinct values are often far fewer than the k
+entries.  Equal-value pairs are counted, not evaluated: there are
+sum c_a (c_a - 1) / 2 of them.  The kernel of a gap d is
+K(d) = 2 log|d| at eps = 0 and log(d^2 + eps) for eps > 0.  Two methods
+sum it:
 
 * The block kernel evaluates the whole log-gap matrix of two blocks of
   values, weighted by the counts on both sides; a block paired with
@@ -72,13 +73,10 @@ def backend() -> str:
 
 
 def _distinct(values, counts):
-    """(values, counts) as float and int64 arrays; with ``counts`` None,
-    ``values`` is a raw spectrum and is compressed first.  Values given
-    with counts must be strictly ascending: the cluster sum reads each
-    leaf's span from its first and last value."""
+    """(values, counts) as float and int64 arrays.  The values must be
+    strictly ascending: the cluster sum reads each leaf's span from its
+    first and last value."""
     import numpy as np
-    if counts is None:
-        return np.unique(np.asarray(values, dtype=float), return_counts=True)
     values = np.asarray(values, dtype=float)
     if not np.all(values[1:] > values[:-1]):
         raise ValueError("values given with counts must be strictly "
@@ -284,29 +282,29 @@ def _distinct_pair_log_sum(values, counts, eps: float) -> tuple[float, int]:
     return (2.0 * total if eps == 0.0 else total), equal
 
 
-def _check_eps(eps: float) -> float:
-    """``eps`` as a float; ValueError unless it is positive and finite."""
-    eps = float(eps)
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    return eps
+def _check_positive_finite(value: float, name: str = "eps") -> float:
+    """``value`` as a float; ValueError, which names it ``name``, unless
+    it is positive and finite.  The library's one check of eps and tol;
+    the command line puts "--" in front of its message."""
+    value = float(value)
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
-def pair_log_reg_sum(values, eps: float, counts=None) -> float:
+def pair_log_reg_sum(values, eps: float, counts) -> float:
     """Sum of log((v_i - v_j)^2 + eps) over unordered pairs i < j.
 
     The spectrum is ``values`` repeated ``counts`` times, with the
-    values strictly ascending (each value once without ``counts``; then
-    the values need not be sorted or distinct).
-    ``eps`` must be positive and finite: each equal-value pair
-    contributes log eps.
+    values strictly ascending.  ``eps`` must be positive and finite:
+    each equal-value pair contributes log eps.
     """
-    eps = _check_eps(eps)
+    eps = _check_positive_finite(eps)
     total, equal = _distinct_pair_log_sum(*_distinct(values, counts), eps)
     return total + equal * math.log(eps)
 
 
-def pair_log_sq_skip(values, counts=None) -> tuple[float, int]:
+def pair_log_sq_skip(values, counts) -> tuple[float, int]:
     """Sum of log((v_i - v_j)^2) over unordered pairs with v_i != v_j.
 
     The spectrum is given as for ``pair_log_reg_sum``.  Returns the sum

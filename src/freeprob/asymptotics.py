@@ -19,7 +19,7 @@ from collections import namedtuple
 from itertools import chain
 from operator import index, mul
 
-from ._kernels import _check_eps, vandermonde_sq_moments
+from ._kernels import _check_positive_finite, vandermonde_sq_moments
 from ._record import Record
 
 TYPE_CHECKING = False
@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 GAMMA_RATIO_LIMIT = -math.log(4.0)
+# The Monte Carlo seed of the library and the command line.
+DEFAULT_SEED = 42
 # Monte Carlo rows per draw: 2^14 ran fastest, 2^13 and 2^15 within 5%,
 # 2^16 8-10% and 2^12 17-19% slower (k = 4 and 6, 10^6 samples, medians
 # of 11 interleaved runs on 2 cores).
@@ -84,7 +86,7 @@ class SelbergMonteCarlo(namedtuple("SelbergMonteCarlo",
 
 
 def selberg_mc_check(k: int, eps: float, samples: int,
-                     seed: int = 42) -> SelbergMonteCarlo:
+                     seed: int = DEFAULT_SEED) -> SelbergMonteCarlo:
     """Monte Carlo check of int_{[-eps,eps]^k} prod_{i<j}(t_i-t_j)^2 dt.
 
     By the change of variables t = -eps + 2 eps u the integral is
@@ -104,7 +106,7 @@ def selberg_mc_check(k: int, eps: float, samples: int,
     k = _check_positive_int(k)
     if k > 6:
         raise ValueError(f"selberg_mc_check supports k <= 6, got {k}")
-    _check_eps(eps)
+    _check_positive_finite(eps)
     samples = _check_positive_int(samples, "samples")
     if samples < 2:
         raise ValueError(f"samples must be at least 2 to estimate a "

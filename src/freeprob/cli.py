@@ -24,8 +24,19 @@ import math
 import sys
 
 from . import __version__
-from .asymptotics import gamma_ratio_limit_series, selberg_log, selberg_mc_check
-from .energy import EnergyResult, offdiag_energy, regularized_energy
+from ._kernels import _check_positive_finite
+from .asymptotics import (
+    DEFAULT_SEED,
+    gamma_ratio_limit_series,
+    selberg_log,
+    selberg_mc_check,
+)
+from .energy import (
+    DEFAULT_TOL,
+    EnergyResult,
+    offdiag_energy,
+    regularized_energy,
+)
 from .entropy import (
     FORMULAS,
     chi,
@@ -56,8 +67,6 @@ if TYPE_CHECKING:
 
 __all__ = ["main", "run", "parse_args"]
 
-DEFAULT_TOL = 1e-6
-DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_MC_EPS = 0.5
 EPS_SWEEP = (1.0, 0.1, 0.01)
@@ -188,11 +197,12 @@ def build_parser() -> _Parser:
 def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     """Parse argv and make the checks argparse cannot declare."""
     ns = build_parser().parse_args(argv)
-    tol, eps = getattr(ns, "tol", DEFAULT_TOL), getattr(ns, "eps", None)
-    if not (tol > 0 and math.isfinite(tol)):
-        raise _UsageError(f"--tol must be positive and finite, got {tol!r}")
-    if eps is not None and not (eps > 0 and math.isfinite(eps)):
-        raise _UsageError(f"--eps must be positive and finite, got {eps!r}")
+    for flag in ("tol", "eps"):
+        if (value := getattr(ns, flag, None)) is not None:
+            try:
+                _check_positive_finite(value, flag)
+            except ValueError as exc:
+                raise _UsageError(f"--{exc}") from None
     if ns.command in ("microstate", "series") and len(ns.measure) > 1:
         name = f"series {ns.kind}" if ns.command == "series" else "microstate"
         raise _UsageError(f"{name} takes exactly one --measure")
@@ -446,8 +456,7 @@ def _cmd_microstate(ns, loaded: Loaded):
             "lhs": check.lhs, "rhs": check.rhs,
             "margin": check.margin, "holds": check.holds,
         }
-        body["packing_constant_log"] = packing_constant_log(
-            measure, ms.k, microstate=ms)
+        body["packing_constant_log"] = packing_constant_log(ms)
     inputs = {"measures": [path], "k": ns.k, "kind": ns.kind}
     if ns.eps is not None:
         body["volume_upper_bound_log"] = volume_upper_bound_log(

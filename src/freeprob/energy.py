@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._kernels import _check_eps
+from ._kernels import _check_positive_finite
 from ._record import Record
 from .measures import DiffusePart, SpectralMeasure
 
@@ -66,6 +66,9 @@ class EnergyResult(Record):
 
 # Largest Gauss-Chebyshev rule that a semicircle or arcsine self term tries.
 MAX_NODES = 16384
+# The regularized energy's default absolute tolerance, for the library and
+# the command line alike.
+DEFAULT_TOL = 1e-6
 
 # The 8-point Gauss-Legendre rule on [-1, 1]: (node, weight) for +-node.
 _GAUSS_LEGENDRE_8 = ((0.18343464249564978, 0.36268378337836166),
@@ -314,7 +317,7 @@ def offdiag_energy(measure: SpectralMeasure) -> EnergyResult:
 
 
 def regularized_energy(measure: SpectralMeasure, eps: float,
-                       tol: float = 1e-6) -> EnergyResult:
+                       tol: float = DEFAULT_TOL) -> EnergyResult:
     """Full-plane integral of log((y - z)^2 + eps) d(mu x mu).
 
     The diagonal is included (each atom's self-pair contributes
@@ -328,9 +331,8 @@ def regularized_energy(measure: SpectralMeasure, eps: float,
     rule: ``abs_error_estimate`` is its weighted error estimate, and
     ``status`` is "not_converged" when that exceeds ``tol``.
     """
-    _check_eps(eps)
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_positive_finite(eps)
+    _check_positive_finite(tol, "tol")
     points = [(a.location, a.weight) for a in measure.atoms]
     if measure.truncated_tail > 0.0 and measure.truncated_tail_location is not None:
         points.append((measure.truncated_tail_location,

@@ -52,6 +52,8 @@ _PARAMS = {"empty": (), "uniform": ("lo", "hi"),
            "piecewise_linear_cdf": ("knots",)}
 _DIFFUSE_KINDS = tuple(_PARAMS)
 _MASS_TOL = 1e-12
+# The truncation tolerance of example42, in the library and in a spec.
+_FAMILY_TOL = 1e-10
 # Narrower diffuse parts would have subnormal widths, with fewer than 53
 # significant bits to place their quantiles and knots.
 _MIN_WIDTH = sys.float_info.min
@@ -127,26 +129,24 @@ class DiffusePart(Record):
     # -- quantiles ----------------------------------------------------------
 
     def quantile_unit(self, p):
-        """Quantile at normalized probabilities ``p`` in [0, 1].
+        """Quantiles at the normalized probabilities of the 1-D array
+        ``p``, each in [0, 1], as an array.
 
-        Vectorized; rightmost-preimage convention (relevant only at the
-        exact knot levels of a piecewise CDF, where strict monotonicity
-        already makes the preimage unique).
+        Rightmost-preimage convention (relevant only at the exact knot
+        levels of a piecewise CDF, where strict monotonicity already
+        makes the preimage unique).
         """
         import numpy as np
-        p = np.asarray(p, dtype=float)
-        scalar = p.ndim == 0
-        p = np.atleast_1d(p)
         if self.kind == "empty":
             raise ValueError("empty diffuse part has no quantiles")
         if self.kind in ("uniform", "arcsine"):
-            out = np.reshape(_unit_quantiles(self.kind, *self.interval(),
-                                             p.ravel().tolist()), p.shape)
-        elif self.kind == "semicircle":
+            return np.array(_unit_quantiles(self.kind, *self.interval(),
+                                            p.tolist()))
+        if self.kind == "semicircle":
             c = float(self.params["center"])
             r = float(self.params["radius"])
-            out = c + r * semicircle_quantile_unit(p)
-        elif self.kind == "piecewise_linear_cdf":
+            return c + r * semicircle_quantile_unit(p)
+        if self.kind == "piecewise_linear_cdf":
             # x0 + t (x1 - x0) on the knot segment [x0, x1], t in [0, 1]:
             # no product can overflow, where the slope (x1 - x0) / (c1 - c0)
             # that np.interp forms can.
@@ -155,36 +155,30 @@ class DiffusePart(Record):
             j = np.clip(np.searchsorted(cs, u, side="right") - 1, 0,
                         xs.size - 2)
             t = np.clip((u - cs[j]) / (cs[j + 1] - cs[j]), 0.0, 1.0)
-            out = xs[j] + t * (xs[j + 1] - xs[j])
-        else:
-            raise ValueError(f"unknown diffuse kind {self.kind!r}")
-        return float(out[0]) if scalar else out
+            return xs[j] + t * (xs[j + 1] - xs[j])
+        raise ValueError(f"unknown diffuse kind {self.kind!r}")
 
     def quantile_unit_derivative(self, p):
-        """d(quantile_unit)/dp, vectorized; infinite at arcsine endpoints."""
+        """d(quantile_unit)/dp at the 1-D array ``p``, as an array;
+        infinite at arcsine endpoints."""
         import numpy as np
-        p = np.asarray(p, dtype=float)
-        scalar = p.ndim == 0
-        p = np.atleast_1d(p)
         if self.kind == "uniform":
             lo, hi = self.interval()
-            out = np.full(p.shape, hi - lo)
-        elif self.kind == "arcsine":
+            return np.full(p.shape, hi - lo)
+        if self.kind == "arcsine":
             lo, hi = self.interval()
-            out = 0.5 * math.pi * (hi - lo) * np.sin(math.pi * p)
-        elif self.kind == "semicircle":
+            return 0.5 * math.pi * (hi - lo) * np.sin(math.pi * p)
+        if self.kind == "semicircle":
             r = float(self.params["radius"])
             z = semicircle_quantile_unit(p)
-            out = 0.5 * math.pi * r / np.sqrt(np.maximum(1e-300, 1.0 - z * z))
-        elif self.kind == "piecewise_linear_cdf":
+            return 0.5 * math.pi * r / np.sqrt(np.maximum(1e-300, 1.0 - z * z))
+        if self.kind == "piecewise_linear_cdf":
             xs, cs = self._knot_arrays()
             seg = np.clip(np.searchsorted(cs, p * self.mass, side="right") - 1,
                           0, len(xs) - 2)
             slopes = (xs[1:] - xs[:-1]) / (cs[1:] - cs[:-1]) * self.mass
-            out = slopes[seg]
-        else:
-            raise ValueError(f"no quantile derivative for kind {self.kind!r}")
-        return float(out[0]) if scalar else out
+            return slopes[seg]
+        raise ValueError(f"no quantile derivative for kind {self.kind!r}")
 
 
 def _unit_quantiles(kind: str, lo: float, hi: float, ps) -> list[float]:
@@ -413,7 +407,7 @@ def _expand_example42(tol: float) -> tuple[tuple[Atom, ...], float]:
     return atoms, 2.0 ** -count
 
 
-def example42_measure(tol: float = 1e-10) -> SpectralMeasure:
+def example42_measure(tol: float = _FAMILY_TOL) -> SpectralMeasure:
     """The built-in infinite atom family: weight 2^-j at location 1/j.
 
     The locations accumulate at 0, so the truncated tail is attributed
@@ -523,7 +517,8 @@ def measure_from_dict(spec: dict) -> SpectralMeasure:
     if family_raw is None:
         return SpectralMeasure(support=support, atoms=tuple(atoms),
                                diffuse=diffuse)
-    name, tol = _keys(family_raw, "atom_family", ("name",), {"tol": 1e-10})
+    name, tol = _keys(family_raw, "atom_family", ("name",),
+                      {"tol": _FAMILY_TOL})
     if name != "example42":
         raise MeasureSpecError("atom_family.name", f"unknown family {name!r}")
     tol = _spec_number(tol, "atom_family.tol")

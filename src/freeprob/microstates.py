@@ -46,14 +46,18 @@ from collections import Counter
 from itertools import accumulate, chain, repeat
 from operator import mul
 
-from ._kernels import _check_eps, pair_log_reg_sum, pair_log_sq_skip
+from ._kernels import (
+    _check_positive_finite,
+    pair_log_reg_sum,
+    pair_log_sq_skip,
+)
 from ._record import Record
 from .asymptotics import (
     _check_positive_int,
     _sum_log_factorials,
     _validated_ks,
 )
-from .energy import offdiag_energy, regularized_energy
+from .energy import DEFAULT_TOL, offdiag_energy, regularized_energy
 from .entropy import free_hausdorff_dimension
 from .measures import (
     SpectralMeasure,
@@ -187,13 +191,6 @@ def _check_k(k: int) -> int:
     if k > K_CAP:
         raise ValueError(f"k = {k} exceeds the cap K_CAP = {K_CAP}")
     return k
-
-
-def _validated_series_ks(ks: Iterable[int]) -> tuple[int, ...]:
-    ks = _validated_ks(ks)
-    for k in ks:
-        _check_k(k)
-    return ks
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +580,7 @@ def sk_counting_check(measure: SpectralMeasure,
 
 def regularized_product_series(measure: SpectralMeasure, eps: float,
                                ks: Iterable[int],
-                               tol: float = 1e-6) -> SeriesReport:
+                               tol: float = DEFAULT_TOL) -> SeriesReport:
     """Per-k regularized pair averages of the quantile-fill microstate.
 
     value(k) = k^{-2} sum over ordered pairs i != j of
@@ -593,8 +590,7 @@ def regularized_product_series(measure: SpectralMeasure, eps: float,
     value(k) = (1 - 1/k) log eps.  ``status`` is the target's
     convergence status.
     """
-    _check_eps(eps)
-    ks = _validated_series_ks(ks)
+    ks = _validated_ks(ks)
     target = regularized_energy(measure, eps, tol)
     values = []
     for k in ks:
@@ -621,7 +617,7 @@ def offdiag_sum_series(measure: SpectralMeasure,
     gap under the halved (unordered-pair) normalization, so both
     readings of the sum are reported.
     """
-    ks = _validated_series_ks(ks)
+    ks = _validated_ks(ks)
     target = 2.0 * offdiag_energy(measure).value
     values = []
     for k in ks:
@@ -666,7 +662,7 @@ def volume_upper_bound_log(microstate: DiagonalMicrostate, eps: float,
     if microstate.kind != "upper":
         raise ValueError("the volume bound is defined for the quantile-fill "
                          "(upper) microstate")
-    _check_eps(eps)
+    _check_positive_finite(eps)
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
     ratio = t / eps + 0.25
@@ -690,9 +686,8 @@ def volume_upper_bound_log(microstate: DiagonalMicrostate, eps: float,
     ])
 
 
-def packing_constant_log(measure: SpectralMeasure, k: int, *,
-                         microstate: DiagonalMicrostate | None = None) -> float:
-    """Log of the packing constant assembled from the separated microstate.
+def packing_constant_log(microstate: DiagonalMicrostate) -> float:
+    """Log of the packing constant of a separated (lower) microstate.
 
     log C_k = log D_k + sum over ordered distinct-value pairs of
     log(b_i - b_j)^2 - log k! + (2 #S_k + k - k^2) log 2 + selberg_log(k),
@@ -702,8 +697,6 @@ def packing_constant_log(measure: SpectralMeasure, k: int, *,
     -sum_{j<=k} log j! - log k! + selberg_log(k), are one sum of integer
     multiples of log i, i < 2k, added exactly (``_log_sums``).
     """
-    if microstate is None:
-        microstate = build_lower_microstate(measure, k)
     k = microstate.k
     return _packing_log(microstate, _log_sums((k, 2 * k - 1)))
 
@@ -760,7 +753,7 @@ def packing_constant_series(measure: SpectralMeasure,
     Converges (slowly, at the sqrt(k)/k scale of the atom deflation) to
     ``packing_series_target``; approach is from above.
     """
-    ks = _validated_series_ks(ks)
+    ks = _validated_ks(ks)
     target = packing_series_target(measure)
     sums = _log_sums(chain.from_iterable((k, 2 * k - 1) for k in ks))
     values = []

@@ -119,6 +119,14 @@ def affine_pushforward(measure: fp.SpectralMeasure, scale: float,
         truncated_tail_location=None if tail_loc is None else mv(tail_loc))
 
 
+def distinct(spectrum) -> dict:
+    """A raw spectrum in the one form the pair kernels take: the keyword
+    arguments ``values`` (sorted and distinct) and ``counts``."""
+    values, counts = np.unique(np.asarray(spectrum, dtype=float),
+                               return_counts=True)
+    return {"values": values, "counts": counts}
+
+
 def log_ball_volume(k: int) -> float:
     """log of the Lebesgue volume of the radius-sqrt(k) ball in R^{k^2}.
 

@@ -10,6 +10,7 @@ import pytest
 
 import freeprob as fp
 from freeprob import _kernels, microstates
+from conftest import distinct
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +41,7 @@ class TestAgainstFsum:
         want = math.fsum(
             math.log((vals[i] - vals[j]) ** 2 + eps)
             for i in range(vals.size) for j in range(i + 1, vals.size))
-        got = _kernels.pair_log_reg_sum(vals, eps)
+        got = _kernels.pair_log_reg_sum(**distinct(vals), eps=eps)
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_skip_sum_matches_fsum(self, sample_values):
@@ -49,7 +50,7 @@ class TestAgainstFsum:
             math.log((vals[i] - vals[j]) ** 2)
             for i in range(vals.size) for j in range(i + 1, vals.size)
             if vals[i] != vals[j])
-        total, skipped = _kernels.pair_log_sq_skip(vals)
+        total, skipped = _kernels.pair_log_sq_skip(**distinct(vals))
         assert skipped == 0
         assert total == pytest.approx(want, rel=1e-13)
 
@@ -85,21 +86,21 @@ class TestCompressedPairs:
         # 620 distinct values span three 256-wide blocks, and one value in
         # each block repeats, so weighted pairs meet across block edges.
         rng = np.random.default_rng(23)
-        distinct = np.sort(rng.uniform(-2.0, 2.0, size=620))
-        vals = np.concatenate([distinct, np.repeat(distinct[[3, 300, 610]],
-                                                   [4, 2, 5])])
+        unique = np.sort(rng.uniform(-2.0, 2.0, size=620))
+        vals = np.concatenate([unique, np.repeat(unique[[3, 300, 610]],
+                                                 [4, 2, 5])])
         want_sum, want_skip = fsum_skip(vals.tolist())
-        total, skipped = _kernels.pair_log_sq_skip(vals)
+        total, skipped = _kernels.pair_log_sq_skip(**distinct(vals))
         assert skipped == want_skip == math.comb(5, 2) + math.comb(3, 2) \
             + math.comb(6, 2)
         assert total == pytest.approx(want_sum, rel=1e-13)
         eps = 0.01
-        assert _kernels.pair_log_reg_sum(vals, eps) == pytest.approx(
-            fsum_reg(vals.tolist(), eps), rel=1e-13)
+        assert _kernels.pair_log_reg_sum(**distinct(vals), eps=eps) == \
+            pytest.approx(fsum_reg(vals.tolist(), eps), rel=1e-13)
 
     def test_all_values_equal(self):
         k = 37
-        total, skipped = _kernels.pair_log_sq_skip(np.full(k, 0.7))
+        total, skipped = _kernels.pair_log_sq_skip(**distinct(np.full(k, 0.7)))
         assert total == 0.0
         assert skipped == math.comb(k, 2)
 
@@ -107,42 +108,33 @@ class TestCompressedPairs:
         vals = [0.5, -1.0, 0.5, 2.0, -1.0, 0.5]  # four equal pairs
         n = len(vals)
         for eps in (0.3, 1.0, 4.0):
-            distinct = math.fsum(
+            unequal = math.fsum(
                 math.log((vals[i] - vals[j]) ** 2 + eps)
                 for i in range(n) for j in range(i + 1, n)
                 if vals[i] != vals[j])
-            got = _kernels.pair_log_reg_sum(np.array(vals), eps)
-            assert got == pytest.approx(distinct + 4 * math.log(eps),
+            got = _kernels.pair_log_reg_sum(**distinct(vals), eps=eps)
+            assert got == pytest.approx(unequal + 4 * math.log(eps),
                                         rel=1e-14, abs=1e-14)
             assert got == pytest.approx(fsum_reg(vals, eps),
                                         rel=1e-14, abs=1e-14)
 
     def test_one_and_two_values(self):
-        assert _kernels.pair_log_sq_skip(np.array([1.5])) == (0.0, 0)
-        assert _kernels.pair_log_reg_sum(np.array([1.5]), 0.1) == 0.0
-        total, skipped = _kernels.pair_log_sq_skip(np.array([1.5, -0.5]))
+        one, two, equal = (distinct(v) for v in ([1.5], [1.5, -0.5],
+                                                 [2.0, 2.0]))
+        assert _kernels.pair_log_sq_skip(**one) == (0.0, 0)
+        assert _kernels.pair_log_reg_sum(**one, eps=0.1) == 0.0
+        total, skipped = _kernels.pair_log_sq_skip(**two)
         assert skipped == 0
         assert total == pytest.approx(math.log(4.0), rel=1e-15)
-        assert _kernels.pair_log_reg_sum(np.array([1.5, -0.5]), 0.25) == \
+        assert _kernels.pair_log_reg_sum(**two, eps=0.25) == \
             pytest.approx(math.log(4.25), rel=1e-15)
-        assert _kernels.pair_log_sq_skip(np.array([2.0, 2.0])) == (0.0, 1)
-        assert _kernels.pair_log_reg_sum(np.array([2.0, 2.0]), 0.5) == \
+        assert _kernels.pair_log_sq_skip(**equal) == (0.0, 1)
+        assert _kernels.pair_log_reg_sum(**equal, eps=0.5) == \
             pytest.approx(math.log(0.5), rel=1e-15)
-
-    def test_unsorted_input(self):
-        rng = np.random.default_rng(31)
-        vals = rng.choice(rng.uniform(-1.0, 1.0, size=25), size=90)
-        assert np.any(np.diff(vals) < 0)
-        want_sum, want_skip = fsum_skip(vals.tolist())
-        total, skipped = _kernels.pair_log_sq_skip(vals)
-        assert skipped == want_skip > 0
-        assert total == pytest.approx(want_sum, rel=1e-13)
-        assert _kernels.pair_log_reg_sum(vals, 0.05) == pytest.approx(
-            fsum_reg(vals.tolist(), 0.05), rel=1e-13)
 
     def test_reg_sum_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
-            _kernels.pair_log_reg_sum(np.array([0.0, 1.0]), 0.0)
+            _kernels.pair_log_reg_sum(**distinct([0.0, 1.0]), eps=0.0)
 
 
 class TestExtremeGaps:
@@ -150,14 +142,14 @@ class TestExtremeGaps:
     about 1.3e154 and underflow below about 1.5e-154."""
 
     def test_huge_gap(self):
-        total, skipped = _kernels.pair_log_sq_skip([1.0, 8.8e307])
+        total, skipped = _kernels.pair_log_sq_skip(**distinct([1.0, 8.8e307]))
         assert skipped == 0
         assert total == pytest.approx(2.0 * math.log(8.8e307 - 1.0),
                                       rel=1e-15)
 
     def test_tiny_gaps(self):
         vals = [0.0, 1e-308, 3e-308, 5e-324]
-        total, _ = _kernels.pair_log_sq_skip(vals)
+        total, _ = _kernels.pair_log_sq_skip(**distinct(vals))
         want = math.fsum(2.0 * math.log(abs(a - b))
                          for i, a in enumerate(vals) for b in vals[i + 1:])
         assert total == pytest.approx(want, rel=1e-14)
@@ -170,7 +162,7 @@ class TestValuesWithCounts:
         counts = rng.integers(1, 4, size=300)
         expanded = np.repeat(values, counts)
         total, skipped = _kernels.pair_log_sq_skip(values, counts)
-        want_total, want_skipped = _kernels.pair_log_sq_skip(expanded)
+        want_total, want_skipped = fsum_skip(expanded.tolist())
         assert skipped == want_skipped == int(
             np.sum(counts * (counts - 1) // 2))
         assert total == pytest.approx(want_total, rel=1e-13)
@@ -189,7 +181,7 @@ class TestValuesWithCounts:
     def test_reg_sum_rejects_infinite_eps(self):
         for eps in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
-                _kernels.pair_log_reg_sum([0.0, 1.0], eps)
+                _kernels.pair_log_reg_sum(**distinct([0.0, 1.0]), eps=eps)
 
 
 class TestSemicircleQuantile:
@@ -315,8 +307,8 @@ class TestNodeSum:
         # the whole spectrum is one cluster, paired with itself
         assert [far.tolist() for far in far_pairs] == [[[True]]]
         assert abs(got - fsum_reg(ms.eigenvalues, eps)) <= 1e-12 * k * k
-        # the raw spectrum takes the same path to the same sum
-        raw = _kernels.pair_log_reg_sum(ms.eigenvalues, eps)
+        # the raw spectrum, compressed, takes the same path to the same sum
+        raw = _kernels.pair_log_reg_sum(**distinct(ms.eigenvalues), eps=eps)
         assert len(far_pairs) == 2 and far_pairs[1].shape == (1, 1)
         assert abs(raw - got) <= 1e-12 * k * k
 
@@ -333,7 +325,7 @@ class TestNodeSum:
             want = mpmath.fsum(
                 mpmath.log((mpmath.mpf(a) - mpmath.mpf(b)) ** 2 + eps)
                 for i, a in enumerate(vals) for b in vals[i + 1:])
-        got = _kernels.pair_log_reg_sum(vals, eps)
+        got = _kernels.pair_log_reg_sum(**distinct(vals), eps=eps)
         assert [far.tolist() for far in far_pairs] == [[[True]]]
         assert abs(got - float(want)) <= 1e-12 * k * k
 
@@ -357,7 +349,7 @@ class TestNodeSum:
         vals = span * np.linspace(-0.5, 0.5, 2000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _kernels.pair_log_reg_sum(vals, eps)
+            got = _kernels.pair_log_reg_sum(**distinct(vals), eps=eps)
         assert math.isfinite(got)
         if span == 1e-300:
             # every gap is below 1e-300: each pair gives log eps, and the
@@ -468,7 +460,7 @@ class TestClusterSum:
         values = 1e300 * np.linspace(-0.5, 0.5, 800)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _kernels.pair_log_reg_sum(values, 0.5)
+            got = _kernels.pair_log_reg_sum(**distinct(values), eps=0.5)
         assert far_pairs[0].sum() > 0
         want = fsum_distinct_pairs(values, np.ones(800), 0.5)
         # each term is about 2 log 1e300, so the bound is relative
@@ -481,7 +473,7 @@ class TestClusterSum:
                                  1e300 * np.linspace(0.5, 1.0, 1500)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _kernels.pair_log_reg_sum(values, 2.0)
+            got = _kernels.pair_log_reg_sum(**distinct(values), eps=2.0)
         far = far_pairs[0]
         assert np.diagonal(far)[:5].all() and not np.diagonal(far)[7:].any()
         want = fsum_distinct_pairs(values, np.ones(3000), 2.0)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import freeprob as fp
 from freeprob import _kernels, microstates
 from freeprob.microstates import K_CAP, _MATH_TERMS, _pair_log_sum
-from conftest import atomic_plus_uniform, purely_atomic, run_cli
+from conftest import atomic_plus_uniform, distinct, purely_atomic, run_cli
 
 TOL = 1e-6
 
@@ -243,11 +243,14 @@ class TestPairPartition:
 
     def test_kernel_equal_count_is_s_count(self, example42, mixed_measure,
                                            single_atom):
-        # packing_constant_log takes #S_k from the pair kernel's count.
+        # packing_constant_log takes #S_k from the microstate's counts
+        # (``_equal_pairs``); the kernel counts the same equal pairs in the
+        # expanded spectrum.
         for m in (example42, mixed_measure, single_atom):
             for k in (100, 256, 1000):
                 ms = fp.build_lower_microstate(m, k)
-                _, equal = _kernels.pair_log_sq_skip(ms.eigenvalues)
+                _, equal = _kernels.pair_log_sq_skip(
+                    **distinct(ms.eigenvalues))
                 assert equal == fp.pair_partition(ms).s_count
 
 
@@ -329,6 +332,25 @@ class TestOffdiagSumSeries:
         assert "unordered_normalization_gap" in rep.extras
 
 
+def test_series_refuse_k_past_the_cap(mixed_measure, measure_file):
+    # The builders hold the one check of the cap, and every series reaches
+    # it, from the library and from the command line.
+    message = "k = 5001 exceeds the cap K_CAP = 5000"
+    assert K_CAP == 5000
+    for series in (lambda m, ks: fp.regularized_product_series(m, 0.1, ks),
+                   fp.offdiag_sum_series, fp.packing_constant_series):
+        with pytest.raises(ValueError) as info:
+            series(mixed_measure, (500, 5001))
+        assert str(info.value) == message
+    path = measure_file(mixed_measure)
+    for kind in (("regularized-product", "--eps", "0.1"), ("offdiag-sum",),
+                 ("packing-constant",)):
+        res = run_cli("series", *kind, "--ks", "500,5001", "--measure", path)
+        assert res.code == 1, kind
+        assert res.stderr == f"freeprob: error: usage: {message}\n"
+        assert res.stdout == ""
+
+
 class TestVolumeUpperBound:
     def test_mpmath_assembly_oracle(self, uniform01):
         k, eps = 50, 0.5
@@ -401,7 +423,7 @@ class TestPackingConstant:
         # leaving spectrum (1, 5).  By hand: log D_2 = log(pi/2), the
         # pair factor is log 16^2, minus log 2!, (2*0 + 2 - 4) log 2,
         # and the Selberg term -log 6 sum to log(8 pi / 3).
-        got = fp.packing_constant_log(two_atoms, 2)
+        got = fp.packing_constant_log(fp.build_lower_microstate(two_atoms, 2))
         assert got == pytest.approx(math.log(8.0 * math.pi / 3.0),
                                     abs=1e-12)
 
@@ -413,7 +435,8 @@ class TestPackingConstant:
         # mpmath.loggamma at 40 digits.
         m = fp.atomic_measure([(0.0, 1.0)])
         ms = fp.build_lower_microstate(m, k)
-        pair_sum, s_count = _kernels.pair_log_sq_skip(ms.eigenvalues)
+        pair_sum, s_count = _kernels.pair_log_sq_skip(
+            **distinct(ms.eigenvalues))
         with mpmath.workdps(40):
             lg = mpmath.loggamma
             selberg = mpmath.fsum(lg(j + 1) + 2 * lg(j) - lg(k + j)
@@ -426,7 +449,7 @@ class TestPackingConstant:
                 (2 * s_count + k - k * k) * mpmath.log(2),
                 selberg,
             ]))
-        got = fp.packing_constant_log(m, k, microstate=ms)
+        got = fp.packing_constant_log(ms)
         assert abs(got - want) <= 2.5e-16 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("k", [2, 3, 500, 5000])
@@ -446,14 +469,15 @@ class TestPackingConstant:
         products = [w * x for w, x in zip(weights, logs)]
         exact = sum(map(Fraction, head)) \
             + sum(w * Fraction(x) for w, x in zip(weights, logs))
-        got = fp.packing_constant_log(m, k, microstate=ms)
+        got = fp.packing_constant_log(ms)
         assert got == float(exact)
         rounding = 2.0 ** -53 * math.fsum(map(abs, products))
         assert abs(got - math.fsum(head + products)) <= rounding
         # a series reads every k from one table built for its largest k
         series = fp.packing_constant_series(m, sorted({2, k}))
         assert series.values[0] == \
-            fp.packing_constant_log(m, 2) / 4 + 0.5 * math.log(2)
+            fp.packing_constant_log(fp.build_lower_microstate(m, 2)) / 4 \
+            + 0.5 * math.log(2)
         assert series.values[-1] == got / (k * k) + 0.5 * math.log(k)
 
     def test_series_converges_from_above(self, mixed_measure):
@@ -471,12 +495,6 @@ class TestPackingConstant:
                 - alpha * math.log(2.0) - math.log(4.0))
         assert fp.packing_series_target(mixed_measure) == \
             pytest.approx(want, abs=1e-9)
-
-    def test_microstate_reuse(self, mixed_measure):
-        ms = fp.build_lower_microstate(mixed_measure, 64)
-        a = fp.packing_constant_log(mixed_measure, 64, microstate=ms)
-        b = fp.packing_constant_log(mixed_measure, 64)
-        assert a == b
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +615,7 @@ class TestClosedFormPairSums:
         assert fp.pair_partition(ms).s_count == equal
         [value] = fp.offdiag_sum_series(m, (k,)).values
         assert abs(value * k * k / 2 - float(pair)) <= 1e-14 * abs(pair)
-        got = fp.packing_constant_log(m, k, microstate=ms)
+        got = fp.packing_constant_log(ms)
         assert abs(got - float(want)) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("k", [1, 2, 4, 9])

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -306,6 +307,33 @@ def _identifiers(node):
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _quick_start() -> ast.Module:
+    """The code block of the README's library quick start."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    quick_start = readme.split("## Library quick start", 1)[1]
+    code = quick_start.split("```python\n", 1)[1].split("```", 1)[0]
+    return ast.parse(code)
+
+
+def test_readme_quick_start_runs():
+    # Each statement runs in turn; the value of each bare expression is
+    # the result its comment shows.
+    scope, shown = {}, []
+    for stmt in _quick_start().body:
+        if isinstance(stmt, ast.Expr):
+            shown.append(eval(compile(ast.Expression(stmt.value), "README.md",
+                                      "eval"), scope))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), scope)
+    res = scope["res"]
+    assert (res.value, res.status) == (-0.25, "ok")
+    chi, alpha, (lower, upper), holds = shown
+    assert round(chi, 7) == 1.4189385
+    assert alpha == 1.0
+    assert math.isfinite(lower) and math.isfinite(upper) and lower < upper
+    assert holds is True
+
+
 def test_every_public_function_is_reached():
     # A public function stays only while another function of the package
     # calls it, the README's library quick start uses it, or it is a kept
@@ -315,10 +343,7 @@ def test_every_public_function_is_reached():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 used |= _identifiers(node) - {node.name}
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    quick_start = readme.split("## Library quick start", 1)[1]
-    code = quick_start.split("```python\n", 1)[1].split("```", 1)[0]
-    used |= _identifiers(ast.parse(code))
+    used |= _identifiers(_quick_start())
     functions = [name for name in fp.__all__
                  if callable(getattr(fp, name))
                  and not isinstance(getattr(fp, name), type)]
