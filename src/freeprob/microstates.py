@@ -590,12 +590,10 @@ def regularized_product_series(measure: SpectralMeasure, eps: float,
     value(k) = (1 - 1/k) log eps.  ``status`` is the target's
     convergence status.
     """
-    ks = _validated_ks(ks)
+    ks = tuple(map(_check_k, _validated_ks(ks)))
     target = regularized_energy(measure, eps, tol)
-    values = []
-    for k in ks:
-        ms = build_upper_microstate(measure, k)
-        values.append(2.0 * _pair_log_sum(ms, eps) / (k * k))
+    values = [2.0 * _pair_log_sum(build_upper_microstate(measure, k), eps)
+              / (k * k) for k in ks]
     return SeriesReport(ks=tuple(ks), values=tuple(values),
                         target=target.value, relation="converges_to",
                         achieved_gap=values[-1] - target.value,
@@ -617,12 +615,10 @@ def offdiag_sum_series(measure: SpectralMeasure,
     gap under the halved (unordered-pair) normalization, so both
     readings of the sum are reported.
     """
-    ks = _validated_ks(ks)
+    ks = tuple(map(_check_k, _validated_ks(ks)))
     target = 2.0 * offdiag_energy(measure).value
-    values = []
-    for k in ks:
-        ms = build_lower_microstate(measure, k)
-        values.append(2.0 * _pair_log_sum(ms) / (k * k))
+    values = [2.0 * _pair_log_sum(build_lower_microstate(measure, k))
+              / (k * k) for k in ks]
     tail = values[-_top_quartile(len(ks)):]
     achieved = min(v - target for v in tail)
     half = min(0.5 * v - target for v in tail)
@@ -697,6 +693,9 @@ def packing_constant_log(microstate: DiagonalMicrostate) -> float:
     -sum_{j<=k} log j! - log k! + selberg_log(k), are one sum of integer
     multiples of log i, i < 2k, added exactly (``_log_sums``).
     """
+    if microstate.kind != "lower":
+        raise ValueError("the packing constant is defined for the separated "
+                         "(lower) microstate")
     k = microstate.k
     return _packing_log(microstate, _log_sums((k, 2 * k - 1)))
 
@@ -753,7 +752,7 @@ def packing_constant_series(measure: SpectralMeasure,
     Converges (slowly, at the sqrt(k)/k scale of the atom deflation) to
     ``packing_series_target``; approach is from above.
     """
-    ks = _validated_ks(ks)
+    ks = tuple(map(_check_k, _validated_ks(ks)))
     target = packing_series_target(measure)
     sums = _log_sums(chain.from_iterable((k, 2 * k - 1) for k in ks))
     values = []

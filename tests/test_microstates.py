@@ -332,23 +332,37 @@ class TestOffdiagSumSeries:
         assert "unordered_normalization_gap" in rep.extras
 
 
-def test_series_refuse_k_past_the_cap(mixed_measure, measure_file):
-    # The builders hold the one check of the cap, and every series reaches
-    # it, from the library and from the command line.
-    message = "k = 5001 exceeds the cap K_CAP = 5000"
+def test_series_refuse_k_past_the_cap(mixed_measure, measure_file,
+                                     monkeypatch):
+    # Every series checks each k against the cap before any work, from
+    # the library and from the command line: the builders, the targets
+    # and the log-sum table fail this test if they are reached, so a huge
+    # k cannot start an unbounded allocation.
     assert K_CAP == 5000
-    for series in (lambda m, ks: fp.regularized_product_series(m, 0.1, ks),
-                   fp.offdiag_sum_series, fp.packing_constant_series):
-        with pytest.raises(ValueError) as info:
-            series(mixed_measure, (500, 5001))
-        assert str(info.value) == message
+
+    def reached(*args, **kwargs):
+        raise AssertionError("work started before the cap check")
+
+    for name in ("build_upper_microstate", "build_lower_microstate",
+                 "regularized_energy", "offdiag_energy", "_log_sums",
+                 "packing_series_target"):
+        monkeypatch.setattr(microstates, name, reached)
     path = measure_file(mixed_measure)
-    for kind in (("regularized-product", "--eps", "0.1"), ("offdiag-sum",),
-                 ("packing-constant",)):
-        res = run_cli("series", *kind, "--ks", "500,5001", "--measure", path)
-        assert res.code == 1, kind
-        assert res.stderr == f"freeprob: error: usage: {message}\n"
-        assert res.stdout == ""
+    for k in (5001, 10**9):
+        message = f"k = {k} exceeds the cap K_CAP = 5000"
+        for series in (lambda m, ks: fp.regularized_product_series(m, 0.1,
+                                                                   ks),
+                       fp.offdiag_sum_series, fp.packing_constant_series):
+            with pytest.raises(ValueError) as info:
+                series(mixed_measure, (500, k))
+            assert str(info.value) == message
+        for kind in (("regularized-product", "--eps", "0.1"),
+                     ("offdiag-sum",), ("packing-constant",)):
+            res = run_cli("series", *kind, "--ks", f"500,{k}",
+                          "--measure", path)
+            assert res.code == 1, kind
+            assert res.stderr == f"freeprob: error: usage: {message}\n"
+            assert res.stdout == ""
 
 
 class TestVolumeUpperBound:
@@ -426,6 +440,11 @@ class TestPackingConstant:
         got = fp.packing_constant_log(fp.build_lower_microstate(two_atoms, 2))
         assert got == pytest.approx(math.log(8.0 * math.pi / 3.0),
                                     abs=1e-12)
+
+    def test_refuses_an_upper_microstate(self, uniform01):
+        ms = fp.build_upper_microstate(uniform01, 50)
+        with pytest.raises(ValueError, match="separated"):
+            fp.packing_constant_log(ms)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 10, 500, 5000])
     def test_mpmath_log_factorial_oracle(self, k):
