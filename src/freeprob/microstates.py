@@ -28,7 +28,11 @@ a grid lo + j h whose pair sums are closed forms in the levels j.  An
 arcsine part's quantiles lo + w sin^2(pi j/2n) with c k an integer n are
 the interior Chebyshev-Lobatto nodes of its interval, and its upper
 microstate's pair sum is n/2 closed-form row products
-(``_arcsine_rows``).  None of these loads numpy.  k is at most K_CAP.
+(``_arcsine_rows``).  Once sqrt(eps) is wide against the level spacing,
+an upper microstate's grid sums are quadrature rules of analytic
+functions and cost O(1) (``_grid_rows``): Euler-Maclaurin for a uniform
+grid, the trapezoid rule in the angle for an arcsine one.  None of these
+loads numpy.  k is at most K_CAP.
 
 Sums over the distinct-value pair set are taken over ordered pairs
 (both (i, j) and (j, i)), which is the normalization under which k^{-2}
@@ -42,9 +46,8 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from itertools import accumulate, chain, repeat
-from operator import mul
+from operator import ge, mul
 
 from ._kernels import (
     _check_positive_finite,
@@ -57,7 +60,13 @@ from .asymptotics import (
     _sum_log_factorials,
     _validated_ks,
 )
-from .energy import DEFAULT_TOL, offdiag_energy, regularized_energy
+from .energy import (
+    DEFAULT_TOL,
+    _segment_mean,
+    _segment_pair,
+    offdiag_energy,
+    regularized_energy,
+)
 from .entropy import free_hausdorff_dimension
 from .measures import (
     SpectralMeasure,
@@ -198,14 +207,29 @@ def _check_k(k: int) -> int:
 
 
 def _spectrum(entries, pairs=()) -> tuple[tuple, tuple]:
-    """Ascending distinct values and counts of single ``entries`` and
-    (value, count) ``pairs``; equal values merge, zero counts drop out."""
-    merged = Counter(entries)
+    """Ascending distinct values and counts of strictly ascending single
+    ``entries`` and a few (value, count) ``pairs``: a pair merges with an
+    equal value, found by bisection, and a zero count drops out."""
+    values, counts = list(entries), [1] * len(entries)
     for value, count in pairs:
-        if count:
-            merged[value] += count
-    values = sorted(merged)
-    return tuple(values), tuple(map(merged.__getitem__, values))
+        i = bisect_left(values, value)
+        if i < len(values) and values[i] == value:
+            counts[i] += count
+        elif count:
+            values.insert(i, value)
+            counts.insert(i, count)
+    return tuple(values), tuple(counts)
+
+
+def _check_distinct(k: int, quantiles: list[float]) -> None:
+    """Refuse quantiles of which one rounds onto (or below) its
+    neighbour: pair sums would take them as one repeated value."""
+    repeats = sum(map(ge, quantiles, quantiles[1:]))
+    if repeats:
+        raise ValueError(
+            f"k = {k}: {repeats} of the {len(quantiles)} diffuse quantiles "
+            f"round onto their neighbour; the diffuse part is too narrow "
+            f"for its location at this k")
 
 
 def _grid_values(grid: tuple, levels) -> list[float]:
@@ -243,19 +267,14 @@ def build_upper_microstate(measure: SpectralMeasure,
     floor(c_i k) copies of each atom (decreasing weight), and
     k - floor(c k) - sum floor(c_i k) zeros (never negative, because the
     integer parts of masses summing to at most 1 sum to at most k).
-    Quantiles that round onto each other raise ValueError: pair sums
-    would take them as one repeated value.  An atom or zero equal to a
-    quantile is a real repeated eigenvalue.
+    Quantiles that round onto each other raise ValueError
+    (``_check_distinct``).  An atom or zero equal to a quantile is a
+    real repeated eigenvalue.
     """
     k = _check_k(k)
     ranked = measure.atoms_by_weight()
     quantiles, grid = _quantiles(measure, k)
-    repeats = sum(map(float.__eq__, quantiles, quantiles[1:]))
-    if repeats:
-        raise ValueError(
-            f"k = {k}: {repeats} of the {len(quantiles)} diffuse quantiles "
-            f"round onto their neighbour; the diffuse part is too narrow "
-            f"for its location at this k")
+    _check_distinct(k, quantiles)
     mults = tuple((a.location, _int_part(a.weight * k)) for a in ranked)
     zero_count = k - len(quantiles) - sum(m for _, m in mults)
     rest = mults + ((0.0, zero_count),)
@@ -282,8 +301,9 @@ def build_lower_microstate(measure: SpectralMeasure,
     fillers b + 3 + j/F strictly above the support.  The slot identity
     multiplicities + kept quantiles + fillers = k is exact.  numpy is
     loaded only for interior quantiles of a diffuse part that is neither
-    uniform nor arcsine.  Kept quantiles that round onto each other or an
-    atom raise ValueError: pair sums would skip them.
+    uniform nor arcsine.  Kept quantiles that round onto each other
+    (``_check_distinct``) or an atom raise ValueError: pair sums would
+    skip them.
     """
     k = _check_k(k)
     ranked = measure.atoms_by_weight()
@@ -310,18 +330,19 @@ def build_lower_microstate(measure: SpectralMeasure,
                          bisect_left(interior, loc)}
         excluded &= set(range(len(interior)))
         kept = [v for i, v in enumerate(interior) if i not in excluded]
+        _check_distinct(k, kept)
         if grid and kept and grid[0] == "uniform":
             holes = tuple(sorted(i + 2 for i in excluded))
             extra = {"grid": grid[:5] + (2, q - 1, holes),
                      "off_grid": _spectrum((), mults)}
 
     values, counts = _spectrum(kept, mults)
-    entries = len(kept) + sum(1 for _, m in mults if m)
-    if len(values) < entries:
+    collisions = len(kept) + sum(1 for _, m in mults if m) - len(values)
+    if collisions:
         raise ValueError(
-            f"k = {k}: {entries - len(values)} of the {len(kept)} diffuse "
-            f"quantiles round onto another quantile or an atom; the "
-            f"diffuse part is too narrow for its location at this k")
+            f"k = {k}: {collisions} of the {len(kept)} diffuse quantiles "
+            f"round onto an atom; the diffuse part is too narrow for its "
+            f"location at this k")
     return DiagonalMicrostate(kind="lower", k=k, values=values, counts=counts,
                               atom_multiplicity_map=mults,
                               quantile_count=len(kept),
@@ -411,7 +432,7 @@ def _pair_log_sum(microstate: DiagonalMicrostate, eps: float = 0.0) -> float:
 
     A grid sums in closed form: a lower one by ``_grid_log_sums``, which
     also pairs it with the other entries, an upper one by the rows of
-    ``_uniform_rows`` or ``_arcsine_rows``.  Fillers enter through their
+    ``_grid_rows``.  Fillers enter through their
     exact gaps (j - i)/F, summed in closed form, and (b - v) + 3 + j/F
     from a value v (``_filler_log_sum``).  The other values are one
     block, summed a pair at a time in ``math`` when it holds no quantiles
@@ -423,8 +444,7 @@ def _pair_log_sum(microstate: DiagonalMicrostate, eps: float = 0.0) -> float:
     values, counts = (microstate.off_grid if grid
                       else (microstate.values, microstate.counts))
     if grid and microstate.kind == "upper":  # terms of log|gap + i root|
-        rows = _uniform_rows if grid[0] == "uniform" else _arcsine_rows
-        terms, row = rows(grid, root)
+        terms, row = _grid_rows(grid, root)
         terms.extend(map(mul, counts, map(row, values)))
     else:
         terms = _grid_log_sums(microstate) if grid else []
@@ -450,11 +470,113 @@ def _pair_log_sum(microstate: DiagonalMicrostate, eps: float = 0.0) -> float:
     return 2.0 * math.fsum(terms)
 
 
+# A grid is smooth at root when root is wide against the level spacing:
+# root / h >= 20 on a uniform grid, n asinh(root / r) >= 20 on an arcsine
+# one.  Its sums are then quadrature rules of analytic functions, taken in
+# O(1) with remainders below the rounding of the sum.
+_SMOOTH = 20.0
+_BERNOULLI = (-1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)  # B_4..
+
+
+def _grid_rows(grid: tuple, root: float):
+    """Half the pair sum of log(d^2 + root^2) over an upper microstate's
+    grid, as terms, and the row function of a value v: the sum of
+    log|v - x + i root| over the levels x.  A smooth grid takes
+    ``_uniform_em`` or ``_arcsine_trapezoid``, in O(1).  Below the gates
+    the O(n) rows ``_uniform_rows`` and ``_arcsine_rows`` pair a value
+    equal to a level's float with it at gap 0, which tiny eps needs.  A
+    smooth sum takes the gaps to the exact levels: a float t off its
+    level moves its term log|t + i root| by at most (t / root)^2 / 2,
+    far below the rounding of the sum."""
+    kind, lo, hi, c, k, _, last, _ = grid
+    if kind == "uniform":
+        smooth = root >= _SMOOTH * ((hi - lo) / (c * k))
+        return (_uniform_em if smooth else _uniform_rows)(grid, root)
+    smooth = (last + 1) * math.asinh(root / (0.5 * (hi - lo))) >= _SMOOTH
+    return (_arcsine_trapezoid if smooth else _arcsine_rows)(grid, root)
+
+
+def _uniform_em(grid: tuple, root: float):
+    """``_uniform_rows`` by Euler-Maclaurin, for root >= 20 h.
+
+    The grid's terms are the sum over d = 1 .. n - 1 of f(d),
+    f(x) = (n - x) g(x), g(x) = log|x h + i root|: the integral of f over
+    [0, n], which is n^2/2 times the mean of log|y - z + i root| over y
+    and z uniform on [0, n h] (``energy._segment_pair``, which neither
+    cancels nor overflows up to eps = 1e300), less f(0)/2, plus
+    B_2j/(2j)! (f^(2j-1)(n) - f^(2j-1)(0)), j = 1 .. 7.  As g is even,
+    those derivatives are (2j - 1) (g^(2j-2)(0) - g^(2j-2)(n)), and in
+    level units g^(m)(x) = -(m - 1)! Re (x + i a)^-m, a = root/h, for
+    even m >= 2.  A row sums log|t - x + i root| over the levels in the
+    same way: the integral (``energy._segment_mean``), the two end
+    values halved, and Stirling's tail differenced between the ends.
+    The first term left out is about 0.03 a^-14: from a = 20 up the
+    remainders are below the rounding of the sums, and at a = 2.5 a
+    k = 5000 grid errs by 3e-11 in ``2|Δ|/k^2``.
+    """
+    _, lo, hi, c, k, first, last, _ = grid  # an upper grid has no holes
+    h, n = (hi - lo) / (c * k), last - first + 1
+    log_root = math.log(root)
+    z0, zn = h / complex(0.0, root), h / complex(n * h, root)
+    terms = [0.5 * n * n * _segment_pair(0.0, n * h, 0.0, n * h, root),
+             -0.5 * n * log_root,
+             (log_root - math.log(math.hypot(n * h, root))) / 12]
+    terms.extend(b / (2 * j * (2 * j - 2))
+                 * ((zn ** (2 * j - 2)).real - (z0 ** (2 * j - 2)).real)
+                 for j, b in enumerate(_BERNOULLI, 2))
+    a, z = first * h, last * h
+
+    def row(v: float) -> float:
+        t = v - lo
+        p, q = complex(a - t, root), complex(z - t, root)
+        return ((last - first) * _segment_mean(t, a, z, root)
+                + 0.5 * (math.log(abs(p)) + math.log(abs(q)))
+                + (_stirling_tail(q / h) - _stirling_tail(p / h)).real)
+
+    return terms, row
+
+
+def _arcsine_trapezoid(grid: tuple, root: float):
+    """``_arcsine_rows`` by the trapezoid rule, for n asinh(root/r) >= 20.
+
+    Every real point then lies past ``full`` of ``_arcsine_rows``, so a
+    row is F = n log|(w + s)/2| - log|s| up to 5e-18.  At
+    x = centre - r cos(theta), F is even, 2 pi-periodic and analytic, and
+    its sum over the levels theta = pi j/n, j = 1 .. n - 1, is
+    n mean(F) - (F(0) + F(pi))/2 up to aliasing at frequency 2n, which
+    is below the dropped correction (Trefethen & Weideman, "The
+    exponentially convergent trapezoidal rule", SIAM Review 56, 2014).
+    The grid's terms halve that and take away (n - 1)/2 log root, the
+    levels' own factors.  The mean is the M-point rule on
+    theta = pi j/M, j = 0 .. M, ends halved, whose error falls like
+    e^(-2 M sigma): sigma = |Im acos(1 + i root/r)| is the distance of
+    F's branch points (s = 0 at theta = 0 and pi) from the real axis,
+    and M = ceil(20 / sigma).  A fixed M = 128 errs by 1.7e-13 in
+    ``2|Δ|/k^2`` at n = 5000, eps = 4e-5, r = 1, where M is 302.
+    """
+    _, lo, hi, _, _, _, last, _ = grid
+    n, r = last + 1, 0.5 * (hi - lo)
+
+    def at(x: float) -> float:  # F at x from the centre
+        w = complex(x, root)
+        s = cmath.sqrt(w - r) * cmath.sqrt(w + r)
+        return n * math.log(0.5 * abs(w + s)) - math.log(abs(s))
+
+    sigma = abs(cmath.acos(complex(1.0, root / r)).imag)
+    m = max(1, math.ceil(_SMOOTH / sigma))
+    ends = at(-r) + at(r)
+    inner = math.fsum(at(-r * math.cos(math.pi * j / m)) for j in range(1, m))
+    terms = [0.5 * n * (inner + 0.5 * ends) / m, -0.25 * ends,
+             -0.5 * (n - 1) * math.log(root)]
+    return terms, lambda v: at((v - lo) - r)
+
+
 def _uniform_rows(grid: tuple, root: float):
     """Half the pair sum of log(d^2 + root^2) over a uniform grid, as
     terms (n - d) log|d h + i root|, and the row function of a value v:
     the sum of log|v - x + i root| over the grid's floats x, so that a
-    value equal to one of them pairs with it at gap 0."""
+    value equal to one of them pairs with it at gap 0.  O(n) a call; a
+    smooth grid takes ``_uniform_em``."""
     _, lo, hi, c, k, first, last, _ = grid  # an upper grid has no holes
     h, n = (hi - lo) / (c * k), last - first + 1
     gaps = [d * h for d in range(1, n)]
@@ -511,7 +633,8 @@ def _arcsine_rows(grid: tuple, root: float):
     row takes its node from the exact angle pi j/n and leaves out its
     factor root, and levels j and n - j have the same row.  A value next
     to level j takes its gap from the float of level j, so that a value
-    equal to that float pairs with it at gap 0.
+    equal to that float pairs with it at gap 0.  O(n) a call; a smooth
+    grid takes ``_arcsine_trapezoid``.
     """
     _, lo, hi, _, _, _, last, _ = grid
     n, r = last + 1, 0.5 * (hi - lo)

@@ -8,6 +8,7 @@ and output, as the benchmark does before it reports a run as correct.
 import pytest
 
 from conftest import perfbench_module, run_cli
+from freeprob import _kernels, microstates
 
 workloads = perfbench_module("workloads")
 oracle = perfbench_module("oracle")
@@ -30,3 +31,41 @@ def test_every_job_passes_the_oracle(inputs, workload):
         if reason is not None:
             failed[job.id] = reason
     assert failed == {}
+
+
+GRID_JOBS = ("series-regularized-product:uniform",
+             "series-regularized-product:arcsine",
+             "microstate-upper:uniform", "microstate-upper:arcsine")
+
+
+def test_grid_jobs_take_the_smooth_sums(inputs, monkeypatch):
+    """The uniform and arcsine jobs of series-distinct sum their grids in
+    O(1): ``_pair_log_sum`` calls neither O(n) row nor renders a grid
+    float, and each sum is within 1e-14 of the numpy kernel's over the
+    microstate's floats in ``2|Δ|/k^2``."""
+    specs, paths = inputs
+    pair_log_sum, sums = microstates._pair_log_sum, []
+
+    def refuse(*args):
+        raise AssertionError("an O(n) grid sum was taken")
+
+    def smooth_only(ms, eps=0.0):
+        with pytest.MonkeyPatch.context() as inner:
+            for name in ("_uniform_rows", "_arcsine_rows", "_grid_values"):
+                inner.setattr(microstates, name, refuse)
+            value = pair_log_sum(ms, eps)
+        sums.append((ms, eps, value))
+        return value
+
+    monkeypatch.setattr(microstates, "_pair_log_sum", smooth_only)
+    jobs = [job for job in workloads.jobs_for("series-distinct")
+            if job.id in GRID_JOBS]
+    assert len(jobs) == len(GRID_JOBS)
+    for job in jobs:
+        res = run_cli(*job.resolve(paths))
+        assert oracle.check(job, specs, res.code, res.stdout) is None, job.id
+    assert len(sums) == 2 * len(workloads.KS) + 2
+    for ms, eps, value in sums:
+        assert ms.grid is not None
+        want = _kernels.pair_log_reg_sum(ms.values, eps, ms.counts)
+        assert 2.0 * abs(value - want) / ms.k ** 2 <= 1e-14, (ms.k, eps)

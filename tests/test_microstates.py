@@ -964,6 +964,130 @@ class TestArcsineGrid:
                 assert quantiles == fp.diffuse_quantile_batch(m, k).tolist()
 
 
+def _mp_distinct_pairs(values, counts, eps):
+    """The pair sum over the rendered floats, at 40 digits."""
+    with mpmath.workdps(40):
+        e = mpmath.mpf(eps)
+        terms = [c * (c - 1) // 2 * mpmath.log(e) for c in counts]
+        for a, (x, ca) in enumerate(zip(values, counts)):
+            terms.extend(ca * cb * mpmath.log((mpmath.mpf(x) - y) ** 2 + e)
+                         for y, cb in zip(values[a + 1:], counts[a + 1:]))
+        return float(mpmath.fsum(terms))
+
+
+class TestSmoothGridSums:
+    """Once sqrt(eps) is wide against the level spacing, an upper grid sums
+    in O(1): Euler-Maclaurin for a uniform grid (sqrt(eps)/h >= 20), the
+    trapezoid rule in the angle for an arcsine one
+    (n asinh(sqrt(eps)/r) >= 20).  Each gate is tested on both sides
+    against fsum over explicit pairs and mpmath."""
+
+    SIDES = {0.99: "below", 1.01: "smooth"}
+
+    @staticmethod
+    def _taken(monkeypatch):
+        """The names of the grid sums that ``_grid_rows`` calls."""
+        taken = []
+        for name in ("_uniform_em", "_uniform_rows", "_arcsine_trapezoid",
+                     "_arcsine_rows"):
+            def spy(*args, name=name, f=getattr(microstates, name)):
+                taken.append(name)
+                return f(*args)
+            monkeypatch.setattr(microstates, name, spy)
+        return taken
+
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    @pytest.mark.parametrize("m", [
+        fp.uniform_measure(-0.3, 1.7),
+        _atoms_plus_uniform([(0.25, 0.25), (1.7, 0.05)], -0.3, 1.7)],
+        ids=["pure", "atoms"])
+    def test_uniform_gate_against_explicit_pairs(self, m, side, monkeypatch):
+        k = 3000
+        ms = fp.build_upper_microstate(m, k)
+        _, lo, hi, c, _, _, last, _ = ms.grid
+        eps = (side * 20.0 * (hi - lo) / (c * k)) ** 2
+        taken = self._taken(monkeypatch)
+        got = _pair_log_sum(ms, eps)
+        smooth = self.SIDES[side] == "smooth"
+        assert taken == ["_uniform_em" if smooth else "_uniform_rows"]
+        want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
+        assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k)
+
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    def test_uniform_gate_against_mpmath(self, side, monkeypatch):
+        k = 60
+        m = _atoms_plus_uniform([(0.5, 0.5)], 0.0, 1.0)
+        ms = fp.build_upper_microstate(m, k)
+        assert ms.counts[ms.values.index(0.5)] == 31  # on level 15's float
+        eps = (side * 20.0 / k * 2.0) ** 2
+        taken = self._taken(monkeypatch)
+        got = _pair_log_sum(ms, eps)
+        assert taken == ["_uniform_em" if side > 1 else "_uniform_rows"]
+        want = _mp_distinct_pairs(ms.values, ms.counts, eps)
+        assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k)
+
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    @pytest.mark.parametrize("m, k", [(fp.arcsine_measure(-1.0, 1.0), 3000),
+                                      (_arcsine_with_atoms(), 2995)],
+                             ids=["pure", "atoms"])
+    def test_arcsine_gate_against_explicit_pairs(self, m, k, side,
+                                                 monkeypatch):
+        ms = fp.build_upper_microstate(m, k)
+        _, lo, hi, _, _, _, last, _ = ms.grid
+        eps = (side * 0.5 * (hi - lo) * math.sinh(20.0 / (last + 1))) ** 2
+        taken = self._taken(monkeypatch)
+        got = _pair_log_sum(ms, eps)
+        assert taken == ["_arcsine_trapezoid" if side > 1 else "_arcsine_rows"]
+        want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
+        assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k)
+
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    @pytest.mark.parametrize("m, k", [(fp.arcsine_measure(-0.7, 1.3), 8),
+                                      (_arcsine_with_atoms(), 10)],
+                             ids=["pure", "atoms"])
+    def test_arcsine_gate_against_mpmath(self, m, k, side, monkeypatch):
+        ms = fp.build_upper_microstate(m, k)
+        _, lo, hi, _, _, _, last, _ = ms.grid
+        eps = (side * 0.5 * (hi - lo) * math.sinh(20.0 / (last + 1))) ** 2
+        taken = self._taken(monkeypatch)
+        got = _pair_log_sum(ms, eps)
+        assert taken == ["_arcsine_trapezoid" if side > 1 else "_arcsine_rows"]
+        want = _mp_reg_sum(ms, eps)
+        assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k)
+
+    @pytest.mark.parametrize("m, first_smooth", [
+        (fp.uniform_measure(-0.3, 1.7), 0.1),
+        (fp.arcsine_measure(-0.7, 1.3), 1e-4)], ids=["uniform", "arcsine"])
+    def test_eps_range_at_k_3000(self, m, first_smooth, monkeypatch):
+        # at k = 3000 the benchmark's eps 0.1 and 0.5 pass both gates; at
+        # eps = 1e-4 the uniform gate reads 15, the arcsine one 30
+        k = 3000
+        ms = fp.build_upper_microstate(m, k)
+        taken = self._taken(monkeypatch)
+        for eps in EPS_RANGE:
+            got = _pair_log_sum(ms, eps)
+            smooth = taken.pop() in ("_uniform_em", "_arcsine_trapezoid")
+            assert smooth == (eps >= first_smooth), eps
+            want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
+            assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
+
+    def test_arcsine_angle_rule_follows_the_branch_points(self, monkeypatch):
+        # n = 5000, eps = 4e-5, r = 1: the gate reads 31.6, and the row's
+        # branch points lie 0.08 off the real angle axis.  The mean needs
+        # M = 302 angles; a fixed M = 128 errs by 1.7e-13 in 2|Δ|/k^2.
+        k, eps = 5000, 4e-5
+        ms = fp.build_upper_microstate(fp.arcsine_measure(-1.0, 1.0), k)
+        taken = self._taken(monkeypatch)
+        got = _pair_log_sum(ms, eps)
+        assert taken == ["_arcsine_trapezoid"]
+        kernel = _kernels.pair_log_reg_sum(ms.values, eps, ms.counts)
+        monkeypatch.setattr(microstates, "_SMOOTH", math.inf)
+        rows = _pair_log_sum(ms, eps)
+        assert taken == ["_arcsine_trapezoid", "_arcsine_rows"]
+        for want in (rows, kernel):
+            assert 2.0 * abs(got - want) / k ** 2 <= 1e-15
+
+
 class TestAtomOnlyUpper:
     """An atom-only upper microstate sums its pairs in math, as its lower
     twin does; the oracles are fsum over the explicit pairs of its
