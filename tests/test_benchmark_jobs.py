@@ -3,6 +3,8 @@
 Every job of ``perfbench/workloads.py`` runs at seeds 1, 2 and 3 through
 ``freeprob.cli.main``, and ``perfbench/oracle.py`` checks its exit code
 and output, as the benchmark does before it reports a run as correct.
+The uniform and arcsine jobs of series-distinct must also sum their
+grids in O(1), so that a slide back to the O(n) rows fails a test.
 """
 
 import pytest

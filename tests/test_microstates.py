@@ -3,6 +3,7 @@
 import math
 import pickle
 from fractions import Fraction
+from itertools import chain
 
 import mpmath
 import numpy as np
@@ -838,12 +839,17 @@ def _arcsine_with_atoms():
 
 def _mp_reg_sum(ms, eps):
     """The pair sum over the microstate's exact entries, at 40 digits: its
-    arcsine levels lo + w sin(pi j/2n)^2 and its other values' floats."""
-    _, lo, hi, c, k, first, last, _ = ms.grid
+    arcsine levels lo + w sin(pi j/2n)^2 or uniform levels lo + w j/(c k),
+    and its other values' floats."""
+    kind, lo, hi, c, k, first, last, _ = ms.grid
     with mpmath.workdps(40):
         w, n = mpmath.mpf(hi) - mpmath.mpf(lo), last + 1
-        entries = [(mpmath.mpf(lo) + w * mpmath.sin(mpmath.pi * j / (2 * n))
-                    ** 2, 1) for j in range(first, last + 1)]
+        if kind == "uniform":
+            n = mpmath.mpf(c) * k
+        entries = [(mpmath.mpf(lo) + w * (
+            j / n if kind == "uniform"
+            else mpmath.sin(mpmath.pi * j / (2 * n)) ** 2), 1)
+            for j in range(first, last + 1)]
         entries += [(mpmath.mpf(v), m) for v, m in zip(*ms.off_grid)]
         e = mpmath.mpf(eps)
         terms = []
@@ -964,17 +970,6 @@ class TestArcsineGrid:
                 assert quantiles == fp.diffuse_quantile_batch(m, k).tolist()
 
 
-def _mp_distinct_pairs(values, counts, eps):
-    """The pair sum over the rendered floats, at 40 digits."""
-    with mpmath.workdps(40):
-        e = mpmath.mpf(eps)
-        terms = [c * (c - 1) // 2 * mpmath.log(e) for c in counts]
-        for a, (x, ca) in enumerate(zip(values, counts)):
-            terms.extend(ca * cb * mpmath.log((mpmath.mpf(x) - y) ** 2 + e)
-                         for y, cb in zip(values[a + 1:], counts[a + 1:]))
-        return float(mpmath.fsum(terms))
-
-
 class TestSmoothGridSums:
     """Once sqrt(eps) is wide against the level spacing, an upper grid sums
     in O(1): Euler-Maclaurin for a uniform grid (sqrt(eps)/h >= 20), the
@@ -982,78 +977,58 @@ class TestSmoothGridSums:
     (n asinh(sqrt(eps)/r) >= 20).  Each gate is tested on both sides
     against fsum over explicit pairs and mpmath."""
 
-    SIDES = {0.99: "below", 1.01: "smooth"}
+    SIDES = [0.99, 1.01]  # times the root at the gate
+    PATHS = {"uniform": ("_uniform_rows", "_uniform_em"),
+             "arcsine": ("_arcsine_rows", "_arcsine_trapezoid")}
 
-    @staticmethod
-    def _taken(monkeypatch):
+    @classmethod
+    def _taken(cls, monkeypatch):
         """The names of the grid sums that ``_grid_rows`` calls."""
         taken = []
-        for name in ("_uniform_em", "_uniform_rows", "_arcsine_trapezoid",
-                     "_arcsine_rows"):
+        for name in chain.from_iterable(cls.PATHS.values()):
             def spy(*args, name=name, f=getattr(microstates, name)):
                 taken.append(name)
                 return f(*args)
             monkeypatch.setattr(microstates, name, spy)
         return taken
 
-    @pytest.mark.parametrize("side", sorted(SIDES))
-    @pytest.mark.parametrize("m", [
-        fp.uniform_measure(-0.3, 1.7),
-        _atoms_plus_uniform([(0.25, 0.25), (1.7, 0.05)], -0.3, 1.7)],
-        ids=["pure", "atoms"])
-    def test_uniform_gate_against_explicit_pairs(self, m, side, monkeypatch):
-        k = 3000
-        ms = fp.build_upper_microstate(m, k)
-        _, lo, hi, c, _, _, last, _ = ms.grid
-        eps = (side * 20.0 * (hi - lo) / (c * k)) ** 2
-        taken = self._taken(monkeypatch)
-        got = _pair_log_sum(ms, eps)
-        smooth = self.SIDES[side] == "smooth"
-        assert taken == ["_uniform_em" if smooth else "_uniform_rows"]
-        want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
-        assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k)
+    @staticmethod
+    def _gate_root(grid):
+        """The root at which the grid's gate reads 20."""
+        kind, lo, hi, c, k, _, last, _ = grid
+        if kind == "uniform":
+            return 20.0 * ((hi - lo) / (c * k))
+        return 0.5 * (hi - lo) * math.sinh(20.0 / (last + 1))
 
-    @pytest.mark.parametrize("side", sorted(SIDES))
-    def test_uniform_gate_against_mpmath(self, side, monkeypatch):
-        k = 60
-        m = _atoms_plus_uniform([(0.5, 0.5)], 0.0, 1.0)
-        ms = fp.build_upper_microstate(m, k)
-        assert ms.counts[ms.values.index(0.5)] == 31  # on level 15's float
-        eps = (side * 20.0 / k * 2.0) ** 2
+    def _check_gate(self, ms, side, want, monkeypatch):
+        eps = (side * self._gate_root(ms.grid)) ** 2
         taken = self._taken(monkeypatch)
         got = _pair_log_sum(ms, eps)
-        assert taken == ["_uniform_em" if side > 1 else "_uniform_rows"]
-        want = _mp_distinct_pairs(ms.values, ms.counts, eps)
-        assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k)
+        assert taken == [self.PATHS[ms.grid[0]][side > 1]]
+        want = want(ms, eps)
+        assert 2.0 * abs(got - want) / ms.k ** 2 <= _reg_tol(want, ms.k)
 
-    @pytest.mark.parametrize("side", sorted(SIDES))
-    @pytest.mark.parametrize("m, k", [(fp.arcsine_measure(-1.0, 1.0), 3000),
-                                      (_arcsine_with_atoms(), 2995)],
-                             ids=["pure", "atoms"])
-    def test_arcsine_gate_against_explicit_pairs(self, m, k, side,
-                                                 monkeypatch):
-        ms = fp.build_upper_microstate(m, k)
-        _, lo, hi, _, _, _, last, _ = ms.grid
-        eps = (side * 0.5 * (hi - lo) * math.sinh(20.0 / (last + 1))) ** 2
-        taken = self._taken(monkeypatch)
-        got = _pair_log_sum(ms, eps)
-        assert taken == ["_arcsine_trapezoid" if side > 1 else "_arcsine_rows"]
-        want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
-        assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k)
+    @pytest.mark.parametrize("side", SIDES)
+    @pytest.mark.parametrize("m, k", [
+        (fp.uniform_measure(-0.3, 1.7), 3000),
+        (_atoms_plus_uniform([(0.25, 0.25), (1.7, 0.05)], -0.3, 1.7), 3000),
+        (fp.arcsine_measure(-1.0, 1.0), 3000),
+        (_arcsine_with_atoms(), 2995)],
+        ids=["uniform", "uniform-atoms", "arcsine", "arcsine-atoms"])
+    def test_gate_against_explicit_pairs(self, m, k, side, monkeypatch):
+        self._check_gate(fp.build_upper_microstate(m, k), side,
+                         lambda ms, eps: _fsum_distinct_pairs(
+                             ms.values, ms.counts, eps), monkeypatch)
 
-    @pytest.mark.parametrize("side", sorted(SIDES))
-    @pytest.mark.parametrize("m, k", [(fp.arcsine_measure(-0.7, 1.3), 8),
-                                      (_arcsine_with_atoms(), 10)],
-                             ids=["pure", "atoms"])
-    def test_arcsine_gate_against_mpmath(self, m, k, side, monkeypatch):
-        ms = fp.build_upper_microstate(m, k)
-        _, lo, hi, _, _, _, last, _ = ms.grid
-        eps = (side * 0.5 * (hi - lo) * math.sinh(20.0 / (last + 1))) ** 2
-        taken = self._taken(monkeypatch)
-        got = _pair_log_sum(ms, eps)
-        assert taken == ["_arcsine_trapezoid" if side > 1 else "_arcsine_rows"]
-        want = _mp_reg_sum(ms, eps)
-        assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k)
+    @pytest.mark.parametrize("side", SIDES)
+    @pytest.mark.parametrize("m, k", [
+        (_atoms_plus_uniform([(0.5, 0.5)], 0.0, 1.0), 60),
+        (fp.arcsine_measure(-0.7, 1.3), 8),
+        (_arcsine_with_atoms(), 10)],
+        ids=["uniform-atom-on-a-level", "arcsine", "arcsine-atoms"])
+    def test_gate_against_mpmath(self, m, k, side, monkeypatch):
+        self._check_gate(fp.build_upper_microstate(m, k), side, _mp_reg_sum,
+                         monkeypatch)
 
     @pytest.mark.parametrize("m, first_smooth", [
         (fp.uniform_measure(-0.3, 1.7), 0.1),
@@ -1066,8 +1041,8 @@ class TestSmoothGridSums:
         taken = self._taken(monkeypatch)
         for eps in EPS_RANGE:
             got = _pair_log_sum(ms, eps)
-            smooth = taken.pop() in ("_uniform_em", "_arcsine_trapezoid")
-            assert smooth == (eps >= first_smooth), eps
+            assert taken.pop() == self.PATHS[ms.grid[0]][
+                eps >= first_smooth], eps
             want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
             assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
 
