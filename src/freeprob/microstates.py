@@ -24,15 +24,14 @@ it repeats).  The fillers add one log-gamma difference per value
 closed-form filler x filler sum.  An atom-only microstate has a few
 values (a lower one also about sqrt(k) fillers), so its pair sums run in
 ``math`` (up to 2^18 log terms).  A uniform diffuse part's quantiles are
-a grid lo + j h whose pair sums are closed forms in the levels j.  An
-arcsine part's quantiles lo + w sin^2(pi j/2n) with c k an integer n are
-the interior Chebyshev-Lobatto nodes of its interval, and its upper
-microstate's pair sum is n/2 closed-form row products
-(``_arcsine_rows``).  Once sqrt(eps) is wide against the level spacing,
-an upper microstate's grid sums are quadrature rules of analytic
-functions and cost O(1) (``_grid_rows``): Euler-Maclaurin for a uniform
-grid, the trapezoid rule in the angle for an arcsine one.  None of these
-loads numpy.  k is at most K_CAP.
+a grid lo + j h whose pair sums are closed forms in the levels j, and
+an upper microstate's cost O(1) at every eps: Euler-Maclaurin past a near
+field of at most 20 levels (``_uniform_em``).  An arcsine part's
+quantiles lo + w sin^2(pi j/2n) with c k an integer n are the interior
+Chebyshev-Lobatto nodes of its interval, and its upper microstate's pair
+sum is n/2 closed-form row products (``_arcsine_rows``), or once sqrt(eps)
+is wide against the level spacing the trapezoid rule in the angle, O(1)
+(``_grid_rows``).  None of these loads numpy.  k is at most K_CAP.
 
 Sums over the distinct-value pair set are taken over ordered pairs
 (both (i, j) and (j, i)), which is the normalization under which k^{-2}
@@ -469,11 +468,11 @@ def _pair_log_sum(microstate: DiagonalMicrostate, eps: float = 0.0) -> float:
     return 2.0 * math.fsum(terms)
 
 
-# A grid is smooth at root when root is wide against the level spacing:
-# root / h >= 20 on a uniform grid, n asinh(root / r) >= 20 on an arcsine
-# one.  Its sums are then quadrature rules of analytic functions, taken in
-# O(1) with remainders below the rounding of the sum: an arcsine rule
-# drops terms of e^(-2 * 20) = 4e-18, at the levels and in the angles.
+# A quadrature rule of an analytic function holds to below the rounding of
+# a sum once its singularities lie 20 units from the points: 20 levels on a
+# uniform grid, whose nearer levels ``_uniform_em`` sums one by one, and
+# n asinh(root / r) >= 20 on an arcsine one (smooth), whose rule drops
+# terms of e^(-2 * 20) = 4e-18, at the levels and in the angles.
 _SMOOTH = 20.0
 _BERNOULLI = (-1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)  # B_4..
 
@@ -481,57 +480,76 @@ _BERNOULLI = (-1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)  # B_4..
 def _grid_rows(grid: tuple, root: float):
     """Half the pair sum of log(d^2 + root^2) over an upper microstate's
     grid, as terms, and the row function of a value v: the sum of
-    log|v - x + i root| over the levels x.  A smooth grid takes
-    ``_uniform_em`` or ``_arcsine_trapezoid``, in O(1).  Below the gates
-    the O(n) rows ``_uniform_rows`` and ``_arcsine_rows`` pair a value
+    log|v - x + i root| over the levels x.  A uniform grid takes
+    ``_uniform_em`` and a smooth arcsine one ``_arcsine_trapezoid``, in
+    O(1); below the gate the O(n) rows ``_arcsine_rows`` pair a value
     equal to a level's float with it at gap 0, which tiny eps needs.  A
     smooth sum takes the gaps to the exact levels: a float t off its
     level moves its term log|t + i root| by at most (t / root)^2 / 2,
     far below the rounding of the sum."""
     kind, lo, hi, c, k, _, last, _ = grid
     if kind == "uniform":
-        smooth = root >= _SMOOTH * ((hi - lo) / (c * k))
-        return (_uniform_em if smooth else _uniform_rows)(grid, root)
+        return _uniform_em(grid, root)
     smooth = (last + 1) * math.asinh(root / (0.5 * (hi - lo))) >= _SMOOTH
     return (_arcsine_trapezoid if smooth else _arcsine_rows)(grid, root)
 
 
 def _uniform_em(grid: tuple, root: float):
-    """``_uniform_rows`` by Euler-Maclaurin, for root >= 20 h.
+    """``_grid_rows`` for a uniform grid, in O(1) at every root > 0.
 
-    The grid's terms are the sum over d = 1 .. n - 1 of f(d),
-    f(x) = (n - x) g(x), g(x) = log|x h + i root|: the integral of f over
-    [0, n], which is n^2/2 times the mean of log|y - z + i root| over y
-    and z uniform on [0, n h] (``energy._segment_pair``, which neither
-    cancels nor overflows up to eps = 1e300), less f(0)/2, plus
-    B_2j/(2j)! (f^(2j-1)(n) - f^(2j-1)(0)), j = 1 .. 7.  As g is even,
-    those derivatives are (2j - 1) (g^(2j-2)(0) - g^(2j-2)(n)), and in
-    level units g^(m)(x) = -(m - 1)! Re (x + i a)^-m, a = root/h, for
-    even m >= 2.  A row sums log|t - x + i root| over the levels in the
-    same way: the integral (``energy._segment_mean``), the two end
-    values halved, and Stirling's tail differenced between the ends.
-    The first term left out is about 0.03 a^-14: from a = 20 up the
-    remainders are below the rounding of the sums, and at a = 2.5 a
-    k = 5000 grid errs by 3e-11 in ``2|Δ|/k^2``.
+    With a = root/h, the summands below are analytic off +-i a in level
+    units, and from near = ceil(sqrt(max(0, 20^2 - a^2))) levels on they
+    lie at least 20 from there, where Euler-Maclaurin's B_2 .. B_14 terms
+    leave remainders below the rounding of the sums.  The grid's terms
+    sum f(d) = (n - d) g(d), g(d) = log|d h + i root|, over d = 1 .. n - 1:
+    one by one below d0 = min(n, max(1, near)), and from d0 on as the
+    integral of f over [d0, n] (``energy._segment_pair`` over [0, n h] and
+    [0, d0 h], ``energy._segment_mean`` over [0, d0 h]), f(d0)/2 and
+    B_2j/(2j)! (f^(2j-1)(n) - f^(2j-1)(d0)), j = 1 .. 7, with
+    f^(m) = (n - x) g^(m) - m g^(m-1) and, in level units,
+    g^(m)(x) = (-1)^(m-1) (m - 1)! Re (x + i a)^-m.  A row sums
+    log|t - x + i root| over the levels: those within near of t from their
+    floats, so that a value equal to a level's float pairs with it at gap
+    0, and each run beyond them by its integral (``energy._segment_mean``),
+    its end values halved and Stirling's tail differenced between its ends.
     """
     _, lo, hi, c, k, first, last, _ = grid  # an upper grid has no holes
     h, n = (hi - lo) / (c * k), last - first + 1
-    log_root = math.log(root)
-    z0, zn = h / complex(0.0, root), h / complex(n * h, root)
+    a = root / h
+    near = math.ceil(math.sqrt(max(0.0, _SMOOTH * _SMOOTH - a * a)))
+    d0 = min(n, max(1, near))
+    g0, gn = (math.log(math.hypot(d * h, root)) for d in (d0, n))
+    z0, zn = h / complex(d0 * h, root), h / complex(n * h, root)
     terms = [0.5 * n * n * _segment_pair(0.0, n * h, 0.0, n * h, root),
-             -0.5 * n * log_root,
-             (log_root - math.log(math.hypot(n * h, root))) / 12]
+             -0.5 * d0 * d0 * _segment_pair(0.0, d0 * h, 0.0, d0 * h, root),
+             -(n - d0) * d0 * _segment_mean(0.0, 0.0, d0 * h, root),
+             0.5 * (n - d0) * g0, (g0 - gn) / 12]
+    terms.extend((n - d) * math.log(math.hypot(d * h, root))
+                 for d in range(1, d0))
     terms.extend(b / (2 * j * (2 * j - 2))
                  * ((zn ** (2 * j - 2)).real - (z0 ** (2 * j - 2)).real)
                  for j, b in enumerate(_BERNOULLI, 2))
-    x0, x1 = first * h, last * h  # the end levels, from lo
+    terms.extend(-(n - d0) * b / (2 * j * (2 * j - 1))
+                 * (z0 ** (2 * j - 1)).real
+                 for j, b in enumerate((1 / 6, *_BERNOULLI), 1))
+
+    def run(t: float, a: int, z: int) -> float:  # over levels a .. z
+        p, q = complex(a * h - t, root), complex(z * h - t, root)
+        return ((z - a) * _segment_mean(t, a * h, z * h, root)
+                + 0.5 * (math.log(abs(p)) + math.log(abs(q)))
+                + (_stirling_tail(q / h) - _stirling_tail(p / h)).real)
 
     def row(v: float) -> float:
         t = v - lo
-        p, q = complex(x0 - t, root), complex(x1 - t, root)
-        return ((last - first) * _segment_mean(t, x0, x1, root)
-                + 0.5 * (math.log(abs(p)) + math.log(abs(q)))
-                + (_stirling_tail(q / h) - _stirling_tail(p / h)).real)
+        m = round(min(max(t / h, first - near), last + near))
+        a, z = max(first, m - near + 1), min(last, m + near - 1)
+        if a > z:
+            return run(t, first, last)
+        logs = [math.log(math.hypot(v - x, root))
+                for x in _grid_values(grid, range(a, z + 1))]
+        logs += [run(t, i, j) for i, j in ((first, a - 1), (z + 1, last))
+                 if i <= j]
+        return math.fsum(logs)
 
     return terms, row
 
@@ -571,26 +589,6 @@ def _arcsine_trapezoid(grid: tuple, root: float):
     return terms, lambda v: at((v - lo) - r)
 
 
-def _uniform_rows(grid: tuple, root: float):
-    """Half the pair sum of log(d^2 + root^2) over a uniform grid, as
-    terms (n - d) log|d h + i root|, and the row function of a value v:
-    the sum of log|v - x + i root| over the grid's floats x, so that a
-    value equal to one of them pairs with it at gap 0.  O(n) a call; a
-    smooth grid takes ``_uniform_em``."""
-    _, lo, hi, c, k, first, last, _ = grid  # an upper grid has no holes
-    h, n = (hi - lo) / (c * k), last - first + 1
-    gaps = [d * h for d in range(1, n)]
-    terms = list(map(mul, range(n - 1, 0, -1),
-                     map(math.log, map(math.hypot, gaps, repeat(root)))))
-    floats = _grid_values(grid, range(first, last + 1))
-
-    def row(v: float) -> float:
-        gaps = [v - x for x in floats]
-        return math.fsum(map(math.log, map(math.hypot, gaps, repeat(root))))
-
-    return terms, row
-
-
 def _lobatto_near(n: int, r: float, m: int, u: complex) -> float:
     """log((r/2)^(n-1) |U_{n-1}(t)|) at t = cos(theta) + u near the node
     theta = pi m/n, less log|r u|, the node's own factor, when 0 < m < n.
@@ -616,7 +614,7 @@ def _lobatto_near(n: int, r: float, m: int, u: complex) -> float:
 
 
 def _arcsine_rows(grid: tuple, root: float):
-    """``_uniform_rows`` for an arcsine part with c k = n.
+    """``_grid_rows`` for an arcsine part with c k = n, in O(n).
 
     Its levels j = 1 .. n - 1 sit at lo + r (1 - cos(pi j/n)),
     r = (hi - lo)/2: the interior Chebyshev-Lobatto nodes, whose monic

@@ -4,7 +4,8 @@ Every job of ``perfbench/workloads.py`` runs at seeds 1, 2 and 3 through
 ``freeprob.cli.main``, and ``perfbench/oracle.py`` checks its exit code
 and output, as the benchmark does before it reports a run as correct.
 The uniform and arcsine jobs of series-distinct must also sum their
-grids in O(1), so that a slide back to the O(n) rows fails a test.
+grids in O(1), so that a slide back to the O(n) arcsine rows, or a
+uniform near field at the benchmark's eps, fails a test.
 """
 
 import pytest
@@ -42,9 +43,10 @@ GRID_JOBS = ("series-regularized-product:uniform",
 
 def test_grid_jobs_take_the_smooth_sums(inputs, monkeypatch):
     """The uniform and arcsine jobs of series-distinct sum their grids in
-    O(1): ``_pair_log_sum`` calls neither O(n) row nor renders a grid
-    float, and each sum is within 1e-14 of the numpy kernel's over the
-    microstate's floats in ``2|Δ|/k^2``."""
+    O(1): ``_pair_log_sum`` calls no O(n) arcsine row and renders no grid
+    float, so a uniform grid's near field is empty, and each sum is within
+    1e-14 of the numpy kernel's over the microstate's floats in
+    ``2|Δ|/k^2``."""
     specs, paths = inputs
     pair_log_sum, sums = microstates._pair_log_sum, []
 
@@ -53,7 +55,7 @@ def test_grid_jobs_take_the_smooth_sums(inputs, monkeypatch):
 
     def smooth_only(ms, eps=0.0):
         with pytest.MonkeyPatch.context() as inner:
-            for name in ("_uniform_rows", "_arcsine_rows", "_grid_values"):
+            for name in ("_arcsine_rows", "_grid_values"):
                 inner.setattr(microstates, name, refuse)
             value = pair_log_sum(ms, eps)
         sums.append((ms, eps, value))

@@ -704,17 +704,18 @@ def _atoms_plus_uniform(atoms, lo, hi, support=None):
 
 def _fsum_distinct_pairs(values, counts, eps=0.0):
     """math.fsum of log((v_a - v_b)^2 + eps) over index pairs with
-    distinct values (plus C(c, 2) log eps for each value at eps > 0)."""
+    distinct values (plus C(c, 2) log eps for each value at eps > 0),
+    taken row by row: each row's rounding is half an ulp of a row sum."""
     values = np.asarray(values, dtype=float)
     counts = np.asarray(counts, dtype=float)
-    terms = []
+    rows = []  # each row's fsum: O(k) floats held, not O(k^2)
     for a in range(values.size - 1):
         d = values[a + 1:] - values[a]
         logs = np.log(d * d + eps) if eps else 2.0 * np.log(d)
-        terms.extend((counts[a] * counts[a + 1:] * logs).tolist())
+        rows.append(math.fsum((counts[a] * counts[a + 1:] * logs).tolist()))
     if eps:
-        terms.append(float(np.sum(counts * (counts - 1) / 2)) * math.log(eps))
-    return math.fsum(terms)
+        rows.append(float(np.sum(counts * (counts - 1) / 2)) * math.log(eps))
+    return math.fsum(rows)
 
 
 def _fsum_lower(ms):
@@ -971,21 +972,22 @@ class TestArcsineGrid:
 
 
 class TestSmoothGridSums:
-    """Once sqrt(eps) is wide against the level spacing, an upper grid sums
-    in O(1): Euler-Maclaurin for a uniform grid (sqrt(eps)/h >= 20), the
-    trapezoid rule in the angle for an arcsine one
-    (n asinh(sqrt(eps)/r) >= 20).  Each gate is tested on both sides
-    against fsum over explicit pairs and mpmath."""
+    """An upper grid's sums cost O(1) once sqrt(eps) is wide against the
+    level spacing.  A uniform grid takes Euler-Maclaurin at every eps,
+    whose near field empties from a = sqrt(eps)/h = 20 up; an arcsine grid
+    takes the trapezoid rule in the angle from n asinh(sqrt(eps)/r) >= 20
+    up.  Both sides of each are tested against fsum over explicit pairs
+    and mpmath."""
 
-    SIDES = [0.99, 1.01]  # times the root at the gate
-    PATHS = {"uniform": ("_uniform_rows", "_uniform_em"),
+    SIDES = [0.99, 1.01]  # times the root at a = 20 or the arcsine gate
+    PATHS = {"uniform": ("_uniform_em", "_uniform_em"),
              "arcsine": ("_arcsine_rows", "_arcsine_trapezoid")}
 
     @classmethod
     def _taken(cls, monkeypatch):
         """The names of the grid sums that ``_grid_rows`` calls."""
         taken = []
-        for name in chain.from_iterable(cls.PATHS.values()):
+        for name in dict.fromkeys(chain.from_iterable(cls.PATHS.values())):
             def spy(*args, name=name, f=getattr(microstates, name)):
                 taken.append(name)
                 return f(*args)
@@ -994,7 +996,7 @@ class TestSmoothGridSums:
 
     @staticmethod
     def _gate_root(grid):
-        """The root at which the grid's gate reads 20."""
+        """The root at which a = 20 or the arcsine gate reads 20."""
         kind, lo, hi, c, k, _, last, _ = grid
         if kind == "uniform":
             return 20.0 * ((hi - lo) / (c * k))
@@ -1034,8 +1036,9 @@ class TestSmoothGridSums:
         (fp.uniform_measure(-0.3, 1.7), 0.1),
         (fp.arcsine_measure(-0.7, 1.3), 1e-4)], ids=["uniform", "arcsine"])
     def test_eps_range_at_k_3000(self, m, first_smooth, monkeypatch):
-        # at k = 3000 the benchmark's eps 0.1 and 0.5 pass both gates; at
-        # eps = 1e-4 the uniform gate reads 15, the arcsine one 30
+        # at k = 3000 the benchmark's eps 0.1 and 0.5 reach a >= 20 and
+        # pass the arcsine gate; at eps = 1e-4, a = 15 and the arcsine gate
+        # reads 30
         k = 3000
         ms = fp.build_upper_microstate(m, k)
         taken = self._taken(monkeypatch)
@@ -1061,6 +1064,85 @@ class TestSmoothGridSums:
         assert taken == ["_arcsine_trapezoid", "_arcsine_rows"]
         for want in (rows, kernel):
             assert 2.0 * abs(got - want) / k ** 2 <= 1e-15
+
+
+def _near(grid, eps):
+    """A uniform grid's near field at eps: ceil(sqrt(400 - a^2)) levels,
+    a = sqrt(eps)/h, and none from a = 20 up."""
+    _, lo, hi, c, k = grid[:5]
+    a = math.sqrt(eps) / ((hi - lo) / (c * k))
+    return math.ceil(math.sqrt(max(0.0, 400.0 - a * a)))
+
+
+class TestUniformNearField:
+    """Below a = sqrt(eps)/h = 20 a uniform grid still sums in O(1): the
+    gaps and the levels nearer than the near field to a value are summed
+    one by one, the rest by Euler-Maclaurin.  The oracles are fsum over
+    explicit pairs at k = 5000 and mpmath at small k."""
+
+    # level 1234 of k = 5000 at mass 1/2 on [-0.7, 1.3] is the float
+    # 0.2872, 1.1e-16 below its level; the atom there merges with it
+    ON_A_LEVEL = _atoms_plus_uniform([(0.2872, 0.5)], -0.7, 1.3)
+
+    @pytest.mark.parametrize("m", [
+        fp.uniform_measure(-0.3, 1.7),
+        _atoms_plus_uniform([(0.25, 0.25), (1.7, 0.05)], -0.3, 1.7),
+        ON_A_LEVEL], ids=["uniform", "uniform-atoms", "atom-on-a-level"])
+    def test_matches_explicit_pairs_at_k_5000(self, m):
+        k = 5000
+        ms = fp.build_upper_microstate(m, k)
+        below = [eps for eps in EPS_RANGE if _near(ms.grid, eps)]
+        assert below[:5] == EPS_RANGE[:5]
+        for eps in below:
+            want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
+            got = _pair_log_sum(ms, eps)
+            assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
+
+    def test_the_atom_sits_on_a_level_float(self):
+        ms = fp.build_upper_microstate(self.ON_A_LEVEL, 5000)
+        [x] = microstates._grid_values(ms.grid, [1234])
+        assert x == 0.2872 and ms.counts[ms.values.index(x)] == 2501
+        assert (x - -0.7) - 1234 * (2.0 / 2500) == -2 ** -53
+
+    @pytest.mark.parametrize("a", [1e-30, 0.5, 3.0, 19.9, 20.1, 40.0])
+    @pytest.mark.parametrize("m, k", [
+        (fp.uniform_measure(-0.3, 1.7), 7),
+        (fp.uniform_measure(-0.3, 1.7), 60),
+        (_atoms_plus_uniform([(0.5, 0.5)], 0.0, 1.0), 60),
+        (_atoms_plus_uniform([(0.25, 0.25), (1.7, 0.05)], -0.3, 1.7), 20)],
+        ids=["uniform-7", "uniform-60", "atom-on-a-level-60", "atoms-20"])
+    def test_matches_mpmath(self, m, k, a):
+        # at k = 7 the grid's 6 levels all lie in the near field below
+        # a = 19: d0 = n, and no gap is left to Euler-Maclaurin
+        ms = fp.build_upper_microstate(m, k)
+        _, lo, hi, c, _, first, last, _ = ms.grid
+        eps = (a * ((hi - lo) / (c * k))) ** 2
+        if k == 7:
+            assert (_near(ms.grid, eps) >= last - first + 1) == (a < 19)
+        want = _mp_reg_sum(ms, eps)
+        got = _pair_log_sum(ms, eps)
+        assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k)
+
+    @pytest.mark.parametrize("a", [1e-30, 3.0, 19.9, 20.5, 40.0])
+    def test_a_row_renders_only_its_near_field(self, a, monkeypatch):
+        # the atom at 0.25 sits inside the grid; the one at 1.7 is b
+        ms = fp.build_upper_microstate(
+            _atoms_plus_uniform([(0.25, 0.25), (1.7, 0.05)], -0.3, 1.7), 3000)
+        _, lo, hi, c, k = ms.grid[:5]
+        eps = (a * ((hi - lo) / (c * k))) ** 2
+        rendered, grid_values = [], microstates._grid_values
+
+        def spy(grid, levels):
+            floats = grid_values(grid, levels)
+            rendered.append(len(floats))
+            return floats
+
+        monkeypatch.setattr(microstates, "_grid_values", spy)
+        _pair_log_sum(ms, eps)
+        near = _near(ms.grid, eps)
+        assert (near == 0) == (a > 20)
+        assert len(rendered) == (2 if near else 0)
+        assert all(0 < count <= 2 * near - 1 for count in rendered)
 
 
 class TestAtomOnlyUpper:

@@ -147,7 +147,9 @@ def test_atom_only_microstates_do_not_import_numpy(tmp_path):
                     ["series", "regularized-product", "--eps", "0.1",
                      "--ks", "10,400", "--measure", str(uniform)],
                     ["microstate", "--kind", "upper", "--k", "400", "--eps",
-                     "0.5", "--t", "0.05", "--measure", str(uniform)]]
+                     "0.5", "--t", "0.05", "--measure", str(uniform)],
+                    ["series", "regularized-product", "--eps", "1e-8",
+                     "--ks", "500,5000", "--measure", str(atom_uniform)]]
     # then every command that loads numpy, to probe dataclasses
     argvs = atom_only + uniform_part + [
         ["microstate", "--kind", "lower", "--k", "100", "--measure",
@@ -163,8 +165,8 @@ def test_atom_only_microstates_do_not_import_numpy(tmp_path):
                                       json.dumps(argvs)).splitlines()]
     assert [row[0] for row in rows] == argvs
     assert [code for _, code, _, _, _ in rows] == [0] * len(argvs)
-    assert [loaded for _, _, loaded, _, _ in rows[:8]] == [False] * 8
-    assert rows[8][2]  # the probe sees numpy once a semicircle is sampled
+    assert [loaded for _, _, loaded, _, _ in rows[:9]] == [False] * 9
+    assert rows[9][2]  # the probe sees numpy once a semicircle is sampled
     assert [argv for argv, _, _, dc, _ in rows if dc] == []
 
 
