@@ -133,8 +133,16 @@ def _g(t: complex) -> complex:
 
 def _segment_pair(a: float, b: float, c: float, e: float, d: float) -> float:
     """Mean of Re log(y - z + i d) over y uniform on [a, b] and z uniform
-    on [c, e]."""
+    on [c, e].  A segment of width L with itself, at beta = d/L < 2, is
+    log L + (1 - beta^2) log1p(beta^2)/2 + beta^2 log beta
+    + 2 beta atan(1/beta) - 3/2, whose terms cancel from beta = 2 on."""
     p, q = b - a, e - c
+    if a == c and b == e and d < 2.0 * p:
+        beta = d / p
+        cross = (beta * (beta * math.log(beta) + 2.0 * math.atan(1.0 / beta))
+                 if beta else 0.0)
+        return (math.log(p) + 0.5 * (1.0 - beta * beta) * math.log1p(
+            beta * beta) + cross - 1.5)
     corners = [complex(t, d) for t in (b - c, a - e, a - c, b - e)]
     scale = max(map(abs, corners))
     amplification = (scale / p) * (scale / q)

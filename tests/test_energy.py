@@ -348,12 +348,29 @@ class TestRegularizedOracles:
     @pytest.mark.parametrize("width", [10.0 ** (k / 2)
                                        for k in range(-16, 17)])
     def test_uniform_closed_form(self, width):
-        # at eps 1, widths above 1/2 take the four-term form and narrower
-        # ones the Gauss-Legendre mean
+        # at eps 1, widths above 1/2 take the self-pair closed form and
+        # narrower ones the Gauss-Legendre mean
         res = fp.regularized_energy(fp.uniform_measure(0.0, width), 1.0)
         assert res.status == "ok"
         assert res.value == pytest.approx(
             uniform_regularized_energy(width, 1.0), abs=1e-12)
+
+    @pytest.mark.parametrize("width", [2.0, 0.37, 1e-5, 3e4])
+    def test_segment_self_pair_matches_mpmath(self, width):
+        # below d = 2L the closed form in beta = d/L, from there on the
+        # Gauss-Legendre mean; the oracle integrates (L - x) log(x^2 + d^2)
+        # over [0, L], split at d
+        assert energy._segment_pair(0.0, width, 0.0, width, 0.0) == \
+            math.log(width) - 1.5
+        for beta in [1e-300, 1e-8, 1.99, 1.999] + [i / 20 for i in range(61)]:
+            d = beta * width
+            with mpmath.workdps(40):
+                w, e = mpmath.mpf(width), mpmath.mpf(d)
+                want = float(mpmath.quad(
+                    lambda x: (w - x) * mpmath.log(x * x + e * e),
+                    [0, e, w] if 0 < e < w else [0, w]) / (w * w))
+            got = energy._segment_pair(0.0, width, 0.0, width, d)
+            assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), beta
 
     @pytest.mark.parametrize("r", [0.5, 1.3, 7.0])
     def test_arcsine_matches_the_elliptic_integral(self, r):
