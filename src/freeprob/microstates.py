@@ -487,7 +487,7 @@ def _grid_rows(grid: tuple, root: float):
     smooth sum takes the gaps to the exact levels: a float t off its
     level moves its term log|t + i root| by at most (t / root)^2 / 2,
     far below the rounding of the sum."""
-    kind, lo, hi, c, k, _, last, _ = grid
+    kind, lo, hi, _, _, _, last, _ = grid
     if kind == "uniform":
         return _uniform_em(grid, root)
     smooth = (last + 1) * math.asinh(root / (0.5 * (hi - lo))) >= _SMOOTH
@@ -533,22 +533,22 @@ def _uniform_em(grid: tuple, root: float):
                  * (z0 ** (2 * j - 1)).real
                  for j, b in enumerate((1 / 6, *_BERNOULLI), 1))
 
-    def run(t: float, a: int, z: int) -> float:  # over levels a .. z
-        p, q = complex(a * h - t, root), complex(z * h - t, root)
-        return ((z - a) * _segment_mean(t, a * h, z * h, root)
+    def run(t: float, i: int, j: int) -> float:  # over levels i .. j
+        p, q = complex(i * h - t, root), complex(j * h - t, root)
+        return ((j - i) * _segment_mean(t, i * h, j * h, root)
                 + 0.5 * (math.log(abs(p)) + math.log(abs(q)))
                 + (_stirling_tail(q / h) - _stirling_tail(p / h)).real)
 
     def row(v: float) -> float:
         t = v - lo
         m = round(min(max(t / h, first - near), last + near))
-        a, z = max(first, m - near + 1), min(last, m + near - 1)
-        if a > z:
+        i, j = max(first, m - near + 1), min(last, m + near - 1)
+        if i > j:  # no level within near of t
             return run(t, first, last)
         logs = [math.log(math.hypot(v - x, root))
-                for x in _grid_values(grid, range(a, z + 1))]
-        logs += [run(t, i, j) for i, j in ((first, a - 1), (z + 1, last))
-                 if i <= j]
+                for x in _grid_values(grid, range(i, j + 1))]
+        logs += [run(t, *ends) for ends in ((first, i - 1), (j + 1, last))
+                 if ends[0] <= ends[1]]
         return math.fsum(logs)
 
     return terms, row
