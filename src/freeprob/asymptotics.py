@@ -9,7 +9,9 @@ float64 around k = 20.  The module provides
 * ``selberg_mc_check``: a seeded Monte Carlo cross-check of that
   closed form on small cubes;
 * ``gamma_ratio_limit_series``: the normalized sequence
-  k^{-2} selberg_log(k), which tends to -log 4.
+  k^{-2} selberg_log(k), which tends to -log 4;
+* ``SeriesReport``: the record of every sampled series against its
+  limit or bound, this one and the three microstate series alike.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ if TYPE_CHECKING:
     from typing import Iterable
 
 __all__ = [
-    "GammaSeries",
     "SelbergMonteCarlo",
+    "SeriesReport",
     "GAMMA_RATIO_LIMIT",
     "selberg_log",
     "selberg_mc_check",
@@ -140,13 +142,31 @@ def selberg_mc_check(k: int, eps: float, samples: int,
     return SelbergMonteCarlo(estimate, closed, z)
 
 
-class GammaSeries(Record):
-    """The normalized log Gamma-ratio sequence and its limit -log 4.
+class SeriesReport(Record):
+    """A sampled sequence against its limit or eventual bound.
 
-    ``approach_side`` is "below", "above", or "mixed".
+    ``relation`` is "converges_to" or "eventually_at_least".  For the
+    former, ``achieved_gap`` is the signed gap at the largest k; for the
+    latter it is the worst (minimum) value-minus-target over the largest
+    quartile of the sampled ks, the finite stand-in for a liminf claim.
+    ``status`` is "not_converged" when the target is a regularized
+    energy that did not meet its tolerance, else "ok".
+    ``approach_side`` is worked out from ``values`` and ``target``, not
+    taken from the caller: "above" when every value is at least the
+    target, "below" when every value is under it, else "mixed".  ``extras`` carries
+    alternative-normalization diagnostics.
     """
 
-    __slots__ = ("ks", "normalized_values", "limit", "gaps", "approach_side")
+    __slots__ = ("ks", "values", "target", "relation", "achieved_gap",
+                 "status", "approach_side", "extras")
+    _defaults = {"extras": dict, "status": "ok", "approach_side": None}
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        sides = {v >= self.target for v in self.values}
+        side = ("above" if sides == {True} else
+                "below" if sides == {False} else "mixed")
+        object.__setattr__(self, "approach_side", side)
 
 
 def _validated_ks(ks: Iterable[int]) -> tuple[int, ...]:
@@ -158,21 +178,14 @@ def _validated_ks(ks: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def gamma_ratio_limit_series(ks: Iterable[int]) -> GammaSeries:
-    """k^{-2} selberg_log(k) over ``ks``; the limit is -log 4.
+def gamma_ratio_limit_series(ks: Iterable[int]) -> SeriesReport:
+    """k^{-2} selberg_log(k) over ``ks``, converging to -log 4.
 
-    The finite-k gap decays like O(log k / k); the approach side is
-    recorded so tests can assert a consistent one-sided trend.
+    The finite-k gap decays like O(log k / k); the report's
+    ``approach_side`` lets tests assert a consistent one-sided trend.
     """
     ks = _validated_ks(ks)
     values = tuple(selberg_log(k) / (k * k) for k in ks)
-    gaps = tuple(abs(v - GAMMA_RATIO_LIMIT) for v in values)
-    sides = {v >= GAMMA_RATIO_LIMIT for v in values}
-    if sides == {True}:
-        side = "above"
-    elif sides == {False}:
-        side = "below"
-    else:
-        side = "mixed"
-    return GammaSeries(ks=ks, normalized_values=values,
-                       limit=GAMMA_RATIO_LIMIT, gaps=gaps, approach_side=side)
+    return SeriesReport(ks=ks, values=values, target=GAMMA_RATIO_LIMIT,
+                        relation="converges_to",
+                        achieved_gap=values[-1] - GAMMA_RATIO_LIMIT)

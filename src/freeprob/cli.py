@@ -169,9 +169,8 @@ def build_parser() -> _Parser:
                             "microstate"),
             ("packing-constant", "packing constants of the lower "
                                  "microstate")):
-        handler = _cmd_gamma_ratio if kind == "gamma-ratio" else _cmd_series
-        p = _command(kinds, kind, help_, handler, _CSV,
-                     measure=handler is _cmd_series)
+        p = _command(kinds, kind, help_, _cmd_series, _CSV,
+                     measure=kind != "gamma-ratio")
         p.add_argument("--ks", type=_ks_arg, required=True,
                        help="comma-separated strictly increasing k values")
     p = kinds.choices["regularized-product"]
@@ -465,30 +464,21 @@ def _cmd_microstate(ns, loaded: Loaded):
     return _envelope(ns, inputs, {"result": body})
 
 
-def _cmd_gamma_ratio(ns, loaded: Loaded):
-    gs = gamma_ratio_limit_series(ns.ks)
-    body = {
-        "kind": ns.kind,
-        "ks": list(gs.ks),
-        "values": list(gs.normalized_values),
-        "target": gs.limit,
-        "relation": "converges_to",
-        "achieved_gap": gs.normalized_values[-1] - gs.limit,
-        "approach_side": gs.approach_side,
-    }
-    return _envelope(ns, {"ks": list(ns.ks)}, {"result": body})
-
-
 def _cmd_series(ns, loaded: Loaded):
-    [(path, measure)] = loaded
-    inputs: dict[str, Any] = {"ks": list(ns.ks), "measures": [path]}
-    if ns.kind == "regularized-product":
-        inputs.update(tol=ns.tol, eps=ns.eps)
-        report = regularized_product_series(measure, ns.eps, ns.ks, ns.tol)
-    elif ns.kind == "offdiag-sum":
-        report = offdiag_sum_series(measure, ns.ks)
+    inputs: dict[str, Any] = {"ks": list(ns.ks)}
+    if ns.kind == "gamma-ratio":
+        report = gamma_ratio_limit_series(ns.ks)
     else:
-        report = packing_constant_series(measure, ns.ks)
+        [(path, measure)] = loaded
+        inputs["measures"] = [path]
+        if ns.kind == "regularized-product":
+            inputs.update(tol=ns.tol, eps=ns.eps)
+            report = regularized_product_series(measure, ns.eps, ns.ks,
+                                                ns.tol)
+        elif ns.kind == "offdiag-sum":
+            report = offdiag_sum_series(measure, ns.ks)
+        else:
+            report = packing_constant_series(measure, ns.ks)
     body = {"kind": ns.kind, **report._asdict()}
     if not report.extras:
         del body["extras"]

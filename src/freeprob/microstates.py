@@ -55,6 +55,7 @@ from ._kernels import (
 )
 from ._record import Record
 from .asymptotics import (
+    SeriesReport,
     _check_positive_int,
     _sum_log_factorials,
     _validated_ks,
@@ -83,7 +84,6 @@ __all__ = [
     "DiagonalMicrostate",
     "PairPartition",
     "CountingCheck",
-    "SeriesReport",
     "NoSolutionError",
     "build_upper_microstate",
     "build_lower_microstate",
@@ -175,23 +175,6 @@ class CountingCheck(Record):
     """Evaluation of the packing counting bound 2 #S_k + k <= (1-alpha) k^2."""
 
     __slots__ = ("k", "s_count", "lhs", "rhs", "margin", "holds")
-
-
-class SeriesReport(Record):
-    """A sampled sequence against its limit or eventual bound.
-
-    ``relation`` is "converges_to" or "eventually_at_least".  For the
-    former, ``achieved_gap`` is the signed gap at the largest k; for the
-    latter it is the worst (minimum) value-minus-target over the largest
-    quartile of the sampled ks, the finite stand-in for a liminf claim.
-    ``status`` is "not_converged" when the target is a regularized
-    energy that did not meet its tolerance, else "ok".  ``extras``
-    carries alternative-normalization diagnostics.
-    """
-
-    __slots__ = ("ks", "values", "target", "relation", "achieved_gap",
-                 "status", "extras")
-    _defaults = {"extras": dict, "status": "ok"}
 
 
 def _check_k(k: int) -> int:
@@ -721,10 +704,6 @@ def regularized_product_series(measure: SpectralMeasure, eps: float,
                         status=target.status)
 
 
-def _top_quartile(n: int) -> int:
-    return max(1, n // 4)
-
-
 def offdiag_sum_series(measure: SpectralMeasure,
                        ks: Iterable[int]) -> SeriesReport:
     """Distinct-value pair averages of the separated microstate.
@@ -740,7 +719,7 @@ def offdiag_sum_series(measure: SpectralMeasure,
     target = 2.0 * offdiag_energy(measure).value
     values = [2.0 * _pair_log_sum(build_lower_microstate(measure, k))
               / (k * k) for k in ks]
-    tail = values[-_top_quartile(len(ks)):]
+    tail = values[-max(1, len(ks) // 4):]
     achieved = min(v - target for v in tail)
     half = min(0.5 * v - target for v in tail)
     return SeriesReport(ks=tuple(ks), values=tuple(values), target=target,

@@ -1,6 +1,7 @@
 """Special-function backbone: Selberg product, normalizers."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -135,6 +136,13 @@ class TestSelbergMonteCarlo:
         with pytest.raises(ValueError):
             fp.selberg_mc_check(7, 0.5, 100)
 
+    def test_k1_has_no_variance(self):
+        # the Vandermonde product over one variable is empty, so every
+        # sample is 1, the variance 0, and z is 0 by definition
+        mc = fp.selberg_mc_check(1, 0.5, 1000)
+        assert mc == (1.0, 1.0, 0.0)
+        assert mc.mc_estimate == mc.closed_form == math.exp(fp.selberg_log(1))
+
     @pytest.mark.parametrize("eps", [0.0, -0.5, math.inf, math.nan])
     def test_rejects_eps_that_is_not_positive_and_finite(self, eps):
         # eps = inf returned (nan, inf, nan)
@@ -146,10 +154,9 @@ class TestGammaRatioSeries:
     def test_series_contract(self):
         gs = fp.gamma_ratio_limit_series([10, 100, 1000])
         assert gs.ks == (10, 100, 1000)
-        assert gs.limit == fp.GAMMA_RATIO_LIMIT
-        assert gs.gaps == tuple(abs(v - gs.limit)
-                                for v in gs.normalized_values)
-        assert gs.gaps[0] > gs.gaps[1] > gs.gaps[2]
+        assert gs.target == fp.GAMMA_RATIO_LIMIT
+        gaps = [abs(v - gs.target) for v in gs.values]
+        assert gaps[0] > gaps[1] > gaps[2]
         assert gs.approach_side == "above"
 
     def test_requires_increasing_ks(self):
@@ -159,6 +166,28 @@ class TestGammaRatioSeries:
             fp.gamma_ratio_limit_series([100, 10])
         with pytest.raises(ValueError):
             fp.gamma_ratio_limit_series([])
+
+    def test_is_a_series_report(self):
+        gs = fp.gamma_ratio_limit_series([10, 100])
+        assert isinstance(gs, fp.SeriesReport)
+        assert (gs.relation, gs.status, gs.extras) == ("converges_to", "ok",
+                                                       {})
+        assert gs.achieved_gap == gs.values[-1] - fp.GAMMA_RATIO_LIMIT
+
+
+class TestSeriesReport:
+    @pytest.mark.parametrize("values, side", [
+        ((1.5, 1.2), "above"),
+        ((1.5, 1.0), "above"),  # a value at the target counts as above
+        ((0.5, 0.9), "below"),
+        ((0.5, 1.5), "mixed"),
+        ((1.0, 0.5), "mixed"),
+    ])
+    def test_approach_side_from_values_and_target(self, values, side):
+        rep = fp.SeriesReport(ks=(1, 2), values=values, target=1.0,
+                              relation="converges_to", achieved_gap=0.0)
+        assert rep.approach_side == side
+        assert pickle.loads(pickle.dumps(rep)).approach_side == side
 
 
 class TestBallVolume:

@@ -396,9 +396,12 @@ class TestKnobDiscipline:
          "argument --format: invalid choice: 'csv'"),
         (("series",), "the following arguments are required: kind"),
         (("series", "--ks", "10,20"), "argument kind: invalid choice"),
+        (("series", "gamma-ratio", "--ks", ","),
+         "--ks must list at least one k"),
     ], ids=["undeclared-tol", "undeclared-eps", "undeclared-measure",
             "missing-measure", "missing-eps", "missing-k", "energy-csv",
-            "report-csv", "series-no-kind", "series-flag-before-kind"])
+            "report-csv", "series-no-kind", "series-flag-before-kind",
+            "empty-ks"])
     def test_argparse_refusals(self, mixed_path, argv, says):
         # each command's parser declares its own flags, so argparse makes
         # these refusals; they keep exit 1 and one usage line
@@ -736,6 +739,16 @@ class TestCommandPayloads:
             return res.json["result"]["monte_carlo"]["z_score"]
         assert z("1e-12") == z("0.5") != 0.0
 
+    def test_selberg_k1(self):
+        # one variable: an empty product with no variance and z = 0
+        res = run_cli("selberg", "--k", "1", "--format", "json")
+        assert res.code == 0
+        body = res.json["result"]
+        assert (body["selberg_log"], body["product"]) == (0.0, 1.0)
+        mc = body["monte_carlo"]
+        assert (mc["mc_estimate"], mc["closed_form"], mc["z_score"]) == (
+            1.0, 1.0, 0.0)
+
     def test_selberg_large_k_skips_mc(self):
         res = run_cli("selberg", "--k", "50", "--format", "json")
         assert "monte_carlo" not in res.json["result"]
@@ -859,11 +872,14 @@ class TestRecordPayloads:
                                                                "energies"}
 
     @pytest.mark.parametrize("kind, extra", [
-        ("offdiag-sum", ()), ("packing-constant", ()),
-        ("regularized-product", ("--eps", "0.1"))])
+        ("offdiag-sum", ("--measure", "M")),
+        ("packing-constant", ("--measure", "M")),
+        ("regularized-product", ("--eps", "0.1", "--measure", "M")),
+        ("gamma-ratio", ())])
     def test_series_result(self, mixed_path, kind, extra):
-        body = run_cli("series", kind, "--ks", "10,20", *extra, "--measure",
-                       mixed_path, "--format", "json").json["result"]
+        extra = (mixed_path if a == "M" else a for a in extra)
+        body = run_cli("series", kind, "--ks", "10,20", *extra,
+                       "--format", "json").json["result"]
         fields = _fields(fp.SeriesReport, "kind")
         # extras is left out when empty; only offdiag-sum fills it
         assert set(body) == (fields if kind == "offdiag-sum"

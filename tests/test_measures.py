@@ -299,6 +299,29 @@ class TestSerialization:
         assert exc.value.path == path
         assert exc.value.reason == "unknown key"
 
+    @pytest.mark.parametrize("spec, path, reason", [
+        ([], "", "expected an object, got list"),
+        ({"support": [0, 1], "diffuse": {"kind": "uniform", "mass": 1.0}},
+         "diffuse.params", "missing required key"),
+        ({"support": [0, 1],
+          "diffuse": {"kind": "piecewise_linear_cdf", "mass": 1.0,
+                      "params": {"knots": [[0, 0]]}}},
+         "diffuse.params.knots", "expected a list of >= 2 knots"),
+        ({"support": [0, 1], "atoms": {}}, "atoms",
+         "expected a list of atoms"),
+        ({"support": [0, 1],
+          "diffuse": {"kind": "gaussian", "mass": 1.0, "params": {}}},
+         "diffuse.kind", "unknown kind 'gaussian'; expected one of "),
+        ({"support": [0, 1], "atom_family": {"name": "example43"}},
+         "atom_family.name", "unknown family 'example43'"),
+    ], ids=["top-list", "no-params", "one-knot", "atoms-object",
+            "unknown-kind", "unknown-family"])
+    def test_malformed_spec_rejected_at_its_path(self, spec, path, reason):
+        with pytest.raises(fp.MeasureSpecError) as exc:
+            fp.measure_from_dict(spec)
+        assert exc.value.path == path
+        assert exc.value.reason.startswith(reason)
+
     def test_validate_reports_unknown_param(self):
         m = fp.SpectralMeasure(
             support=(0.0, 1.0),

@@ -1235,12 +1235,24 @@ class TestRecords:
         assert list(rep._asdict().items()) == [
             ("ks", (1,)), ("values", (0.0,)), ("target", 0.0),
             ("relation", "converges_to"), ("achieved_gap", 0.0),
-            ("status", "ok"), ("extras", {})]
+            ("status", "ok"), ("approach_side", "above"), ("extras", {})]
         changed = fp.SeriesReport((1,), (0.0,), 1.0, "converges_to", 0.0,
                                   "not_converged")
         assert list(changed._asdict().values()) == [
-            (1,), (0.0,), 1.0, "converges_to", 0.0, "not_converged", {}]
+            (1,), (0.0,), 1.0, "converges_to", 0.0, "not_converged",
+            "below", {}]
         with pytest.raises(TypeError, match="missing"):
             fp.PairPartition(k=1, s_count=0)
         with pytest.raises(TypeError, match="unexpected"):
             fp.PairPartition(k=1, s_count=0, w_count=0, extra=1)
+
+    def test_refusals_and_foreign_equality(self):
+        with pytest.raises(TypeError, match="takes 3 fields, got 4"):
+            fp.PairPartition(1, 0, 0, 0)
+        part = fp.PairPartition(k=1, s_count=0, w_count=0)
+        with pytest.raises(AttributeError, match="immutable"):
+            del part.k
+        assert part.k == 1
+        assert part.__eq__((1, 0, 0)) is NotImplemented
+        assert part != (1, 0, 0)
+        assert part != fp.CountingCheck(1, 0, 0.0, 0.0, 0.0, True)
