@@ -43,20 +43,30 @@ GRID_JOBS = ("series-regularized-product:uniform",
 
 def test_grid_jobs_take_the_smooth_sums(inputs, monkeypatch):
     """The uniform and arcsine jobs of series-distinct sum their grids in
-    O(1): ``_pair_log_sum`` calls no O(n) arcsine row and renders no grid
-    float, so a uniform grid's near field is empty, and each sum is within
-    1e-14 of the numpy kernel's over the microstate's floats in
-    ``2|Δ|/k^2``."""
+    O(1): a grid sum returns at most 20 terms (the uniform 18, the arcsine
+    trapezoid rule 3, where its O(n) rows would return n // 2 >= 250) and
+    renders no grid float, so a uniform grid's near field is empty, and
+    each sum is within 1e-14 of the numpy kernel's over the microstate's
+    floats in ``2|Δ|/k^2``."""
     specs, paths = inputs
     pair_log_sum, sums = microstates._pair_log_sum, []
 
     def refuse(*args):
-        raise AssertionError("an O(n) grid sum was taken")
+        raise AssertionError("a grid float was rendered")
+
+    def few_terms(grid_sums):
+        def wrapped(grid, root):
+            terms, row = grid_sums(grid, root)
+            assert len(terms) <= 20, "an O(n) grid sum was taken"
+            return terms, row
+        return wrapped
 
     def smooth_only(ms, eps=0.0):
         with pytest.MonkeyPatch.context() as inner:
-            for name in ("_arcsine_rows", "_grid_values"):
-                inner.setattr(microstates, name, refuse)
+            inner.setattr(microstates, "_grid_values", refuse)
+            for name in ("_uniform_sums", "_arcsine_sums"):
+                inner.setattr(microstates, name,
+                              few_terms(getattr(microstates, name)))
             value = pair_log_sum(ms, eps)
         sums.append((ms, eps, value))
         return value

@@ -3,7 +3,6 @@
 import math
 import pickle
 from fractions import Fraction
-from itertools import chain
 
 import mpmath
 import numpy as np
@@ -734,20 +733,36 @@ def _fsum_lower(ms):
     return math.fsum(terms)
 
 
+# holes next to each other (0.01 and 0.013 are 3.3 levels apart at k = 2000)
+# and next to the grid's ends
+CLOSE_HOLES = [(0.01, 0.2), (0.013, 0.1), (0.5, 0.05), (0.995, 0.1)]
+
+
 class TestUniformGrid:
     """A uniform part's quantiles are a grid, whose pair sums come in
     closed form; the oracle is math.fsum over explicit pairs."""
 
     TWO_ATOMS = [(0.4, 0.3), (1.0, 0.1)]
 
-    @pytest.mark.parametrize("k", [500, 5000])
-    def test_lower_matches_explicit_pairs(self, k):
-        m = _atoms_plus_uniform(self.TWO_ATOMS, -0.7, 1.3)
+    @pytest.mark.parametrize("atoms, k", [
+        pytest.param(TWO_ATOMS, 500, id="500"),
+        pytest.param(TWO_ATOMS, 5000, id="5000"),
+        *[pytest.param(CLOSE_HOLES, k, id=f"close-holes-{k}")
+          for k in (30, 60, 200, 500, 2000)]])
+    def test_lower_matches_explicit_pairs(self, atoms, k):
+        # against mpmath over the exact levels up to k = 200, else fsum
+        if atoms is self.TWO_ATOMS:
+            m = _atoms_plus_uniform(atoms, -0.7, 1.3)
+        else:
+            m = _atoms_plus_uniform(atoms, 0.0, 1.0)
         ms = fp.build_lower_microstate(m, k)
-        assert ms.grid is not None and len(ms.grid[-1]) == 4
-        assert ms.excluded_quantile_count == 4
+        assert ms.grid is not None
+        assert ms.excluded_quantile_count == len(ms.grid[-1])
+        if atoms is self.TWO_ATOMS:
+            assert ms.excluded_quantile_count == 4
+        want = _mp_reg_sum(ms) if k <= 200 else _fsum_lower(ms)
         got = _pair_log_sum(ms)
-        assert 2.0 * abs(got - _fsum_lower(ms)) / k ** 2 <= 1e-14
+        assert 2.0 * abs(got - want) / k ** 2 <= 1e-14
 
     @pytest.mark.parametrize("eps", [0.1, 0.5])
     def test_upper_matches_explicit_pairs(self, eps):
@@ -838,11 +853,13 @@ def _arcsine_with_atoms():
         diffuse=fp.DiffusePart("arcsine", 0.6, {"lo": -0.4, "hi": 1.6}))
 
 
-def _mp_reg_sum(ms, eps):
+def _mp_reg_sum(ms, eps=0.0):
     """The pair sum over the microstate's exact entries, at 40 digits: its
-    arcsine levels lo + w sin(pi j/2n)^2 or uniform levels lo + w j/(c k),
-    and its other values' floats."""
-    kind, lo, hi, c, k, first, last, _ = ms.grid
+    arcsine levels lo + w sin(pi j/2n)^2 or uniform levels lo + w j/(c k)
+    but the holes, its other values' floats and its fillers b + 3 + j/F.
+    At eps = 0 equal entries drop out."""
+    kind, lo, hi, c, k, first, last, holes = ms.grid
+    f = ms.filler_count
     with mpmath.workdps(40):
         w, n = mpmath.mpf(hi) - mpmath.mpf(lo), last + 1
         if kind == "uniform":
@@ -850,12 +867,15 @@ def _mp_reg_sum(ms, eps):
         entries = [(mpmath.mpf(lo) + w * (
             j / n if kind == "uniform"
             else mpmath.sin(mpmath.pi * j / (2 * n)) ** 2), 1)
-            for j in range(first, last + 1)]
+            for j in range(first, last + 1) if j not in holes]
         entries += [(mpmath.mpf(v), m) for v, m in zip(*ms.off_grid)]
+        entries += [(mpmath.mpf(ms.filler_base) + 3 + mpmath.mpf(j) / f, 1)
+                    for j in range(1, f + 1)]
         e = mpmath.mpf(eps)
         terms = []
         for a, (x, ca) in enumerate(entries):
-            terms.append(ca * (ca - 1) // 2 * mpmath.log(e))
+            if eps:
+                terms.append(ca * (ca - 1) // 2 * mpmath.log(e))
             terms.extend(ca * cb * mpmath.log((x - y) ** 2 + e)
                          for y, cb in entries[a + 1:])
         return float(mpmath.fsum(terms))
@@ -934,6 +954,38 @@ class TestArcsineGrid:
                 want = _fsum_distinct_pairs(near.values, near.counts, eps)
                 assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k)
 
+    @staticmethod
+    def _moved(spec, s):
+        """The specs of ``test_moved_to_1e6_sums_as_at_0`` at s: binary
+        fractions from s, which move exactly, and no zero padding, which
+        would stay at 0."""
+        if spec == "uniform":
+            return fp.uniform_measure(s - 1.0, s + 1.0)
+        if spec == "uniform-atom":
+            return _atoms_plus_uniform([(s + 0.25, 0.25)], s - 1.0, s + 1.0)
+        return fp.SpectralMeasure(
+            support=(s - 0.375, s + 2.5),
+            atoms=(fp.Atom(s + 0.875, 0.25), fp.Atom(s + 2.5, 0.15)),
+            diffuse=fp.DiffusePart("arcsine", 0.6,
+                                   {"lo": s - 0.375, "hi": s + 1.625}))
+
+    @pytest.mark.parametrize("spec, k", [
+        ("uniform", 7), ("uniform", 500), ("uniform", 5000),
+        ("uniform-atom", 500), ("uniform-atom", 5000),
+        ("arcsine-atoms", 20), ("arcsine-atoms", 500),
+        ("arcsine-atoms", 5000)])
+    def test_moved_to_1e6_sums_as_at_0(self, spec, k):
+        # A row pairs an entry with the levels at their exact offsets from
+        # lo, which the move leaves alone, so with atoms and b the sum at
+        # 1e6 is the sum at 0 too.
+        far, near = (fp.build_upper_microstate(self._moved(spec, s), k)
+                     for s in (1e6, 0.0))
+        assert far.grid is not None and far.zero_count == near.zero_count == 0
+        for eps in EPS_RANGE:
+            want = microstates._pair_log_sum(near, eps)
+            got = microstates._pair_log_sum(far, eps)
+            assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
+
     @pytest.mark.parametrize("width", [1e-300, 1e160, 1e300])
     def test_extreme_widths_match_the_kernel(self, width):
         # sqrt(eps) / r underflows at width 1e300 and eps 5e-324
@@ -980,19 +1032,29 @@ class TestSmoothGridSums:
     and mpmath."""
 
     SIDES = [0.99, 1.01]  # times the root at a = 20 or the arcsine gate
-    PATHS = {"uniform": ("_uniform_em", "_uniform_em"),
-             "arcsine": ("_arcsine_rows", "_arcsine_trapezoid")}
 
-    @classmethod
-    def _taken(cls, monkeypatch):
-        """The names of the grid sums that ``_grid_rows`` calls."""
+    @staticmethod
+    def _taken(monkeypatch):
+        """The grid sums that ``_pair_log_sum`` calls: the uniform's by
+        name, the arcsine's as (name, number of the grid's terms)."""
         taken = []
-        for name in dict.fromkeys(chain.from_iterable(cls.PATHS.values())):
+        for name in ("_uniform_sums", "_arcsine_sums"):
             def spy(*args, name=name, f=getattr(microstates, name)):
-                taken.append(name)
-                return f(*args)
+                terms, row = f(*args)
+                taken.append(name if name == "_uniform_sums"
+                             else (name, len(terms)))
+                return terms, row
             monkeypatch.setattr(microstates, name, spy)
         return taken
+
+    @staticmethod
+    def _path(grid, smooth):
+        """What ``_taken`` records for a grid: the uniform's one sum, or
+        the arcsine's trapezoid rule (3 terms) when smooth and its O(n)
+        rows (n // 2 terms) when not; at n = 6 and 7 the counts agree."""
+        if grid[0] == "uniform":
+            return "_uniform_sums"
+        return "_arcsine_sums", 3 if smooth else (grid[6] + 1) // 2
 
     @staticmethod
     def _gate_root(grid):
@@ -1006,7 +1068,7 @@ class TestSmoothGridSums:
         eps = (side * self._gate_root(ms.grid)) ** 2
         taken = self._taken(monkeypatch)
         got = _pair_log_sum(ms, eps)
-        assert taken == [self.PATHS[ms.grid[0]][side > 1]]
+        assert taken == [self._path(ms.grid, side > 1)]
         want = want(ms, eps)
         assert 2.0 * abs(got - want) / ms.k ** 2 <= _reg_tol(want, ms.k)
 
@@ -1044,8 +1106,7 @@ class TestSmoothGridSums:
         taken = self._taken(monkeypatch)
         for eps in EPS_RANGE:
             got = _pair_log_sum(ms, eps)
-            assert taken.pop() == self.PATHS[ms.grid[0]][
-                eps >= first_smooth], eps
+            assert taken.pop() == self._path(ms.grid, eps >= first_smooth), eps
             want = _fsum_distinct_pairs(ms.values, ms.counts, eps)
             assert 2.0 * abs(got - want) / k ** 2 <= _reg_tol(want, k), eps
 
@@ -1057,11 +1118,11 @@ class TestSmoothGridSums:
         ms = fp.build_upper_microstate(fp.arcsine_measure(-1.0, 1.0), k)
         taken = self._taken(monkeypatch)
         got = _pair_log_sum(ms, eps)
-        assert taken == ["_arcsine_trapezoid"]
+        assert taken == [("_arcsine_sums", 3)]
         kernel = _kernels.pair_log_reg_sum(ms.values, eps, ms.counts)
         monkeypatch.setattr(microstates, "_SMOOTH", math.inf)
         rows = _pair_log_sum(ms, eps)
-        assert taken == ["_arcsine_trapezoid", "_arcsine_rows"]
+        assert taken == [("_arcsine_sums", 3), ("_arcsine_sums", 2500)]
         for want in (rows, kernel):
             assert 2.0 * abs(got - want) / k ** 2 <= 1e-15
 
@@ -1125,24 +1186,30 @@ class TestUniformNearField:
 
     @pytest.mark.parametrize("a", [1e-30, 3.0, 19.9, 20.5, 40.0])
     def test_a_row_renders_only_its_near_field(self, a, monkeypatch):
-        # the atom at 0.25 sits inside the grid; the one at 1.7 is b
+        # the atom at 0.25 sits inside the grid; the one at 1.7 is b, past
+        # the top level.  A row pairs the levels at their exact offsets
+        # and renders at most the float of the level nearest its value,
+        # inside the grid's span, to see whether the two are equal.
         ms = fp.build_upper_microstate(
             _atoms_plus_uniform([(0.25, 0.25), (1.7, 0.05)], -0.3, 1.7), 3000)
-        _, lo, hi, c, k = ms.grid[:5]
-        eps = (a * ((hi - lo) / (c * k))) ** 2
+        _, lo, hi, c, k, first, last, _ = ms.grid
+        h = (hi - lo) / (c * k)
+        eps = (a * h) ** 2
         rendered, grid_values = [], microstates._grid_values
 
         def spy(grid, levels):
-            floats = grid_values(grid, levels)
-            rendered.append(len(floats))
-            return floats
+            rendered.append(list(levels))
+            return grid_values(grid, levels)
 
         monkeypatch.setattr(microstates, "_grid_values", spy)
         _pair_log_sum(ms, eps)
         near = _near(ms.grid, eps)
         assert (near == 0) == (a > 20)
-        assert len(rendered) == (2 if near else 0)
-        assert all(0 < count <= 2 * near - 1 for count in rendered)
+        nearest = {round((v - lo) / h) for v in ms.off_grid[0]}
+        for levels in rendered:
+            assert len(levels) == 1 and levels[0] in nearest
+            assert first <= levels[0] <= last
+        assert len(rendered) == (0 if near == 0 else 1)
 
 
 class TestAtomOnlyUpper:
