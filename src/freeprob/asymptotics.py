@@ -46,11 +46,6 @@ DEFAULT_SEED = 42
 _MC_CHUNK = 1 << 14
 
 
-def _sum_log_factorials(k: int) -> float:
-    """sum_{j=1..k} log j! = sum_{i<=k} (k + 1 - i) log i, exactly accumulated."""
-    return math.fsum(map(mul, range(k, 0, -1), map(math.log, range(1, k + 1))))
-
-
 def _check_positive_int(k, name: str = "k") -> int:
     try:
         value = index(k)

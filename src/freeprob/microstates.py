@@ -19,9 +19,10 @@ and a lower one keeps its fillers symbolic as (F, b); only
 ``eigenvalues`` expands them to floats.  One pair sum serves both kinds,
 at eps = 0 and at eps > 0 (``_pair_log_sum``).  Over U distinct values
 the numpy kernel takes O(U^2) terms (an atom counts once, however often
-it repeats).  The fillers add one log-gamma difference per value
-(``_filler_log_sum``) and, because their gaps are (j - i)/F, a
-closed-form filler x filler sum.  An atom-only microstate has a few
+it repeats).  The fillers add one Stirling difference per value
+(``_filler_log_sum``) and, their gaps being (j - i)/F, log-factorials,
+exact sums from one table grown on first use (``_log_factorials``) that
+serves every log-factorial here.  An atom-only microstate has a few
 values (a lower one also about sqrt(k) fillers), so its pair sums run in
 ``math`` (up to 2^18 log terms).  A uniform diffuse part's quantiles
 are a grid lo + j h, and an arcsine part's with c k an integer n the
@@ -59,7 +60,6 @@ from ._record import Record
 from .asymptotics import (
     SeriesReport,
     _check_positive_int,
-    _sum_log_factorials,
     _validated_ks,
 )
 from .energy import (
@@ -112,6 +112,9 @@ K_CAP = 5000
 # Once numpy is loaded the kernel is quicker from about 200 terms and at
 # most 35 us slower below; the library keeps math there anyway.
 _MATH_TERMS = 1 << 18
+# The table (A_i, S_i) of ``_log_factorials``: grown on first use, never at
+# import, to the largest i asked for, which is at most 2 K_CAP - 1.
+_LOG_FACTORIALS = ([0], [0])
 
 
 class NoSolutionError(ValueError):
@@ -353,21 +356,38 @@ def _stirling_tail(z: float) -> float:
 
 
 def _log_steps(offset: float, n: int) -> float:
-    """Sum of log(offset + j/n) over j = 1 .. n, for offset > -1/n: up to
-    16 steps one by one, else lgamma(z + n) - lgamma(z) - n log n at
-    z = offset n + 1.  From z = 10 up, where that difference cancels,
-    Stirling's series is differenced term by term instead:
-    n ((offset + 1/(2n)) log1p(1/(offset + 1/n)) + log(offset + 1 + 1/n)
-    - 1) plus the tails, which neither cancel nor overflow."""
+    """Sum of log(offset + j/n), j = 1 .. n, for a filler's offset >= 3
+    (``_filler_log_sum``): up to 16 steps one by one, else log Gamma(z + n)
+    - log Gamma(z) - n log n at z = offset n + 1 >= 52, which cancels, so
+    Stirling's series is differenced term by term: n ((offset + 1/(2n))
+    log1p(1/(offset + 1/n)) + log(offset + 1 + 1/n) - 1) plus the tails,
+    which neither cancel nor overflow."""
     if n <= 16:
         return math.fsum(math.log(offset + j / n) for j in range(1, n + 1))
     z = offset * n + 1.0
-    if z < 10.0:
-        return math.lgamma(z + n) - math.lgamma(z) - n * math.log(n)
     inner = offset + 1.0 / n
     return (n * ((offset + 0.5 / n) * math.log1p(1.0 / inner)
                  + math.log(inner + 1.0) - 1.0)
             + (_stirling_tail(z + n) - _stirling_tail(z)))
+
+
+def _log_factorials(top: int, units) -> tuple[float, float]:
+    """``units(A, S)``, an integer combination of A_i = log i! and
+    S_i = sum_{j<=i} log j!, i <= top, in units of 2^-53 of the float
+    logs, as two floats with an exact sum, which ``math.fsum`` keeps.
+    Every float log j, j >= 2, is a multiple of 2^-53 (log j > 1/2) and
+    log 1 = 0, so the table ``_LOG_FACTORIALS``, grown to top, is exact.
+    """
+    global _LOG_FACTORIALS
+    a, s = _LOG_FACTORIALS
+    if top >= len(a):  # in new lists, so no reader sees a half-grown one
+        logs = map(math.log, range(len(a), top + 1))
+        m = map(int, map(float(1 << 53).__mul__, logs))  # log j = m 2^-53
+        a = a[:-1] + list(accumulate(m, initial=a[-1]))
+        s = s[:-1] + list(accumulate(a[len(s):], initial=s[-1]))
+        _LOG_FACTORIALS = a, s
+    whole, part = divmod(units(a, s), 1 << 53)
+    return float(whole), part / (1 << 53)
 
 
 def _filler_log_sum(offsets, counts, f: int) -> float:
@@ -405,8 +425,8 @@ def _pair_log_sum(microstate: DiagonalMicrostate, eps: float = 0.0) -> float:
         terms.extend(row((microstate.filler_base - lo) + 3.0 + j / f)
                      for j in range(1, f + 1))
     if f:
-        terms.append(_sum_log_factorials(f - 1)
-                     - math.comb(f, 2) * math.log(f))
+        terms += _log_factorials(f - 1, lambda a, s: s[f - 1])
+        terms.append(-math.comb(f, 2) * math.log(f))
         offsets = [(microstate.filler_base - v) + 3.0 for v in values]
         terms.append(_filler_log_sum(offsets, counts, f))
     n = len(values)
@@ -495,9 +515,9 @@ def _uniform_sums(grid: tuple, root: float):
 
     if not root:  # a lower grid
         terms = [math.comb(n - len(holes), 2) * math.log(h),
-                 _sum_log_factorials(n - 1)]
+                 *_log_factorials(n - 1, lambda a, s: s[n - 1] - sum(
+                     a[p - first] + a[last - p] for p in holes))]
         for i, p in enumerate(holes):
-            terms += [-math.lgamma(p - first + 1), -math.lgamma(last - p + 1)]
             terms.extend(math.log(r - p) for r in holes[i + 1:])
         return terms, row
     d0 = min(n, max(1, near))
@@ -755,7 +775,7 @@ def volume_upper_bound_log(microstate: DiagonalMicrostate, eps: float,
         2.0 * k * k * eps,
         0.5 * k * k * math.log(math.pi),
         0.5 * k * (k - 1) * math.log(2.0),
-        -_sum_log_factorials(k),
+        *_log_factorials(k, lambda a, s: -s[k]),
         pair_sum,
     ])
 
@@ -768,46 +788,20 @@ def packing_constant_log(microstate: DiagonalMicrostate) -> float:
     with D_k = pi^{k(k-1)/2} / prod_{j<=k} j! (the Mehta density
     normalizer).  All five summands live in the log domain; #S_k is the
     number of equal-value index pairs.  The three log-factorial terms,
-    -sum_{j<=k} log j! - log k! + selberg_log(k), are one sum of integer
-    multiples of log i, i < 2k, added exactly (``_log_sums``).
+    -sum_{j<=k} log j! - log k! + selberg_log(k), are
+    4 S_{k-1} - S_{2k-1} - S_k with S_i = sum_{j<=i} log j! (the log k!
+    terms cancel), added exactly (``_log_factorials``).
     """
     if microstate.kind != "lower":
         raise ValueError("the packing constant is defined for the separated "
                          "(lower) microstate")
     k = microstate.k
-    return _packing_log(microstate, _log_sums((k, 2 * k - 1)))
-
-
-def _log_sums(ends: Iterable[int]) -> dict[int, tuple[int, int]]:
-    """(A_i, B_i) = (sum_{j<=i} m_j, sum_{j<=i} j m_j) at each i in
-    ``ends``, of the floats log j = m_j 2^-53.
-
-    For j >= 2, log j > 1/2, so its float is an integer multiple of
-    2^-53 (and log 1 = 0): the sums are exact integers.  B_i is
-    i A_i - sum_{t<i} A_t, so two running sums replace the products.
-    """
-    ends = sorted(set(ends))
-    m = map(int, map(float(1 << 53).__mul__,
-                     map(math.log, range(1, ends[-1] + 1))))
-    a = list(accumulate(m, initial=0))  # a[i] = A_i
-    c = list(accumulate(a))  # c[i] = sum_{t<=i} A_t
-    return {i: (a[i], i * a[i] - c[i - 1]) for i in ends}
-
-
-def _packing_log(microstate: DiagonalMicrostate, sums) -> float:
-    """``packing_constant_log`` with ``_log_sums`` at k and 2k - 1 (one
-    table serves a series), in O(1) besides the pair sum."""
-    k = microstate.k
-    (ak, bk), (atop, btop) = sums[k], sums[2 * k - 1]
-    # The weight of log i is k - 1 - 2i for i <= k and i - 2k for k < i < 2k.
-    total = (k - 1) * ak - 2 * bk + (btop - bk) - 2 * k * (atop - ak)
-    # total 2^-53 as two floats with an exact sum
-    high = float(total)
     return math.fsum((
         0.5 * k * (k - 1) * math.log(math.pi),
         2.0 * _pair_log_sum(microstate),
         (2 * _equal_pairs(microstate) + k - k * k) * math.log(2.0),
-        math.ldexp(high, -53), math.ldexp(float(total - int(high)), -53)))
+        *_log_factorials(2 * k - 1,
+                         lambda a, s: 4 * s[k - 1] - s[2 * k - 1] - s[k])))
 
 
 def packing_series_target(measure: SpectralMeasure) -> float:
@@ -832,11 +826,8 @@ def packing_constant_series(measure: SpectralMeasure,
     """
     ks = tuple(map(_check_k, _validated_ks(ks)))
     target = packing_series_target(measure)
-    sums = _log_sums(chain.from_iterable((k, 2 * k - 1) for k in ks))
-    values = []
-    for k in ks:
-        log_c = _packing_log(build_lower_microstate(measure, k), sums)
-        values.append(log_c / (k * k) + 0.5 * math.log(k))
+    values = [packing_constant_log(build_lower_microstate(measure, k))
+              / (k * k) + 0.5 * math.log(k) for k in ks]
     return SeriesReport(ks=tuple(ks), values=tuple(values), target=target,
                         relation="converges_to",
                         achieved_gap=values[-1] - target)

@@ -336,15 +336,15 @@ def test_series_refuse_k_past_the_cap(mixed_measure, measure_file,
                                      monkeypatch):
     # Every series checks each k against the cap before any work, from
     # the library and from the command line: the builders, the targets
-    # and the log-sum table fail this test if they are reached, so a huge
-    # k cannot start an unbounded allocation.
+    # and the log-factorial table fail this test if they are reached, so a
+    # huge k cannot start an unbounded allocation.
     assert K_CAP == 5000
 
     def reached(*args, **kwargs):
         raise AssertionError("work started before the cap check")
 
     for name in ("build_upper_microstate", "build_lower_microstate",
-                 "regularized_energy", "offdiag_energy", "_log_sums",
+                 "regularized_energy", "offdiag_energy", "_log_factorials",
                  "packing_series_target"):
         monkeypatch.setattr(microstates, name, reached)
     path = measure_file(mixed_measure)
@@ -1248,6 +1248,59 @@ class TestAtomOnlyUpper:
                 eps
 
 
+@pytest.fixture()
+def fresh_table(monkeypatch):
+    """An empty log-factorial table for one test, as in a new process."""
+    monkeypatch.setattr(microstates, "_LOG_FACTORIALS", ([0], [0]))
+
+
+def _table_at(i):
+    """(A_i, S_i) of the table as two floats each with an exact sum."""
+    return (microstates._log_factorials(i, lambda a, s: a[i]),
+            microstates._log_factorials(i, lambda a, s: s[i]))
+
+
+class TestLogFactorials:
+    @pytest.mark.parametrize("i", [0, 1, 2, 16, 17, 1000, 4999, 5000, 9999])
+    def test_exact_sums_of_the_float_logs(self, fresh_table, i):
+        # log i! and sum_{j<=i} log j! = sum_{j<=i} (i + 1 - j) log j, as
+        # Fractions of the same float logs, rounded once
+        logs = [Fraction(math.log(j)) for j in range(1, i + 1)]
+        a_want = sum(logs, Fraction(0))
+        s_want = sum(((i + 1 - j) * x for j, x in enumerate(logs, 1)),
+                     Fraction(0))
+        (a_high, a_low), (s_high, s_low) = _table_at(i)
+        assert Fraction(a_high) + Fraction(a_low) == a_want
+        assert Fraction(s_high) + Fraction(s_low) == s_want
+        assert a_high + a_low == float(a_want)
+        assert s_high + s_low == float(s_want)
+
+    def test_growth_order_does_not_change_the_table(self, fresh_table,
+                                                    monkeypatch):
+        _table_at(100)
+        _table_at(99)
+        _table_at(9999)
+        stepwise = microstates._LOG_FACTORIALS
+        monkeypatch.setattr(microstates, "_LOG_FACTORIALS", ([0], [0]))
+        _table_at(9999)
+        assert microstates._LOG_FACTORIALS == stepwise
+        assert list(map(len, stepwise)) == [10000, 10000]
+
+    def test_bounded_by_the_cap(self, fresh_table, mixed_measure):
+        # no series or Selberg value grows it past 2 K_CAP entries, the
+        # packing constant's S_{2k-1} at k = K_CAP
+        ks = (K_CAP,)
+        fp.regularized_product_series(mixed_measure, 0.1, ks)
+        fp.offdiag_sum_series(mixed_measure, ks)
+        fp.packing_constant_series(mixed_measure, ks)
+        fp.gamma_ratio_limit_series(ks)
+        fp.selberg_log(10**5)
+        fp.volume_upper_bound_log(
+            fp.build_upper_microstate(mixed_measure, K_CAP), 0.5, 0.05)
+        assert list(map(len, microstates._LOG_FACTORIALS)) == \
+            [2 * K_CAP, 2 * K_CAP]
+
+
 class TestFillerLogSum:
     @pytest.mark.parametrize("offset", [3.0, 1e3, 1e6, 1e16])
     @pytest.mark.parametrize("f", [1, 70, 5000])
@@ -1259,12 +1312,11 @@ class TestFillerLogSum:
         got = microstates._filler_log_sum([offset], [1], f)
         assert abs(got - float(want)) <= 4e-16 * abs(float(want))
 
-    @pytest.mark.parametrize("offset, n", [(0.0, 5000), (1e-3, 70),
-                                           (-0.9 / 5000, 5000), (0.5, 17),
-                                           (100.0, 20)])
+    @pytest.mark.parametrize("offset, n", [(3.0, 17), (100.0, 20)])
     def test_grid_runs_match_mpmath(self, offset, n):
-        # runs next to an atom start within a level of it: z = offset n + 1
-        # below 10 takes the log-gamma difference itself
+        # past 16 steps the fillers' offsets of at least 3 put
+        # z = offset n + 1 at 52 or more, Stirling's domain; (3, 17) is its
+        # lowest point
         with mpmath.workdps(30):
             logs = [mpmath.log(mpmath.mpf(offset) + mpmath.mpf(j) / n)
                     for j in range(1, n + 1)]

@@ -37,6 +37,17 @@ def _fresh_python(script: str, *args: str) -> str:
     return res.stdout
 
 
+def test_log_factorial_table_is_built_on_first_use():
+    # importing the package and the CLI computes no log-factorial; the
+    # first microstate constant does
+    out = _fresh_python(
+        "import freeprob.cli; from freeprob import microstates as m\n"
+        "print(m._LOG_FACTORIALS)\n"
+        "m._log_factorials(3, lambda a, s: 0)\n"
+        "print(len(m._LOG_FACTORIALS[1]))")
+    assert out == "([0], [0])\n4\n"
+
+
 _RUN_COMMANDS = """
 import contextlib, io, json, sys
 from freeprob.cli import main

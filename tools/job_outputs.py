@@ -19,8 +19,8 @@ with the keys ``id`` (``<workload>:<job id>:seed<n>``), ``code``,
 With ``--against OLD.jsonl`` the lines are compared with those of OLD
 instead of printed: for each job whose line differs, whether its exit
 code and stderr match, then each JSON value of its stdout that moved,
-with its path, old and new value and, for a number, the relative
-change.  The exit status is then 1 when some job differs, as diff's is.
+with its path, old and new value and, for a number, the absolute and
+the relative change.  The exit status is then 1 when some job differs, as diff's is.
 """
 
 from __future__ import annotations
@@ -111,10 +111,11 @@ def _against(old_path: str, records) -> int:
             print("  stdout differs and is not JSON on both sides")
             continue
         for path, a, b in moves:
-            rel = ""
+            change = ""
             if _is_number(a) and _is_number(b):
-                rel = f" ({(b - a) / abs(a):+.3g})" if a else " (from 0)"
-            print(f"  {path}: {a!r} -> {b!r}{rel}")
+                rel = f"{(b - a) / abs(a):+.3g} relative" if a else "from 0"
+                change = f" ({b - a:+.3g} absolute, {rel})"
+            print(f"  {path}: {a!r} -> {b!r}{change}")
     for ident in old:
         differ += 1
         print(f"{ident}: only in {old_path}")
