@@ -9,10 +9,10 @@ Both are means of Re log(y - z + i d) over mu x mu, at d = 0 and at
 d = sqrt(eps), and one set of closed-form complex potentials (Saff &
 Totik, *Logarithmic Potentials with External Fields*, 1997) serves both.
 Every term is a compensated sum of elementary functions, except the
-regularized self term of a semicircle or arcsine part: a Gauss-Chebyshev
-rule to an absolute tolerance (energies near zero are routine), whose
-error estimate and convergence status the result carries.  Only ``math``
-and ``cmath`` are used.
+regularized self term of a semicircle or arcsine part: one Gauss-Chebyshev
+rule whose size follows from eps and the radius, exact to rounding up to
+``MAX_NODES`` nodes, and past them the eps = 0 value with a bound and a
+status.  Only ``math`` and ``cmath`` are used.
 """
 
 from __future__ import annotations
@@ -43,12 +43,11 @@ class EnergyResult(Record):
 
     ``value`` is the sum of the three components.  ``status`` is "ok",
     "diverged" (two atoms share a location; value is -inf) or
-    "not_converged" (a regularized energy's error estimate still exceeds
-    its tolerance at ``MAX_NODES`` Gauss-Chebyshev nodes; value is the
-    best estimate).  ``abs_error_estimate`` counts only that rule; the
-    other terms are closed form, exact up to rounding, or for knot
-    segments of very different widths an 8-point Gauss-Legendre mean
-    accurate to about 1e-10.
+    "not_converged" (a semicircle or arcsine self term is its eps = 0
+    value, and ``abs_error_estimate``, its bound, exceeds the tolerance).
+    Else the estimate is 0: every term is closed form or a rule exact up
+    to rounding, or for two distinct knot segments of very different
+    widths an 8-point Gauss-Legendre mean accurate to about 1e-10.
     When the measure carries truncated atom-family mass,
     ``truncation_bound`` bounds the absolute energy contribution of the
     dropped mass (which is excluded from ``value``) and
@@ -64,11 +63,18 @@ class EnergyResult(Record):
 # Closed-form complex potentials of the unit-mass diffuse families: means
 # of Re log(x - y + i d), d >= 0, which at d = 0 are the log potentials.
 
-# Largest Gauss-Chebyshev rule that a semicircle or arcsine self term tries.
-MAX_NODES = 16384
+# Largest Gauss-Chebyshev rule of a semicircle or arcsine self term: it serves
+# every eps >= 1e-15 r^2, and below about 5e-16 r^2 the eps = 0 value does.
+MAX_NODES = 2 ** 17
 # The regularized energy's default absolute tolerance, for the library and
 # the command line alike.
 DEFAULT_TOL = 1e-6
+
+# A sum that stands for an analytic function's integral is exact to rounding
+# once the function's singularities lie 20 units off: 20 levels from a uniform
+# grid's points, and 20 / n off the real angle axis for n angles (an arcsine
+# grid's levels, ``_angle_mean``'s nodes), which err by e^(-40) = 4e-18.
+_SMOOTH = 20.0
 
 # The 8-point Gauss-Legendre rule on [-1, 1]: (node, weight) for +-node.
 _GAUSS_LEGENDRE_8 = ((0.18343464249564978, 0.36268378337836166),
@@ -135,9 +141,17 @@ def _segment_pair(a: float, b: float, c: float, e: float, d: float) -> float:
     """Mean of Re log(y - z + i d) over y uniform on [a, b] and z uniform
     on [c, e].  A segment of width L with itself, at beta = d/L < 2, is
     log L + (1 - beta^2) log1p(beta^2)/2 + beta^2 log beta
-    + 2 beta atan(1/beta) - 3/2, whose terms cancel from beta = 2 on."""
+    + 2 beta atan(1/beta) - 3/2, whose terms cancel like beta^2 log beta
+    from beta = 2 on; there it is log d + log1p(u)/2 - log1p(u)/(2u)
+    + 2 atan(v)/v - 3/2 with v = 1/beta and u = v^2."""
     p, q = b - a, e - c
-    if a == c and b == e and d < 2.0 * p:
+    if a == c and b == e:
+        if d >= 2.0 * p:
+            v = p / d
+            u = v * v
+            return (math.log(d) + 0.5 * math.log1p(u)
+                    - 0.5 * (math.log1p(u) / u if u else 1.0)
+                    + 2.0 * (math.atan(v) / v if v else 1.0) - 1.5)
         beta = d / p
         cross = (beta * (beta * math.log(beta) + 2.0 * math.atan(1.0 / beta))
                  if beta else 0.0)
@@ -178,28 +192,45 @@ def _potential(diffuse: DiffusePart, x: float, d: float) -> float:
                      for m, a, b in _segments(diffuse))
 
 
+def _angle_mean(kind: str, r: float, d: float) -> float | None:
+    """Mean of Re log(y - z + i d) over y and z drawn independently from
+    the semicircle or arcsine law on [-r, r], or None past ``MAX_NODES``:
+    over z = r cos(theta), the potential at z + i d by an n-node
+    Gauss-Chebyshev rule, of the second kind for the semicircle and the
+    first for the arcsine.  Its branch points (z + i d = +-r) lie
+    sigma = |Im acos(1 + i d/r)| off the real theta axis, so the rule errs
+    by about e^(-2 n sigma) (Trefethen & Weideman, SIAM Review 56, 2014),
+    below the rounding at n = ceil(20 / sigma)."""
+    sigma = abs(cmath.acos(complex(1.0, d / r)).imag)
+    if not sigma * MAX_NODES >= _SMOOTH:
+        return None
+    n = max(1, math.ceil(_SMOOTH / sigma))  # sigma is inf at d/r = inf
+    if kind == "semicircle":
+        angles = [j * math.pi / (n + 1) for j in range(1, n + 1)]
+        weights = [2.0 / (n + 1) * math.sin(t) ** 2 for t in angles]
+    else:
+        angles = [(j - 0.5) * math.pi / n for j in range(1, n + 1)]
+        weights = [1.0 / n] * n
+    return math.fsum(weight * _centered_potential(
+        kind, complex(r * math.cos(t), d), r)
+        for weight, t in zip(weights, angles))
+
+
 def _self_energy(diffuse: DiffusePart, d: float,
                  tol: float) -> tuple[float, float, str]:
     """(value, error estimate, status) of the mean of Re log(y - z + i d)
     over y and z drawn independently from the unit-mass diffuse part.
 
-    Segment pairs are closed form.  For the semicircle and arcsine the
-    mean over z of the potential at z + i d is an n-node Gauss-Chebyshev
-    rule (second kind for the semicircle, first kind for the arcsine).
-    The integrand is analytic in a strip around the support, so the
-    error falls geometrically in n (Trefethen, *Approximation Theory and
-    Approximation Practice*, 2013, ch. 19); n doubles until two rules
-    agree within ``tol``, and their difference is the error estimate.
-    Rules of fewer than n0 = pi sqrt(r / 8 d) nodes put no node within d
-    of the ends of the support: they miss the layer of width d there,
-    yet can agree with each other, so the doubling starts at n0.  Past
-    ``MAX_NODES / 2`` (and at d = 0) the value is the closed form at
+    Segment pairs are closed form, and a semicircle or arcsine is one
+    rule (``_angle_mean``), both with estimate 0.  Past ``MAX_NODES`` (d
+    below about 2.3e-8 r, and d = 0) the value is the closed form at
     d = 0, with a bound on the mean of log|y - z + i d| - log|y - z| >= 0
-    as the estimate: with delta = d / r, 2 delta for the semicircle (its
-    density is at most 2 / (pi r), and log(1 + d^2 / t^2) integrates to
-    2 pi d), and for the arcsine the mean over x = cos(theta) of the
-    Green's function of [-1, 1] at x + i delta, which is at most
-    delta / sin(theta) and at most its value eta at 1 + i delta.
+    as the estimate, which ``tol`` checks: with delta = d / r, 2 delta
+    for the semicircle (its density is at most 2 / (pi r), and
+    log(1 + d^2 / t^2) integrates to 2 pi d), and for the arcsine the
+    mean over x = cos(theta) of the Green's function of [-1, 1] at
+    x + i delta, which is at most delta / sin(theta) and at most its value
+    eta at 1 + i delta.
     """
     kind = diffuse.kind
     if kind not in ("semicircle", "arcsine"):
@@ -208,37 +239,16 @@ def _self_energy(diffuse: DiffusePart, d: float,
                          for m, a, b in segments
                          for n, c, e in segments), 0.0, "ok"
     _, r = _center_radius(diffuse)
+    value = _angle_mean(kind, r, d)
+    if value is not None:
+        return value, 0.0, "ok"
     delta = d / r
-    n0 = math.pi * math.sqrt(0.125 / delta) if delta else math.inf
-    if n0 > MAX_NODES / 2:
-        eta = cmath.acosh(complex(1.0, delta)).real
-        theta = math.asin(delta / eta) if delta else 1.0
-        bound = 2.0 * delta if kind == "semicircle" else 2.0 / math.pi * (
-            eta * theta - delta * math.log(math.tan(0.5 * theta)))
-        flat = math.log(0.5 * r) - (0.25 if kind == "semicircle" else 0.0)
-        return flat, bound, "ok" if bound <= tol else "not_converged"
-
-    def rule(n: int) -> float:
-        if kind == "semicircle":
-            angles = [k * math.pi / (n + 1) for k in range(1, n + 1)]
-            weights = [2.0 / (n + 1) * math.sin(t) ** 2 for t in angles]
-        else:
-            angles = [(k - 0.5) * math.pi / n for k in range(1, n + 1)]
-            weights = [1.0 / n] * n
-        return math.fsum(weight * _centered_potential(
-            kind, complex(r * math.cos(t), d), r)
-            for weight, t in zip(weights, angles))
-
-    n = 8
-    while n < n0:
-        n *= 2
-    value = rule(n)
-    while True:
-        n *= 2
-        previous, value = value, rule(n)
-        error = abs(value - previous)
-        if error <= tol or n >= MAX_NODES:
-            return value, error, "ok" if error <= tol else "not_converged"
+    eta = cmath.acosh(complex(1.0, delta)).real
+    theta = math.asin(delta / eta) if delta else 1.0
+    bound = 2.0 * delta if kind == "semicircle" else 2.0 / math.pi * (
+        eta * theta - delta * math.log(math.tan(0.5 * theta)))
+    flat = math.log(0.5 * r) - (0.25 if kind == "semicircle" else 0.0)
+    return flat, bound, "ok" if bound <= tol else "not_converged"
 
 
 def _energy(points: list[tuple[float, float]], diffuse: DiffusePart,
@@ -336,7 +346,8 @@ def regularized_energy(measure: SpectralMeasure, eps: float,
     far below any tolerance in use.  The integrand is
     2 Re log(y - z + i sqrt(eps)), so every term is closed form except
     the self term of a semicircle or arcsine part, a Gauss-Chebyshev
-    rule: ``abs_error_estimate`` is its weighted error estimate, and
+    rule exact to rounding.  Below eps of about 5e-16 r^2 that term is
+    the eps = 0 value: ``abs_error_estimate`` is its weighted bound, and
     ``status`` is "not_converged" when that exceeds ``tol``.
     """
     _check_positive_finite(eps)

@@ -31,7 +31,7 @@ Each kind has one function, ``_uniform_sums`` or ``_arcsine_sums``, that
 gives the grid's own pair terms and a row that pairs any other entry
 with every level, at every eps: the uniform in O(1), by Euler-Maclaurin
 past a near field of at most 20 levels, the arcsine in n/2 closed-form
-row products, or in O(1) by the trapezoid rule in the angle once
+row products, or in O(1) from the energy's arcsine self term once
 sqrt(eps) is wide against the level spacing.  A row takes each level at
 its exact offset from lo, but at gap 0 when the level's float equals the
 entry.  None of these loads numpy.  k is at most K_CAP.
@@ -64,6 +64,9 @@ from .asymptotics import (
 )
 from .energy import (
     DEFAULT_TOL,
+    _SMOOTH,
+    _angle_mean,
+    _centered_potential,
     _segment_mean,
     _segment_pair,
     offdiag_energy,
@@ -446,12 +449,6 @@ def _pair_log_sum(microstate: DiagonalMicrostate, eps: float = 0.0) -> float:
     return 2.0 * math.fsum(terms)
 
 
-# A quadrature rule of an analytic function holds to below the rounding of
-# a sum once its singularities lie 20 units from the points: 20 levels on a
-# uniform grid, whose nearer levels ``_uniform_sums`` sums one by one, and
-# n asinh(root / r) >= 20 on an arcsine one (smooth), whose rule drops
-# terms of e^(-2 * 20) = 4e-18, at the levels and in the angles.
-_SMOOTH = 20.0
 _BERNOULLI = (-1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)  # B_4..
 
 
@@ -592,12 +589,11 @@ def _arcsine_sums(grid: tuple, root: float):
     is below the dropped correction (Trefethen & Weideman, "The
     exponentially convergent trapezoidal rule", SIAM Review 56, 2014).
     The terms halve that and take away (n - 1)/2 log root, the levels'
-    own factors, in O(1).  The mean is the M-point rule on
-    theta = pi j/M, j = 0 .. M, ends halved, whose error falls like
-    e^(-2 M sigma): sigma = |Im acos(1 + i root/r)| is the distance of
-    F's branch points (s = 0 at theta = 0 and pi) from the real axis,
-    and M = ceil(20 / sigma).  A fixed M = 128 errs by 1.7e-13 in
-    ``2|Δ|/k^2`` at n = 5000, eps = 4e-5, r = 1, where M is 302.
+    own factors, in O(1).  The mean of F is n A - U: A is the arcsine self
+    term at height root (``energy._angle_mean``, 252 angles at n = 5000,
+    eps = 4e-5, r = 1, where 128 trapezoid angles erred by 1.7e-13 in
+    ``2|Δ|/k^2``), and U, the mean of log|s|, is the arcsine potential at
+    r + i root.
     """
     _, lo, hi, _, _, _, last, _ = grid
     n, r = last + 1, 0.5 * (hi - lo)
@@ -627,12 +623,10 @@ def _arcsine_sums(grid: tuple, root: float):
         return _lobatto_near(n, r, m, complex(gap, root) / r) + own
 
     if n * math.asinh(root / r) >= _SMOOTH:
-        sigma = abs(cmath.acos(complex(1.0, root / r)).imag)
-        m = max(1, math.ceil(_SMOOTH / sigma))
+        mean = (n * _angle_mean("arcsine", r, root)
+                - _centered_potential("arcsine", complex(r, root), r))
         ends = far(*lift(-r)) + far(*lift(r))
-        inner = math.fsum(far(*lift(-r * math.cos(math.pi * j / m)))
-                          for j in range(1, m))
-        return [0.5 * n * (inner + 0.5 * ends) / m, -0.25 * ends,
+        return [0.5 * n * mean, -0.25 * ends,
                 -0.5 * (n - 1) * math.log(root)], row
     log_root = math.log(root)
 

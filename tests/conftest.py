@@ -304,3 +304,28 @@ def chebyshev_reference(kind: str, radius: float, eps: float,
     if kind == "semicircle":
         u += (w / (w + s)).real - 0.5
     return float(4.0 * np.dot(weights, u))
+
+
+def mpmath_self_energy(kind: str, radius: float, eps: float) -> float:
+    """The regularized energy of the semicircle or arcsine law of the
+    given radius: 2 Re of its complex potential U (as in
+    ``chebyshev_reference``) at x + i sqrt(eps), averaged over
+    x = radius cos(theta) by mpmath quadrature at 40 digits.  The
+    integrand is even about theta = pi/2, and its layer at the ends, of
+    width about (eps / radius^2)^(1/4) in theta, gets its own panels,
+    split geometrically from there."""
+    with mpmath.workdps(40):
+        r, d = mpmath.mpf(radius), mpmath.sqrt(mpmath.mpf(eps))
+
+        def f(t):
+            w = mpmath.mpc(r * mpmath.cos(t), d)
+            s = mpmath.sqrt(w - r) * mpmath.sqrt(w + r)
+            u = mpmath.log((w + s) / 2)
+            if kind == "semicircle":
+                return mpmath.re(u + w / (w + s) - 0.5) * mpmath.sin(t) ** 2
+            return mpmath.re(u) / 2
+        layer = mpmath.sqrt(d / r)
+        points = [layer * 2 ** j for j in range(-3, 60)
+                  if layer * 2 ** j < mpmath.pi / 2]
+        return float(8 / mpmath.pi * mpmath.quad(f, [0, *points,
+                                                     mpmath.pi / 2]))

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freeprob as fp
-from conftest import (chebyshev_reference, perfbench_module, run_cli,
-                      uniform_regularized_energy)
+from conftest import (chebyshev_reference, mpmath_self_energy,
+                      perfbench_module, run_cli, uniform_regularized_energy)
 from freeprob.cli import build_parser, parse_args
 
 
@@ -115,14 +115,16 @@ class TestExitCodes:
 
     @pytest.fixture()
     def arcsine_path(self, measure_file):
-        # Radius 1 at eps 1e-14 needs more than MAX_NODES Gauss-Chebyshev
-        # nodes to meet tol 1e-12.
+        # Radius 1 at eps 1e-18 would need more than MAX_NODES
+        # Gauss-Chebyshev nodes, so its self term is the eps = 0 value,
+        # whose bound of about 1.5e-8 misses tol 1e-12.  At eps 1e-14 the
+        # rule meets that tol.
         return measure_file(fp.arcsine_measure(-1.0, 1.0), "arcsine.json")
 
     def test_unconverged_regularized_energy_is_three(self, arcsine_path,
                                                      semicircle2,
                                                      measure_file):
-        res = run_cli("energy", "--measure", arcsine_path, "--eps", "1e-14",
+        res = run_cli("energy", "--measure", arcsine_path, "--eps", "1e-18",
                       "--tol", "1e-12", "--format", "json")
         assert res.code == 3
         assert res.stderr.startswith("freeprob: error: energy:")
@@ -131,6 +133,14 @@ class TestExitCodes:
         assert row["abs_error_estimate"] > 1e-12
         assert math.isfinite(row["value"])
         assert res.json["results"][0]["offdiag_energy"]["status"] == "ok"
+        res = run_cli("energy", "--measure", arcsine_path, "--eps", "1e-14",
+                      "--tol", "1e-12", "--format", "json")
+        assert res.code == 0
+        [row] = res.json["results"][0]["regularized"]
+        assert row["status"] == "ok"
+        assert row["abs_error_estimate"] == 0.0
+        assert abs(row["value"] - mpmath_self_energy(
+            "arcsine", 1.0, 1e-14)) <= 1e-15
         # The semicircle at eps 1e-8 converges.
         path = measure_file(semicircle2, "semicircle.json")
         res = run_cli("energy", "--measure", path, "--eps", "1e-8",
@@ -143,12 +153,19 @@ class TestExitCodes:
 
     def test_unconverged_series_target_is_three(self, arcsine_path,
                                                 uniform_path):
-        res = run_cli("series", "regularized-product", "--eps", "1e-14",
+        res = run_cli("series", "regularized-product", "--eps", "1e-18",
                       "--tol", "1e-12", "--ks", "100,200",
                       "--measure", arcsine_path, "--format", "json")
         assert res.code == 3
         assert res.stderr.startswith("freeprob: error: energy:")
         assert res.json["result"]["status"] == "not_converged"
+        res = run_cli("series", "regularized-product", "--eps", "1e-14",
+                      "--tol", "1e-12", "--ks", "100,200",
+                      "--measure", arcsine_path, "--format", "json")
+        assert res.code == 0
+        assert res.json["result"]["status"] == "ok"
+        assert abs(res.json["result"]["target"] - mpmath_self_energy(
+            "arcsine", 1.0, 1e-14)) <= 1e-15
         # The uniform target at eps 1e-8 is closed form.
         res = run_cli("series", "regularized-product", "--eps", "1e-8",
                       "--ks", "100,200", "--measure", uniform_path,

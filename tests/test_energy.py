@@ -10,7 +10,7 @@ from scipy import integrate
 
 import freeprob as fp
 from conftest import (MIXED_ENERGY, affine_pushforward, atomic_plus_uniform,
-                      chebyshev_reference, purely_atomic,
+                      chebyshev_reference, mpmath_self_energy, purely_atomic,
                       uniform_regularized_energy)
 from freeprob import energy
 
@@ -348,8 +348,8 @@ class TestRegularizedOracles:
     @pytest.mark.parametrize("width", [10.0 ** (k / 2)
                                        for k in range(-16, 17)])
     def test_uniform_closed_form(self, width):
-        # at eps 1, widths above 1/2 take the self-pair closed form and
-        # narrower ones the Gauss-Legendre mean
+        # at eps 1, widths above 1/2 take the self-pair closed form in
+        # beta = d/L and narrower ones its form in 1/beta
         res = fp.regularized_energy(fp.uniform_measure(0.0, width), 1.0)
         assert res.status == "ok"
         assert res.value == pytest.approx(
@@ -357,8 +357,8 @@ class TestRegularizedOracles:
 
     @pytest.mark.parametrize("width", [2.0, 0.37, 1e-5, 3e4])
     def test_segment_self_pair_matches_mpmath(self, width):
-        # below d = 2L the closed form in beta = d/L, from there on the
-        # Gauss-Legendre mean; the oracle integrates (L - x) log(x^2 + d^2)
+        # below d = 2L the closed form in beta = d/L, from there on its
+        # form in 1/beta; the oracle integrates (L - x) log(x^2 + d^2)
         # over [0, L], split at d
         assert energy._segment_pair(0.0, width, 0.0, width, 0.0) == \
             math.log(width) - 1.5
@@ -371,6 +371,27 @@ class TestRegularizedOracles:
                     [0, e, w] if 0 < e < w else [0, w]) / (w * w))
             got = energy._segment_pair(0.0, width, 0.0, width, d)
             assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), beta
+
+    @pytest.mark.parametrize("width", [1e-300, 1e-100, 1e-20, 0.1, 0.5, 1.0,
+                                       3.0, 1e20, 1e150])
+    def test_segment_self_pair_far_out_matches_mpmath(self, width):
+        # From beta = d/L = 2 to 1e300.  The oracle is the textbook form
+        # log L + (1 - beta^2) log1p(beta^2)/2 + beta^2 log beta
+        # + 2 beta atan(1/beta) - 3/2, whose terms cancel like
+        # beta^2 log beta, so it takes 80 digits plus twice log10(beta).
+        for beta in (2.0, 2.5, 3.0, 7.0, 10.0, 1e3, 1e8, 1e20, 1e100, 1e154,
+                     1e160, 1e300):
+            d = beta * width
+            if not d < 1e300:
+                continue
+            with mpmath.workdps(80 + 2 * int(math.log10(beta))):
+                w = mpmath.mpf(width)
+                b = mpmath.mpf(d) / w
+                want = float(mpmath.log(w) + (1 - b * b) / 2
+                             * mpmath.log1p(b * b) + b * b * mpmath.log(b)
+                             + 2 * b * mpmath.atan(1 / b) - 1.5)
+            got = energy._segment_pair(0.0, width, 0.0, width, d)
+            assert abs(got - want) <= 4.5e-16 * max(1.0, abs(want)), beta
 
     @pytest.mark.parametrize("r", [0.5, 1.3, 7.0])
     def test_arcsine_matches_the_elliptic_integral(self, r):
@@ -442,6 +463,76 @@ class TestRegularizedOracles:
             if res.status == "ok":
                 assert res.abs_error_estimate <= tol
                 assert res.value == pytest.approx(reference, abs=tol)
+
+
+def _flat_bound(kind, delta):
+    """The bound on a semicircle or arcsine self term that reads its
+    eps = 0 value at height delta = sqrt(eps)/r, doubled as the
+    regularized energy doubles it, in mpmath."""
+    if kind == "semicircle":
+        return 4 * delta
+    with mpmath.workdps(30):
+        eta = mpmath.re(mpmath.acosh(mpmath.mpc(1, delta)))
+        theta = mpmath.asin(delta / eta)
+        return float(4 / mpmath.pi * (eta * theta - delta
+                                      * mpmath.log(mpmath.tan(theta / 2))))
+
+
+class TestSelfTermRule:
+    """A semicircle or arcsine self term is one Gauss-Chebyshev rule of
+    ceil(20 / sigma) nodes, sigma = |Im acos(1 + i delta)|, delta =
+    sqrt(eps)/r, up to 2^17 nodes, and past them the eps = 0 value with
+    its bound."""
+
+    @staticmethod
+    def _measure(kind, r):
+        return (fp.semicircle_measure(0.0, r) if kind == "semicircle"
+                else fp.arcsine_measure(-r, r))
+
+    @staticmethod
+    def _takes_the_rule(delta):
+        with mpmath.workdps(30):
+            sigma = abs(mpmath.im(mpmath.acos(mpmath.mpc(1, delta))))
+            return mpmath.ceil(20 / sigma) <= 2 ** 17
+
+    @pytest.mark.parametrize("kind", ["semicircle", "arcsine"])
+    @pytest.mark.parametrize("r", [0.5, 3.0])
+    @pytest.mark.parametrize("delta", [1e-7, 1e-6, 1e-5, 0.03, 2.0, 1e3,
+                                       1e8])
+    def test_matches_mpmath(self, kind, r, delta):
+        eps = (delta * r) ** 2
+        res = fp.regularized_energy(self._measure(kind, r), eps, 1e-12)
+        want = mpmath_self_energy(kind, r, eps)
+        assert res.status == "ok"
+        assert res.abs_error_estimate == 0.0
+        assert abs(res.value - want) <= 1e-15 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("kind", ["semicircle", "arcsine"])
+    def test_status_at_unit_radius(self, kind):
+        m = self._measure(kind, 1.0)
+        for j in range(45):
+            eps = 10.0 ** (-j / 2)
+            for tol in (1e-6, 1e-9, 1e-12):
+                res = fp.regularized_energy(m, eps, tol)
+                if eps >= 1e-15 or tol == 1e-6:
+                    assert res.status == "ok", (eps, tol)
+
+    @pytest.mark.parametrize("kind", ["semicircle", "arcsine"])
+    def test_estimate_is_zero_or_the_flat_bound(self, kind):
+        m = self._measure(kind, 1.0)
+        flat = 2.0 * math.log(0.5) - (0.5 if kind == "semicircle" else 0.0)
+        for j in range(0, 45, 2):
+            eps = 10.0 ** (-j / 2)
+            res = fp.regularized_energy(m, eps, 1e-6)
+            delta = math.sqrt(eps)
+            if self._takes_the_rule(delta):
+                assert res.abs_error_estimate == 0.0, eps
+                continue
+            assert res.value == flat, eps
+            assert res.abs_error_estimate == pytest.approx(
+                _flat_bound(kind, delta), rel=1e-12), eps
+            assert abs(res.value - mpmath_self_energy(kind, 1.0, eps)) <= (
+                res.abs_error_estimate), eps
 
 
 class TestRegularizedEnergy:
@@ -631,9 +722,9 @@ class TestStatuses:
         assert res.value == -math.inf
 
     def test_starved_quadrature_reports_not_converged(self, monkeypatch):
-        # An arcsine of radius 1 at eps 1e-12 needs 16,384 nodes to meet
-        # tol 1e-12.  With a cap of 64, at eps 1e-4 the rule stops at the
-        # cap, and at eps 1e-12 it cannot resolve sqrt(eps) at all.
+        # An arcsine of radius 1 takes a rule of 200 nodes at eps 1e-4 and
+        # of 20000 at eps 1e-12.  With a cap of 64 both are past the cap,
+        # so both return the eps = 0 value with a bound above 1e-12.
         monkeypatch.setattr(energy, "MAX_NODES", 64)
         arcsine = fp.arcsine_measure(-1.0, 1.0)
         for eps in (1e-4, 1e-12):
@@ -653,13 +744,19 @@ class TestStatuses:
                                                 rel=1e-15)
 
     def test_regularized_not_converged_is_reported(self, semicircle2):
-        # An arcsine of radius 1 at eps 1e-14 needs more than MAX_NODES
-        # nodes to meet tol 1e-12.
-        res = fp.regularized_energy(fp.arcsine_measure(-1.0, 1.0), 1e-14,
-                                    1e-12)
+        # An arcsine of radius 1 at eps 1e-18 would need more than
+        # MAX_NODES nodes: its self term is the eps = 0 value, whose bound
+        # of about 1.5e-8 misses tol 1e-12.
+        arcsine = fp.arcsine_measure(-1.0, 1.0)
+        res = fp.regularized_energy(arcsine, 1e-18, 1e-12)
         assert res.status == "not_converged"
         assert res.abs_error_estimate > 1e-12
         assert math.isfinite(res.value)
+        # At eps 1e-14 the rule meets tol 1e-12.
+        res = fp.regularized_energy(arcsine, 1e-14, 1e-12)
+        assert res.status == "ok"
+        assert abs(res.value - mpmath_self_energy("arcsine", 1.0,
+                                                  1e-14)) <= 1e-15
         # The semicircle at eps 1e-8 converges.
         res = fp.regularized_energy(semicircle2, 1e-8, TOL)
         assert res.status == "ok"

@@ -492,7 +492,7 @@ class TestPackingConstant:
         assert got == float(exact)
         rounding = 2.0 ** -53 * math.fsum(map(abs, products))
         assert abs(got - math.fsum(head + products)) <= rounding
-        # a series reads every k from one table built for its largest k
+        # a series gives each k the value packing_constant_log gives it
         series = fp.packing_constant_series(m, sorted({2, k}))
         assert series.values[0] == \
             fp.packing_constant_log(fp.build_lower_microstate(m, 2)) / 4 \
@@ -1113,7 +1113,8 @@ class TestSmoothGridSums:
     def test_arcsine_angle_rule_follows_the_branch_points(self, monkeypatch):
         # n = 5000, eps = 4e-5, r = 1: the gate reads 31.6, and the row's
         # branch points lie 0.08 off the real angle axis.  The mean needs
-        # M = 302 angles; a fixed M = 128 errs by 1.7e-13 in 2|Δ|/k^2.
+        # 252 angles; a fixed 128-angle trapezoid rule erred by 1.7e-13 in
+        # 2|Δ|/k^2.
         k, eps = 5000, 4e-5
         ms = fp.build_upper_microstate(fp.arcsine_measure(-1.0, 1.0), k)
         taken = self._taken(monkeypatch)
