@@ -284,8 +284,9 @@ def _distinct_pair_log_sum(values, counts, eps: float) -> tuple[float, int]:
 
 def _check_positive_finite(value: float, name: str = "eps") -> float:
     """``value`` as a float; ValueError, which names it ``name``, unless
-    it is positive and finite.  The library's one check of eps and tol;
-    the command line puts "--" in front of its message."""
+    it is positive and finite.  The library's one check of eps, and the
+    command line's of --eps and chi's --tol, which puts "--" in front of
+    its message."""
     value = float(value)
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")

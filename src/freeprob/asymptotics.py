@@ -144,8 +144,7 @@ class SeriesReport(Record):
     former, ``achieved_gap`` is the signed gap at the largest k; for the
     latter it is the worst (minimum) value-minus-target over the largest
     quartile of the sampled ks, the finite stand-in for a liminf claim.
-    ``status`` is "not_converged" when the target is a regularized
-    energy that did not meet its tolerance, else "ok".
+    ``status`` is "ok": every target is closed form or exact to rounding.
     ``approach_side`` is worked out from ``values`` and ``target``, not
     taken from the caller: "above" when every value is at least the
     target, "below" when every value is under it, else "mixed".  ``extras`` carries

@@ -9,15 +9,15 @@ Both are means of Re log(y - z + i d) over mu x mu, at d = 0 and at
 d = sqrt(eps), and one set of closed-form complex potentials (Saff &
 Totik, *Logarithmic Potentials with External Fields*, 1997) serves both.
 Every term is a compensated sum of elementary functions, except the
-regularized self term of a semicircle or arcsine part: one Gauss-Chebyshev
-rule whose size follows from eps and the radius, exact to rounding up to
-``MAX_NODES`` nodes, and past them the eps = 0 value with a bound and a
-status.  Only ``math`` and ``cmath`` are used.
+regularized self term of a semicircle or arcsine part: one fixed
+tanh-sinh rule over the angle, exact to rounding at every eps > 0.
+Only ``math`` and ``cmath`` are used.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from ._kernels import _check_positive_finite
@@ -42,12 +42,11 @@ class EnergyResult(Record):
     """An energy value with its accuracy diagnostics.
 
     ``value`` is the sum of the three components.  ``status`` is "ok",
-    "diverged" (two atoms share a location; value is -inf) or
-    "not_converged" (a semicircle or arcsine self term is its eps = 0
-    value, and ``abs_error_estimate``, its bound, exceeds the tolerance).
-    Else the estimate is 0: every term is closed form or a rule exact up
-    to rounding, or for two distinct knot segments of very different
-    widths an 8-point Gauss-Legendre mean accurate to about 1e-10.
+    or "diverged" (two atoms share a location; value is -inf).
+    ``abs_error_estimate`` is 0: every term is closed form or a rule
+    exact up to rounding, or for two distinct knot segments of very
+    different widths an 8-point Gauss-Legendre mean accurate to about
+    1e-10.
     When the measure carries truncated atom-family mass,
     ``truncation_bound`` bounds the absolute energy contribution of the
     dropped mass (which is excluded from ``value``) and
@@ -62,19 +61,6 @@ class EnergyResult(Record):
 # ---------------------------------------------------------------------------
 # Closed-form complex potentials of the unit-mass diffuse families: means
 # of Re log(x - y + i d), d >= 0, which at d = 0 are the log potentials.
-
-# Largest Gauss-Chebyshev rule of a semicircle or arcsine self term: it serves
-# every eps >= 1e-15 r^2, and below about 5e-16 r^2 the eps = 0 value does.
-MAX_NODES = 2 ** 17
-# The regularized energy's default absolute tolerance, for the library and
-# the command line alike.
-DEFAULT_TOL = 1e-6
-
-# A sum that stands for an analytic function's integral is exact to rounding
-# once the function's singularities lie 20 units off: 20 levels from a uniform
-# grid's points, and 20 / n off the real angle axis for n angles (an arcsine
-# grid's levels, ``_angle_mean``'s nodes), which err by e^(-40) = 4e-18.
-_SMOOTH = 20.0
 
 # The 8-point Gauss-Legendre rule on [-1, 1]: (node, weight) for +-node.
 _GAUSS_LEGENDRE_8 = ((0.18343464249564978, 0.36268378337836166),
@@ -192,73 +178,66 @@ def _potential(diffuse: DiffusePart, x: float, d: float) -> float:
                      for m, a, b in _segments(diffuse))
 
 
-def _angle_mean(kind: str, r: float, d: float) -> float | None:
+@functools.cache
+def _angle_rule() -> tuple[tuple[float, float, float], ...]:
+    """(cos phi, arcsine weight, semicircle weight) of ``_angle_mean``'s
+    nodes, made on first use: the tanh-sinh rule (Takahasi & Mori, Publ.
+    RIMS 9, 1974) over theta in [0, pi], theta = pi/2 (1 + tanh u) with
+    u = pi/2 sinh t, at t = j/40 for |j| <= 140, folded at pi/2 onto
+    j >= 0.  A node is kept as its distance phi = pi / (1 + e^(2u)) from
+    the nearer end, which holds its digits there as pi - theta would
+    not.  A weight is the step 1/40 times d theta/dt times the density
+    in theta, 1/pi or 2/pi sin^2 theta, doubled for j > 0."""
+    rule = []
+    for j in range(141):
+        t = j / 40
+        u = 0.5 * math.pi * math.sinh(t)
+        phi = math.pi / (1.0 + math.exp(2.0 * u))
+        weight = (2.0 if j else 1.0) * math.pi / 160 * math.cosh(t) / (
+            math.cosh(u) ** 2)
+        rule.append((math.cos(phi), weight, 2.0 * weight * math.sin(phi) ** 2))
+    return tuple(rule)
+
+
+def _angle_mean(kind: str, r: float, d: float) -> float:
+    """Mean of Re log(y - z + i d), d > 0, over y and z drawn
+    independently from the semicircle or arcsine law on [-r, r]: the mean
+    over z = r cos(theta) of the potential at z + i d, by one fixed
+    tanh-sinh rule of 141 potentials (``_angle_rule``).  The integrand is
+    even about theta = pi/2, and its branch points (z + i d = +-r) come
+    within about sqrt(2 d/r) of the ends of the real theta axis, which is
+    why an evenly spread rule needs more nodes as d falls (Trefethen &
+    Weideman, SIAM Review 56, 2014).  The tanh-sinh nodes crowd doubly
+    exponentially into those ends, and this one rule is exact to rounding
+    at every d/r from 1e-300 to 1e300 (against mpmath at 40 digits)."""
+    return math.fsum((a if kind == "arcsine" else s) * _centered_potential(
+        kind, complex(r * x, d), r) for x, a, s in _angle_rule())
+
+
+def _self_energy(diffuse: DiffusePart, d: float) -> float:
     """Mean of Re log(y - z + i d) over y and z drawn independently from
-    the semicircle or arcsine law on [-r, r], or None past ``MAX_NODES``:
-    over z = r cos(theta), the potential at z + i d by an n-node
-    Gauss-Chebyshev rule, of the second kind for the semicircle and the
-    first for the arcsine.  Its branch points (z + i d = +-r) lie
-    sigma = |Im acos(1 + i d/r)| off the real theta axis, so the rule errs
-    by about e^(-2 n sigma) (Trefethen & Weideman, SIAM Review 56, 2014),
-    below the rounding at n = ceil(20 / sigma)."""
-    sigma = abs(cmath.acos(complex(1.0, d / r)).imag)
-    if not sigma * MAX_NODES >= _SMOOTH:
-        return None
-    n = max(1, math.ceil(_SMOOTH / sigma))  # sigma is inf at d/r = inf
-    if kind == "semicircle":
-        angles = [j * math.pi / (n + 1) for j in range(1, n + 1)]
-        weights = [2.0 / (n + 1) * math.sin(t) ** 2 for t in angles]
-    else:
-        angles = [(j - 0.5) * math.pi / n for j in range(1, n + 1)]
-        weights = [1.0 / n] * n
-    return math.fsum(weight * _centered_potential(
-        kind, complex(r * math.cos(t), d), r)
-        for weight, t in zip(weights, angles))
-
-
-def _self_energy(diffuse: DiffusePart, d: float,
-                 tol: float) -> tuple[float, float, str]:
-    """(value, error estimate, status) of the mean of Re log(y - z + i d)
-    over y and z drawn independently from the unit-mass diffuse part.
-
-    Segment pairs are closed form, and a semicircle or arcsine is one
-    rule (``_angle_mean``), both with estimate 0.  Past ``MAX_NODES`` (d
-    below about 2.3e-8 r, and d = 0) the value is the closed form at
-    d = 0, with a bound on the mean of log|y - z + i d| - log|y - z| >= 0
-    as the estimate, which ``tol`` checks: with delta = d / r, 2 delta
-    for the semicircle (its density is at most 2 / (pi r), and
-    log(1 + d^2 / t^2) integrates to 2 pi d), and for the arcsine the
-    mean over x = cos(theta) of the Green's function of [-1, 1] at
-    x + i delta, which is at most delta / sin(theta) and at most its value
-    eta at 1 + i delta.
-    """
+    the unit-mass diffuse part: segment pairs in closed form, and a
+    semicircle or arcsine in closed form at d = 0, else by the one angle
+    rule (``_angle_mean``)."""
     kind = diffuse.kind
     if kind not in ("semicircle", "arcsine"):
         segments = _segments(diffuse)
         return math.fsum(m * n * _segment_pair(a, b, c, e, d)
                          for m, a, b in segments
-                         for n, c, e in segments), 0.0, "ok"
+                         for n, c, e in segments)
     _, r = _center_radius(diffuse)
-    value = _angle_mean(kind, r, d)
-    if value is not None:
-        return value, 0.0, "ok"
-    delta = d / r
-    eta = cmath.acosh(complex(1.0, delta)).real
-    theta = math.asin(delta / eta) if delta else 1.0
-    bound = 2.0 * delta if kind == "semicircle" else 2.0 / math.pi * (
-        eta * theta - delta * math.log(math.tan(0.5 * theta)))
-    flat = math.log(0.5 * r) - (0.25 if kind == "semicircle" else 0.0)
-    return flat, bound, "ok" if bound <= tol else "not_converged"
+    if d:
+        return _angle_mean(kind, r, d)
+    return math.log(0.5 * r) - (0.25 if kind == "semicircle" else 0.0)
 
 
 def _energy(points: list[tuple[float, float]], diffuse: DiffusePart,
-            d: float, tol: float) -> tuple[tuple[float, float, float],
-                                           float, str]:
-    """((diffuse x diffuse, atom x diffuse, atom x atom), error estimate,
-    status) of the mean of Re log(y - z + i d) over mu x mu, for mu the
-    (location, weight) point masses plus the diffuse part.  At d = 0 the
-    self-pairs of the points are left out; two points at one location
-    make the atom x atom term -inf with status "diverged"."""
+            d: float) -> tuple[float, float, float]:
+    """(diffuse x diffuse, atom x diffuse, atom x atom) terms of the mean
+    of Re log(y - z + i d) over mu x mu, for mu the (location, weight)
+    point masses plus the diffuse part.  At d = 0 the self-pairs of the
+    points are left out; two points at one location make the atom x atom
+    term -inf."""
     c = diffuse.mass
     # Unordered pairs once, doubled, and at d > 0 the self-pairs w^2 log d:
     # the exact ordered-pair terms, so fsum rounds them to the same double.
@@ -268,17 +247,11 @@ def _energy(points: list[tuple[float, float]], diffuse: DiffusePart,
         for xj, wj in points[i + 1:]:
             gap = math.hypot(xi - xj, d)
             terms.append(2.0 * wi * wj * math.log(gap) if gap else -math.inf)
-    aa = math.fsum(terms)
-    ad = dd = error = 0.0
-    status = "ok"
-    if c > 0.0:
-        ad = math.fsum(2.0 * w * c * _potential(diffuse, x, d)
-                       for x, w in points)
+    ad = math.fsum(2.0 * w * c * _potential(diffuse, x, d)
+                   for x, w in points) if c > 0.0 else 0.0
     # c^2 underflows to 0 below c ~ 1.5e-162, and the self term with it
-    if c * c > 0.0:
-        dd, error, status = _self_energy(diffuse, d, tol / (c * c))
-        dd, error = c * c * dd, c * c * error
-    return (dd, ad, aa), error, "diverged" if aa == -math.inf else status
+    dd = c * c * _self_energy(diffuse, d) if c * c > 0.0 else 0.0
+    return dd, ad, math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -323,43 +296,36 @@ def offdiag_energy(measure: SpectralMeasure) -> EnergyResult:
     mean, accurate to about 1e-10 (``abs_error_estimate`` stays 0).
     Two atoms at one location make E = -inf with status "diverged".
     """
-    parts, _, status = _energy([(a.location, a.weight) for a in measure.atoms],
-                               measure.diffuse, 0.0, math.inf)
+    parts = _energy([(a.location, a.weight) for a in measure.atoms],
+                    measure.diffuse, 0.0)
     bound, note = _truncation_bound(measure)
     return EnergyResult(value=math.fsum(parts),
                         abs_error_estimate=0.0,
                         components=EnergyComponents(*parts),
-                        status=status,
+                        status="diverged" if parts[2] == -math.inf else "ok",
                         truncation_bound=bound,
                         truncation_note=note)
 
 
-def regularized_energy(measure: SpectralMeasure, eps: float,
-                       tol: float = DEFAULT_TOL) -> EnergyResult:
+def regularized_energy(measure: SpectralMeasure, eps: float) -> EnergyResult:
     """Full-plane integral of log((y - z)^2 + eps) d(mu x mu).
 
     The diagonal is included (each atom's self-pair contributes
     weight^2 * log(eps)) and the integrand is bounded, so the value is
-    always finite.  Truncated atom-family mass participates as a point
-    mass at its accumulation point, which misplaces it by at most the
-    tail's spatial spread; with default truncation tolerances this is
-    far below any tolerance in use.  The integrand is
-    2 Re log(y - z + i sqrt(eps)), so every term is closed form except
-    the self term of a semicircle or arcsine part, a Gauss-Chebyshev
-    rule exact to rounding.  Below eps of about 5e-16 r^2 that term is
-    the eps = 0 value: ``abs_error_estimate`` is its weighted bound, and
-    ``status`` is "not_converged" when that exceeds ``tol``.
+    always finite and ``status`` is "ok".  Truncated atom-family mass
+    participates as a point mass at its accumulation point, which
+    misplaces it by at most the tail's spatial spread; with default
+    truncation tolerances this is far below any tolerance in use.  The
+    integrand is 2 Re log(y - z + i sqrt(eps)), so every term is closed
+    form except the self term of a semicircle or arcsine part, one fixed
+    tanh-sinh rule exact to rounding at every eps.
     """
     _check_positive_finite(eps)
-    _check_positive_finite(tol, "tol")
     points = [(a.location, a.weight) for a in measure.atoms]
     if measure.truncated_tail > 0.0 and measure.truncated_tail_location is not None:
         points.append((measure.truncated_tail_location,
                        measure.truncated_tail))
-    parts, error, status = _energy(points, measure.diffuse, math.sqrt(eps),
-                                   0.5 * tol)
-    parts = [2.0 * part for part in parts]
-    return EnergyResult(value=math.fsum(parts),
-                        abs_error_estimate=2.0 * error,
-                        components=EnergyComponents(*parts),
-                        status=status)
+    parts = [2.0 * part
+             for part in _energy(points, measure.diffuse, math.sqrt(eps))]
+    return EnergyResult(value=math.fsum(parts), abs_error_estimate=0.0,
+                        components=EnergyComponents(*parts), status="ok")

@@ -63,8 +63,6 @@ from .asymptotics import (
     _validated_ks,
 )
 from .energy import (
-    DEFAULT_TOL,
-    _SMOOTH,
     _angle_mean,
     _centered_potential,
     _segment_mean,
@@ -118,6 +116,11 @@ _MATH_TERMS = 1 << 18
 # The table (A_i, S_i) of ``_log_factorials``: grown on first use, never at
 # import, to the largest i asked for, which is at most 2 K_CAP - 1.
 _LOG_FACTORIALS = ([0], [0])
+# A sum that stands for an analytic function's integral is exact to rounding
+# once the function's singularities lie 20 units off: 20 levels from a uniform
+# grid's points, and 20 / n off the real angle axis for an arcsine grid's n
+# angles, which err by e^(-40) = 4e-18.
+_SMOOTH = 20.0
 
 
 class NoSolutionError(ValueError):
@@ -590,10 +593,9 @@ def _arcsine_sums(grid: tuple, root: float):
     exponentially convergent trapezoidal rule", SIAM Review 56, 2014).
     The terms halve that and take away (n - 1)/2 log root, the levels'
     own factors, in O(1).  The mean of F is n A - U: A is the arcsine self
-    term at height root (``energy._angle_mean``, 252 angles at n = 5000,
-    eps = 4e-5, r = 1, where 128 trapezoid angles erred by 1.7e-13 in
-    ``2|Δ|/k^2``), and U, the mean of log|s|, is the arcsine potential at
-    r + i root.
+    term at height root (``energy._angle_mean``, one fixed rule of 141
+    potentials at every root), and U, the mean of log|s|, is the arcsine
+    potential at r + i root.
     """
     _, lo, hi, _, _, _, last, _ = grid
     n, r = last + 1, 0.5 * (hi - lo)
@@ -675,25 +677,23 @@ def sk_counting_check(measure: SpectralMeasure,
 
 
 def regularized_product_series(measure: SpectralMeasure, eps: float,
-                               ks: Iterable[int],
-                               tol: float = DEFAULT_TOL) -> SeriesReport:
+                               ks: Iterable[int]) -> SeriesReport:
     """Per-k regularized pair averages of the quantile-fill microstate.
 
     value(k) = k^{-2} sum over ordered pairs i != j of
     log((a_i - a_j)^2 + eps), which converges to the regularized energy
     (the diagonal's k^{-1} log eps vanishes in the limit).  The single
     atom of full weight shows the trendline exactly:
-    value(k) = (1 - 1/k) log eps.  ``status`` is the target's
-    convergence status.
+    value(k) = (1 - 1/k) log eps.  The target is exact to rounding at
+    every eps, so ``status`` is "ok".
     """
     ks = tuple(map(_check_k, _validated_ks(ks)))
-    target = regularized_energy(measure, eps, tol)
+    target = regularized_energy(measure, eps)
     values = [2.0 * _pair_log_sum(build_upper_microstate(measure, k), eps)
               / (k * k) for k in ks]
     return SeriesReport(ks=tuple(ks), values=tuple(values),
                         target=target.value, relation="converges_to",
-                        achieved_gap=values[-1] - target.value,
-                        status=target.status)
+                        achieved_gap=values[-1] - target.value)
 
 
 def offdiag_sum_series(measure: SpectralMeasure,

@@ -123,8 +123,8 @@ def test_criterion_06_regularized_series_convergence():
     start = time.perf_counter()
     m = fp.uniform_measure(0.0, 1.0)
     eps = 0.1
-    rep = fp.regularized_product_series(m, eps, (100, 400, 1600), TOL)
-    target = fp.regularized_energy(m, eps, TOL).value
+    rep = fp.regularized_product_series(m, eps, (100, 400, 1600))
+    target = fp.regularized_energy(m, eps).value
     gaps = [abs(v - target) for v in rep.values]
     elapsed = time.perf_counter() - start
     assert gaps[-1] < 1e-2

@@ -115,32 +115,21 @@ class TestExitCodes:
 
     @pytest.fixture()
     def arcsine_path(self, measure_file):
-        # Radius 1 at eps 1e-18 would need more than MAX_NODES
-        # Gauss-Chebyshev nodes, so its self term is the eps = 0 value,
-        # whose bound of about 1.5e-8 misses tol 1e-12.  At eps 1e-14 the
-        # rule meets that tol.
+        # Radius 1 at eps 1e-18 once took the eps = 0 value with a bound
+        # of about 1.5e-8 and exited 3 with status "not_converged".
         return measure_file(fp.arcsine_measure(-1.0, 1.0), "arcsine.json")
 
-    def test_unconverged_regularized_energy_is_three(self, arcsine_path,
-                                                     semicircle2,
-                                                     measure_file):
-        res = run_cli("energy", "--measure", arcsine_path, "--eps", "1e-18",
-                      "--tol", "1e-12", "--format", "json")
-        assert res.code == 3
-        assert res.stderr.startswith("freeprob: error: energy:")
-        [row] = res.json["results"][0]["regularized"]
-        assert row["status"] == "not_converged"
-        assert row["abs_error_estimate"] > 1e-12
-        assert math.isfinite(row["value"])
-        assert res.json["results"][0]["offdiag_energy"]["status"] == "ok"
-        res = run_cli("energy", "--measure", arcsine_path, "--eps", "1e-14",
-                      "--tol", "1e-12", "--format", "json")
-        assert res.code == 0
-        [row] = res.json["results"][0]["regularized"]
-        assert row["status"] == "ok"
-        assert row["abs_error_estimate"] == 0.0
-        assert abs(row["value"] - mpmath_self_energy(
-            "arcsine", 1.0, 1e-14)) <= 1e-15
+    def test_tiny_eps_regularized_energy_is_ok(self, arcsine_path,
+                                               semicircle2, measure_file):
+        for eps in (1e-18, 1e-14):
+            res = run_cli("energy", "--measure", arcsine_path, "--eps",
+                          str(eps), "--format", "json")
+            assert res.code == 0, eps
+            [row] = res.json["results"][0]["regularized"]
+            assert row["status"] == "ok"
+            assert row["abs_error_estimate"] == 0.0
+            assert abs(row["value"] - mpmath_self_energy(
+                "arcsine", 1.0, eps)) <= 1e-15
         # The semicircle at eps 1e-8 converges.
         path = measure_file(semicircle2, "semicircle.json")
         res = run_cli("energy", "--measure", path, "--eps", "1e-8",
@@ -151,21 +140,15 @@ class TestExitCodes:
         assert row["value"] == pytest.approx(
             chebyshev_reference("semicircle", 2.0, 1e-8), abs=1e-6)
 
-    def test_unconverged_series_target_is_three(self, arcsine_path,
-                                                uniform_path):
-        res = run_cli("series", "regularized-product", "--eps", "1e-18",
-                      "--tol", "1e-12", "--ks", "100,200",
-                      "--measure", arcsine_path, "--format", "json")
-        assert res.code == 3
-        assert res.stderr.startswith("freeprob: error: energy:")
-        assert res.json["result"]["status"] == "not_converged"
-        res = run_cli("series", "regularized-product", "--eps", "1e-14",
-                      "--tol", "1e-12", "--ks", "100,200",
-                      "--measure", arcsine_path, "--format", "json")
-        assert res.code == 0
-        assert res.json["result"]["status"] == "ok"
-        assert abs(res.json["result"]["target"] - mpmath_self_energy(
-            "arcsine", 1.0, 1e-14)) <= 1e-15
+    def test_tiny_eps_series_target_is_ok(self, arcsine_path, uniform_path):
+        for eps in (1e-18, 1e-14):
+            res = run_cli("series", "regularized-product", "--eps", str(eps),
+                          "--ks", "100,200", "--measure", arcsine_path,
+                          "--format", "json")
+            assert res.code == 0, eps
+            assert res.json["result"]["status"] == "ok"
+            assert abs(res.json["result"]["target"] - mpmath_self_energy(
+                "arcsine", 1.0, eps)) <= 1e-15
         # The uniform target at eps 1e-8 is closed form.
         res = run_cli("series", "regularized-product", "--eps", "1e-8",
                       "--ks", "100,200", "--measure", uniform_path,
@@ -468,15 +451,12 @@ class TestKnobDiscipline:
         assert res.stderr.startswith("freeprob: error: usage:")
         res = run_cli("bounds", "--measure", mixed_path, "--tol", "nan")
         assert res.code == 1
-        # --tol inf once ran energy, chi and regularized-product with exit 0
-        for argv in (("chi",), ("energy",),
-                     ("series", "regularized-product", "--eps", "0.5",
-                      "--ks", "10,20")):
-            res = run_cli(*argv, "--measure", mixed_path, "--tol", "inf")
-            assert res.code == 1, argv
-            assert res.stderr == ("freeprob: error: usage: --tol must be "
-                                  "positive and finite, got inf\n")
-            assert res.stdout == ""
+        # --tol inf once ran chi with exit 0
+        res = run_cli("chi", "--measure", mixed_path, "--tol", "inf")
+        assert res.code == 1
+        assert res.stderr == ("freeprob: error: usage: --tol must be "
+                              "positive and finite, got inf\n")
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
     def test_t_must_be_finite(self, uniform_path, t):
@@ -510,32 +490,24 @@ class TestKnobDiscipline:
         assert run_cli(*argv, "--eps=0.5", "--measure", path).code == 0
 
     @pytest.mark.parametrize("argv", [
-        ("bounds",), ("family-bounds",), ("report",),
+        ("bounds",), ("family-bounds",), ("report",), ("energy",),
         ("series", "offdiag-sum", "--ks", "10,20"),
         ("series", "packing-constant", "--ks", "10,20"),
+        ("series", "regularized-product", "--eps", "0.5", "--ks", "10,20"),
     ], ids=lambda argv: "-".join(argv[:2]))
     def test_tol_only_where_a_quadrature_runs(self, mixed_path, argv):
         res = run_cli(*argv, "--measure", mixed_path, "--tol", "1e-6")
         assert res.code == 1
         assert res.stderr.startswith("freeprob: error: usage:")
+        assert "unrecognized arguments: --tol 1e-6" in res.stderr
         assert run_cli(*argv, "--measure", mixed_path).code == 0
 
-    def test_tol_kept_on_energy_chi_and_regularized_product(self,
-                                                            uniform_path):
+    def test_tol_kept_on_chi(self, uniform_path):
         res = run_cli("chi", "--measure", uniform_path, "--tol", "1e-8",
                       "--format", "json")
         assert res.code == 0
         assert res.json["inputs"]["tol"] == 1e-8
-        res = run_cli("energy", "--measure", uniform_path, "--eps", "0.5",
-                      "--tol", "1e-8", "--format", "json")
-        assert res.code == 0
-        assert res.json["inputs"]["tol"] == 1e-8
-        res = run_cli("series", "regularized-product", "--eps", "0.5",
-                      "--ks", "10,20", "--tol", "1e-8",
-                      "--measure", uniform_path, "--format", "json")
-        assert res.code == 0
-        assert res.json["inputs"]["tol"] == 1e-8
-        assert run_cli("energy", "--measure", uniform_path,
+        assert run_cli("chi", "--measure", uniform_path,
                        "--tol", "nan").code == 1
 
     def test_gamma_ratio_takes_no_tol(self):

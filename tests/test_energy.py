@@ -117,7 +117,7 @@ class TestScipyOracles:
             lambda y, x: 0.25 * math.log((x - y) ** 2 + eps),
             1.0, 2.0, 1.0, 2.0)
         oracle = aa + ad + dd
-        got = fp.regularized_energy(mixed_measure, eps, TOL).value
+        got = fp.regularized_energy(mixed_measure, eps).value
         assert got == pytest.approx(oracle, abs=max(TOL, 10 * (err_ad
                                                                + err_dd)))
 
@@ -126,7 +126,7 @@ class TestScipyOracles:
         oracle, err = integrate.dblquad(
             lambda y, x: math.log((x - y) ** 2 + eps),
             0.0, 1.0, 0.0, 1.0, epsabs=1e-10)
-        got = fp.regularized_energy(uniform01, eps, TOL).value
+        got = fp.regularized_energy(uniform01, eps).value
         assert got == pytest.approx(oracle, abs=max(TOL, 10 * err))
 
 
@@ -279,7 +279,7 @@ class TestClosedFormOracles:
         oracle = w * w * math.log(eps) + 2 * w * mass * ad + mass ** 2 * dd
         m = fp.SpectralMeasure(support=(c - r, c + r), atoms=(fp.Atom(x0, w),),
                                diffuse=_diffuse("semicircle", mass))
-        got = fp.regularized_energy(m, eps, ORACLE_TOL).value
+        got = fp.regularized_energy(m, eps).value
         assert got == pytest.approx(oracle, abs=ORACLE_TOL)
 
 
@@ -402,7 +402,7 @@ class TestRegularizedOracles:
         # k' = t / sqrt(t^2 + 4 r^2): a Laplace transform of J_0^2
         # (Gradshteyn & Ryzhik, section 6.61).  K = pi / (2 agm(1, k'))
         # keeps its digits near t = 0, where k^2 rounds to 1.  This shares
-        # no code with the Gauss-Chebyshev rule.
+        # no code with the angle rule.
         c = 0.2
         m = fp.arcsine_measure(c - r, c + r)
         for eps in (10.0, 0.5, 1e-2, 1e-4, 1e-8, 1e-12):
@@ -416,7 +416,7 @@ class TestRegularizedOracles:
                 mean = mpmath.log(two_r / 4) + mpmath.quad(
                     slope, [0, mpmath.sqrt(mpmath.mpf(eps))])
                 want = float(2 * mean)
-            res = fp.regularized_energy(m, eps, tol=1e-12)
+            res = fp.regularized_energy(m, eps)
             bound = 1e-14 if res.status == "ok" else res.abs_error_estimate
             assert abs(res.value - want) <= bound, (eps, res.status)
 
@@ -441,7 +441,7 @@ class TestRegularizedOracles:
             atoms=tuple(fp.Atom(x, w) for x in xs),
             diffuse=_diffuse(kind, mass))
         assert fp.validate(m).ok
-        res = fp.regularized_energy(m, eps, 1e-12)
+        res = fp.regularized_energy(m, eps)
         assert res.status == "ok"
         assert res.value == pytest.approx(oracle, abs=ORACLE_TOL)
 
@@ -450,50 +450,23 @@ class TestRegularizedOracles:
                                      1e-14, 1e-15, 1e-16, 1e-18, 1e-20,
                                      1e-22])
     def test_ok_status_meets_tol(self, eps, kind):
-        # Below eps ~ 3e-16 the rule cannot resolve the layer of width
-        # sqrt(eps) at the ends of the support; what is returned there is
-        # the eps = 0 value with a bound.
         m = (fp.semicircle_measure(0.0, 1.0) if kind == "semicircle"
              else fp.arcsine_measure(-1.0, 1.0))
-        results = [fp.regularized_energy(m, eps, tol) for tol in (1e-6, 1e-10)]
-        assert results[0].status == "ok"
-        reference = chebyshev_reference(kind, 1.0, eps)
-        for tol, res in zip((1e-6, 1e-10), results):
-            assert math.isfinite(res.value)
-            if res.status == "ok":
-                assert res.abs_error_estimate <= tol
-                assert res.value == pytest.approx(reference, abs=tol)
-
-
-def _flat_bound(kind, delta):
-    """The bound on a semicircle or arcsine self term that reads its
-    eps = 0 value at height delta = sqrt(eps)/r, doubled as the
-    regularized energy doubles it, in mpmath."""
-    if kind == "semicircle":
-        return 4 * delta
-    with mpmath.workdps(30):
-        eta = mpmath.re(mpmath.acosh(mpmath.mpc(1, delta)))
-        theta = mpmath.asin(delta / eta)
-        return float(4 / mpmath.pi * (eta * theta - delta
-                                      * mpmath.log(mpmath.tan(theta / 2))))
+        res = fp.regularized_energy(m, eps)
+        assert res.status == "ok"
+        assert res.abs_error_estimate == 0.0
+        assert res.value == pytest.approx(
+            chebyshev_reference(kind, 1.0, eps), abs=1e-10)
 
 
 class TestSelfTermRule:
-    """A semicircle or arcsine self term is one Gauss-Chebyshev rule of
-    ceil(20 / sigma) nodes, sigma = |Im acos(1 + i delta)|, delta =
-    sqrt(eps)/r, up to 2^17 nodes, and past them the eps = 0 value with
-    its bound."""
+    """A semicircle or arcsine self term is one fixed tanh-sinh rule over
+    the angle, of 141 potentials at every eps > 0, exact to rounding."""
 
     @staticmethod
     def _measure(kind, r):
         return (fp.semicircle_measure(0.0, r) if kind == "semicircle"
                 else fp.arcsine_measure(-r, r))
-
-    @staticmethod
-    def _takes_the_rule(delta):
-        with mpmath.workdps(30):
-            sigma = abs(mpmath.im(mpmath.acos(mpmath.mpc(1, delta))))
-            return mpmath.ceil(20 / sigma) <= 2 ** 17
 
     @pytest.mark.parametrize("kind", ["semicircle", "arcsine"])
     @pytest.mark.parametrize("r", [0.5, 3.0])
@@ -501,57 +474,69 @@ class TestSelfTermRule:
                                        1e8])
     def test_matches_mpmath(self, kind, r, delta):
         eps = (delta * r) ** 2
-        res = fp.regularized_energy(self._measure(kind, r), eps, 1e-12)
+        res = fp.regularized_energy(self._measure(kind, r), eps)
         want = mpmath_self_energy(kind, r, eps)
         assert res.status == "ok"
         assert res.abs_error_estimate == 0.0
         assert abs(res.value - want) <= 1e-15 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("kind", ["semicircle", "arcsine"])
-    def test_status_at_unit_radius(self, kind):
-        m = self._measure(kind, 1.0)
-        for j in range(45):
-            eps = 10.0 ** (-j / 2)
-            for tol in (1e-6, 1e-9, 1e-12):
-                res = fp.regularized_energy(m, eps, tol)
-                if eps >= 1e-15 or tol == 1e-6:
-                    assert res.status == "ok", (eps, tol)
+    @pytest.mark.parametrize("r", [0.5, 3.0])
+    def test_delta_grid_matches_mpmath(self, kind, r):
+        # delta = d/r from 1e-300 to 1e300, past the doubles eps = d^2 can
+        # reach, so the rule is read directly, doubled as the regularized
+        # energy doubles it
+        for j in range(-300, 301, 50):
+            d = 10.0 ** j * r
+            with mpmath.workdps(40):
+                want = mpmath_self_energy(kind, r, mpmath.mpf(d) ** 2)
+            got = 2.0 * energy._angle_mean(kind, r, d)
+            assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), j
 
     @pytest.mark.parametrize("kind", ["semicircle", "arcsine"])
-    def test_estimate_is_zero_or_the_flat_bound(self, kind):
+    def test_same_work_at_every_eps(self, kind, monkeypatch):
+        calls = []
+        potential = energy._centered_potential
+
+        def counted(*args):
+            calls.append(args)
+            return potential(*args)
+
+        monkeypatch.setattr(energy, "_centered_potential", counted)
         m = self._measure(kind, 1.0)
-        flat = 2.0 * math.log(0.5) - (0.5 if kind == "semicircle" else 0.0)
-        for j in range(0, 45, 2):
-            eps = 10.0 ** (-j / 2)
-            res = fp.regularized_energy(m, eps, 1e-6)
-            delta = math.sqrt(eps)
-            if self._takes_the_rule(delta):
-                assert res.abs_error_estimate == 0.0, eps
-                continue
-            assert res.value == flat, eps
-            assert res.abs_error_estimate == pytest.approx(
-                _flat_bound(kind, delta), rel=1e-12), eps
-            assert abs(res.value - mpmath_self_energy(kind, 1.0, eps)) <= (
-                res.abs_error_estimate), eps
+        counts = []
+        for eps in (1.0, 1e-14, 1e-300):
+            calls.clear()
+            fp.regularized_energy(m, eps)
+            counts.append(len(calls))
+        assert counts == [141] * 3
+
+    @pytest.mark.parametrize("kind", ["semicircle", "arcsine"])
+    def test_status_at_unit_radius(self, kind):
+        m = self._measure(kind, 1.0)
+        for j in range(61):
+            res = fp.regularized_energy(m, 10.0 ** (-j / 2))
+            assert res.status == "ok", j
+            assert res.abs_error_estimate == 0.0, j
 
 
 class TestRegularizedEnergy:
     def test_monotone_in_eps(self, mixed_measure):
-        values = [fp.regularized_energy(mixed_measure, e, TOL).value
+        values = [fp.regularized_energy(mixed_measure, e).value
                   for e in (1.0, 0.1, 0.01, 0.001)]
         assert values == sorted(values, reverse=True)
 
     def test_diffuse_limit_is_twice_offdiag(self, uniform01):
         # For atomless measures the off-diagonal energy is half the
         # regularized limit: the diagonal carries no mass.
-        reg = fp.regularized_energy(uniform01, 1e-10, TOL).value
+        reg = fp.regularized_energy(uniform01, 1e-10).value
         assert reg == pytest.approx(2.0 * (-1.5), abs=5e-4)
 
     def test_atom_diagonal_carries_log_eps(self, two_atoms):
         # Purely atomic: sum w_i w_j log((a_i - a_j)^2 + eps) including
         # the diagonal, which contributes (sum w_i^2) log eps.
         eps = 1e-8
-        got = fp.regularized_energy(two_atoms, eps, TOL).value
+        got = fp.regularized_energy(two_atoms, eps).value
         want = 0.5 * math.log(eps) + 2 * 0.25 * math.log(1.0 + eps)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -559,18 +544,12 @@ class TestRegularizedEnergy:
         for m in (two_atoms, arcsine2):
             for eps in (math.inf, math.nan, 0.0, -1.0):
                 with pytest.raises(ValueError, match="positive and finite"):
-                    fp.regularized_energy(m, eps, TOL)
-
-    def test_rejects_tol_that_is_not_finite(self, semicircle2):
-        # tol = inf once returned status "ok" for any error estimate
-        for tol in (math.inf, math.nan, 0.0, -1.0):
-            with pytest.raises(ValueError, match="positive and finite"):
-                fp.regularized_energy(semicircle2, 0.01, tol)
+                    fp.regularized_energy(m, eps)
 
     def test_dominates_twice_offdiag(self, mixed_measure):
         # log((y-z)^2 + eps) >= 2 log|y-z| pointwise off the diagonal
         # and the diagonal only adds mass, provided eps >= 1.
-        reg = fp.regularized_energy(mixed_measure, 1.0, TOL).value
+        reg = fp.regularized_energy(mixed_measure, 1.0).value
         assert reg >= 2.0 * MIXED_ENERGY - 1e-9
 
 
@@ -655,8 +634,8 @@ class TestExtremeScales:
                                diffuse=_diffuse(kind, 0.75))
         scaled = affine_pushforward(m, scale, 0.0)
         assert fp.validate(scaled).ok
-        base = fp.regularized_energy(m, 0.01, 1e-10)
-        got = fp.regularized_energy(scaled, 0.01 * scale * scale, 1e-10)
+        base = fp.regularized_energy(m, 0.01)
+        got = fp.regularized_energy(scaled, 0.01 * scale * scale)
         assert base.status == got.status == "ok"
         assert got.value == pytest.approx(base.value + 2 * math.log(scale),
                                           abs=1e-10)
@@ -721,20 +700,8 @@ class TestStatuses:
         assert res.status == "diverged"
         assert res.value == -math.inf
 
-    def test_starved_quadrature_reports_not_converged(self, monkeypatch):
-        # An arcsine of radius 1 takes a rule of 200 nodes at eps 1e-4 and
-        # of 20000 at eps 1e-12.  With a cap of 64 both are past the cap,
-        # so both return the eps = 0 value with a bound above 1e-12.
-        monkeypatch.setattr(energy, "MAX_NODES", 64)
-        arcsine = fp.arcsine_measure(-1.0, 1.0)
-        for eps in (1e-4, 1e-12):
-            res = fp.regularized_energy(arcsine, eps, 1e-12)
-            assert res.status == "not_converged"
-            assert res.abs_error_estimate > 1e-12
-            assert math.isfinite(res.value)
-
     def test_regularized_result_carries_status(self, mixed_measure):
-        res = fp.regularized_energy(mixed_measure, 0.1, TOL)
+        res = fp.regularized_energy(mixed_measure, 0.1)
         assert res.status == "ok"
         assert 0.0 <= res.abs_error_estimate <= TOL
         parts = res.components
@@ -743,22 +710,18 @@ class TestStatuses:
         assert parts.atom_atom == pytest.approx(0.25 * math.log(0.1),
                                                 rel=1e-15)
 
-    def test_regularized_not_converged_is_reported(self, semicircle2):
-        # An arcsine of radius 1 at eps 1e-18 would need more than
-        # MAX_NODES nodes: its self term is the eps = 0 value, whose bound
-        # of about 1.5e-8 misses tol 1e-12.
+    def test_regularized_at_tiny_eps_is_ok(self, semicircle2):
+        # An arcsine of radius 1 at eps 1e-18 once took the eps = 0 value
+        # with a bound of about 1.5e-8 and status "not_converged".
         arcsine = fp.arcsine_measure(-1.0, 1.0)
-        res = fp.regularized_energy(arcsine, 1e-18, 1e-12)
-        assert res.status == "not_converged"
-        assert res.abs_error_estimate > 1e-12
-        assert math.isfinite(res.value)
-        # At eps 1e-14 the rule meets tol 1e-12.
-        res = fp.regularized_energy(arcsine, 1e-14, 1e-12)
-        assert res.status == "ok"
-        assert abs(res.value - mpmath_self_energy("arcsine", 1.0,
-                                                  1e-14)) <= 1e-15
+        for eps in (1e-18, 1e-14):
+            res = fp.regularized_energy(arcsine, eps)
+            assert res.status == "ok"
+            assert res.abs_error_estimate == 0.0
+            assert abs(res.value - mpmath_self_energy("arcsine", 1.0,
+                                                      eps)) <= 1e-15
         # The semicircle at eps 1e-8 converges.
-        res = fp.regularized_energy(semicircle2, 1e-8, TOL)
+        res = fp.regularized_energy(semicircle2, 1e-8)
         assert res.status == "ok"
         assert res.value == pytest.approx(
             chebyshev_reference("semicircle", 2.0, 1e-8), abs=TOL)

@@ -293,7 +293,7 @@ class TestRegularizedProductSeries:
     def test_converges_to_regularized_energy(self, uniform01):
         eps = 0.1
         rep = fp.regularized_product_series(uniform01, eps, (100, 400, 1600))
-        target = fp.regularized_energy(uniform01, eps, TOL).value
+        target = fp.regularized_energy(uniform01, eps).value
         assert rep.target == pytest.approx(target, abs=1e-9)
         assert rep.relation == "converges_to"
         gaps = [abs(v - target) for v in rep.values]

@@ -48,6 +48,18 @@ def test_log_factorial_table_is_built_on_first_use():
     assert out == "([0], [0])\n4\n"
 
 
+def test_angle_rule_is_built_on_first_use():
+    # importing the package and the CLI makes no node of the self-term
+    # rule; the first regularized semicircle or arcsine energy does
+    out = _fresh_python(
+        "import freeprob.cli; from freeprob import energy as e\n"
+        "print(e._angle_rule.cache_info().currsize)\n"
+        "from freeprob import arcsine_measure\n"
+        "e.regularized_energy(arcsine_measure(-1.0, 1.0), 1.0)\n"
+        "print(e._angle_rule.cache_info().currsize, len(e._angle_rule()))")
+    assert out == "0\n1 141\n"
+
+
 _RUN_COMMANDS = """
 import contextlib, io, json, sys
 from freeprob.cli import main
