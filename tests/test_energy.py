@@ -519,6 +519,18 @@ class TestSelfTermRule:
             assert res.status == "ok", j
             assert res.abs_error_estimate == 0.0, j
 
+    @pytest.mark.parametrize("kind", ["semicircle", "arcsine"])
+    def test_estimate_is_zero_or_the_flat_bound(self, kind):
+        # No eps = 0 fallback is left to carry a flat bound, so the
+        # estimate is 0 at every eps, and the value must bear it out
+        m = self._measure(kind, 1.0)
+        for j in range(0, 45, 2):
+            eps = 10.0 ** (-j / 2)
+            res = fp.regularized_energy(m, eps)
+            want = mpmath_self_energy(kind, 1.0, eps)
+            assert res.abs_error_estimate == 0.0, eps
+            assert abs(res.value - want) <= 1e-15 * max(1.0, abs(want)), eps
+
 
 class TestRegularizedEnergy:
     def test_monotone_in_eps(self, mixed_measure):
